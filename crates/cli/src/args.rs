@@ -15,6 +15,8 @@ pub struct Cli {
     flags: HashMap<String, String>,
     switches: Vec<String>,
     positional: Vec<String>,
+    /// Every argument except the subcommand, in order.
+    flag_args: Vec<String>,
 }
 
 impl Cli {
@@ -36,6 +38,9 @@ impl Cli {
         let mut out = Cli::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
+            if out.command.is_some() || arg.starts_with("--") {
+                out.flag_args.push(arg.clone());
+            }
             if let Some(name) = arg.strip_prefix("--") {
                 let (key, value) = if let Some((k, v)) = name.split_once('=') {
                     (k.to_string(), Some(v.to_string()))
@@ -44,7 +49,9 @@ impl Cli {
                     .map(|next| !next.starts_with("--"))
                     .unwrap_or(false)
                 {
-                    (name.to_string(), Some(iter.next().expect("peeked")))
+                    let value = iter.next().expect("peeked");
+                    out.flag_args.push(value.clone());
+                    (name.to_string(), Some(value))
                 } else {
                     (name.to_string(), None)
                 };
@@ -70,6 +77,12 @@ impl Cli {
     /// The subcommand, if any.
     pub fn command(&self) -> Option<&str> {
         self.command.as_deref()
+    }
+
+    /// Every argument except the subcommand, for subcommands that parse
+    /// their own flags.
+    pub fn flag_args(&self) -> &[String] {
+        &self.flag_args
     }
 
     /// Positional operands after the subcommand.

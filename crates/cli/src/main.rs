@@ -23,27 +23,17 @@
 //!                     [--source V] [--top K] [--threshold T] [--seeds K]
 //!                     [--worlds N] [--seed S]
 //! chameleon synth     <in.txt> <out.txt> [--nodes N] [--seed S] [--dp-epsilon E]
-//! chameleon serve     [--host H] [--port P] [--workers N] [--queue-depth N]
-//!                     [--cache N] [--timeout-ms MS] [--max-request-bytes N]
-//!                     [--read-timeout-ms MS] [--max-connections N]
-//!                     [--journal-dir DIR] [--journal-sync always|interval]
-//!                     [--journal-segment-bytes N] [--resume]
+//! chameleon serve     [chameleond flags: see `chameleond --help`]
 //!                     # run the chameleond job service (see DESIGN.md §7–8);
 //!                     # --journal-dir enables the durable-jobs write-ahead
 //!                     # journal (DESIGN.md §11); --resume re-enqueues
 //!                     # incomplete journaled jobs after a crash.
 //!                     # with --metrics, the final snapshot is written on
 //!                     # graceful shutdown. Built with the `fault-injection`
-//!                     # feature, --fault-seed/--fault-panic-rate/
-//!                     # --fault-panic-budget/--fault-cancel-rate/
-//!                     # --fault-cancel-budget arm a deterministic chaos
+//!                     # feature, --fault-* flags arm a deterministic chaos
 //!                     # schedule (dev/test only).
-//! chameleon gate      --backends addr,addr,... [--host H] [--port P]
-//!                     [--forwarders N] [--queue-depth N] [--replicas N]
-//!                     [--health-interval-ms MS] [--io-retries N]
-//!                     [--retry-base-ms MS] [--retry-seed S]
-//!                     [--max-request-bytes N] [--max-connections N]
-//!                     [--max-batch N]
+//! chameleon gate      --backends addr,addr,...
+//!                     [chameleon_gate flags: see `chameleon_gate --help`]
 //!                     # run chameleon-gate (DESIGN.md §13): shard jobs
 //!                     # across N chameleond backends by graph digest on a
 //!                     # consistent-hash ring; dead backends are detected,
@@ -139,8 +129,6 @@ const COMMANDS: &[Command] = &[
         cmd_mine,
     ),
     ("synth", &["nodes", "seed", "dp-epsilon"], cmd_synth),
-    ("serve", SERVE_FLAGS, cmd_serve),
-    ("gate", GATE_FLAGS, cmd_gate),
     (
         "submit",
         &[
@@ -169,72 +157,6 @@ const COMMANDS: &[Command] = &[
     ),
 ];
 
-/// `gate` flag whitelist (the gateway tier of DESIGN.md §13).
-const GATE_FLAGS: &[&str] = &[
-    "host",
-    "port",
-    "backends",
-    "forwarders",
-    "queue-depth",
-    "replicas",
-    "health-interval-ms",
-    "io-retries",
-    "retry-base-ms",
-    "retry-seed",
-    "max-request-bytes",
-    "max-connections",
-    "max-batch",
-];
-
-/// `serve` flag whitelist; the `--fault-*` chaos flags exist only in
-/// `fault-injection` builds so a production binary cannot arm them.
-#[cfg(not(feature = "fault-injection"))]
-const SERVE_FLAGS: &[&str] = &[
-    "host",
-    "port",
-    "workers",
-    "queue-depth",
-    "cache",
-    "timeout-ms",
-    "max-request-bytes",
-    "read-timeout-ms",
-    "max-connections",
-    "max-batch",
-    "journal-dir",
-    "journal-sync",
-    "journal-segment-bytes",
-    "resume",
-];
-
-/// `serve` flag whitelist with the deterministic chaos schedule armed
-/// (`fault-injection` builds only).
-#[cfg(feature = "fault-injection")]
-const SERVE_FLAGS: &[&str] = &[
-    "host",
-    "port",
-    "workers",
-    "queue-depth",
-    "cache",
-    "timeout-ms",
-    "max-request-bytes",
-    "read-timeout-ms",
-    "max-connections",
-    "max-batch",
-    "journal-dir",
-    "journal-sync",
-    "journal-segment-bytes",
-    "resume",
-    "fault-seed",
-    "fault-panic-rate",
-    "fault-panic-budget",
-    "fault-cancel-rate",
-    "fault-cancel-budget",
-    "fault-defer-rate",
-    "fault-defer-budget",
-    "fault-short-write-rate",
-    "fault-short-write-budget",
-];
-
 fn main() {
     let cli = match Cli::from_env() {
         Ok(cli) => cli,
@@ -243,7 +165,11 @@ fn main() {
             std::process::exit(1);
         }
     };
+    // `serve` and `gate` validate their flags against the server crate's
+    // own tables, shared with the standalone binaries.
     let outcome = match cli.command() {
+        Some("serve") => cmd_serve(cli.flag_args()),
+        Some("gate") => cmd_gate(cli.flag_args()),
         Some(name) => match COMMANDS.iter().find(|(cmd, _, _)| *cmd == name) {
             Some((_, allowed, run)) => cli.expect_flags(allowed).and_then(|()| run(&cli)),
             None => Err(format!("unknown command {name:?}\n\n{USAGE}")),
@@ -573,48 +499,10 @@ fn cmd_synth(cli: &Cli) -> Result<(), String> {
 /// Run the `chameleond` job service in the foreground until a client
 /// sends `{"op":"shutdown"}` (graceful drain). `--metrics` doubles as the
 /// final-snapshot path written during shutdown.
-fn cmd_serve(cli: &Cli) -> Result<(), String> {
-    let host: String = cli.get("host", "127.0.0.1".to_string())?;
-    let port: u16 = cli.get("port", 7788u16)?;
-    let defaults = chameleon_server::ServerConfig::default();
-    let config = chameleon_server::ServerConfig {
-        addr: format!("{host}:{port}"),
-        workers: cli.get("workers", 0usize)?,
-        queue_depth: cli.get("queue-depth", 64usize)?,
-        cache_capacity: cli.get("cache", 256usize)?,
-        default_timeout_ms: cli.get("timeout-ms", 300_000u64)?,
-        metrics_path: match cli.get("metrics", String::new())? {
-            s if s.is_empty() => None,
-            s => Some(s),
-        },
-        max_request_bytes: cli.get("max-request-bytes", defaults.max_request_bytes)?,
-        read_timeout_ms: cli.get("read-timeout-ms", defaults.read_timeout_ms)?,
-        max_connections: cli.get("max-connections", defaults.max_connections)?,
-        max_batch: cli.get("max-batch", defaults.max_batch)?,
-        faults: fault_plan(cli)?,
-        journal_dir: match cli.get("journal-dir", String::new())? {
-            s if s.is_empty() => None,
-            s => Some(s),
-        },
-        journal_sync: cli
-            .get("journal-sync", "interval".to_string())?
-            .parse()
-            .map_err(|e: String| e)?,
-        journal_segment_bytes: cli.get("journal-segment-bytes", defaults.journal_segment_bytes)?,
-        resume: cli.has("resume"),
-    };
-    let server = chameleon_server::Server::bind(config).map_err(|e| format!("bind: {e}"))?;
-    eprintln!("chameleond listening on {}", server.local_addr());
-    let report = server.run().map_err(|e| format!("serve: {e}"))?;
-    println!(
-        "served {} jobs ({} failed, {} rejected, {} timed out, {} panicked, {} cancelled)",
-        report.jobs_completed,
-        report.jobs_failed,
-        report.jobs_rejected,
-        report.jobs_timed_out,
-        report.jobs_panicked,
-        report.jobs_cancelled,
-    );
+fn cmd_serve(args: &[String]) -> Result<(), String> {
+    let config = chameleon_server::ServerConfig::from_args(args)?;
+    let report = chameleon_server::Server::serve(config)?;
+    println!("drained and stopped ({report})");
     Ok(())
 }
 
@@ -622,74 +510,11 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
 /// shards jobs across a fleet of chameleond backends by graph digest,
 /// health-checks them, and re-drives jobs off dead backends with
 /// byte-identical results.
-fn cmd_gate(cli: &Cli) -> Result<(), String> {
-    let host: String = cli.get("host", "127.0.0.1".to_string())?;
-    let port: u16 = cli.get("port", 7789u16)?;
-    let backends: String = cli.require("backends")?;
-    let defaults = chameleon_server::GatewayConfig::default();
-    let config = chameleon_server::GatewayConfig {
-        addr: format!("{host}:{port}"),
-        backends: backends
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect(),
-        forwarders: cli.get("forwarders", defaults.forwarders)?,
-        queue_depth: cli.get("queue-depth", defaults.queue_depth)?,
-        replicas: cli.get("replicas", defaults.replicas)?,
-        health_interval_ms: cli.get("health-interval-ms", defaults.health_interval_ms)?,
-        retry: chameleon_server::RetryPolicy {
-            io_retries: cli.get("io-retries", defaults.retry.io_retries)?,
-            base_delay_ms: cli.get("retry-base-ms", defaults.retry.base_delay_ms)?,
-            seed: cli.get("retry-seed", defaults.retry.seed)?,
-            ..defaults.retry
-        },
-        max_request_bytes: cli.get("max-request-bytes", defaults.max_request_bytes)?,
-        max_connections: cli.get("max-connections", defaults.max_connections)?,
-        max_batch: cli.get("max-batch", defaults.max_batch)?,
-        metrics_path: match cli.get("metrics", String::new())? {
-            s if s.is_empty() => None,
-            s => Some(s),
-        },
-    };
-    let gateway = chameleon_server::Gateway::bind(config).map_err(|e| format!("bind: {e}"))?;
-    eprintln!("chameleon-gate listening on {}", gateway.local_addr());
-    let report = gateway.run().map_err(|e| format!("gate: {e}"))?;
-    println!(
-        "forwarded {} lines ({} redriven, {} no-backend errors, {} rejected)",
-        report.forwarded, report.redriven, report.no_backend_errors, report.rejected,
-    );
+fn cmd_gate(args: &[String]) -> Result<(), String> {
+    let config = chameleon_server::GatewayConfig::from_args(args)?;
+    let report = chameleon_server::Gateway::serve(config)?;
+    println!("drained and stopped ({report})");
     Ok(())
-}
-
-/// Builds the deterministic chaos schedule from the `--fault-*` flags
-/// (`fault-injection` builds only; production builds always serve `None`).
-#[cfg(feature = "fault-injection")]
-fn fault_plan(cli: &Cli) -> Result<Option<chameleon_server::FaultPlan>, String> {
-    let plan = chameleon_server::FaultPlan::new(cli.get("fault-seed", 0u64)?)
-        .with_panics(
-            cli.get("fault-panic-rate", 0.0f64)?,
-            cli.get("fault-panic-budget", 0u64)?,
-        )
-        .with_cancels(
-            cli.get("fault-cancel-rate", 0.0f64)?,
-            cli.get("fault-cancel-budget", 0u64)?,
-        )
-        .with_deferred_ready(
-            cli.get("fault-defer-rate", 0.0f64)?,
-            cli.get("fault-defer-budget", 0u64)?,
-        )
-        .with_short_writes(
-            cli.get("fault-short-write-rate", 0.0f64)?,
-            cli.get("fault-short-write-budget", 0u64)?,
-        );
-    Ok(plan.is_active().then_some(plan))
-}
-
-#[cfg(not(feature = "fault-injection"))]
-fn fault_plan(_cli: &Cli) -> Result<Option<chameleon_server::FaultPlan>, String> {
-    Ok(None)
 }
 
 /// Send one job to a running daemon and render the reply. An `obfuscate`
@@ -875,4 +700,52 @@ fn cmd_compare(cli: &Cli) -> Result<(), String> {
         b.mean_edge_prob()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chameleon_server::{GatewayConfig, ServerConfig};
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn serve_and_gate_parse_exactly_like_the_standalone_binaries() {
+        let serve = "--port 0 --workers 3 --resume --journal-sync=always --metrics m.json";
+        let cli = Cli::parse(argv(&format!("serve {serve}"))).unwrap();
+        let via_cli = ServerConfig::from_args(cli.flag_args()).unwrap();
+        assert_eq!(via_cli, ServerConfig::from_args(&argv(serve)).unwrap());
+        assert!(via_cli.resume);
+
+        let gate = "--backends a:1,b:2 --read-timeout-ms 150 --max-batch 0";
+        // A global flag before the subcommand still reaches the table.
+        let cli = Cli::parse(argv(&format!("--metrics g.json gate {gate}"))).unwrap();
+        let via_cli = GatewayConfig::from_args(cli.flag_args()).unwrap();
+        let mut via_bin = GatewayConfig::from_args(&argv(gate)).unwrap();
+        via_bin.metrics_path = Some("g.json".into());
+        assert_eq!(via_cli, via_bin);
+
+        for bad in [
+            "serve --port 0 --bogus 1",
+            "gate --backends a:1 --replicas 64",
+        ] {
+            let cli = Cli::parse(argv(bad)).unwrap();
+            let rest = &argv(bad)[1..];
+            let (a, b) = if bad.starts_with("serve") {
+                (
+                    ServerConfig::from_args(cli.flag_args()).map(drop),
+                    ServerConfig::from_args(rest).map(drop),
+                )
+            } else {
+                (
+                    GatewayConfig::from_args(cli.flag_args()).map(drop),
+                    GatewayConfig::from_args(rest).map(drop),
+                )
+            };
+            assert!(a.as_ref().unwrap_err().contains("unknown flag"), "{a:?}");
+            assert_eq!(a, b);
+        }
+    }
 }

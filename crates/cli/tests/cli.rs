@@ -272,3 +272,16 @@ fn repan_method_available() {
     assert!(stdout(&out).contains("repan"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn serve_and_gate_reject_unknown_flags_before_binding() {
+    for args in [
+        &["serve", "--port", "0", "--bogus", "1"][..],
+        &["gate", "--backends", "127.0.0.1:1", "--replicas", "64"][..],
+    ] {
+        let out = chameleon(args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+    }
+}

@@ -138,7 +138,7 @@ struct Step {
     delay: Duration,
 }
 
-struct Conn {
+struct Client {
     stream: TcpStream,
     steps: Vec<Step>,
     step: usize,
@@ -153,7 +153,7 @@ struct Conn {
     chunks: HashMap<String, String>,
 }
 
-impl Conn {
+impl Client {
     fn write_pending(&self) -> bool {
         self.step < self.steps.len()
     }
@@ -189,8 +189,8 @@ impl Totals {
 }
 
 /// Builds the deterministic client for connection `idx`.
-fn build_conn(idx: usize, stream: TcpStream, bodies: &[String], now: Instant) -> Conn {
-    let mut conn = Conn {
+fn build_conn(idx: usize, stream: TcpStream, bodies: &[String], now: Instant) -> Client {
+    let mut conn = Client {
         stream,
         steps: Vec::new(),
         step: 0,
@@ -204,7 +204,7 @@ fn build_conn(idx: usize, stream: TcpStream, bodies: &[String], now: Instant) ->
         chunks: HashMap::new(),
     };
     let kind = idx % 20;
-    let expect_ok = |conn: &mut Conn, id: String, job: usize| {
+    let expect_ok = |conn: &mut Client, id: String, job: usize| {
         conn.expect.insert(
             id.clone(),
             Expect {
@@ -307,7 +307,7 @@ fn build_conn(idx: usize, stream: TcpStream, bodies: &[String], now: Instant) ->
 }
 
 /// Handles one complete reply line; returns false on verification failure.
-fn handle_line(conn: &mut Conn, line: &str, expected: &[String], totals: &mut Totals) {
+fn handle_line(conn: &mut Client, line: &str, expected: &[String], totals: &mut Totals) {
     let v = match Json::parse(line) {
         Ok(v) => v,
         Err(e) => {
@@ -474,7 +474,7 @@ fn main() {
         retries: 0,
         failures: Vec::new(),
     };
-    let mut conns: Vec<Option<Conn>> = Vec::with_capacity(connections);
+    let mut conns: Vec<Option<Client>> = Vec::with_capacity(connections);
     let mut poll = PollSet::new();
     let mut slots: Vec<(usize, usize)> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];

@@ -1,132 +1,24 @@
 //! Standalone gateway binary. `chameleon gate` (the CLI subcommand) is
-//! the same runtime with the workspace-wide flag conventions; this thin
-//! entry point exists so the gateway tier can be deployed without the
-//! full CLI.
+//! the same runtime with the same flags; this thin entry point exists so
+//! the gateway tier can be deployed without the full CLI.
 
 use chameleon_server::{Gateway, GatewayConfig};
 
-const USAGE: &str = "\
-chameleon-gate - consistent-hashing gateway for chameleond backends
-
-USAGE:
-    chameleon_gate --backends <addr,addr,...>
-                   [--host <addr>] [--port <port>] [--forwarders <n>]
-                   [--queue-depth <n>] [--replicas <n>]
-                   [--health-interval-ms <ms>] [--io-retries <n>]
-                   [--retry-base-ms <ms>] [--retry-seed <n>]
-                   [--max-request-bytes <n>] [--max-connections <n>]
-                   [--max-batch <n>] [--metrics <path>]
-
-OPTIONS:
-    --backends <list>   Comma-separated chameleond addresses (required)
-    --host <addr>       Bind address           [default: 127.0.0.1]
-    --port <port>       Bind port (0 = any)    [default: 7789]
-    --forwarders <n>    Forwarder threads (0 = 2x backends, min 4)
-                        [default: 0]
-    --queue-depth <n>   Bounded forward queue size [default: 64]
-    --replicas <n>      Virtual nodes per backend on the hash ring
-                        [default: 64]
-    --health-interval-ms <ms>  Backend status-probe interval; 0 disables
-                        the health thread      [default: 500]
-    --io-retries <n>    Connect/I-O retries per backend before it is
-                        declared dead and the job re-driven [default: 3]
-    --retry-base-ms <ms>  Base backoff delay for I/O retries [default: 50]
-    --retry-seed <n>    Seed for the jittered backoff schedule [default: 0]
-    --max-request-bytes <n>   Request-line byte cap  [default: 16777216]
-    --max-connections <n>     Open-connection cap    [default: 256]
-    --max-batch <n>     Elements allowed in one batch request; mirror the
-                        backends' --max-batch  [default: 1024]
-    --metrics <path>    Write final metrics snapshot here on shutdown
-
-Jobs are routed by the FNV-1a digest of their graph text over a
-consistent-hash ring, so repeated work on one graph hits one backend's
-result cache. A backend that fails past the retry budget is marked dead
-and its jobs re-driven to the ring successor; results are byte-identical
-regardless of placement (DESIGN.md \u{a7}13).
-Send {\"op\":\"shutdown\"} for a graceful drain-and-exit (the gateway
-only; backends keep running).
-";
-
-fn parse_args(args: &[String]) -> Result<GatewayConfig, String> {
-    let mut host = "127.0.0.1".to_string();
-    let mut port = 7789u16;
-    let mut config = GatewayConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            return Err(String::new());
-        }
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("unexpected argument {flag:?}"));
-        };
-        let value = it
-            .next()
-            .ok_or_else(|| format!("--{name} requires a value"))?;
-        let bad = |_| format!("invalid value {value:?} for --{name}");
-        match name {
-            "backends" => {
-                config.backends = value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect();
-            }
-            "host" => host = value.clone(),
-            "port" => port = value.parse().map_err(bad)?,
-            "forwarders" => config.forwarders = value.parse().map_err(bad)?,
-            "queue-depth" => config.queue_depth = value.parse().map_err(bad)?,
-            "replicas" => config.replicas = value.parse().map_err(bad)?,
-            "health-interval-ms" => config.health_interval_ms = value.parse().map_err(bad)?,
-            "io-retries" => config.retry.io_retries = value.parse().map_err(bad)?,
-            "retry-base-ms" => config.retry.base_delay_ms = value.parse().map_err(bad)?,
-            "retry-seed" => config.retry.seed = value.parse().map_err(bad)?,
-            "max-request-bytes" => config.max_request_bytes = value.parse().map_err(bad)?,
-            "max-connections" => config.max_connections = value.parse().map_err(bad)?,
-            "max-batch" => config.max_batch = value.parse().map_err(bad)?,
-            "metrics" => config.metrics_path = Some(value.clone()),
-            other => return Err(format!("unknown flag --{other}")),
-        }
-    }
-    if config.backends.is_empty() {
-        return Err("--backends requires at least one address".into());
-    }
-    config.addr = format!("{host}:{port}");
-    Ok(config)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match parse_args(&args) {
-        Ok(config) => config,
-        Err(msg) if msg.is_empty() => {
-            print!("{USAGE}");
-            return;
-        }
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", GatewayConfig::USAGE);
+        return;
+    }
+    let config = GatewayConfig::from_args(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        eprintln!("run `chameleon_gate --help` for usage");
+        std::process::exit(2);
+    });
+    match Gateway::serve(config) {
+        Ok(report) => eprintln!("chameleon-gate: drained and stopped ({report})"),
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("run `chameleon_gate --help` for usage");
-            std::process::exit(2);
-        }
-    };
-    let gateway = match Gateway::bind(config) {
-        Ok(gateway) => gateway,
-        Err(e) => {
-            eprintln!("error: failed to bind: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!("chameleon-gate listening on {}", gateway.local_addr());
-    match gateway.run() {
-        Ok(report) => {
-            eprintln!(
-                "chameleon-gate: drained and stopped ({} forwarded, {} redriven, \
-                 {} no-backend errors, {} rejected)",
-                report.forwarded, report.redriven, report.no_backend_errors, report.rejected,
-            );
-        }
-        Err(e) => {
-            eprintln!("error: gateway failed: {e}");
             std::process::exit(1);
         }
     }

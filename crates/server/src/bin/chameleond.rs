@@ -1,134 +1,24 @@
 //! Standalone daemon binary. `chameleon serve` (the CLI subcommand) is the
-//! same runtime with the workspace-wide flag conventions; this thin entry
-//! point exists so the service can be deployed without the full CLI.
+//! same runtime with the same flags; this thin entry point exists so the
+//! service can be deployed without the full CLI.
 
-use chameleon_server::{JournalSync, Server, ServerConfig};
-
-const USAGE: &str = "\
-chameleond - Chameleon anonymization job service
-
-USAGE:
-    chameleond [--host <addr>] [--port <port>] [--workers <n>]
-               [--queue-depth <n>] [--cache <entries>]
-               [--timeout-ms <ms>] [--metrics <path>]
-               [--max-request-bytes <n>] [--read-timeout-ms <ms>]
-               [--max-connections <n>] [--max-batch <n>]
-               [--journal-dir <dir>] [--journal-sync <always|interval>]
-               [--journal-segment-bytes <n>] [--resume]
-
-OPTIONS:
-    --host <addr>       Bind address           [default: 127.0.0.1]
-    --port <port>       Bind port (0 = any)    [default: 7788]
-    --workers <n>       Worker threads (0 = all cores)  [default: 0]
-    --queue-depth <n>   Bounded job queue size [default: 64]
-    --cache <entries>   Result cache capacity  [default: 256]
-    --timeout-ms <ms>   Default per-job budget [default: 300000]
-    --metrics <path>    Write final metrics snapshot here on shutdown
-    --max-request-bytes <n>   Request-line byte cap  [default: 16777216]
-    --read-timeout-ms <ms>    Per-line read deadline once the first byte
-                              arrived; 0 disables   [default: 30000]
-    --max-connections <n>     Open-connection cap; 0 = unlimited
-                              [default: 256]
-    --max-batch <n>           Elements allowed in one batch request;
-                              0 = unlimited    [default: 1024]
-    --journal-dir <dir>       Write-ahead job journal directory; enables
-                              durable jobs (DESIGN.md \u{a7}11)
-    --journal-sync <policy>   Journal fsync policy: always | interval
-                              [default: interval]
-    --journal-segment-bytes <n>  Journal segment rotation threshold
-                              [default: 8388608]
-    --resume                  Re-enqueue incomplete journaled jobs at
-                              startup instead of cancelling them
-
-The wire protocol is newline-delimited JSON (pipelined; supports batch
-submission and chunked responses); see DESIGN.md \u{a7}7 and \u{a7}9.
-Send {\"op\":\"shutdown\"} for a graceful drain-and-exit.
-";
-
-fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
-    let mut host = "127.0.0.1".to_string();
-    let mut port = 7788u16;
-    let mut config = ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            return Err(String::new());
-        }
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("unexpected argument {flag:?}"));
-        };
-        // Valueless flags must not consume the next argument.
-        if name == "resume" {
-            config.resume = true;
-            continue;
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| format!("--{name} requires a value"))?;
-        let bad = |_| format!("invalid value {value:?} for --{name}");
-        match name {
-            "host" => host = value.clone(),
-            "port" => port = value.parse().map_err(bad)?,
-            "workers" => config.workers = value.parse().map_err(bad)?,
-            "queue-depth" => config.queue_depth = value.parse().map_err(bad)?,
-            "cache" => config.cache_capacity = value.parse().map_err(bad)?,
-            "timeout-ms" => config.default_timeout_ms = value.parse().map_err(bad)?,
-            "metrics" => config.metrics_path = Some(value.clone()),
-            "max-request-bytes" => config.max_request_bytes = value.parse().map_err(bad)?,
-            "read-timeout-ms" => config.read_timeout_ms = value.parse().map_err(bad)?,
-            "max-connections" => config.max_connections = value.parse().map_err(bad)?,
-            "max-batch" => config.max_batch = value.parse().map_err(bad)?,
-            "journal-dir" => config.journal_dir = Some(value.clone()),
-            "journal-sync" => {
-                config.journal_sync = value
-                    .parse::<JournalSync>()
-                    .map_err(|_| format!("invalid value {value:?} for --journal-sync"))?;
-            }
-            "journal-segment-bytes" => config.journal_segment_bytes = value.parse().map_err(bad)?,
-            other => return Err(format!("unknown flag --{other}")),
-        }
-    }
-    config.addr = format!("{host}:{port}");
-    Ok(config)
-}
+use chameleon_server::{Server, ServerConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match parse_args(&args) {
-        Ok(config) => config,
-        Err(msg) if msg.is_empty() => {
-            print!("{USAGE}");
-            return;
-        }
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", ServerConfig::USAGE);
+        return;
+    }
+    let config = ServerConfig::from_args(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        eprintln!("run `chameleond --help` for usage");
+        std::process::exit(2);
+    });
+    match Server::serve(config) {
+        Ok(report) => eprintln!("chameleond: drained and stopped ({report})"),
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("run `chameleond --help` for usage");
-            std::process::exit(2);
-        }
-    };
-    let server = match Server::bind(config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: failed to bind: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!("chameleond listening on {}", server.local_addr());
-    match server.run() {
-        Ok(report) => {
-            eprintln!(
-                "chameleond: drained and stopped ({} completed, {} failed, {} rejected, \
-                 {} timed out, {} panicked, {} cancelled)",
-                report.jobs_completed,
-                report.jobs_failed,
-                report.jobs_rejected,
-                report.jobs_timed_out,
-                report.jobs_panicked,
-                report.jobs_cancelled,
-            );
-        }
-        Err(e) => {
-            eprintln!("error: server failed: {e}");
             std::process::exit(1);
         }
     }

@@ -27,39 +27,29 @@
 //!
 //! Responses are forwarded verbatim (chunk frames included): the bytes a
 //! client reads through the gateway are the bytes the backend wrote.
-//! Structurally the gateway reuses the PR 7 poll(2) reactor shape for its
-//! client side — one event-loop thread owning all sockets, a bounded
-//! forward queue, a small forwarder pool doing the blocking backend I/O,
-//! and an mpsc + self-pipe wakeup channel carrying finished responses
-//! back to the loop. A background health thread probes every backend
-//! with `status` requests, marking dead backends down before a client
-//! job has to discover it, and reviving them when they return.
+//! The client side is the daemon's own line-protocol server
+//! ([`crate::reactor`]) — same framing, limits, deadlines and shutdown —
+//! with this module's service handler feeding a bounded forward queue
+//! and a small forwarder pool doing the blocking backend I/O. A
+//! background health thread probes every backend with `status` requests,
+//! marking dead backends down before a client job has to discover it,
+//! and reviving them when they return.
 
 use crate::cache::fnv1a64;
-use crate::protocol::{coded_error_response, codes, ok_response, parse_request, Request};
+use crate::config::GatewayConfig;
+use crate::protocol::{coded_error_response, codes};
 use crate::queue::{BoundedQueue, PushError};
-use crate::reactor::{PollSet, Waker, Wakeup, POLLIN, POLLOUT};
-use crate::server::{send_request, RetryPolicy};
-use chameleon_obs::json;
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::reactor::{Completion, ConnToken, Handle, JobItem, Limits, LineServer, Service, Sites};
+use crate::server::{read_logical, send_request, RetryPolicy};
+use chameleon_obs::{counter, json};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Idle poll timeout (re-check shutdown and deadlines without I/O).
-const IDLE_POLL: Duration = Duration::from_millis(500);
-
-/// Poll timeout while a shutdown waits for the forward queue to drain.
-const DRAIN_POLL: Duration = Duration::from_millis(5);
-
-/// Write-stall deadline, matching the backend daemon's.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Grace period for flushing final responses after shutdown is answered.
-const FLUSH_GRACE: Duration = Duration::from_secs(2);
+/// Virtual nodes per backend on the gateway's hash ring.
+pub const RING_REPLICAS: usize = 64;
 
 /// Connect/read budget for one health probe.
 const PROBE_TIMEOUT: Duration = Duration::from_millis(1_000);
@@ -80,7 +70,6 @@ const NO_BACKEND_RETRY_MS: u64 = 500;
 pub struct HashRing {
     /// `(point, backend index)`, sorted by point.
     points: Vec<(u64, usize)>,
-    backends: usize,
 }
 
 impl HashRing {
@@ -95,15 +84,7 @@ impl HashRing {
             }
         }
         points.sort_unstable();
-        Self {
-            points,
-            backends: backends.len(),
-        }
-    }
-
-    /// Number of backends the ring was built over.
-    pub fn backend_count(&self) -> usize {
-        self.backends
+        Self { points }
     }
 
     /// Number of ring points (backends × replicas).
@@ -134,54 +115,13 @@ impl HashRing {
     }
 }
 
-/// Configuration for [`Gateway::bind`].
-#[derive(Debug, Clone)]
-pub struct GatewayConfig {
-    /// Bind address; port 0 picks an ephemeral port.
-    pub addr: String,
-    /// Backend `chameleond` addresses (`host:port`); must be non-empty.
-    pub backends: Vec<String>,
-    /// Forwarder threads doing the blocking backend I/O (0 = auto:
-    /// twice the backend count, at least 4).
-    pub forwarders: usize,
-    /// Bounded forward-queue depth; a full queue rejects with
-    /// `retry_after_ms`, exactly like the backend's job queue.
-    pub queue_depth: usize,
-    /// Virtual nodes per backend on the hash ring.
-    pub replicas: usize,
-    /// Interval between backend health probes in ms (0 disables the
-    /// health thread; forwarders still mark backends dead on failure).
-    pub health_interval_ms: u64,
-    /// Retry policy for backend I/O (`io_retries` attempts with seeded
-    /// backoff before a backend is declared dead and the job re-driven).
-    pub retry: RetryPolicy,
-    /// Request-line byte cap on client connections.
-    pub max_request_bytes: usize,
-    /// Maximum concurrently open client connections.
-    pub max_connections: usize,
-    /// Maximum elements per `batch` line, mirroring the backends'
-    /// `--max-batch` so an oversized batch is rejected here with the
-    /// same response it would get from a backend.
-    pub max_batch: usize,
-    /// Write the final metrics snapshot here on shutdown.
-    pub metrics_path: Option<String>,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:0".into(),
-            backends: Vec::new(),
-            forwarders: 0,
-            queue_depth: 64,
-            replicas: 64,
-            health_interval_ms: 500,
-            retry: RetryPolicy::default(),
-            max_request_bytes: 16 * 1024 * 1024,
-            max_connections: 256,
-            max_batch: 1024,
-            metrics_path: None,
-        }
+impl std::fmt::Display for GatewayReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} forwarded, {} redriven, {} no-backend errors, {} rejected",
+            self.forwarded, self.redriven, self.no_backend_errors, self.rejected,
+        )
     }
 }
 
@@ -210,17 +150,6 @@ struct ForwardJob {
     ids: Vec<Option<String>>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct ConnToken {
-    idx: usize,
-    gen: u64,
-}
-
-struct Completion {
-    token: ConnToken,
-    wire: Vec<u8>,
-}
-
 struct GwShared {
     queue: BoundedQueue<ForwardJob>,
     ring: HashRing,
@@ -231,15 +160,9 @@ struct GwShared {
     redriven: AtomicU64,
     no_backend_errors: AtomicU64,
     rejected: AtomicU64,
-    shutting_down: AtomicBool,
-    open_connections: AtomicUsize,
     started: Instant,
     retry: RetryPolicy,
-    max_request_bytes: usize,
-    max_connections: usize,
-    max_batch: usize,
     queue_depth: usize,
-    replicas: usize,
 }
 
 impl GwShared {
@@ -251,10 +174,33 @@ impl GwShared {
             rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
+}
 
+/// The gateway's counter sites in the shared loop.
+fn gateway_sites() -> Sites {
+    Sites {
+        ticks: counter!("gateway.reactor.ticks"),
+        wakeups: counter!("gateway.reactor.wakeups"),
+        completions: counter!("gateway.reactor.completions"),
+        connections: counter!("gateway.connections"),
+        rejected_busy: counter!("gateway.conn.rejected_busy"),
+        deferred_ready: counter!("gateway.reactor.deferred_ready"),
+        short_writes: counter!("gateway.reactor.short_writes"),
+        truncated: counter!("gateway.conn.truncated"),
+        request_too_large: counter!("gateway.conn.request_too_large"),
+        read_timeout: counter!("gateway.conn.read_timeout"),
+        write_stalled: counter!("gateway.conn.write_stalled"),
+        bad_utf8: counter!("gateway.conn.bad_utf8"),
+        shutdown_requests: counter!("gateway.shutdown_requests"),
+        batched: counter!("gateway.jobs.batched"),
+        rejected_batch: counter!("gateway.jobs.rejected_batch"),
+    }
+}
+
+impl Service for GwShared {
     /// Gateway `status` result object; field order fixed by construction.
     /// Queued/active are read as one [`crate::queue::QueueSnapshot`].
-    fn status_json(&self) -> String {
+    fn status_json(&self, open_connections: usize, shutting_down: bool) -> String {
         let queue = self.queue.snapshot();
         let mut backends = String::new();
         for (i, addr) in self.backends.iter().enumerate() {
@@ -276,7 +222,7 @@ impl GwShared {
              \"open_connections\":{},\"shutting_down\":{}}}",
             self.started.elapsed().as_millis(),
             backends,
-            self.replicas,
+            RING_REPLICAS,
             queue.queued,
             self.queue_depth,
             queue.active,
@@ -284,9 +230,104 @@ impl GwShared {
             self.redriven.load(Ordering::Relaxed),
             self.no_backend_errors.load(Ordering::Relaxed),
             self.rejected.load(Ordering::Relaxed),
-            self.open_connections.load(Ordering::Relaxed),
-            self.shutting_down.load(Ordering::Relaxed),
+            open_connections,
+            shutting_down,
         )
+    }
+
+    /// Admits one raw request line to the forward queue, or rejects it
+    /// with the same coded, hinted errors the backend daemon uses. The
+    /// line is parsed only to route and count responses — the *raw* line
+    /// is what a backend receives, so its responses match a direct
+    /// submission byte-for-byte.
+    fn dispatch(
+        &self,
+        token: ConnToken,
+        line: String,
+        items: Vec<JobItem>,
+        shutting_down: bool,
+        reply: &mut dyn FnMut(&str),
+    ) -> usize {
+        // A batch routes whole-line by its first parsable element's graph
+        // (elements of one batch usually share a graph; splitting a line
+        // would break the protocol's one-queue-slot batch semantics).
+        // Parse-failed elements still get their per-element error from
+        // the backend.
+        let key = items
+            .iter()
+            .find_map(|item| item.as_ref().ok())
+            .map(|job| job.spec.graph_digest())
+            .unwrap_or_else(|| fnv1a64(line.as_bytes()));
+        let ids: Vec<Option<String>> = items
+            .into_iter()
+            .map(|item| match item {
+                Ok(job) => job.id,
+                Err((id, _)) => id,
+            })
+            .collect();
+        let expect = ids.len();
+        let reject = |reply: &mut dyn FnMut(&str), code: &str, msg: &str, retry: Option<u64>| {
+            self.rejected.fetch_add(expect as u64, Ordering::Relaxed);
+            for id in &ids {
+                reply(&coded_error_response(id.as_deref(), code, msg, retry));
+            }
+            0
+        };
+        if shutting_down {
+            return reject(
+                reply,
+                codes::SHUTTING_DOWN,
+                "gateway is shutting down",
+                None,
+            );
+        }
+        match self.queue.try_push(ForwardJob {
+            token,
+            line,
+            key,
+            expect,
+            ids: ids.clone(),
+        }) {
+            Ok(_) => {
+                chameleon_obs::counter!("gateway.jobs.accepted").add(expect as u64);
+                expect
+            }
+            Err(PushError::Full { capacity }) => {
+                chameleon_obs::counter!("gateway.jobs.rejected_full").add(expect as u64);
+                let retry_ms = 100 * (1 + self.queue.snapshot().active as u64).min(50);
+                reject(
+                    reply,
+                    codes::QUEUE_FULL,
+                    &format!("gateway queue full ({capacity} queued lines); retry later"),
+                    Some(retry_ms),
+                )
+            }
+            Err(PushError::Closed) => reject(
+                reply,
+                codes::SHUTTING_DOWN,
+                "gateway is shutting down",
+                None,
+            ),
+        }
+    }
+
+    /// `shutdown` stops the gateway only: backends are shared
+    /// infrastructure with their own lifecycles.
+    fn shutdown_json(&self) -> String {
+        let report = self.report();
+        format!(
+            "{{\"drained\":true,\"forwarded\":{},\"redriven\":{},\
+             \"no_backend_errors\":{},\"rejected\":{}}}",
+            report.forwarded, report.redriven, report.no_backend_errors, report.rejected,
+        )
+    }
+
+    fn is_drained(&self) -> bool {
+        self.queue.is_drained()
+    }
+
+    fn count_rejected(&self, n: u64) {
+        self.rejected.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -294,31 +335,14 @@ impl GwShared {
 pub struct Gateway {
     listener: TcpListener,
     shared: Arc<GwShared>,
+    limits: Limits,
     health_interval: Option<Duration>,
     forwarders: usize,
     metrics_path: Option<String>,
 }
 
 /// Handle to a gateway running on a background thread.
-pub struct GatewayHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<std::io::Result<GatewayReport>>,
-}
-
-impl GatewayHandle {
-    /// The bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the gateway to shut down.
-    ///
-    /// # Errors
-    /// Propagates the run loop's I/O error, if any.
-    pub fn join(self) -> std::io::Result<GatewayReport> {
-        self.thread.join().expect("gateway thread panicked")
-    }
-}
+pub type GatewayHandle = Handle<GatewayReport>;
 
 impl Gateway {
     /// Binds the listener (without accepting yet).
@@ -339,9 +363,10 @@ impl Gateway {
             config.forwarders
         };
         let n = config.backends.len();
+        let limits = config.limits();
         let shared = Arc::new(GwShared {
             queue: BoundedQueue::new(config.queue_depth),
-            ring: HashRing::new(&config.backends, config.replicas),
+            ring: HashRing::new(&config.backends, RING_REPLICAS),
             alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
             forwarded_per_backend: (0..n).map(|_| AtomicU64::new(0)).collect(),
             backends: config.backends,
@@ -349,19 +374,14 @@ impl Gateway {
             redriven: AtomicU64::new(0),
             no_backend_errors: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            shutting_down: AtomicBool::new(false),
-            open_connections: AtomicUsize::new(0),
             started: Instant::now(),
             retry: config.retry,
-            max_request_bytes: config.max_request_bytes.max(64),
-            max_connections: config.max_connections.max(1),
-            max_batch: config.max_batch.max(1),
             queue_depth: config.queue_depth,
-            replicas: config.replicas.max(1),
         });
         Ok(Gateway {
             listener,
             shared,
+            limits,
             health_interval: (config.health_interval_ms > 0)
                 .then(|| Duration::from_millis(config.health_interval_ms)),
             forwarders,
@@ -374,18 +394,29 @@ impl Gateway {
         self.listener.local_addr().expect("listener has an address")
     }
 
+    /// The foreground entry point of `chameleon_gate` and `chameleon
+    /// gate`: binds, announces `chameleon-gate listening on <addr>` on
+    /// stderr, and serves until shutdown.
+    ///
+    /// # Errors
+    /// A bind or fatal reactor failure, as a message.
+    pub fn serve(config: GatewayConfig) -> Result<GatewayReport, String> {
+        let gateway = Gateway::bind(config).map_err(|e| format!("failed to bind: {e}"))?;
+        eprintln!("chameleon-gate listening on {}", gateway.local_addr());
+        gateway.run().map_err(|e| format!("gateway failed: {e}"))
+    }
+
     /// [`Gateway::bind`] + [`Gateway::run`] on a background thread.
     ///
     /// # Errors
     /// Propagates bind failures.
     pub fn spawn(config: GatewayConfig) -> std::io::Result<GatewayHandle> {
         let gateway = Gateway::bind(config)?;
-        let addr = gateway.local_addr();
-        let thread = std::thread::Builder::new()
-            .name("chameleon-gate".into())
-            .spawn(move || gateway.run())
-            .expect("spawn gateway thread");
-        Ok(GatewayHandle { addr, thread })
+        Ok(Handle::spawn(
+            "chameleon-gate",
+            gateway.local_addr(),
+            move || gateway.run(),
+        ))
     }
 
     /// Serves until a `shutdown` request completes: runs the reactor,
@@ -398,24 +429,29 @@ impl Gateway {
         let Gateway {
             listener,
             shared,
+            limits,
             health_interval,
             forwarders,
             metrics_path,
         } = self;
-        let wakeup = Wakeup::new()?;
-        let (tx, rx) = mpsc::channel::<Completion>();
-        let forwarder_handles: Vec<_> = (0..forwarders)
+        let lines = LineServer::new(listener)?;
+        let forwarders: Vec<_> = (0..forwarders)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                let waker = wakeup.waker().expect("clone waker");
+                let done = lines.completer();
                 std::thread::Builder::new()
                     .name(format!("gate-forward-{i}"))
-                    .spawn(move || forwarder_loop(&shared, &tx, &waker))
+                    .spawn(move || {
+                        let mut pool = ConnPool::new();
+                        done.drain_queue(&shared.queue, |job| Completion {
+                            wire: drive_job(&shared, &mut pool, &job),
+                            token: job.token,
+                            responses: job.expect,
+                        })
+                    })
                     .expect("spawn forwarder")
             })
             .collect();
-        drop(tx);
         let health_run = Arc::new(AtomicBool::new(true));
         let health_handle = health_interval.map(|interval| {
             let shared = Arc::clone(&shared);
@@ -425,29 +461,7 @@ impl Gateway {
                 .spawn(move || health_loop(&shared, &run, interval))
                 .expect("spawn health thread")
         });
-        listener.set_nonblocking(true)?;
-        let mut reactor = GateReactor {
-            listener,
-            wakeup,
-            completions: rx,
-            shared: Arc::clone(&shared),
-            conns: Vec::new(),
-            free: Vec::new(),
-            next_gen: 0,
-            shutdown_requested: false,
-            shutdown_waiters: Vec::new(),
-            shutdown_answered: false,
-            exit_deadline: None,
-            poll: PollSet::new(),
-            conn_slots: Vec::new(),
-            scratch: vec![0u8; 64 * 1024],
-        };
-        let run_result = reactor.run();
-        drop(reactor);
-        shared.queue.close();
-        for handle in forwarder_handles {
-            let _ = handle.join();
-        }
+        let run_result = lines.serve(&*shared, limits, gateway_sites(), &shared.queue, forwarders);
         health_run.store(false, Ordering::Relaxed);
         if let Some(handle) = health_handle {
             let _ = handle.join();
@@ -460,35 +474,11 @@ impl Gateway {
     }
 }
 
-/// Settles the forward queue's active count even if a forwarder unwinds.
-struct TaskDoneGuard<'a>(&'a GwShared);
-
-impl Drop for TaskDoneGuard<'_> {
-    fn drop(&mut self) {
-        self.0.queue.task_done();
-    }
-}
-
 /// Per-forwarder pool of persistent backend connections, keyed by ring
 /// index. A forwarder is strictly lockstep per backend (one job in
 /// flight per connection), so reusing the socket across jobs is safe —
 /// and saves a TCP handshake per forwarded job on the hot path.
 type ConnPool = std::collections::HashMap<usize, BufReader<TcpStream>>;
-
-fn forwarder_loop(shared: &Arc<GwShared>, respond: &mpsc::Sender<Completion>, waker: &Waker) {
-    let mut pool = ConnPool::new();
-    while let Some(job) = shared.queue.pop() {
-        let _done = TaskDoneGuard(shared);
-        let wire = drive_job(shared, &mut pool, &job);
-        // The send happens before the guard marks the task done, so a
-        // drained queue implies every response is already in the channel.
-        let _ = respond.send(Completion {
-            token: job.token,
-            wire,
-        });
-        waker.wake();
-    }
-}
 
 /// Synthesized per-response error lines for a job no backend can answer.
 fn no_backend_wire(shared: &GwShared, job: &ForwardJob) -> Vec<u8> {
@@ -580,7 +570,12 @@ fn forward_collect(
     }
     let mut attempt = 0u32;
     loop {
-        match try_forward(addr, line, expect) {
+        let fresh = TcpStream::connect(addr).and_then(|stream| {
+            let _ = stream.set_nodelay(true);
+            let mut reader = BufReader::new(stream);
+            Ok((try_forward_on(&mut reader, line, expect)?, reader))
+        });
+        match fresh {
             Ok((wire, reader)) => {
                 pool.insert(idx, reader);
                 return Ok(wire);
@@ -597,24 +592,11 @@ fn forward_collect(
     }
 }
 
-/// Opens a fresh backend connection and drives one round-trip on it;
-/// returns the response wire bytes plus the connection for pooling.
-fn try_forward(
-    addr: &str,
-    line: &str,
-    expect: usize,
-) -> std::io::Result<(Vec<u8>, BufReader<TcpStream>)> {
-    let stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
-    let wire = try_forward_on(&mut reader, line, expect)?;
-    Ok((wire, reader))
-}
-
-/// Sends the raw request line down an existing backend connection and
-/// collects `expect` complete logical responses as verbatim wire bytes
-/// (chunk frames are passed through untouched; only their `last` marker
-/// is inspected to count logical completion).
+/// Sends the raw request line down a backend connection and collects
+/// `expect` complete logical responses as verbatim wire bytes (chunk
+/// frames pass through untouched). A connection that ends early — or
+/// mid-line — is an `UnexpectedEof`, so the caller re-drives instead of
+/// forwarding a torn response.
 fn try_forward_on(
     reader: &mut BufReader<TcpStream>,
     line: &str,
@@ -624,46 +606,9 @@ fn try_forward_on(
     reader.get_mut().flush()?;
     let mut wire = Vec::new();
     for _ in 0..expect {
-        read_logical_verbatim(reader, &mut wire)?;
+        read_logical(reader, Some(&mut wire))?;
     }
     Ok(wire)
-}
-
-/// Appends the raw lines of one logical response to `wire`. A non-chunk
-/// line is one complete response; chunk frames accumulate until the
-/// `"last":true` frame. A connection that ends early — or mid-line — is
-/// an `UnexpectedEof` so the caller re-drives instead of forwarding a
-/// torn response.
-fn read_logical_verbatim<R: BufRead>(reader: &mut R, wire: &mut Vec<u8>) -> std::io::Result<()> {
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend closed the connection mid-response",
-            ));
-        }
-        if !line.ends_with('\n') {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend connection truncated mid-line",
-            ));
-        }
-        let mut terminal = true;
-        let trimmed = line.trim_end();
-        if trimmed.contains("\"status\":\"chunk\"") {
-            if let Ok(v) = json::Json::parse(trimmed) {
-                if v.get("status").and_then(json::Json::as_str) == Some("chunk") {
-                    terminal = v.get("last").and_then(json::Json::as_bool) == Some(true);
-                }
-            }
-        }
-        wire.extend_from_slice(line.as_bytes());
-        if terminal {
-            return Ok(());
-        }
-    }
 }
 
 fn health_loop(shared: &Arc<GwShared>, run: &AtomicBool, interval: Duration) {
@@ -706,570 +651,6 @@ fn probe_backend(addr: &str) -> bool {
     }
     let mut reader = BufReader::new(stream);
     crate::server::read_response(&mut reader).is_ok()
-}
-
-/// One client connection owned by the gateway reactor (the trimmed
-/// sibling of the daemon's `Conn`: same buffers and lifecycle states,
-/// minus the per-line read deadline — the gateway fronts trusted
-/// backends' clients, and the byte cap still bounds memory).
-struct GwConn {
-    stream: TcpStream,
-    gen: u64,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    in_flight: usize,
-    close_after_flush: bool,
-    read_closed: bool,
-    last_progress: Instant,
-}
-
-impl GwConn {
-    fn new(stream: TcpStream, gen: u64) -> Self {
-        Self {
-            stream,
-            gen,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            in_flight: 0,
-            close_after_flush: false,
-            read_closed: false,
-            last_progress: Instant::now(),
-        }
-    }
-
-    fn has_pending_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
-    }
-}
-
-fn push_line(conn: &mut GwConn, line: &str) {
-    if !conn.has_pending_write() {
-        conn.last_progress = Instant::now();
-    }
-    conn.wbuf.extend_from_slice(line.as_bytes());
-    conn.wbuf.push(b'\n');
-}
-
-fn push_wire(conn: &mut GwConn, wire: &[u8]) {
-    if !conn.has_pending_write() {
-        conn.last_progress = Instant::now();
-    }
-    conn.wbuf.extend_from_slice(wire);
-}
-
-fn reject_busy(stream: &TcpStream, limit: usize) {
-    let mut line = coded_error_response(
-        None,
-        codes::SERVER_BUSY,
-        &format!("connection limit reached ({limit} open connections); retry later"),
-        Some(200),
-    );
-    line.push('\n');
-    let _ = (&*stream).write(line.as_bytes());
-}
-
-struct GateReactor {
-    listener: TcpListener,
-    wakeup: Wakeup,
-    completions: mpsc::Receiver<Completion>,
-    shared: Arc<GwShared>,
-    conns: Vec<Option<GwConn>>,
-    free: Vec<usize>,
-    next_gen: u64,
-    shutdown_requested: bool,
-    shutdown_waiters: Vec<(ConnToken, Option<String>)>,
-    shutdown_answered: bool,
-    exit_deadline: Option<Instant>,
-    poll: PollSet,
-    conn_slots: Vec<(usize, usize)>,
-    scratch: Vec<u8>,
-}
-
-impl GateReactor {
-    fn run(&mut self) -> std::io::Result<()> {
-        loop {
-            self.answer_shutdown_when_drained();
-            if self.exit_ready() {
-                return Ok(());
-            }
-            self.tick()?;
-        }
-    }
-
-    fn tick(&mut self) -> std::io::Result<()> {
-        self.poll.clear();
-        self.conn_slots.clear();
-        let wake_slot = self.poll.register(self.wakeup.fd(), POLLIN);
-        let listen_slot = if self.shutdown_requested {
-            None
-        } else {
-            Some(self.poll.register(self.listener.as_raw_fd(), POLLIN))
-        };
-        for (idx, conn) in self.conns.iter().enumerate() {
-            let Some(conn) = conn else { continue };
-            let mut events: i16 = 0;
-            if !conn.read_closed {
-                events |= POLLIN;
-            }
-            if conn.has_pending_write() {
-                events |= POLLOUT;
-            }
-            if events != 0 {
-                self.conn_slots
-                    .push((self.poll.register(conn.stream.as_raw_fd(), events), idx));
-            }
-        }
-        let timeout = self.poll_timeout();
-        self.poll.poll(Some(timeout))?;
-        chameleon_obs::counter!("gateway.reactor.ticks").add(1);
-
-        if self.poll.revents(wake_slot).readable() {
-            self.wakeup.drain();
-        }
-        self.drain_completions();
-        for k in 0..self.conn_slots.len() {
-            let (slot, idx) = self.conn_slots[k];
-            if self.poll.revents(slot).readable() {
-                self.read_ready(idx);
-            }
-        }
-        self.service_timers_and_flush();
-        // Accept after reads and reaping, like the daemon: a slot freed
-        // this tick must be reusable before the busy check.
-        if let Some(slot) = listen_slot {
-            if self.poll.revents(slot).readable() {
-                self.accept_ready()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn poll_timeout(&self) -> Duration {
-        if self.shutdown_requested && !self.shutdown_answered {
-            return DRAIN_POLL;
-        }
-        let now = Instant::now();
-        let mut nearest: Option<Instant> = self.exit_deadline;
-        for conn in self.conns.iter().flatten() {
-            if conn.has_pending_write() {
-                let d = conn.last_progress + WRITE_TIMEOUT;
-                nearest = Some(nearest.map_or(d, |n| n.min(d)));
-            }
-        }
-        match nearest {
-            Some(d) => d
-                .saturating_duration_since(now)
-                .max(Duration::from_millis(1))
-                .min(IDLE_POLL),
-            None => IDLE_POLL,
-        }
-    }
-
-    fn drain_completions(&mut self) {
-        while let Ok(done) = self.completions.try_recv() {
-            let Some(conn) = self.conns.get_mut(done.token.idx).and_then(Option::as_mut) else {
-                continue;
-            };
-            if conn.gen != done.token.gen {
-                continue;
-            }
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-            if conn.close_after_flush {
-                continue;
-            }
-            push_wire(conn, &done.wire);
-        }
-    }
-
-    fn accept_ready(&mut self) -> std::io::Result<()> {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    chameleon_obs::counter!("gateway.connections").add(1);
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    if self.shared.open_connections.load(Ordering::Relaxed)
-                        >= self.shared.max_connections
-                    {
-                        reject_busy(&stream, self.shared.max_connections);
-                        continue;
-                    }
-                    self.insert_conn(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::Interrupted
-                            | std::io::ErrorKind::ConnectionAborted
-                            | std::io::ErrorKind::ConnectionReset
-                    ) =>
-                {
-                    continue
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn insert_conn(&mut self, stream: TcpStream) {
-        self.next_gen += 1;
-        let conn = GwConn::new(stream, self.next_gen);
-        match self.free.pop() {
-            Some(idx) => self.conns[idx] = Some(conn),
-            None => self.conns.push(Some(conn)),
-        }
-        self.shared.open_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn close_conn(&mut self, idx: usize) {
-        if self.conns[idx].take().is_some() {
-            self.free.push(idx);
-            self.shared.open_connections.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    fn read_ready(&mut self, idx: usize) {
-        let mut lines: Vec<Vec<u8>> = Vec::new();
-        let mut fatal = false;
-        let mut overflow = false;
-        let mut truncated_bytes: Option<usize> = None;
-        loop {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            match conn.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    if !conn.rbuf.is_empty() && !conn.close_after_flush && !overflow {
-                        truncated_bytes = Some(conn.rbuf.len());
-                        conn.rbuf.clear();
-                    }
-                    break;
-                }
-                Ok(n) => {
-                    if conn.close_after_flush || overflow {
-                        continue;
-                    }
-                    conn.rbuf.extend_from_slice(&self.scratch[..n]);
-                    while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-                        let mut line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                        line.pop();
-                        if line.last() == Some(&b'\r') {
-                            line.pop();
-                        }
-                        if line.len() > self.shared.max_request_bytes {
-                            overflow = true;
-                            break;
-                        }
-                        lines.push(line);
-                    }
-                    if conn.rbuf.len() > self.shared.max_request_bytes {
-                        overflow = true;
-                    }
-                    if overflow {
-                        conn.rbuf.clear();
-                        continue;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    fatal = true;
-                    break;
-                }
-            }
-        }
-        for line in lines {
-            if self.conns[idx].is_none() {
-                return;
-            }
-            self.handle_line(idx, line);
-        }
-        if fatal {
-            self.close_conn(idx);
-            return;
-        }
-        if let Some(conn) = self.conns[idx].as_mut() {
-            if let Some(bytes) = truncated_bytes {
-                push_line(
-                    conn,
-                    &coded_error_response(
-                        None,
-                        codes::BAD_REQUEST,
-                        &format!("truncated request: {bytes} bytes without a newline before EOF"),
-                        None,
-                    ),
-                );
-                conn.close_after_flush = true;
-            }
-            if overflow {
-                push_line(
-                    conn,
-                    &coded_error_response(
-                        None,
-                        codes::REQUEST_TOO_LARGE,
-                        &format!(
-                            "request line exceeds the {} byte limit",
-                            self.shared.max_request_bytes
-                        ),
-                        None,
-                    ),
-                );
-                conn.close_after_flush = true;
-            }
-        }
-        let drained = self.conns[idx].as_ref().is_some_and(|c| {
-            c.read_closed && !c.close_after_flush && c.in_flight == 0 && !c.has_pending_write()
-        });
-        if drained {
-            self.close_conn(idx);
-        }
-    }
-
-    fn handle_line(&mut self, idx: usize, raw: Vec<u8>) {
-        let shared = Arc::clone(&self.shared);
-        let gen = match self.conns[idx].as_ref() {
-            Some(c) => c.gen,
-            None => return,
-        };
-        let token = ConnToken { idx, gen };
-        let line = match String::from_utf8(raw) {
-            Ok(line) => line,
-            Err(_) => {
-                let resp = coded_error_response(
-                    None,
-                    codes::BAD_REQUEST,
-                    "request line is not valid UTF-8",
-                    None,
-                );
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    push_line(conn, &resp);
-                }
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            return;
-        }
-        // Parsed only to route and count responses — the *raw* line is
-        // what a backend receives, so its responses match a direct
-        // submission byte-for-byte.
-        let request = match parse_request(&line) {
-            Ok(request) => request,
-            Err((id, msg)) => {
-                let resp = coded_error_response(id.as_deref(), codes::BAD_REQUEST, &msg, None);
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    push_line(conn, &resp);
-                }
-                return;
-            }
-        };
-        match request {
-            Request::Status { id } => {
-                let resp = ok_response(id.as_deref(), false, &shared.status_json());
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    push_line(conn, &resp);
-                }
-            }
-            Request::Shutdown { id } => {
-                // Shuts down the *gateway*, not the fleet: backends are
-                // shared infrastructure with their own lifecycles.
-                shared.shutting_down.store(true, Ordering::Release);
-                self.shutdown_requested = true;
-                self.shutdown_waiters.push((token, id));
-            }
-            Request::Job(job) => {
-                let key = job.spec.graph_digest();
-                self.enqueue_forward(idx, token, line, key, vec![job.id]);
-            }
-            Request::Batch { id, items } => {
-                if items.len() > shared.max_batch {
-                    let resp = coded_error_response(
-                        id.as_deref(),
-                        codes::BATCH_TOO_LARGE,
-                        &format!(
-                            "batch of {} elements exceeds the {} element limit",
-                            items.len(),
-                            shared.max_batch
-                        ),
-                        None,
-                    );
-                    if let Some(conn) = self.conns[idx].as_mut() {
-                        push_line(conn, &resp);
-                    }
-                    return;
-                }
-                // A batch routes whole-line by its first parsable
-                // element's graph (elements of one batch usually share a
-                // graph; splitting a line would break the protocol's
-                // one-queue-slot batch semantics). Parse-failed elements
-                // still get their per-element error from the backend.
-                let key = items
-                    .iter()
-                    .find_map(|item| item.as_ref().ok())
-                    .map(|job| job.spec.graph_digest())
-                    .unwrap_or_else(|| fnv1a64(line.as_bytes()));
-                let ids = items
-                    .iter()
-                    .map(|item| match item {
-                        Ok(job) => job.id.clone(),
-                        Err((id, _)) => id.clone(),
-                    })
-                    .collect();
-                self.enqueue_forward(idx, token, line, key, ids);
-            }
-        }
-    }
-
-    /// Admits one raw request line to the forward queue, or rejects it
-    /// with the same coded, hinted errors the backend daemon uses.
-    fn enqueue_forward(
-        &mut self,
-        idx: usize,
-        token: ConnToken,
-        line: String,
-        key: u64,
-        ids: Vec<Option<String>>,
-    ) {
-        let shared = &self.shared;
-        let expect = ids.len();
-        let reject = |conn: &mut GwConn, code: &str, msg: &str, retry: Option<u64>| {
-            for id in &ids {
-                push_line(conn, &coded_error_response(id.as_deref(), code, msg, retry));
-            }
-        };
-        let Some(conn) = self.conns[idx].as_mut() else {
-            return;
-        };
-        if shared.shutting_down.load(Ordering::Acquire) {
-            shared.rejected.fetch_add(expect as u64, Ordering::Relaxed);
-            reject(conn, codes::SHUTTING_DOWN, "gateway is shutting down", None);
-            return;
-        }
-        match shared.queue.try_push(ForwardJob {
-            token,
-            line,
-            key,
-            expect,
-            ids: ids.clone(),
-        }) {
-            Ok(_) => {
-                chameleon_obs::counter!("gateway.jobs.accepted").add(expect as u64);
-                conn.in_flight += 1;
-            }
-            Err(PushError::Full { capacity }) => {
-                shared.rejected.fetch_add(expect as u64, Ordering::Relaxed);
-                chameleon_obs::counter!("gateway.jobs.rejected_full").add(expect as u64);
-                let retry_ms = 100 * (1 + shared.queue.snapshot().active as u64).min(50);
-                reject(
-                    conn,
-                    codes::QUEUE_FULL,
-                    &format!("gateway queue full ({capacity} queued lines); retry later"),
-                    Some(retry_ms),
-                );
-            }
-            Err(PushError::Closed) => {
-                shared.rejected.fetch_add(expect as u64, Ordering::Relaxed);
-                reject(conn, codes::SHUTTING_DOWN, "gateway is shutting down", None);
-            }
-        }
-    }
-
-    fn answer_shutdown_when_drained(&mut self) {
-        if !self.shutdown_requested || self.shutdown_answered {
-            return;
-        }
-        if !self.shared.queue.is_drained() {
-            return;
-        }
-        self.drain_completions();
-        let report = self.shared.report();
-        let result = format!(
-            "{{\"drained\":true,\"forwarded\":{},\"redriven\":{},\
-             \"no_backend_errors\":{},\"rejected\":{}}}",
-            report.forwarded, report.redriven, report.no_backend_errors, report.rejected,
-        );
-        for (token, id) in std::mem::take(&mut self.shutdown_waiters) {
-            let Some(conn) = self.conns.get_mut(token.idx).and_then(Option::as_mut) else {
-                continue;
-            };
-            if conn.gen != token.gen {
-                continue;
-            }
-            conn.close_after_flush = false;
-            push_line(conn, &ok_response(id.as_deref(), false, &result));
-            conn.close_after_flush = true;
-        }
-        self.shutdown_answered = true;
-        self.exit_deadline = Some(Instant::now() + FLUSH_GRACE);
-    }
-
-    fn exit_ready(&self) -> bool {
-        if !self.shutdown_answered {
-            return false;
-        }
-        let all_flushed = self.conns.iter().flatten().all(|c| !c.has_pending_write());
-        all_flushed || self.exit_deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    fn service_timers_and_flush(&mut self) {
-        let now = Instant::now();
-        for idx in 0..self.conns.len() {
-            let mut close_now = false;
-            if let Some(conn) = self.conns[idx].as_mut() {
-                if conn.has_pending_write() {
-                    // Dead socket, or alive but stalled past the write
-                    // timeout: either way the connection is done.
-                    close_now = !flush_conn(conn)
-                        || (conn.has_pending_write()
-                            && now.duration_since(conn.last_progress) > WRITE_TIMEOUT);
-                }
-                if !close_now && conn.close_after_flush && !conn.has_pending_write() {
-                    close_now = true;
-                }
-                if !close_now
-                    && conn.read_closed
-                    && !conn.close_after_flush
-                    && conn.in_flight == 0
-                    && !conn.has_pending_write()
-                {
-                    close_now = true;
-                }
-            } else {
-                continue;
-            }
-            if close_now {
-                self.close_conn(idx);
-            }
-        }
-    }
-}
-
-fn flush_conn(conn: &mut GwConn) -> bool {
-    loop {
-        let pending = &conn.wbuf[conn.wpos..];
-        if pending.is_empty() {
-            break;
-        }
-        match conn.stream.write(pending) {
-            Ok(0) => return false,
-            Ok(n) => {
-                conn.wpos += n;
-                conn.last_progress = Instant::now();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    if conn.wpos == conn.wbuf.len() {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    }
-    true
 }
 
 #[cfg(test)]

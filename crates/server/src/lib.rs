@@ -17,18 +17,23 @@
 //!   (backpressure → `retry_after_ms`) and exact drain accounting.
 //! * [`cache`] — a content-addressed LRU cache of rendered results; hits
 //!   replay the cold response byte-for-byte.
-//! * [`reactor`] — nonblocking event-loop primitives: a thin, safe
-//!   wrapper over `poll(2)` (the workspace's only unsafe code) and the
-//!   self-pipe wakeup channel worker threads use to rouse the loop.
+//! * [`reactor`] — the event loop both front ends run: a thin, safe
+//!   wrapper over `poll(2)` (the workspace's only unsafe code), the
+//!   self-pipe wakeup channel, and the line-protocol server (framing,
+//!   limits, deadlines, connection states, drain-then-flush shutdown)
+//!   that the daemon and the gateway each drive with a small service
+//!   handler.
+//! * [`config`] — [`ServerConfig`] and [`GatewayConfig`], each with its
+//!   flag table (`from_args`) and usage text, shared by the standalone
+//!   binaries and the `chameleon serve` / `chameleon gate` subcommands.
 //! * [`gateway`] — chameleon-gate (DESIGN.md §13): a consistent-hashing
 //!   gateway that shards jobs across N backend daemons by graph digest,
 //!   health-checks the fleet, and re-drives jobs off dead backends with
 //!   byte-identical results.
-//! * [`server`] — the single-threaded poll reactor owning every socket
-//!   (nonblocking accept, per-connection read/write buffers, pipelined
-//!   dispatch), the worker pool, per-job deadlines (cooperative
-//!   cancellation via [`chameleon_core::CancelToken`]) and the graceful
-//!   drain-then-flush shutdown sequence.
+//! * [`server`] — the daemon's service handler: job admission, the
+//!   worker pool, per-job deadlines (cooperative cancellation via
+//!   [`chameleon_core::CancelToken`]), panic isolation and the graceful
+//!   shutdown sequence, plus the seeded retry client.
 //! * [`sync`] — poison-recovering lock wrappers: a panicking lock holder
 //!   is counted and survived, never propagated as a permanent outage.
 //! * [`journal`] — the durability layer (DESIGN.md §11): an append-only,
@@ -57,6 +62,7 @@
 #![deny(unsafe_code)]
 
 pub mod cache;
+pub mod config;
 pub mod faults;
 pub mod gateway;
 pub mod job;
@@ -68,8 +74,9 @@ pub mod server;
 pub mod sync;
 
 pub use cache::{fnv1a64, CacheStats, ResultCache};
+pub use config::{GatewayConfig, ServerConfig};
 pub use faults::{FaultInjector, FaultPlan, JobFault};
-pub use gateway::{Gateway, GatewayConfig, GatewayHandle, GatewayReport, HashRing};
+pub use gateway::{Gateway, GatewayHandle, GatewayReport, HashRing, RING_REPLICAS};
 pub use job::{AnonymizeMethod, Durability, ExecError, ExecOutput, JobSpec};
 pub use journal::{Journal, JournalStats, JournalSync, ReplayJob, ReplaySummary};
 pub use protocol::{
@@ -79,6 +86,6 @@ pub use protocol::{
 pub use queue::{BoundedQueue, PushError, QueueSnapshot};
 pub use server::{
     read_response, request_once, request_with_retry, response_field, retry_hint, roundtrip,
-    send_request, RetryPolicy, Server, ServerConfig, ServerHandle, ServerReport,
+    send_request, RetryPolicy, Server, ServerHandle, ServerReport,
 };
 pub use sync::{poison_recoveries, RecoverableMutex};

@@ -2,17 +2,15 @@
 //! worker pool, with a result cache, per-job deadlines, and graceful
 //! drain-on-shutdown.
 //!
-//! Connection layer (DESIGN.md §9): one event loop owns every socket in
-//! nonblocking mode and multiplexes readiness through `poll(2)` (see
-//! [`crate::reactor`]). Each connection carries a read buffer (partial
-//! line), a write buffer (pending responses) and a small state machine
-//! (`open → close-after-flush → closed`); complete request lines are
+//! Connection layer (DESIGN.md §9): the line-protocol server of
+//! [`crate::reactor`], shared with the gateway, owns every socket; this
+//! module is its daemon service handler. Complete request lines are
 //! parsed and dispatched on the reactor thread, job work is executed on
-//! the worker pool, and workers hand finished responses back over an
-//! `mpsc` channel plus a self-pipe wakeup. Responses to pipelined
-//! requests interleave in completion order, correlated by the request
-//! `id`; a `batch` request rides the queue as one entry whose elements
-//! are answered individually.
+//! the worker pool, and workers hand finished responses back over the
+//! loop's completion channel. Responses to pipelined requests interleave
+//! in completion order, correlated by the request `id`; a `batch`
+//! request rides the queue as one entry whose elements are answered
+//! individually.
 //!
 //! Job lifecycle: `received → queued → running → (completed | failed |
 //! timed_out | panicked | cancelled)`, or `rejected` straight from
@@ -58,115 +56,26 @@
 //! bytes, it never feeds an RNG stream.
 
 use crate::cache::ResultCache;
+use crate::config::ServerConfig;
 use crate::faults::{FaultInjector, FaultPlan, JobFault};
 use crate::job::{Durability, ExecError};
-use crate::journal::{Journal, JournalSync};
-use crate::protocol::{
-    chunk_frames, coded_error_response, codes, ok_response, parse_request, JobRequest, Request,
-};
+use crate::journal::Journal;
+use crate::protocol::{chunk_frames, coded_error_response, codes, ok_response};
 use crate::queue::{BoundedQueue, PushError};
-use crate::reactor::{PollSet, Waker, Wakeup, POLLIN, POLLOUT};
+use crate::reactor::{Completion, ConnToken, Handle, JobItem, Limits, LineServer, Service, Sites};
 use crate::sync::RecoverableMutex;
 use chameleon_core::{CancelReason, CancelToken};
-use chameleon_obs::json;
+use chameleon_obs::{counter, json};
 use chameleon_stats::SeedSequence;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Idle poll timeout: the loop wakes at least this often to re-check
-/// deadlines and the shutdown flag even with no I/O and no wakeups.
-const IDLE_POLL: Duration = Duration::from_millis(500);
-
-/// Poll timeout while a shutdown waits for the queue to drain.
-const DRAIN_POLL: Duration = Duration::from_millis(5);
-
-/// Per-connection write-stall deadline: a client that stops reading its
-/// responses gets its connection dropped instead of growing the write
-/// buffer forever.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Bounded grace period for flushing final responses after the shutdown
-/// request is answered; a vanished client cannot wedge shutdown.
-const FLUSH_GRACE: Duration = Duration::from_secs(2);
-
 /// Suggested client backoff after an injected/transient worker fault.
 const FAULT_RETRY_MS: u64 = 50;
-
-/// Tunables of a [`Server`].
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Bind address; port 0 picks an ephemeral port (see
-    /// [`Server::local_addr`]).
-    pub addr: String,
-    /// Worker threads (0 = one per hardware thread).
-    pub workers: usize,
-    /// Bounded queue depth; a full queue rejects with `retry_after_ms`.
-    /// A `batch` request occupies one slot regardless of size.
-    pub queue_depth: usize,
-    /// Result-cache capacity in entries (0 disables caching).
-    pub cache_capacity: usize,
-    /// Default per-job wall-clock budget when the request has no
-    /// `timeout_ms`.
-    pub default_timeout_ms: u64,
-    /// Where the final metrics snapshot is flushed during shutdown.
-    pub metrics_path: Option<String>,
-    /// Maximum bytes in one request line (floor 64). An over-limit line
-    /// answers a structured `request_too_large` error and closes the
-    /// connection instead of allocating without bound.
-    pub max_request_bytes: usize,
-    /// Deadline for completing a request line once its first byte
-    /// arrived, in ms (0 = no deadline). A stalled (slowloris) client
-    /// gets a structured `read_timeout` error and is disconnected.
-    pub read_timeout_ms: u64,
-    /// Maximum concurrently open connections (0 = unlimited). Excess
-    /// connections receive a `server_busy` error line and are closed.
-    pub max_connections: usize,
-    /// Maximum elements in one `batch` request (0 = unlimited). A larger
-    /// batch answers a single `batch_too_large` error.
-    pub max_batch: usize,
-    /// Deterministic fault-injection schedule (chaos testing only;
-    /// `None` in production).
-    pub faults: Option<FaultPlan>,
-    /// Durability (DESIGN.md §11): directory holding the write-ahead job
-    /// journal. `None` disables journaling entirely.
-    pub journal_dir: Option<String>,
-    /// Journal fsync policy: `Always` syncs every append, `Interval`
-    /// batches syncs on the reactor tick (bounded loss window).
-    pub journal_sync: JournalSync,
-    /// Journal segment rotation threshold in bytes.
-    pub journal_segment_bytes: u64,
-    /// On startup, re-enqueue accepted-but-incomplete journaled jobs in
-    /// their original order instead of marking them cancelled.
-    pub resume: bool,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 0,
-            queue_depth: 64,
-            cache_capacity: 256,
-            default_timeout_ms: 300_000,
-            metrics_path: None,
-            max_request_bytes: 16 * 1024 * 1024,
-            read_timeout_ms: 30_000,
-            max_connections: 256,
-            max_batch: 1024,
-            faults: None,
-            journal_dir: None,
-            journal_sync: JournalSync::Interval,
-            journal_segment_bytes: crate::journal::DEFAULT_SEGMENT_BYTES,
-            resume: false,
-        }
-    }
-}
 
 /// Lifetime totals returned by [`Server::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -186,22 +95,20 @@ pub struct ServerReport {
     pub jobs_cancelled: u64,
 }
 
-/// Identifies a connection slab slot at a point in time: the generation
-/// counter makes completions for a closed-and-reused slot harmlessly
-/// undeliverable instead of landing on the wrong client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ConnToken {
-    idx: usize,
-    gen: u64,
+impl std::fmt::Display for ServerReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} completed, {} failed, {} rejected, {} timed out, {} panicked, {} cancelled",
+            self.jobs_completed,
+            self.jobs_failed,
+            self.jobs_rejected,
+            self.jobs_timed_out,
+            self.jobs_panicked,
+            self.jobs_cancelled,
+        )
+    }
 }
-
-/// Token used for jobs re-enqueued from the journal at startup: no live
-/// connection owns them, so their completions are harmlessly dropped by
-/// the stale-token check (`usize::MAX` never indexes the slab).
-const REPLAY_TOKEN: ConnToken = ConnToken {
-    idx: usize::MAX,
-    gen: 0,
-};
 
 /// One job of a queue entry (a single request is a one-element entry).
 struct QueuedJob {
@@ -224,33 +131,18 @@ struct Job {
     enqueued: Instant,
 }
 
-/// A worker's finished queue entry: the rendered wire bytes (one or more
-/// newline-terminated response/chunk lines) plus how many in-flight jobs
-/// it settles on the owning connection.
-struct Completion {
-    token: ConnToken,
-    wire: Vec<u8>,
-    jobs: usize,
-}
-
 struct Shared {
     queue: BoundedQueue<Job>,
     cache: RecoverableMutex<ResultCache>,
-    shutting_down: AtomicBool,
     jobs_completed: AtomicU64,
     jobs_failed: AtomicU64,
     jobs_rejected: AtomicU64,
     jobs_timed_out: AtomicU64,
     jobs_panicked: AtomicU64,
     jobs_cancelled: AtomicU64,
-    open_connections: AtomicUsize,
     workers: usize,
     queue_depth: usize,
     default_timeout: Duration,
-    max_request_bytes: usize,
-    read_timeout: Option<Duration>,
-    max_connections: usize,
-    max_batch: usize,
     faults: Option<FaultInjector>,
     /// The write-ahead job journal (DESIGN.md §11), when durability is
     /// on. Locked briefly per lifecycle record, never across execution.
@@ -265,6 +157,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// Appends a lifecycle record for a journaled job (no-op otherwise).
+    fn journal(&self, seq: Option<u64>, record: impl FnOnce(&mut Journal, u64)) {
+        if let (Some(journal), Some(seq)) = (&self.journal, seq) {
+            record(&mut journal.lock(), seq);
+        }
+    }
+
     fn report(&self) -> ServerReport {
         ServerReport {
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
@@ -275,9 +174,32 @@ impl Shared {
             jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
         }
     }
+}
 
+/// The daemon's counter sites in the shared loop.
+fn server_sites() -> Sites {
+    Sites {
+        ticks: counter!("server.reactor.ticks"),
+        wakeups: counter!("server.reactor.wakeups"),
+        completions: counter!("server.reactor.completions"),
+        connections: counter!("server.connections"),
+        rejected_busy: counter!("server.conn.rejected_busy"),
+        deferred_ready: counter!("server.reactor.deferred_ready"),
+        short_writes: counter!("server.reactor.short_writes"),
+        truncated: counter!("server.conn.truncated"),
+        request_too_large: counter!("server.conn.request_too_large"),
+        read_timeout: counter!("server.conn.read_timeout"),
+        write_stalled: counter!("server.conn.write_stalled"),
+        bad_utf8: counter!("server.conn.bad_utf8"),
+        shutdown_requests: counter!("server.shutdown_requests"),
+        batched: counter!("server.jobs.batched"),
+        rejected_batch: counter!("server.jobs.rejected_batch"),
+    }
+}
+
+impl Service for Shared {
     /// `status` result object; field order is fixed by construction.
-    fn status_json(&self) -> String {
+    fn status_json(&self, open_connections: usize, shutting_down: bool) -> String {
         // One lock acquisition for the queued/active pair: separate len()
         // and active() reads could report a job in both places (or
         // neither) while a worker moves it between them.
@@ -318,9 +240,9 @@ impl Shared {
             self.jobs_timed_out.load(Ordering::Relaxed),
             self.jobs_panicked.load(Ordering::Relaxed),
             self.jobs_cancelled.load(Ordering::Relaxed),
-            self.open_connections.load(Ordering::Relaxed),
+            open_connections,
             crate::sync::poison_recoveries(),
-            self.shutting_down.load(Ordering::Relaxed),
+            shutting_down,
             injected_panics,
             injected_cancels,
             injected_defers,
@@ -341,36 +263,158 @@ impl Shared {
             self.journal_probes_skipped.load(Ordering::Relaxed),
         )
     }
+
+    /// Admits the parsed jobs of one request line: per-element parse
+    /// errors answer immediately, the valid remainder rides the queue as
+    /// a single entry. Every element gets its own response line.
+    fn dispatch(
+        &self,
+        token: ConnToken,
+        _line: String,
+        items: Vec<JobItem>,
+        shutting_down: bool,
+        reply: &mut dyn FnMut(&str),
+    ) -> usize {
+        let mut queued: Vec<QueuedJob> = Vec::with_capacity(items.len());
+        for item in items {
+            match item {
+                Ok(job) => queued.push(QueuedJob {
+                    timeout: job
+                        .timeout_ms
+                        .map(|ms| Duration::from_millis(ms.max(1)))
+                        .unwrap_or(self.default_timeout),
+                    spec: job.spec,
+                    id: job.id,
+                    chunk_bytes: job.chunk_bytes,
+                    journal_seq: None,
+                    resume_checkpoint: None,
+                }),
+                Err((id, msg)) => {
+                    reply(&coded_error_response(
+                        id.as_deref(),
+                        codes::BAD_REQUEST,
+                        &msg,
+                        None,
+                    ));
+                }
+            }
+        }
+        if queued.is_empty() {
+            return 0;
+        }
+        let n = queued.len() as u64;
+        // Ids are kept out-of-band so a rejected push (which consumes the
+        // entry) can still answer every element with its own id.
+        let ids: Vec<Option<String>> = queued.iter().map(|j| j.id.clone()).collect();
+        let reject = |reply: &mut dyn FnMut(&str), code: &str, msg: &str, retry: Option<u64>| {
+            for id in &ids {
+                reply(&coded_error_response(id.as_deref(), code, msg, retry));
+            }
+            0
+        };
+        if shutting_down {
+            self.jobs_rejected.fetch_add(n, Ordering::Relaxed);
+            chameleon_obs::counter!("server.jobs.rejected_shutdown").add(n);
+            return reject(reply, codes::SHUTTING_DOWN, "server is shutting down", None);
+        }
+        let count = queued.len();
+        // Durability: every admitted job gets an `accepted` record *before*
+        // the push — a crash between the two replays the job, which is the
+        // safe direction (at-least-once acceptance, idempotent execution).
+        if let Some(journal) = &self.journal {
+            let mut j = journal.lock();
+            for q in &mut queued {
+                q.journal_seq = Some(j.accepted(&q.spec, Some(q.timeout.as_millis() as u64)));
+            }
+        }
+        let seqs: Vec<Option<u64>> = queued.iter().map(|q| q.journal_seq).collect();
+        // Settles `accepted` records of a rejected push (which consumed the
+        // entry) so they are not replayed as live jobs after a restart.
+        let journal_reject = |code: &str, msg: &str| {
+            if let Some(journal) = &self.journal {
+                let mut j = journal.lock();
+                for seq in seqs.iter().flatten() {
+                    j.failed(*seq, code, msg);
+                }
+            }
+        };
+        match self.queue.try_push(Job {
+            items: queued,
+            token,
+            enqueued: Instant::now(),
+        }) {
+            Ok(depth) => {
+                chameleon_obs::counter!("server.jobs.accepted").add(n);
+                chameleon_obs::record_value!("server.queue.depth", depth as u64);
+                count
+            }
+            Err(PushError::Full { capacity }) => {
+                self.jobs_rejected.fetch_add(n, Ordering::Relaxed);
+                chameleon_obs::counter!("server.jobs.rejected_full").add(n);
+                // Suggested backoff grows with the number of busy workers: a
+                // saturated pool drains no faster than one job at a time.
+                let retry_ms = 100 * (1 + self.queue.active() as u64).min(50);
+                let msg = format!("queue full ({capacity} queued jobs); retry later");
+                journal_reject(codes::QUEUE_FULL, &msg);
+                reject(reply, codes::QUEUE_FULL, &msg, Some(retry_ms))
+            }
+            Err(PushError::Closed) => {
+                self.jobs_rejected.fetch_add(n, Ordering::Relaxed);
+                chameleon_obs::counter!("server.jobs.rejected_shutdown").add(n);
+                journal_reject(codes::SHUTTING_DOWN, "server is shutting down");
+                reject(reply, codes::SHUTTING_DOWN, "server is shutting down", None)
+            }
+        }
+    }
+
+    fn shutdown_json(&self) -> String {
+        let report = self.report();
+        format!(
+            "{{\"drained\":true,\"jobs_completed\":{},\"jobs_failed\":{},\
+             \"jobs_rejected\":{},\"jobs_timed_out\":{},\"jobs_panicked\":{},\
+             \"jobs_cancelled\":{}}}",
+            report.jobs_completed,
+            report.jobs_failed,
+            report.jobs_rejected,
+            report.jobs_timed_out,
+            report.jobs_panicked,
+            report.jobs_cancelled,
+        )
+    }
+
+    fn is_drained(&self) -> bool {
+        self.queue.is_drained()
+    }
+
+    fn count_rejected(&self, n: u64) {
+        self.jobs_rejected.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn faults(&self) -> Option<&FaultInjector> {
+        self.faults.as_ref()
+    }
+
+    /// Interval-mode journal housekeeping: the tick is the daemon's
+    /// heartbeat, so the fsync loss window is bounded by the poll
+    /// timeout plus the sync interval.
+    fn tick(&self) {
+        if let Some(journal) = &self.journal {
+            journal.lock().maybe_sync();
+        }
+    }
 }
 
 /// A bound-but-not-yet-running `chameleond` instance.
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
+    limits: Limits,
     metrics_path: Option<String>,
 }
 
 /// Handle to a server running on a background thread (see
 /// [`Server::spawn`]).
-pub struct ServerHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<std::io::Result<ServerReport>>,
-}
-
-impl ServerHandle {
-    /// The bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the server to shut down.
-    ///
-    /// # Errors
-    /// Propagates the run loop's I/O error, if any.
-    pub fn join(self) -> std::io::Result<ServerReport> {
-        self.thread.join().expect("server thread panicked")
-    }
-}
+pub type ServerHandle = Handle<ServerReport>;
 
 impl Server {
     /// Binds the listener (without accepting yet).
@@ -440,7 +484,7 @@ impl Server {
                         journal_seq: Some(job.seq),
                         resume_checkpoint: job.checkpoint,
                     }],
-                    token: REPLAY_TOKEN,
+                    token: ConnToken::DETACHED,
                     enqueued: Instant::now(),
                 };
                 match queue.try_push(entry) {
@@ -468,30 +512,15 @@ impl Server {
             journal_rehydrated_results: rehydrated,
             journal_records_dropped: replay.as_ref().map_or(0, |s| s.records_dropped),
             journal_probes_skipped: AtomicU64::new(0),
-            shutting_down: AtomicBool::new(false),
             jobs_completed: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             jobs_rejected: AtomicU64::new(0),
             jobs_timed_out: AtomicU64::new(0),
             jobs_panicked: AtomicU64::new(0),
             jobs_cancelled: AtomicU64::new(0),
-            open_connections: AtomicUsize::new(0),
             workers,
             queue_depth: config.queue_depth.max(1),
             default_timeout,
-            max_request_bytes: config.max_request_bytes.max(64),
-            read_timeout: (config.read_timeout_ms > 0)
-                .then(|| Duration::from_millis(config.read_timeout_ms)),
-            max_connections: if config.max_connections == 0 {
-                usize::MAX
-            } else {
-                config.max_connections
-            },
-            max_batch: if config.max_batch == 0 {
-                usize::MAX
-            } else {
-                config.max_batch
-            },
             faults: config
                 .faults
                 .filter(FaultPlan::is_active)
@@ -501,6 +530,7 @@ impl Server {
         Ok(Server {
             listener,
             shared,
+            limits: config.limits(),
             metrics_path: config.metrics_path,
         })
     }
@@ -513,6 +543,18 @@ impl Server {
         self.listener.local_addr().expect("bound listener")
     }
 
+    /// The foreground entry point of `chameleond` and `chameleon serve`:
+    /// binds, announces `chameleond listening on <addr>` on stderr, and
+    /// serves until shutdown.
+    ///
+    /// # Errors
+    /// A bind or fatal reactor failure, as a message.
+    pub fn serve(config: ServerConfig) -> Result<ServerReport, String> {
+        let server = Server::bind(config).map_err(|e| format!("failed to bind: {e}"))?;
+        eprintln!("chameleond listening on {}", server.local_addr());
+        server.run().map_err(|e| format!("server failed: {e}"))
+    }
+
     /// Binds and runs on a background thread; returns once the port is
     /// live.
     ///
@@ -520,12 +562,11 @@ impl Server {
     /// Propagates bind failures.
     pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let server = Server::bind(config)?;
-        let addr = server.local_addr();
-        let thread = std::thread::Builder::new()
-            .name("chameleond-reactor".into())
-            .spawn(move || server.run())
-            .expect("spawn reactor thread");
-        Ok(ServerHandle { addr, thread })
+        Ok(Handle::spawn(
+            "chameleond-reactor",
+            server.local_addr(),
+            move || server.run(),
+        ))
     }
 
     /// Serves until a `shutdown` request completes: runs the reactor
@@ -539,47 +580,21 @@ impl Server {
         let Server {
             listener,
             shared,
+            limits,
             metrics_path,
         } = self;
-        let wakeup = Wakeup::new()?;
-        let (tx, rx) = mpsc::channel::<Completion>();
-        let worker_handles: Vec<_> = (0..shared.workers)
+        let lines = LineServer::new(listener)?;
+        let workers: Vec<_> = (0..shared.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                let waker = wakeup.waker().expect("clone waker");
+                let done = lines.completer();
                 std::thread::Builder::new()
                     .name(format!("chameleond-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &tx, &waker))
+                    .spawn(move || done.drain_queue(&shared.queue, |job| run_entry(&shared, job)))
                     .expect("spawn worker")
             })
             .collect();
-        drop(tx);
-        listener.set_nonblocking(true)?;
-        let mut reactor = Reactor {
-            listener,
-            wakeup,
-            completions: rx,
-            shared: Arc::clone(&shared),
-            conns: Vec::new(),
-            free: Vec::new(),
-            next_gen: 0,
-            shutdown_requested: false,
-            shutdown_waiters: Vec::new(),
-            shutdown_answered: false,
-            exit_deadline: None,
-            poll: PollSet::new(),
-            conn_slots: Vec::new(),
-            scratch: vec![0u8; 64 * 1024],
-        };
-        let run_result = reactor.run();
-        drop(reactor);
-        // Workers exit once the queue closes; any completion they send
-        // into the dropped channel is discarded.
-        shared.queue.close();
-        for handle in worker_handles {
-            let _ = handle.join();
-        }
+        let run_result = lines.serve(&*shared, limits, server_sites(), &shared.queue, workers);
         // Clean shutdown: every queued job has settled, so compaction can
         // drop fully-terminal segments and fsync what remains — the next
         // start replays zero jobs.
@@ -591,767 +606,6 @@ impl Server {
         }
         run_result?;
         Ok(shared.report())
-    }
-}
-
-/// One connection owned by the reactor.
-struct Conn {
-    stream: TcpStream,
-    gen: u64,
-    /// Partial request line (bytes up to, not including, the next `\n`).
-    rbuf: Vec<u8>,
-    /// Pending outbound bytes; `wpos` is the already-written prefix.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Armed when `rbuf` holds a started line and a read timeout is
-    /// configured; cleared when the line completes.
-    line_deadline: Option<Instant>,
-    /// Jobs dispatched to the queue whose completions are still owed.
-    in_flight: usize,
-    /// Terminal *error* state (oversized line, read timeout, truncated
-    /// request, shutdown answer): flush `wbuf`, then close. No further
-    /// lines are parsed and later job completions are suppressed, so
-    /// the error reply is deterministically the connection's final
-    /// line. A clean EOF never sets this — see `read_closed`.
-    close_after_flush: bool,
-    /// Peer half-closed its write side (clean EOF). The connection
-    /// turns write-only: lines received before the FIN are still
-    /// dispatched, in-flight completions are still delivered, and the
-    /// socket closes once `in_flight` and `wbuf` both drain.
-    read_closed: bool,
-    /// Last time a write made progress (or data was first queued);
-    /// drives the write-stall deadline.
-    last_progress: Instant,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, gen: u64) -> Self {
-        Self {
-            stream,
-            gen,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            line_deadline: None,
-            in_flight: 0,
-            close_after_flush: false,
-            read_closed: false,
-            last_progress: Instant::now(),
-        }
-    }
-
-    fn has_pending_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
-    }
-}
-
-/// Appends one newline-terminated response line to the connection's
-/// write buffer.
-fn push_line(conn: &mut Conn, line: &str) {
-    if !conn.has_pending_write() {
-        conn.last_progress = Instant::now();
-    }
-    conn.wbuf.extend_from_slice(line.as_bytes());
-    conn.wbuf.push(b'\n');
-}
-
-/// Appends already newline-terminated wire bytes (worker completions).
-fn push_wire(conn: &mut Conn, wire: &[u8]) {
-    if !conn.has_pending_write() {
-        conn.last_progress = Instant::now();
-    }
-    conn.wbuf.extend_from_slice(wire);
-}
-
-/// Best-effort `server_busy` rejection written from the reactor without
-/// occupying a slab slot; the socket is nonblocking, so a full buffer
-/// just drops the notice.
-fn reject_busy(stream: &TcpStream, limit: usize) {
-    let mut line = coded_error_response(
-        None,
-        codes::SERVER_BUSY,
-        &format!("connection limit reached ({limit} open connections); retry later"),
-        Some(200),
-    );
-    line.push('\n');
-    let _ = (&*stream).write(line.as_bytes());
-}
-
-/// The event loop: owns the listener, the connection slab, the wakeup
-/// pipe and the completion channel.
-struct Reactor {
-    listener: TcpListener,
-    wakeup: Wakeup,
-    completions: mpsc::Receiver<Completion>,
-    shared: Arc<Shared>,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    next_gen: u64,
-    shutdown_requested: bool,
-    shutdown_waiters: Vec<(ConnToken, Option<String>)>,
-    shutdown_answered: bool,
-    exit_deadline: Option<Instant>,
-    poll: PollSet,
-    /// Scratch mapping of poll-set slot → slab index, rebuilt per tick.
-    conn_slots: Vec<(usize, usize)>,
-    /// Scratch read buffer shared by all connections.
-    scratch: Vec<u8>,
-}
-
-impl Reactor {
-    fn run(&mut self) -> std::io::Result<()> {
-        loop {
-            self.answer_shutdown_when_drained();
-            if self.exit_ready() {
-                return Ok(());
-            }
-            self.tick()?;
-        }
-    }
-
-    /// One poll cycle: build the registration set, wait for readiness,
-    /// then service wakeups, completions, accepts, reads, deadlines and
-    /// writes in that order.
-    fn tick(&mut self) -> std::io::Result<()> {
-        self.poll.clear();
-        self.conn_slots.clear();
-        let wake_slot = self.poll.register(self.wakeup.fd(), POLLIN);
-        let listen_slot = if self.shutdown_requested {
-            None
-        } else {
-            Some(self.poll.register(self.listener.as_raw_fd(), POLLIN))
-        };
-        for (idx, conn) in self.conns.iter().enumerate() {
-            let Some(conn) = conn else { continue };
-            let mut events: i16 = 0;
-            if !conn.read_closed {
-                events |= POLLIN;
-            }
-            if conn.has_pending_write() {
-                events |= POLLOUT;
-            }
-            if events != 0 {
-                self.conn_slots
-                    .push((self.poll.register(conn.stream.as_raw_fd(), events), idx));
-            }
-        }
-        let timeout = self.poll_timeout();
-        self.poll.poll(Some(timeout))?;
-        chameleon_obs::counter!("server.reactor.ticks").add(1);
-
-        if self.poll.revents(wake_slot).readable() {
-            chameleon_obs::counter!("server.reactor.wakeups").add(1);
-            self.wakeup.drain();
-        }
-        self.drain_completions();
-        for k in 0..self.conn_slots.len() {
-            let (slot, idx) = self.conn_slots[k];
-            let readable = self.poll.revents(slot).readable();
-            if readable {
-                self.read_ready(idx);
-            }
-        }
-        self.service_timers_and_flush();
-        // Accept *after* reads and reaping: a connection closed in this
-        // same tick must free its slot before the busy check, or a
-        // back-to-back close-then-connect client gets a spurious
-        // `server_busy`.
-        if let Some(slot) = listen_slot {
-            if self.poll.revents(slot).readable() {
-                self.accept_ready()?;
-            }
-        }
-        // Interval-mode journal housekeeping: the tick is the daemon's
-        // heartbeat, so the fsync loss window is bounded by the poll
-        // timeout plus the sync interval.
-        if let Some(journal) = &self.shared.journal {
-            journal.lock().maybe_sync();
-        }
-        Ok(())
-    }
-
-    /// The next poll timeout: tight while draining for shutdown,
-    /// otherwise the nearest read/write/exit deadline, capped at the
-    /// idle tick.
-    fn poll_timeout(&self) -> Duration {
-        if self.shutdown_requested && !self.shutdown_answered {
-            return DRAIN_POLL;
-        }
-        let now = Instant::now();
-        let mut nearest: Option<Instant> = self.exit_deadline;
-        for conn in self.conns.iter().flatten() {
-            if let Some(d) = conn.line_deadline {
-                nearest = Some(nearest.map_or(d, |n| n.min(d)));
-            }
-            if conn.has_pending_write() {
-                let d = conn.last_progress + WRITE_TIMEOUT;
-                nearest = Some(nearest.map_or(d, |n| n.min(d)));
-            }
-        }
-        match nearest {
-            Some(d) => d
-                .saturating_duration_since(now)
-                .max(Duration::from_millis(1))
-                .min(IDLE_POLL),
-            None => IDLE_POLL,
-        }
-    }
-
-    /// Routes finished queue entries to their connections. Stale tokens
-    /// (closed or reused slots) are dropped — exactly the old
-    /// disconnected-client semantics.
-    fn drain_completions(&mut self) {
-        while let Ok(done) = self.completions.try_recv() {
-            chameleon_obs::counter!("server.reactor.completions").add(1);
-            let Some(conn) = self.conns.get_mut(done.token.idx).and_then(Option::as_mut) else {
-                continue;
-            };
-            if conn.gen != done.token.gen {
-                continue;
-            }
-            conn.in_flight = conn.in_flight.saturating_sub(done.jobs);
-            // Error closures suppress late completions — the queued
-            // error reply stays the final line. A half-closed client
-            // (`read_closed` without the error state) still gets every
-            // owed response: it sent FIN, not a protocol violation.
-            if conn.close_after_flush {
-                continue;
-            }
-            push_wire(conn, &done.wire);
-        }
-    }
-
-    fn accept_ready(&mut self) -> std::io::Result<()> {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    chameleon_obs::counter!("server.connections").add(1);
-                    let _ = stream.set_nonblocking(true);
-                    // Request/response alternation deadlocks with Nagle +
-                    // delayed ACK into ~40 ms stalls per round-trip.
-                    let _ = stream.set_nodelay(true);
-                    if self.shared.open_connections.load(Ordering::Relaxed)
-                        >= self.shared.max_connections
-                    {
-                        chameleon_obs::counter!("server.conn.rejected_busy").add(1);
-                        reject_busy(&stream, self.shared.max_connections);
-                        continue;
-                    }
-                    self.insert_conn(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-                // A peer that aborted between SYN and accept is its
-                // problem, not a reason to die (common under soak load).
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::Interrupted
-                            | std::io::ErrorKind::ConnectionAborted
-                            | std::io::ErrorKind::ConnectionReset
-                    ) =>
-                {
-                    continue
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn insert_conn(&mut self, stream: TcpStream) {
-        self.next_gen += 1;
-        let conn = Conn::new(stream, self.next_gen);
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.conns[idx] = Some(conn);
-                idx
-            }
-            None => {
-                self.conns.push(Some(conn));
-                self.conns.len() - 1
-            }
-        };
-        let _ = idx;
-        self.shared.open_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn close_conn(&mut self, idx: usize) {
-        if self.conns[idx].take().is_some() {
-            self.free.push(idx);
-            self.shared.open_connections.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Reads everything currently available on one connection, extracts
-    /// complete lines and dispatches them. Level-triggered readiness
-    /// makes the deferred-readiness fault safe: a skipped tick is
-    /// re-signalled on the next poll.
-    ///
-    /// Terminal events (EOF, an oversized line, an I/O error) are only
-    /// *recorded* inside the read loop and acted on after every complete
-    /// line already extracted from the same burst has been dispatched —
-    /// a client may legally write its requests and immediately shut down
-    /// its write side, and DESIGN.md §9.2 promises every complete line a
-    /// response regardless of how that FIN races the poll tick.
-    fn read_ready(&mut self, idx: usize) {
-        if let Some(injector) = &self.shared.faults {
-            if injector.next_deferred_ready() {
-                chameleon_obs::counter!("server.reactor.deferred_ready").add(1);
-                return;
-            }
-        }
-        let mut lines: Vec<Vec<u8>> = Vec::new();
-        let mut fatal = false;
-        let mut overflow = false;
-        let mut truncated_bytes: Option<usize> = None;
-        loop {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            match conn.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    if !conn.rbuf.is_empty() && !conn.close_after_flush && !overflow {
-                        chameleon_obs::counter!("server.conn.truncated").add(1);
-                        truncated_bytes = Some(conn.rbuf.len());
-                        conn.rbuf.clear();
-                        conn.line_deadline = None;
-                    }
-                    break;
-                }
-                Ok(n) => {
-                    if conn.close_after_flush || overflow {
-                        // Terminal state: drain and discard so the error
-                        // response is not torn down by a reset.
-                        continue;
-                    }
-                    conn.rbuf.extend_from_slice(&self.scratch[..n]);
-                    while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-                        let mut line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                        line.pop();
-                        if line.last() == Some(&b'\r') {
-                            line.pop();
-                        }
-                        if line.len() > self.shared.max_request_bytes {
-                            overflow = true;
-                            break;
-                        }
-                        lines.push(line);
-                    }
-                    if conn.rbuf.len() > self.shared.max_request_bytes {
-                        overflow = true;
-                    }
-                    if overflow {
-                        chameleon_obs::counter!("server.conn.request_too_large").add(1);
-                        conn.rbuf.clear();
-                        conn.line_deadline = None;
-                        continue;
-                    }
-                    if conn.rbuf.is_empty() {
-                        conn.line_deadline = None;
-                    } else if conn.line_deadline.is_none() {
-                        conn.line_deadline = self.shared.read_timeout.map(|t| Instant::now() + t);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    fatal = true;
-                    break;
-                }
-            }
-        }
-        // Dispatch first: every line in `lines` was complete before any
-        // terminal event in this burst. Immediate replies land in the
-        // outbuf ahead of whatever error line the event queues below.
-        for line in lines {
-            if self.conns[idx].is_none() {
-                return;
-            }
-            self.handle_line(idx, line);
-        }
-        if fatal {
-            self.close_conn(idx);
-            return;
-        }
-        if let Some(conn) = self.conns[idx].as_mut() {
-            if let Some(bytes) = truncated_bytes {
-                push_line(
-                    conn,
-                    &coded_error_response(
-                        None,
-                        codes::BAD_REQUEST,
-                        &format!("truncated request: {bytes} bytes without a newline before EOF"),
-                        None,
-                    ),
-                );
-                conn.close_after_flush = true;
-            }
-            if overflow {
-                push_line(
-                    conn,
-                    &coded_error_response(
-                        None,
-                        codes::REQUEST_TOO_LARGE,
-                        &format!(
-                            "request line exceeds the {} byte limit",
-                            self.shared.max_request_bytes
-                        ),
-                        None,
-                    ),
-                );
-                conn.close_after_flush = true;
-            }
-        }
-        // Clean EOF with nothing owed closes immediately; with jobs in
-        // flight or bytes buffered the connection stays in write-drain
-        // (reaped by `service_timers_and_flush` once both hit zero).
-        let drained = self.conns[idx].as_ref().is_some_and(|c| {
-            c.read_closed && !c.close_after_flush && c.in_flight == 0 && !c.has_pending_write()
-        });
-        if drained {
-            self.close_conn(idx);
-        }
-    }
-
-    /// Parses and dispatches one complete request line.
-    fn handle_line(&mut self, idx: usize, raw: Vec<u8>) {
-        let shared = Arc::clone(&self.shared);
-        let gen = match self.conns[idx].as_ref() {
-            Some(c) => c.gen,
-            None => return,
-        };
-        let token = ConnToken { idx, gen };
-        let line = match String::from_utf8(raw) {
-            Ok(line) => line,
-            Err(_) => {
-                chameleon_obs::counter!("server.conn.bad_utf8").add(1);
-                // Resynced at the newline — the connection survives.
-                let resp = coded_error_response(
-                    None,
-                    codes::BAD_REQUEST,
-                    "request line is not valid UTF-8",
-                    None,
-                );
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    push_line(conn, &resp);
-                }
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            return;
-        }
-        let request = match parse_request(&line) {
-            Ok(request) => request,
-            Err((id, msg)) => {
-                let resp = coded_error_response(id.as_deref(), codes::BAD_REQUEST, &msg, None);
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    push_line(conn, &resp);
-                }
-                return;
-            }
-        };
-        match request {
-            Request::Status { id } => {
-                let resp = ok_response(id.as_deref(), false, &shared.status_json());
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    push_line(conn, &resp);
-                }
-            }
-            Request::Shutdown { id } => {
-                chameleon_obs::counter!("server.shutdown_requests").add(1);
-                shared.shutting_down.store(true, Ordering::Release);
-                self.shutdown_requested = true;
-                self.shutdown_waiters.push((token, id));
-            }
-            Request::Job(job) => {
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    submit_jobs(&shared, conn, token, vec![Ok(job)]);
-                }
-            }
-            Request::Batch { id, items } => {
-                if items.len() > shared.max_batch {
-                    shared
-                        .jobs_rejected
-                        .fetch_add(items.len() as u64, Ordering::Relaxed);
-                    chameleon_obs::counter!("server.jobs.rejected_batch").add(items.len() as u64);
-                    let resp = coded_error_response(
-                        id.as_deref(),
-                        codes::BATCH_TOO_LARGE,
-                        &format!(
-                            "batch of {} elements exceeds the {} element limit",
-                            items.len(),
-                            shared.max_batch
-                        ),
-                        None,
-                    );
-                    if let Some(conn) = self.conns[idx].as_mut() {
-                        push_line(conn, &resp);
-                    }
-                    return;
-                }
-                chameleon_obs::counter!("server.jobs.batched").add(items.len() as u64);
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    submit_jobs(&shared, conn, token, items);
-                }
-            }
-        }
-    }
-
-    /// Once the queue drains after a shutdown request: flush every
-    /// already-completed job response into its write buffer *first*,
-    /// then answer the waiters and start the bounded exit grace period.
-    fn answer_shutdown_when_drained(&mut self) {
-        if !self.shutdown_requested || self.shutdown_answered {
-            return;
-        }
-        if !self.shared.queue.is_drained() {
-            return;
-        }
-        // Workers send the completion before marking the task done, so a
-        // drained queue means every response is already in the channel.
-        self.drain_completions();
-        let report = self.shared.report();
-        let result = format!(
-            "{{\"drained\":true,\"jobs_completed\":{},\"jobs_failed\":{},\
-             \"jobs_rejected\":{},\"jobs_timed_out\":{},\"jobs_panicked\":{},\
-             \"jobs_cancelled\":{}}}",
-            report.jobs_completed,
-            report.jobs_failed,
-            report.jobs_rejected,
-            report.jobs_timed_out,
-            report.jobs_panicked,
-            report.jobs_cancelled,
-        );
-        for (token, id) in std::mem::take(&mut self.shutdown_waiters) {
-            let Some(conn) = self.conns.get_mut(token.idx).and_then(Option::as_mut) else {
-                continue;
-            };
-            if conn.gen != token.gen {
-                continue;
-            }
-            conn.close_after_flush = false;
-            push_line(conn, &ok_response(id.as_deref(), false, &result));
-            conn.close_after_flush = true;
-        }
-        self.shutdown_answered = true;
-        self.exit_deadline = Some(Instant::now() + FLUSH_GRACE);
-    }
-
-    /// The loop may exit once shutdown is answered and every write
-    /// buffer is flushed (or the grace period expired — a vanished
-    /// client cannot wedge shutdown).
-    fn exit_ready(&self) -> bool {
-        if !self.shutdown_answered {
-            return false;
-        }
-        let all_flushed = self.conns.iter().flatten().all(|c| !c.has_pending_write());
-        all_flushed || self.exit_deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Enforces read deadlines, flushes pending writes, applies the
-    /// write-stall deadline and reaps terminal connections.
-    fn service_timers_and_flush(&mut self) {
-        let now = Instant::now();
-        for idx in 0..self.conns.len() {
-            let mut close_now = false;
-            if let Some(conn) = self.conns[idx].as_mut() {
-                if let Some(deadline) = conn.line_deadline {
-                    if now >= deadline && !conn.close_after_flush {
-                        chameleon_obs::counter!("server.conn.read_timeout").add(1);
-                        conn.rbuf.clear();
-                        conn.line_deadline = None;
-                        push_line(
-                            conn,
-                            &coded_error_response(
-                                None,
-                                codes::READ_TIMEOUT,
-                                "request line not completed before the read deadline",
-                                None,
-                            ),
-                        );
-                        conn.close_after_flush = true;
-                    }
-                }
-                if conn.has_pending_write() {
-                    if !flush_conn(conn, self.shared.faults.as_ref()) {
-                        close_now = true;
-                    } else if conn.has_pending_write()
-                        && now.duration_since(conn.last_progress) > WRITE_TIMEOUT
-                    {
-                        chameleon_obs::counter!("server.conn.write_stalled").add(1);
-                        close_now = true;
-                    }
-                }
-                if !close_now && conn.close_after_flush && !conn.has_pending_write() {
-                    close_now = true;
-                }
-                // A half-closed connection in write-drain is done once
-                // every dispatched line has been answered and flushed.
-                if !close_now
-                    && conn.read_closed
-                    && !conn.close_after_flush
-                    && conn.in_flight == 0
-                    && !conn.has_pending_write()
-                {
-                    close_now = true;
-                }
-            } else {
-                continue;
-            }
-            if close_now {
-                self.close_conn(idx);
-            }
-        }
-    }
-}
-
-/// Writes as much of the pending buffer as the socket accepts; returns
-/// false when the connection is dead. The short-write fault caps one
-/// attempt at a single byte and yields, exercising the partial-write
-/// resume path deterministically.
-fn flush_conn(conn: &mut Conn, faults: Option<&FaultInjector>) -> bool {
-    loop {
-        let pending_len = conn.wbuf.len() - conn.wpos;
-        if pending_len == 0 {
-            break;
-        }
-        let cap = match faults {
-            Some(f) if f.next_short_write() => {
-                chameleon_obs::counter!("server.reactor.short_writes").add(1);
-                1
-            }
-            _ => pending_len,
-        };
-        let chunk = &conn.wbuf[conn.wpos..conn.wpos + cap];
-        match conn.stream.write(chunk) {
-            Ok(0) => return false,
-            Ok(n) => {
-                conn.wpos += n;
-                conn.last_progress = Instant::now();
-                if cap < pending_len {
-                    // Injected short write: leave the rest for the next
-                    // tick so the resume path actually runs.
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    if conn.wpos == conn.wbuf.len() {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    }
-    true
-}
-
-/// Admits the parsed jobs of one request line: per-element parse errors
-/// answer immediately, the valid remainder rides the queue as a single
-/// entry. Every element gets its own response line.
-fn submit_jobs(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    token: ConnToken,
-    items: Vec<Result<JobRequest, (Option<String>, String)>>,
-) {
-    let mut queued: Vec<QueuedJob> = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            Ok(job) => queued.push(QueuedJob {
-                timeout: job
-                    .timeout_ms
-                    .map(|ms| Duration::from_millis(ms.max(1)))
-                    .unwrap_or(shared.default_timeout),
-                spec: job.spec,
-                id: job.id,
-                chunk_bytes: job.chunk_bytes,
-                journal_seq: None,
-                resume_checkpoint: None,
-            }),
-            Err((id, msg)) => {
-                push_line(
-                    conn,
-                    &coded_error_response(id.as_deref(), codes::BAD_REQUEST, &msg, None),
-                );
-            }
-        }
-    }
-    if queued.is_empty() {
-        return;
-    }
-    let n = queued.len() as u64;
-    // Ids are kept out-of-band so a rejected push (which consumes the
-    // entry) can still answer every element with its own id.
-    let ids: Vec<Option<String>> = queued.iter().map(|j| j.id.clone()).collect();
-    let reject = |conn: &mut Conn, code: &str, msg: &str, retry: Option<u64>| {
-        for id in &ids {
-            push_line(conn, &coded_error_response(id.as_deref(), code, msg, retry));
-        }
-    };
-    if shared.shutting_down.load(Ordering::Acquire) {
-        shared.jobs_rejected.fetch_add(n, Ordering::Relaxed);
-        chameleon_obs::counter!("server.jobs.rejected_shutdown").add(n);
-        reject(conn, codes::SHUTTING_DOWN, "server is shutting down", None);
-        return;
-    }
-    let count = queued.len();
-    // Durability: every admitted job gets an `accepted` record *before*
-    // the push — a crash between the two replays the job, which is the
-    // safe direction (at-least-once acceptance, idempotent execution).
-    if let Some(journal) = &shared.journal {
-        let mut j = journal.lock();
-        for q in &mut queued {
-            q.journal_seq = Some(j.accepted(&q.spec, Some(q.timeout.as_millis() as u64)));
-        }
-    }
-    let seqs: Vec<Option<u64>> = queued.iter().map(|q| q.journal_seq).collect();
-    // Settles `accepted` records of a rejected push (which consumed the
-    // entry) so they are not replayed as live jobs after a restart.
-    let journal_reject = |shared: &Arc<Shared>, code: &str, msg: &str| {
-        if let Some(journal) = &shared.journal {
-            let mut j = journal.lock();
-            for seq in seqs.iter().flatten() {
-                j.failed(*seq, code, msg);
-            }
-        }
-    };
-    match shared.queue.try_push(Job {
-        items: queued,
-        token,
-        enqueued: Instant::now(),
-    }) {
-        Ok(depth) => {
-            chameleon_obs::counter!("server.jobs.accepted").add(n);
-            chameleon_obs::record_value!("server.queue.depth", depth as u64);
-            conn.in_flight += count;
-        }
-        Err(PushError::Full { capacity }) => {
-            shared.jobs_rejected.fetch_add(n, Ordering::Relaxed);
-            chameleon_obs::counter!("server.jobs.rejected_full").add(n);
-            // Suggested backoff grows with the number of busy workers: a
-            // saturated pool drains no faster than one job at a time.
-            let retry_ms = 100 * (1 + shared.queue.active() as u64).min(50);
-            let msg = format!("queue full ({capacity} queued jobs); retry later");
-            journal_reject(shared, codes::QUEUE_FULL, &msg);
-            reject(conn, codes::QUEUE_FULL, &msg, Some(retry_ms));
-        }
-        Err(PushError::Closed) => {
-            shared.jobs_rejected.fetch_add(n, Ordering::Relaxed);
-            chameleon_obs::counter!("server.jobs.rejected_shutdown").add(n);
-            journal_reject(shared, codes::SHUTTING_DOWN, "server is shutting down");
-            reject(conn, codes::SHUTTING_DOWN, "server is shutting down", None);
-        }
-    }
-}
-
-/// Settles the queue's active count even when the job path unwinds.
-struct TaskDoneGuard<'a>(&'a Shared);
-
-impl Drop for TaskDoneGuard<'_> {
-    fn drop(&mut self) {
-        self.0.queue.task_done();
     }
 }
 
@@ -1373,59 +627,50 @@ fn wire_bytes(id: Option<&str>, line: String, chunk_bytes: usize) -> Vec<u8> {
     out
 }
 
-fn worker_loop(shared: &Arc<Shared>, respond: &mpsc::Sender<Completion>, waker: &Waker) {
-    while let Some(batch) = shared.queue.pop() {
-        let _done = TaskDoneGuard(shared);
-        chameleon_obs::record_value!(
-            "server.job.queue_wait_ns",
-            batch.enqueued.elapsed().as_nanos() as u64
-        );
-        let mut wire: Vec<u8> = Vec::new();
-        for item in &batch.items {
-            // Panic isolation: a panicking job — injected or genuine —
-            // must answer a structured error and leave the worker (and
-            // the rest of the batch) running. The shared state is safe
-            // to reuse after an unwind: the queue/cache locks recover
-            // poison, and all counters are plain atomics.
-            let response =
-                match std::panic::catch_unwind(AssertUnwindSafe(|| process_job(shared, item))) {
-                    Ok(response) => response,
-                    Err(payload) => {
-                        shared.jobs_panicked.fetch_add(1, Ordering::Relaxed);
-                        chameleon_obs::counter!("server.jobs.panicked").add(1);
-                        // A panicked job is terminal for the journal too:
-                        // replaying it on restart would likely just panic
-                        // again (the client was told to retry).
-                        if let (Some(journal), Some(seq)) = (&shared.journal, item.journal_seq) {
-                            journal.lock().failed(
-                                seq,
-                                codes::JOB_PANICKED,
-                                panic_message(payload.as_ref()),
-                            );
-                        }
-                        coded_error_response(
-                            item.id.as_deref(),
-                            codes::JOB_PANICKED,
-                            &format!(
-                                "{} job panicked: {}; the worker recovered — safe to retry",
-                                item.spec.op(),
-                                panic_message(payload.as_ref()),
-                            ),
-                            Some(FAULT_RETRY_MS),
-                        )
-                    }
-                };
-            wire.extend_from_slice(&wire_bytes(item.id.as_deref(), response, item.chunk_bytes));
-        }
-        // Send precedes `task_done` (the guard drops after this): once
-        // the queue reports drained, every completion is already in the
-        // channel. A dropped receiver (reactor exited) just discards.
-        let _ = respond.send(Completion {
-            token: batch.token,
-            wire,
-            jobs: batch.items.len(),
-        });
-        waker.wake();
+/// Executes one queue entry; every job answers one response line (or
+/// its chunk frames).
+fn run_entry(shared: &Arc<Shared>, batch: Job) -> Completion {
+    chameleon_obs::record_value!(
+        "server.job.queue_wait_ns",
+        batch.enqueued.elapsed().as_nanos() as u64
+    );
+    let mut wire: Vec<u8> = Vec::new();
+    for item in &batch.items {
+        // Panic isolation: a panicking job — injected or genuine —
+        // must answer a structured error and leave the worker (and
+        // the rest of the batch) running. The shared state is safe
+        // to reuse after an unwind: the queue/cache locks recover
+        // poison, and all counters are plain atomics.
+        let response =
+            match std::panic::catch_unwind(AssertUnwindSafe(|| process_job(shared, item))) {
+                Ok(response) => response,
+                Err(payload) => {
+                    shared.jobs_panicked.fetch_add(1, Ordering::Relaxed);
+                    chameleon_obs::counter!("server.jobs.panicked").add(1);
+                    // A panicked job is terminal for the journal too:
+                    // replaying it on restart would likely just panic
+                    // again (the client was told to retry).
+                    shared.journal(item.journal_seq, |j, seq| {
+                        j.failed(seq, codes::JOB_PANICKED, panic_message(payload.as_ref()))
+                    });
+                    coded_error_response(
+                        item.id.as_deref(),
+                        codes::JOB_PANICKED,
+                        &format!(
+                            "{} job panicked: {}; the worker recovered — safe to retry",
+                            item.spec.op(),
+                            panic_message(payload.as_ref()),
+                        ),
+                        Some(FAULT_RETRY_MS),
+                    )
+                }
+            };
+        wire.extend_from_slice(&wire_bytes(item.id.as_deref(), response, item.chunk_bytes));
+    }
+    Completion {
+        token: batch.token,
+        wire,
+        responses: batch.items.len(),
     }
 }
 
@@ -1459,15 +704,11 @@ fn process_job(shared: &Arc<Shared>, job: &QueuedJob) -> String {
         shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
         // A hit still settles the journal record (result elided: the
         // self-contained record that produced the hit is already on disk).
-        if let (Some(journal), Some(seq)) = (&shared.journal, job.journal_seq) {
-            journal.lock().completed(seq, &key, None);
-        }
+        shared.journal(job.journal_seq, |j, seq| j.completed(seq, &key, None));
         return ok_response(job.id.as_deref(), true, &hit);
     }
     chameleon_obs::counter!("server.cache.miss").add(1);
-    if let (Some(journal), Some(seq)) = (&shared.journal, job.journal_seq) {
-        journal.lock().started(seq);
-    }
+    shared.journal(job.journal_seq, Journal::started);
     // Durability: σ-probe checkpoints stream into the journal as the
     // search runs, and a checkpoint recovered at replay short-circuits
     // the probes it already covers.
@@ -1476,9 +717,7 @@ fn process_job(shared: &Arc<Shared>, job: &QueuedJob) -> String {
             let sink_shared = Arc::clone(shared);
             Some(Durability {
                 sink: Some(Arc::new(move |data: &str| {
-                    if let Some(journal) = &sink_shared.journal {
-                        journal.lock().checkpoint(seq, data);
-                    }
+                    sink_shared.journal(Some(seq), |j, seq| j.checkpoint(seq, data))
                 })),
                 resume: job.resume_checkpoint.clone(),
             })
@@ -1498,18 +737,16 @@ fn process_job(shared: &Arc<Shared>, job: &QueuedJob) -> String {
                     .fetch_add(out.resumed_probes, Ordering::Relaxed);
                 chameleon_obs::counter!("server.journal.probes_skipped").add(out.resumed_probes);
             }
-            if let (Some(journal), Some(seq)) = (&shared.journal, job.journal_seq) {
-                journal.lock().completed(seq, &key, Some(&out.result));
-            }
+            shared.journal(job.journal_seq, |j, seq| {
+                j.completed(seq, &key, Some(&out.result))
+            });
             shared.cache.lock().insert(key, out.result.as_str().into());
             shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
             chameleon_obs::counter!("server.jobs.completed").add(1);
             ok_response(job.id.as_deref(), false, &out.result)
         }
         Err(ExecError::Cancelled) => {
-            if let (Some(journal), Some(seq)) = (&shared.journal, job.journal_seq) {
-                journal.lock().cancelled(seq);
-            }
+            shared.journal(job.journal_seq, Journal::cancelled);
             match cancel.reason() {
                 Some(CancelReason::Explicit) => {
                     // Explicit trips are transient by construction (today:
@@ -1544,9 +781,9 @@ fn process_job(shared: &Arc<Shared>, job: &QueuedJob) -> String {
             }
         }
         Err(ExecError::Invalid(msg)) | Err(ExecError::Failed(msg)) => {
-            if let (Some(journal), Some(seq)) = (&shared.journal, job.journal_seq) {
-                journal.lock().failed(seq, codes::JOB_FAILED, &msg);
-            }
+            shared.journal(job.journal_seq, |j, seq| {
+                j.failed(seq, codes::JOB_FAILED, &msg)
+            });
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             chameleon_obs::counter!("server.jobs.failed").add(1);
             coded_error_response(job.id.as_deref(), codes::JOB_FAILED, &msg, None)
@@ -1574,24 +811,30 @@ pub fn send_request<W: Write>(writer: &mut W, request: &str) -> std::io::Result<
 /// complete response — including one reset mid-line, detected as a final
 /// fragment with no trailing newline — is an `UnexpectedEof` error.
 pub fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<String> {
+    read_logical(reader, None)
+}
+
+/// [`read_response`] that also appends the raw wire lines (chunk frames
+/// included, newlines kept) to `raw` — what the gateway relays verbatim.
+pub(crate) fn read_logical<R: BufRead>(
+    reader: &mut R,
+    mut raw: Option<&mut Vec<u8>>,
+) -> std::io::Result<String> {
+    let eof = |msg: &str| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, msg.to_string());
     let mut assembled: Option<String> = None;
     loop {
         let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection without responding",
-            ));
+        if reader.read_line(&mut line)? == 0 {
+            return Err(eof("server closed the connection without responding"));
         }
         if !line.ends_with('\n') {
             // read_line returned because the stream ended, not because the
             // response did: partial bytes must surface as a retryable I/O
             // error, never as a syntactically truncated response.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response (truncated line)",
-            ));
+            return Err(eof("connection closed mid-response (truncated line)"));
+        }
+        if let Some(raw) = raw.as_deref_mut() {
+            raw.extend_from_slice(line.as_bytes());
         }
         while line.ends_with('\n') || line.ends_with('\r') {
             line.pop();
@@ -1644,7 +887,7 @@ pub fn request_once(addr: &str, request: &str) -> std::io::Result<String> {
 /// *jittered but seeded*: for a fixed `seed` the jitter sequence — and
 /// hence the whole retry schedule given the same server hints — is
 /// reproducible, matching the workspace determinism contract.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = behave like [`request_once`]).
     pub max_retries: u32,

@@ -9,7 +9,7 @@ use chameleon_core::CancelToken;
 use chameleon_obs::json::Json;
 use chameleon_server::{
     fnv1a64, parse_request, request_once, Gateway, GatewayConfig, GatewayHandle, HashRing, Request,
-    RetryPolicy,
+    RetryPolicy, RING_REPLICAS,
 };
 use chameleon_ugraph::io;
 use std::io::{BufRead, BufReader};
@@ -137,7 +137,7 @@ fn try_failover(nodes: usize, worlds: usize, trials: usize, seed: u64) -> Option
     let request = obfuscate_request(&graph, worlds, trials, seed);
     // The gateway routes by graph digest; replaying its ring construction
     // tells us which backend to assassinate.
-    let ring = HashRing::new(&addrs, GatewayConfig::default().replicas);
+    let ring = HashRing::new(&addrs, RING_REPLICAS);
     let owner = ring.owner(fnv1a64(graph.as_bytes())).unwrap();
 
     // Fire the slow job through the gateway from a background thread: the
@@ -214,7 +214,7 @@ fn sigkill_owner_mid_job_redrives_to_ring_successor_byte_identically() {
 fn gateway_keeps_cache_affinity_per_graph() {
     let (backends, addrs, gate) = spawn_fleet(3, RetryPolicy::default());
     let gate_addr = gate.addr().to_string();
-    let ring = HashRing::new(&addrs, GatewayConfig::default().replicas);
+    let ring = HashRing::new(&addrs, RING_REPLICAS);
 
     // Small quick jobs on distinct graphs; each must land on (and stay
     // on) the backend its digest owns.
@@ -251,4 +251,23 @@ fn gateway_keeps_cache_affinity_per_graph() {
     );
 
     shutdown_fleet(backends, &gate_addr, gate);
+}
+
+#[test]
+fn standalone_binaries_reject_unknown_flags() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_chameleond"),
+            &["--port", "0", "--bogus", "1"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_chameleon_gate"),
+            &["--backends", "127.0.0.1:1", "--replicas", "64"][..],
+        ),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag"), "{bin}: {err}");
+    }
 }

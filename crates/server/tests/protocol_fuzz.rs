@@ -1,9 +1,13 @@
-//! Property tests for the wire-protocol parser plus a live-server abuse
-//! round: no request line — malformed, truncated, junk-byte, or invalid
-//! UTF-8 — may panic the parser or leave a connection without a reply.
+//! Property tests for the wire-protocol parser plus a live abuse round
+//! against both front ends (a daemon, and a gateway fronting one): no
+//! request line — malformed, truncated, junk-byte, or invalid UTF-8 — may
+//! panic the parser or leave a connection without a reply.
+
+mod common;
 
 use chameleon_obs::json::Json;
-use chameleon_server::{parse_request, Server, ServerConfig};
+use chameleon_server::{parse_request, ServerConfig};
+use common::FRONTS;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -114,317 +118,391 @@ fn read_replies_by_id<R: BufRead>(
 
 #[test]
 fn pipelined_burst_echoes_every_id_exactly_once() {
-    let handle = Server::spawn(ServerConfig::default()).unwrap();
-    let addr = handle.addr().to_string();
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for front in FRONTS {
+        let front = front.start(ServerConfig::default());
+        let addr = front.addr.clone();
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
 
-    // One burst: valid jobs interleaved with id-tagged junk, all written
-    // before a single reply is read. Every line — good or junk — must be
-    // answered with its own id, exactly once.
-    let mut burst = String::new();
-    let mut expect_ok = Vec::new();
-    let mut expect_err = Vec::new();
-    for i in 0..8 {
-        burst.push_str(&format!(
-            "{{\"op\":\"check\",\"id\":\"ok{i}\",\"graph\":\"0 1 0.5\\n1 2 0.5\\n\",\"k\":1}}\n"
-        ));
-        expect_ok.push(format!("ok{i}"));
-        burst.push_str(&format!("{{\"op\":\"bogus\",\"id\":\"bad{i}\"}}\n"));
-        expect_err.push(format!("bad{i}"));
-    }
-    conn.write_all(burst.as_bytes()).unwrap();
-    conn.flush().unwrap();
+        // One burst: valid jobs interleaved with id-tagged junk, all written
+        // before a single reply is read. Every line — good or junk — must be
+        // answered with its own id, exactly once.
+        let mut burst = String::new();
+        let mut expect_ok = Vec::new();
+        let mut expect_err = Vec::new();
+        for i in 0..8 {
+            burst.push_str(&format!(
+                "{{\"op\":\"check\",\"id\":\"ok{i}\",\"graph\":\"0 1 0.5\\n1 2 0.5\\n\",\"k\":1}}\n"
+            ));
+            expect_ok.push(format!("ok{i}"));
+            burst.push_str(&format!("{{\"op\":\"bogus\",\"id\":\"bad{i}\"}}\n"));
+            expect_err.push(format!("bad{i}"));
+        }
+        conn.write_all(burst.as_bytes()).unwrap();
+        conn.flush().unwrap();
 
-    let replies = read_replies_by_id(&mut reader, expect_ok.len() + expect_err.len());
-    for id in &expect_ok {
-        let v = &replies[id];
-        assert_eq!(
-            v.get("status").and_then(Json::as_str),
-            Some("ok"),
-            "{id}: {v:?}"
-        );
-    }
-    for id in &expect_err {
-        let v = &replies[id];
-        assert_eq!(
-            v.get("status").and_then(Json::as_str),
-            Some("error"),
-            "{id}: {v:?}"
-        );
-        assert!(v.get("error").and_then(Json::as_str).is_some());
-    }
+        let replies = read_replies_by_id(&mut reader, expect_ok.len() + expect_err.len());
+        for id in &expect_ok {
+            let v = &replies[id];
+            assert_eq!(
+                v.get("status").and_then(Json::as_str),
+                Some("ok"),
+                "{id}: {v:?}"
+            );
+        }
+        for id in &expect_err {
+            let v = &replies[id];
+            assert_eq!(
+                v.get("status").and_then(Json::as_str),
+                Some("error"),
+                "{id}: {v:?}"
+            );
+            assert!(v.get("error").and_then(Json::as_str).is_some());
+        }
 
-    let resp = chameleon_server::request_once(&addr, r#"{"op":"shutdown"}"#).unwrap();
-    assert!(resp.contains("\"status\":\"ok\""));
-    handle.join().unwrap();
+        let (resp, _) = front.shutdown();
+        assert!(resp.contains("\"status\":\"ok\""));
+    }
 }
 
 #[test]
 fn half_close_after_pipelined_burst_still_delivers_every_reply() {
-    let handle = Server::spawn(ServerConfig::default()).unwrap();
-    let addr = handle.addr().to_string();
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for front in FRONTS {
+        let front = front.start(ServerConfig::default());
+        let addr = front.addr.clone();
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
 
-    // The pipelined-client idiom: write every request, then shut down the
-    // write side (`printf 'req\n' | nc`). The FIN races the reactor's
-    // poll tick against delivery of the burst; whichever way it lands,
-    // the server must dispatch every complete line and keep the
-    // connection in write-drain until all replies are out.
-    let mut burst = String::new();
-    let mut expect = Vec::new();
-    for i in 0..8 {
-        burst.push_str(&format!(
-            "{{\"op\":\"check\",\"id\":\"hc{i}\",\"graph\":\"0 1 0.5\\n1 2 0.5\\n\",\"k\":1}}\n"
-        ));
-        expect.push(format!("hc{i}"));
+        // The pipelined-client idiom: write every request, then shut down the
+        // write side (`printf 'req\n' | nc`). The FIN races the reactor's
+        // poll tick against delivery of the burst; whichever way it lands,
+        // the server must dispatch every complete line and keep the
+        // connection in write-drain until all replies are out.
+        let mut burst = String::new();
+        let mut expect = Vec::new();
+        for i in 0..8 {
+            burst.push_str(&format!(
+                "{{\"op\":\"check\",\"id\":\"hc{i}\",\"graph\":\"0 1 0.5\\n1 2 0.5\\n\",\"k\":1}}\n"
+            ));
+            expect.push(format!("hc{i}"));
+        }
+        conn.write_all(burst.as_bytes()).unwrap();
+        conn.flush().unwrap();
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+
+        let replies = read_replies_by_id(&mut reader, expect.len());
+        for id in &expect {
+            let v = &replies[id];
+            assert_eq!(
+                v.get("status").and_then(Json::as_str),
+                Some("ok"),
+                "{id}: {v:?}"
+            );
+        }
+        // Everything owed was delivered; the server now closes its side too.
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+
+        let (resp, _) = front.shutdown();
+        assert!(resp.contains("\"status\":\"ok\""));
     }
-    conn.write_all(burst.as_bytes()).unwrap();
-    conn.flush().unwrap();
-    conn.shutdown(std::net::Shutdown::Write).unwrap();
-
-    let replies = read_replies_by_id(&mut reader, expect.len());
-    for id in &expect {
-        let v = &replies[id];
-        assert_eq!(
-            v.get("status").and_then(Json::as_str),
-            Some("ok"),
-            "{id}: {v:?}"
-        );
-    }
-    // Everything owed was delivered; the server now closes its side too.
-    let mut line = String::new();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
-
-    let resp = chameleon_server::request_once(&addr, r#"{"op":"shutdown"}"#).unwrap();
-    assert!(resp.contains("\"status\":\"ok\""));
-    handle.join().unwrap();
 }
 
 #[test]
 fn oversized_line_still_answers_earlier_lines_from_the_same_burst() {
-    let handle = Server::spawn(ServerConfig {
-        max_request_bytes: 512,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = handle.addr().to_string();
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for front in FRONTS {
+        let front = front.start(ServerConfig {
+            max_request_bytes: 512,
+            ..ServerConfig::default()
+        });
+        let addr = front.addr.clone();
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
 
-    // One write: two well-formed lines with immediate replies, then a
-    // line far over the limit. The earlier lines were complete before
-    // the overflow and must be answered ahead of the error.
-    let mut burst = String::from("{\"op\":\"status\",\"id\":\"pre1\"}\n");
-    burst.push_str("{\"op\":\"bogus\",\"id\":\"pre2\"}\n");
-    burst.push_str(&format!(
-        "{{\"op\":\"check\",\"junk\":\"{}\"",
-        "x".repeat(2048)
-    ));
-    burst.push('\n');
-    conn.write_all(burst.as_bytes()).unwrap();
-    conn.flush().unwrap();
+        // One write: two well-formed lines with immediate replies, then a
+        // line far over the limit. The earlier lines were complete before
+        // the overflow and must be answered ahead of the error.
+        let mut burst = String::from("{\"op\":\"status\",\"id\":\"pre1\"}\n");
+        burst.push_str("{\"op\":\"bogus\",\"id\":\"pre2\"}\n");
+        burst.push_str(&format!(
+            "{{\"op\":\"check\",\"junk\":\"{}\"",
+            "x".repeat(2048)
+        ));
+        burst.push('\n');
+        conn.write_all(burst.as_bytes()).unwrap();
+        conn.flush().unwrap();
 
-    let replies = read_replies_by_id(&mut reader, 2);
-    assert_eq!(
-        replies["pre1"].get("status").and_then(Json::as_str),
-        Some("ok"),
-        "status request preceding the oversized line must be answered"
-    );
-    assert_eq!(
-        replies["pre2"].get("status").and_then(Json::as_str),
-        Some("error"),
-        "junk line preceding the oversized line must keep its reply"
-    );
-    // Then the terminal request_too_large error, then EOF.
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let v = Json::parse(line.trim_end()).unwrap();
-    assert_eq!(
-        v.get("code").and_then(Json::as_str),
-        Some("request_too_large")
-    );
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+        let replies = read_replies_by_id(&mut reader, 2);
+        assert_eq!(
+            replies["pre1"].get("status").and_then(Json::as_str),
+            Some("ok"),
+            "status request preceding the oversized line must be answered"
+        );
+        assert_eq!(
+            replies["pre2"].get("status").and_then(Json::as_str),
+            Some("error"),
+            "junk line preceding the oversized line must keep its reply"
+        );
+        // Then the terminal request_too_large error, then EOF.
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = Json::parse(line.trim_end()).unwrap();
+        assert_eq!(
+            v.get("code").and_then(Json::as_str),
+            Some("request_too_large")
+        );
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
 
-    let resp = chameleon_server::request_once(&addr, r#"{"op":"shutdown"}"#).unwrap();
-    assert!(resp.contains("\"status\":\"ok\""));
-    handle.join().unwrap();
+        let (resp, _) = front.shutdown();
+        assert!(resp.contains("\"status\":\"ok\""));
+    }
 }
 
 #[test]
 fn oversized_batch_is_rejected_whole_with_batch_too_large() {
-    let handle = Server::spawn(ServerConfig {
-        max_batch: 4,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = handle.addr().to_string();
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for front in FRONTS {
+        let front = front.start(ServerConfig {
+            max_batch: 4,
+            ..ServerConfig::default()
+        });
+        let addr = front.addr.clone();
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
 
-    let elem = "{\"op\":\"check\",\"graph\":\"0 1 0.5\\n\",\"k\":1}";
-    let over = format!(
-        "{{\"op\":\"batch\",\"id\":\"big\",\"requests\":[{}]}}\n",
-        [elem; 6].join(",")
-    );
-    conn.write_all(over.as_bytes()).unwrap();
-    conn.flush().unwrap();
+        let elem = "{\"op\":\"check\",\"graph\":\"0 1 0.5\\n\",\"k\":1}";
+        let over = format!(
+            "{{\"op\":\"batch\",\"id\":\"big\",\"requests\":[{}]}}\n",
+            [elem; 6].join(",")
+        );
+        conn.write_all(over.as_bytes()).unwrap();
+        conn.flush().unwrap();
 
-    // Exactly one reply for the whole rejected batch, carrying the batch id
-    // and the machine-readable code — no per-element replies leak through.
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let v = Json::parse(line.trim_end()).unwrap();
-    assert_eq!(v.get("id").and_then(Json::as_str), Some("big"));
-    assert_eq!(v.get("status").and_then(Json::as_str), Some("error"));
-    assert_eq!(
-        v.get("code").and_then(Json::as_str),
-        Some("batch_too_large")
-    );
+        // Exactly one reply for the whole rejected batch, carrying the batch id
+        // and the machine-readable code — no per-element replies leak through.
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = Json::parse(line.trim_end()).unwrap();
+        assert_eq!(v.get("id").and_then(Json::as_str), Some("big"));
+        assert_eq!(v.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(
+            v.get("code").and_then(Json::as_str),
+            Some("batch_too_large")
+        );
 
-    // A batch at the limit still goes through, all on the same connection.
-    let ok = format!(
-        "{{\"op\":\"batch\",\"id\":\"fit\",\"requests\":[{}]}}\n",
-        [elem; 4].join(",")
-    );
-    conn.write_all(ok.as_bytes()).unwrap();
-    conn.flush().unwrap();
-    let replies = read_replies_by_id(&mut reader, 4);
-    for i in 0..4 {
-        let v = &replies[&format!("fit#{i}")];
-        assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{v:?}");
+        // A batch at the limit still goes through, all on the same connection.
+        let ok = format!(
+            "{{\"op\":\"batch\",\"id\":\"fit\",\"requests\":[{}]}}\n",
+            [elem; 4].join(",")
+        );
+        conn.write_all(ok.as_bytes()).unwrap();
+        conn.flush().unwrap();
+        let replies = read_replies_by_id(&mut reader, 4);
+        for i in 0..4 {
+            let v = &replies[&format!("fit#{i}")];
+            assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{v:?}");
+        }
+
+        let (resp, _) = front.shutdown();
+        assert!(resp.contains("\"status\":\"ok\""));
     }
-
-    let resp = chameleon_server::request_once(&addr, r#"{"op":"shutdown"}"#).unwrap();
-    assert!(resp.contains("\"status\":\"ok\""));
-    handle.join().unwrap();
 }
 
 #[test]
 fn batch_junk_elements_get_per_element_replies_with_derived_ids() {
-    let handle = Server::spawn(ServerConfig::default()).unwrap();
-    let addr = handle.addr().to_string();
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for front in FRONTS {
+        let front = front.start(ServerConfig::default());
+        let addr = front.addr.clone();
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
 
-    // Element 0: valid, no id (inherits "b#0"). Element 1: junk op.
-    // Element 2: nested batch (forbidden). Element 3: valid, explicit id.
-    let line = "{\"op\":\"batch\",\"id\":\"b\",\"requests\":[\
-         {\"op\":\"check\",\"graph\":\"0 1 0.5\\n\",\"k\":1},\
-         {\"op\":\"bogus\"},\
-         {\"op\":\"batch\",\"requests\":[]},\
-         {\"op\":\"check\",\"id\":\"own\",\"graph\":\"0 1 0.5\\n\",\"k\":1}]}\n";
-    conn.write_all(line.as_bytes()).unwrap();
-    conn.flush().unwrap();
+        // Element 0: valid, no id (inherits "b#0"). Element 1: junk op.
+        // Element 2: nested batch (forbidden). Element 3: valid, explicit id.
+        let line = "{\"op\":\"batch\",\"id\":\"b\",\"requests\":[\
+             {\"op\":\"check\",\"graph\":\"0 1 0.5\\n\",\"k\":1},\
+             {\"op\":\"bogus\"},\
+             {\"op\":\"batch\",\"requests\":[]},\
+             {\"op\":\"check\",\"id\":\"own\",\"graph\":\"0 1 0.5\\n\",\"k\":1}]}\n";
+        conn.write_all(line.as_bytes()).unwrap();
+        conn.flush().unwrap();
 
-    let replies = read_replies_by_id(&mut reader, 4);
-    assert_eq!(
-        replies["b#0"].get("status").and_then(Json::as_str),
-        Some("ok")
-    );
-    assert_eq!(
-        replies["own"].get("status").and_then(Json::as_str),
-        Some("ok")
-    );
-    for id in ["b#1", "b#2"] {
-        let v = &replies[id];
+        let replies = read_replies_by_id(&mut reader, 4);
         assert_eq!(
-            v.get("status").and_then(Json::as_str),
-            Some("error"),
-            "{v:?}"
+            replies["b#0"].get("status").and_then(Json::as_str),
+            Some("ok")
         );
-        assert!(v.get("error").and_then(Json::as_str).is_some());
-    }
+        assert_eq!(
+            replies["own"].get("status").and_then(Json::as_str),
+            Some("ok")
+        );
+        for id in ["b#1", "b#2"] {
+            let v = &replies[id];
+            assert_eq!(
+                v.get("status").and_then(Json::as_str),
+                Some("error"),
+                "{v:?}"
+            );
+            assert!(v.get("error").and_then(Json::as_str).is_some());
+        }
 
-    let resp = chameleon_server::request_once(&addr, r#"{"op":"shutdown"}"#).unwrap();
-    assert!(resp.contains("\"status\":\"ok\""));
-    handle.join().unwrap();
+        let (resp, _) = front.shutdown();
+        assert!(resp.contains("\"status\":\"ok\""));
+    }
 }
 
 #[test]
 fn requests_split_mid_line_across_poll_ticks_reassemble() {
-    let handle = Server::spawn(ServerConfig::default()).unwrap();
-    let addr = handle.addr().to_string();
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for front in FRONTS {
+        let front = front.start(ServerConfig::default());
+        let addr = front.addr.clone();
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
 
-    // Dribble a pipelined pair of requests in 7-byte fragments with pauses
-    // so each fragment lands in a separate poll tick; the reactor must
-    // buffer partial lines across ticks and only dispatch on '\n'.
-    let payload = "{\"op\":\"check\",\"id\":\"slow\",\"graph\":\"0 1 0.5\\n\",\"k\":1}\n\
-                   {\"op\":\"bogus\",\"id\":\"slow2\"}\n";
-    for frag in payload.as_bytes().chunks(7) {
-        conn.write_all(frag).unwrap();
-        conn.flush().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        // Dribble a pipelined pair of requests in 7-byte fragments with pauses
+        // so each fragment lands in a separate poll tick; the reactor must
+        // buffer partial lines across ticks and only dispatch on '\n'.
+        let payload = "{\"op\":\"check\",\"id\":\"slow\",\"graph\":\"0 1 0.5\\n\",\"k\":1}\n\
+                       {\"op\":\"bogus\",\"id\":\"slow2\"}\n";
+        for frag in payload.as_bytes().chunks(7) {
+            conn.write_all(frag).unwrap();
+            conn.flush().unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+
+        let replies = read_replies_by_id(&mut reader, 2);
+        assert_eq!(
+            replies["slow"].get("status").and_then(Json::as_str),
+            Some("ok")
+        );
+        assert_eq!(
+            replies["slow2"].get("status").and_then(Json::as_str),
+            Some("error")
+        );
+
+        let (resp, _) = front.shutdown();
+        assert!(resp.contains("\"status\":\"ok\""));
     }
-
-    let replies = read_replies_by_id(&mut reader, 2);
-    assert_eq!(
-        replies["slow"].get("status").and_then(Json::as_str),
-        Some("ok")
-    );
-    assert_eq!(
-        replies["slow2"].get("status").and_then(Json::as_str),
-        Some("error")
-    );
-
-    let resp = chameleon_server::request_once(&addr, r#"{"op":"shutdown"}"#).unwrap();
-    assert!(resp.contains("\"status\":\"ok\""));
-    handle.join().unwrap();
 }
 
 #[test]
 fn every_junk_line_gets_a_reply_and_the_connection_survives() {
-    let handle = Server::spawn(ServerConfig {
-        max_request_bytes: 64 * 1024,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = handle.addr().to_string();
+    for front in FRONTS {
+        let front = front.start(ServerConfig {
+            max_request_bytes: 64 * 1024,
+            ..ServerConfig::default()
+        });
+        let addr = front.addr.clone();
 
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
-    let junk_lines: &[&[u8]] = &[
-        b"not json at all",
-        b"{",
-        b"}{",
-        b"{\"op\":12}",
-        b"{\"op\":\"obfuscate\"}",
-        b"\x00\x01\x02\x03",
-        b"\xff\xfe\xfd invalid utf8",
-        b"[1,2,3]",
-        b"\"just a string\"",
-        b"{\"op\":\"check\",\"graph\":\"0 1 0.5\\n\",\"k\":\"two\"}",
-    ];
-    for junk in junk_lines {
-        conn.write_all(junk).unwrap();
-        conn.write_all(b"\n").unwrap();
-        conn.flush().unwrap();
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).unwrap();
-        assert!(n > 0, "no reply for junk line {junk:?}");
-        let v = Json::parse(line.trim_end())
-            .unwrap_or_else(|e| panic!("unstructured reply {line:?} for {junk:?}: {e}"));
-        assert_eq!(
-            v.get("status").and_then(Json::as_str),
-            Some("error"),
-            "junk line {junk:?} was not rejected: {line}"
-        );
-        assert!(
-            v.get("error").and_then(Json::as_str).is_some(),
-            "reply missing error message: {line}"
-        );
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let junk_lines: &[&[u8]] = &[
+            b"not json at all",
+            b"{",
+            b"}{",
+            b"{\"op\":12}",
+            b"{\"op\":\"obfuscate\"}",
+            b"\x00\x01\x02\x03",
+            b"\xff\xfe\xfd invalid utf8",
+            b"[1,2,3]",
+            b"\"just a string\"",
+            b"{\"op\":\"check\",\"graph\":\"0 1 0.5\\n\",\"k\":\"two\"}",
+        ];
+        for junk in junk_lines {
+            conn.write_all(junk).unwrap();
+            conn.write_all(b"\n").unwrap();
+            conn.flush().unwrap();
+            let mut line = String::new();
+            let n = reader.read_line(&mut line).unwrap();
+            assert!(n > 0, "no reply for junk line {junk:?}");
+            let v = Json::parse(line.trim_end())
+                .unwrap_or_else(|e| panic!("unstructured reply {line:?} for {junk:?}: {e}"));
+            assert_eq!(
+                v.get("status").and_then(Json::as_str),
+                Some("error"),
+                "junk line {junk:?} was not rejected: {line}"
+            );
+            assert!(
+                v.get("error").and_then(Json::as_str).is_some(),
+                "reply missing error message: {line}"
+            );
+        }
+
+        // After all that, the same connection still serves real requests.
+        let resp = chameleon_server::roundtrip(&mut conn, r#"{"op":"status"}"#).unwrap();
+        let v = Json::parse(&resp).unwrap();
+        assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
+
+        let (resp, _) = front.shutdown();
+        assert!(resp.contains("\"status\":\"ok\""));
     }
+}
 
-    // After all that, the same connection still serves real requests.
-    let resp = chameleon_server::roundtrip(&mut conn, r#"{"op":"status"}"#).unwrap();
-    let v = Json::parse(&resp).unwrap();
-    assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
+#[test]
+fn truncated_line_at_eof_gets_a_structured_error_then_eof() {
+    for front in FRONTS {
+        let front = front.start(ServerConfig::default());
+        let mut conn = std::net::TcpStream::connect(&front.addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
 
-    let resp = chameleon_server::request_once(&addr, r#"{"op":"shutdown"}"#).unwrap();
-    assert!(resp.contains("\"status\":\"ok\""));
-    handle.join().unwrap();
+        // A complete line, then a started one cut off by the client's FIN:
+        // the complete line is answered, the fragment gets a structured
+        // error, and the connection closes after it.
+        conn.write_all(b"{\"op\":\"status\",\"id\":\"whole\"}\n{\"op\":\"sta")
+            .unwrap();
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+
+        let replies = read_replies_by_id(&mut reader, 1);
+        assert_eq!(
+            replies["whole"].get("status").and_then(Json::as_str),
+            Some("ok")
+        );
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = Json::parse(line.trim_end()).unwrap();
+        assert_eq!(v.get("code").and_then(Json::as_str), Some("bad_request"));
+        assert!(v
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("truncated request"));
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+
+        let (resp, _) = front.shutdown();
+        assert!(resp.contains("\"status\":\"ok\""));
+    }
+}
+
+#[test]
+fn zero_batch_and_connection_limits_mean_unlimited() {
+    for front in FRONTS {
+        let front = front.start(ServerConfig {
+            max_batch: 0,
+            max_connections: 0,
+            ..ServerConfig::default()
+        });
+        // Hold one connection open (proven accepted by a round-trip)...
+        let mut first = std::net::TcpStream::connect(&front.addr).unwrap();
+        let resp = chameleon_server::roundtrip(&mut first, r#"{"op":"status"}"#).unwrap();
+        assert!(resp.contains("\"status\":\"ok\""), "{resp}");
+
+        // ...and a second one still gets in and may send a 3-element batch.
+        let mut second = std::net::TcpStream::connect(&front.addr).unwrap();
+        let mut reader = BufReader::new(second.try_clone().unwrap());
+        let elem = "{\"op\":\"check\",\"graph\":\"0 1 0.5\\n\",\"k\":1}";
+        let line = format!(
+            "{{\"op\":\"batch\",\"id\":\"three\",\"requests\":[{}]}}\n",
+            [elem; 3].join(",")
+        );
+        second.write_all(line.as_bytes()).unwrap();
+        let replies = read_replies_by_id(&mut reader, 3);
+        for i in 0..3 {
+            let v = &replies[&format!("three#{i}")];
+            assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{v:?}");
+        }
+        drop(first);
+
+        let (resp, _) = front.shutdown();
+        assert!(resp.contains("\"status\":\"ok\""));
+    }
 }

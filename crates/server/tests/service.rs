@@ -3,12 +3,17 @@
 //! backpressure, per-job timeouts, graceful shutdown with a final metrics
 //! snapshot, and the hardening paths — panic isolation, request-size
 //! limits, read deadlines, and shutdown with stalled clients attached.
+//! The connection-level hardening tests run against both front ends: the
+//! daemon itself and a gateway fronting one.
+
+mod common;
 
 use chameleon_core::{CancelToken, Chameleon, ChameleonConfig, Method};
 use chameleon_obs::json::Json;
 use chameleon_server::{request_once, FaultPlan, Server, ServerConfig, ServerHandle};
 use chameleon_ugraph::builder::DedupPolicy;
 use chameleon_ugraph::io;
+use common::FRONTS;
 use std::io::{BufRead, BufReader, Write};
 
 fn graph_text(nodes: usize, seed: u64) -> String {
@@ -43,6 +48,14 @@ fn shutdown(addr: &str, handle: ServerHandle) -> chameleon_server::ServerReport 
     let resp = request_once(addr, r#"{"op":"shutdown"}"#).unwrap();
     assert_eq!(field(&parsed(&resp), "status").as_str(), Some("ok"));
     handle.join().unwrap()
+}
+
+/// [`shutdown`] for a front end from the two-front harness; returns the
+/// daemon's report.
+fn shutdown_front(front: common::Running) -> chameleon_server::ServerReport {
+    let (resp, report) = front.shutdown();
+    assert_eq!(field(&parsed(&resp), "status").as_str(), Some("ok"));
+    report
 }
 
 #[test]
@@ -398,118 +411,130 @@ fn injected_cancel_is_retryable_and_distinct_from_a_timeout() {
 
 #[test]
 fn oversized_request_line_gets_a_structured_error_and_the_connection_closes() {
-    let (handle, addr) = start(ServerConfig {
-        max_request_bytes: 1024,
-        ..ServerConfig::default()
-    });
+    for front in FRONTS {
+        let front = front.start(ServerConfig {
+            max_request_bytes: 1024,
+            ..ServerConfig::default()
+        });
+        let addr = front.addr.clone();
 
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    // 4 KiB against a 1 KiB cap; the reader must refuse without waiting
-    // for the newline (none is ever sent on the abusive path).
-    let huge = format!("{{\"op\":\"check\",\"graph\":\"{}\"", "x".repeat(4096));
-    conn.write_all(huge.as_bytes()).unwrap();
-    conn.write_all(b"\n").unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let v = parsed(line.trim_end());
-    assert_eq!(field(&v, "status").as_str(), Some("error"));
-    assert_eq!(field(&v, "code").as_str(), Some("request_too_large"));
-    assert!(field(&v, "error").as_str().unwrap().contains("1024"));
-    // The stream cannot be resynced mid-line, so the server closes it.
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        // 4 KiB against a 1 KiB cap; the reader must refuse without waiting
+        // for the newline (none is ever sent on the abusive path).
+        let huge = format!("{{\"op\":\"check\",\"graph\":\"{}\"", "x".repeat(4096));
+        conn.write_all(huge.as_bytes()).unwrap();
+        conn.write_all(b"\n").unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = parsed(line.trim_end());
+        assert_eq!(field(&v, "status").as_str(), Some("error"));
+        assert_eq!(field(&v, "code").as_str(), Some("request_too_large"));
+        assert!(field(&v, "error").as_str().unwrap().contains("1024"));
+        // The stream cannot be resynced mid-line, so the server closes it.
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
 
-    // The daemon itself is unaffected.
-    let status = request_once(&addr, r#"{"op":"status"}"#).unwrap();
-    assert_eq!(field(&parsed(&status), "status").as_str(), Some("ok"));
-    shutdown(&addr, handle);
+        // The daemon itself is unaffected.
+        let status = request_once(&addr, r#"{"op":"status"}"#).unwrap();
+        assert_eq!(field(&parsed(&status), "status").as_str(), Some("ok"));
+        shutdown_front(front);
+    }
 }
 
 #[test]
 fn slowloris_client_gets_a_read_timeout_error() {
-    let (handle, addr) = start(ServerConfig {
-        read_timeout_ms: 150,
-        ..ServerConfig::default()
-    });
+    for front in FRONTS {
+        let front = front.start(ServerConfig {
+            read_timeout_ms: 150,
+            ..ServerConfig::default()
+        });
+        let addr = front.addr.clone();
 
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    // Start a line, then stall: the per-line deadline (armed at the first
-    // byte) must fire and answer a structured read_timeout error.
-    conn.write_all(b"{\"op\":\"st").unwrap();
-    conn.flush().unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let v = parsed(line.trim_end());
-    assert_eq!(field(&v, "status").as_str(), Some("error"));
-    assert_eq!(field(&v, "code").as_str(), Some("read_timeout"));
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        // Start a line, then stall: the per-line deadline (armed at the first
+        // byte) must fire and answer a structured read_timeout error.
+        conn.write_all(b"{\"op\":\"st").unwrap();
+        conn.flush().unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = parsed(line.trim_end());
+        assert_eq!(field(&v, "status").as_str(), Some("error"));
+        assert_eq!(field(&v, "code").as_str(), Some("read_timeout"));
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
 
-    let status = request_once(&addr, r#"{"op":"status"}"#).unwrap();
-    assert_eq!(field(&parsed(&status), "status").as_str(), Some("ok"));
-    shutdown(&addr, handle);
+        let status = request_once(&addr, r#"{"op":"status"}"#).unwrap();
+        assert_eq!(field(&parsed(&status), "status").as_str(), Some("ok"));
+        shutdown_front(front);
+    }
 }
 
 #[test]
 fn graceful_shutdown_completes_with_a_stalled_client_attached() {
-    let (handle, addr) = start(ServerConfig {
-        workers: 1,
-        // No read deadline at all: only the shutdown poll can free the
-        // connection thread from the half-sent line.
-        read_timeout_ms: 0,
-        ..ServerConfig::default()
-    });
+    for front in FRONTS {
+        let front = front.start(ServerConfig {
+            workers: 1,
+            // No read deadline at all: only the shutdown poll can free the
+            // connection thread from the half-sent line.
+            read_timeout_ms: 0,
+            ..ServerConfig::default()
+        });
+        let addr = front.addr.clone();
 
-    // A client that starts a request line and then goes silent forever.
-    let mut stalled = std::net::TcpStream::connect(&addr).unwrap();
-    stalled.write_all(b"{\"op\":\"status\"").unwrap();
-    stalled.flush().unwrap();
-    // And one that is connected but fully idle.
-    let _idle = std::net::TcpStream::connect(&addr).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(50));
+        // A client that starts a request line and then goes silent forever.
+        let mut stalled = std::net::TcpStream::connect(&addr).unwrap();
+        stalled.write_all(b"{\"op\":\"status\"").unwrap();
+        stalled.flush().unwrap();
+        // And one that is connected but fully idle.
+        let _idle = std::net::TcpStream::connect(&addr).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(50));
 
-    let begun = std::time::Instant::now();
-    let report = shutdown(&addr, handle);
-    // The drain must not wait on the stalled/idle clients: connection
-    // threads poll the shutdown flag and unwind within the bounded wait.
-    assert!(
-        begun.elapsed() < std::time::Duration::from_secs(5),
-        "shutdown took {:?} with stalled clients attached",
-        begun.elapsed()
-    );
-    assert_eq!(report.jobs_completed, 0);
+        let begun = std::time::Instant::now();
+        let report = shutdown_front(front);
+        // The drain must not wait on the stalled/idle clients: connection
+        // threads poll the shutdown flag and unwind within the bounded wait.
+        assert!(
+            begun.elapsed() < std::time::Duration::from_secs(5),
+            "shutdown took {:?} with stalled clients attached",
+            begun.elapsed()
+        );
+        assert_eq!(report.jobs_completed, 0);
+    }
 }
 
 #[test]
 fn connection_limit_rejects_excess_clients_with_server_busy() {
-    let (handle, addr) = start(ServerConfig {
-        max_connections: 1,
-        ..ServerConfig::default()
-    });
+    for front in FRONTS {
+        let front = front.start(ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        });
+        let addr = front.addr.clone();
 
-    // Occupy the single slot with a connection the server has accepted
-    // (prove it by round-tripping a request on it).
-    let mut first = std::net::TcpStream::connect(&addr).unwrap();
-    let resp = chameleon_server::roundtrip(&mut first, r#"{"op":"status"}"#).unwrap();
-    assert_eq!(field(&parsed(&resp), "status").as_str(), Some("ok"));
+        // Occupy the single slot with a connection the server has accepted
+        // (prove it by round-tripping a request on it).
+        let mut first = std::net::TcpStream::connect(&addr).unwrap();
+        let resp = chameleon_server::roundtrip(&mut first, r#"{"op":"status"}"#).unwrap();
+        assert_eq!(field(&parsed(&resp), "status").as_str(), Some("ok"));
 
-    // The next client is turned away at the door with a structured,
-    // retryable server_busy line.
-    let second = std::net::TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(second);
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let v = parsed(line.trim_end());
-    assert_eq!(field(&v, "code").as_str(), Some("server_busy"));
-    assert!(field(&v, "retry_after_ms").as_u64().unwrap() > 0);
-    drop(reader);
+        // The next client is turned away at the door with a structured,
+        // retryable server_busy line.
+        let second = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(second);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = parsed(line.trim_end());
+        assert_eq!(field(&v, "code").as_str(), Some("server_busy"));
+        assert!(field(&v, "retry_after_ms").as_u64().unwrap() > 0);
+        drop(reader);
 
-    // Releasing the slot lets new clients in again.
-    drop(first);
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let status = request_once(&addr, r#"{"op":"status"}"#).unwrap();
-    assert_eq!(field(&parsed(&status), "status").as_str(), Some("ok"));
-    shutdown(&addr, handle);
+        // Releasing the slot lets new clients in again.
+        drop(first);
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let status = request_once(&addr, r#"{"op":"status"}"#).unwrap();
+        assert_eq!(field(&parsed(&status), "status").as_str(), Some("ok"));
+        shutdown_front(front);
+    }
 }
