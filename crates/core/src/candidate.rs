@@ -110,40 +110,41 @@ pub fn select_candidates<R: Rng + ?Sized>(
     let target = ((m as f64 * size_multiplier).round() as usize)
         .min(n * n.saturating_sub(1) / 2)
         .max(1.min(m));
-    // E_C ← E
-    let mut members: HashSet<(NodeId, NodeId)> = HashSet::with_capacity(target * 2);
-    let mut removed: HashSet<(NodeId, NodeId)> = HashSet::new();
+    // E_C ← E. Existing edges are tracked by their dense id; only the
+    // injected pairs need a set. `size` is |E_C|.
+    let mut present = vec![true; m];
+    let mut size = m;
+    let mut injected: HashSet<(NodeId, NodeId)> = HashSet::new();
     let mut added: Vec<(NodeId, NodeId)> = Vec::new();
-    for e in graph.edges() {
-        members.insert((e.u, e.v));
-    }
     let attempt_budget = 200 * target + 10_000;
     let mut attempts = 0usize;
-    while members.len() != target && attempts < attempt_budget {
+    while size != target && attempts < attempt_budget {
         attempts += 1;
         let a = sampler.sample(rng);
         let b = sampler.sample(rng);
         if a == b {
             continue;
         }
-        let key = if a < b { (a, b) } else { (b, a) };
         if let Some(e) = graph.find_edge(a, b) {
             // Existing edge: drop from E_C with probability p(e).
-            if members.contains(&key) && rng.gen::<f64>() < graph.prob(e) {
-                members.remove(&key);
-                removed.insert(key);
+            if present[e as usize] && rng.gen::<f64>() < graph.prob(e) {
+                present[e as usize] = false;
+                size -= 1;
             }
-        } else if members.len() < target && !members.contains(&key) {
-            members.insert(key);
-            added.push(key);
+        } else if size < target {
+            let key = if a < b { (a, b) } else { (b, a) };
+            if injected.insert(key) {
+                added.push(key);
+                size += 1;
+            }
         }
     }
     chameleon_obs::counter!("genobf.candidate_attempts").add(attempts as u64);
     // Deterministic output order: original edges first (by id), then added
     // pairs in insertion order.
-    let mut out = Vec::with_capacity(members.len());
+    let mut out = Vec::with_capacity(size);
     for (id, e) in graph.edges().iter().enumerate() {
-        if members.contains(&(e.u, e.v)) {
+        if present[id] {
             out.push(CandidateEdge {
                 u: e.u,
                 v: e.v,
@@ -152,16 +153,12 @@ pub fn select_candidates<R: Rng + ?Sized>(
             });
         }
     }
-    for &(u, v) in &added {
-        if members.contains(&(u, v)) {
-            out.push(CandidateEdge {
-                u,
-                v,
-                existing: None,
-                p: 0.0,
-            });
-        }
-    }
+    out.extend(added.into_iter().map(|(u, v)| CandidateEdge {
+        u,
+        v,
+        existing: None,
+        p: 0.0,
+    }));
     out
 }
 
@@ -169,11 +166,145 @@ pub fn select_candidates<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use chameleon_ugraph::generators;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn sampler_uniform(n: usize) -> VertexSampler {
         VertexSampler::new(&vec![1.0; n], &HashSet::new())
+    }
+
+    /// The hash-set implementation `select_candidates` replaced, kept as
+    /// the reference for its output and its RNG consumption.
+    fn reference_select<R: Rng + ?Sized>(
+        graph: &UncertainGraph,
+        sampler: &VertexSampler,
+        size_multiplier: f64,
+        rng: &mut R,
+    ) -> Vec<CandidateEdge> {
+        let m = graph.num_edges();
+        let n = graph.num_nodes();
+        let target = ((m as f64 * size_multiplier).round() as usize)
+            .min(n * n.saturating_sub(1) / 2)
+            .max(1.min(m));
+        let mut members: HashSet<(NodeId, NodeId)> = HashSet::with_capacity(target * 2);
+        let mut added: Vec<(NodeId, NodeId)> = Vec::new();
+        for e in graph.edges() {
+            members.insert((e.u, e.v));
+        }
+        let attempt_budget = 200 * target + 10_000;
+        let mut attempts = 0usize;
+        while members.len() != target && attempts < attempt_budget {
+            attempts += 1;
+            let a = sampler.sample(rng);
+            let b = sampler.sample(rng);
+            if a == b {
+                continue;
+            }
+            let key = if a < b { (a, b) } else { (b, a) };
+            if let Some(e) = graph.find_edge(a, b) {
+                if members.contains(&key) && rng.gen::<f64>() < graph.prob(e) {
+                    members.remove(&key);
+                }
+            } else if members.len() < target && !members.contains(&key) {
+                members.insert(key);
+                added.push(key);
+            }
+        }
+        let mut out = Vec::with_capacity(members.len());
+        for (id, e) in graph.edges().iter().enumerate() {
+            if members.contains(&(e.u, e.v)) {
+                out.push(CandidateEdge {
+                    u: e.u,
+                    v: e.v,
+                    existing: Some(id as EdgeId),
+                    p: e.p,
+                });
+            }
+        }
+        for &(u, v) in &added {
+            if members.contains(&(u, v)) {
+                out.push(CandidateEdge {
+                    u,
+                    v,
+                    existing: None,
+                    p: 0.0,
+                });
+            }
+        }
+        out
+    }
+
+    /// Runs both implementations from the same RNG state; asserts equal
+    /// candidate lists and equal RNG positions afterwards.
+    fn assert_matches_reference(
+        g: &UncertainGraph,
+        sampler: &VertexSampler,
+        size_multiplier: f64,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut rng_new = StdRng::seed_from_u64(seed);
+        let mut rng_ref = StdRng::seed_from_u64(seed);
+        let got = select_candidates(g, sampler, size_multiplier, &mut rng_new);
+        let expect = reference_select(g, sampler, size_multiplier, &mut rng_ref);
+        prop_assert_eq!(got, expect);
+        prop_assert_eq!(rng_new.next_u64(), rng_ref.next_u64());
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn select_candidates_matches_hash_set_reference(
+            graph_seed in any::<u64>(),
+            n in 2usize..30,
+            density in 0.0f64..=0.9,
+            probs in proptest::collection::vec(0.0f64..=1.0, 16),
+            weights in proptest::collection::vec((0.0f64..5.0, any::<bool>()), 30),
+            all_zero in 0u8..6,
+            excluded_mask in proptest::collection::vec(0u8..4, 30),
+            size_multiplier in 0.1f64..3.0,
+            seed in any::<u64>(),
+        ) {
+            let m = (density * (n * (n - 1) / 2) as f64) as usize;
+            let mut g = generators::gnm(n, m, &mut StdRng::seed_from_u64(graph_seed));
+            for e in 0..g.num_edges() {
+                // Snap the extremes so certain and impossible edges occur.
+                let p = match probs[e % probs.len()] {
+                    p if p < 0.1 => 0.0,
+                    p if p > 0.9 => 1.0,
+                    p => p,
+                };
+                g.set_prob(e as EdgeId, p).unwrap();
+            }
+            let w: Vec<f64> = weights[..n]
+                .iter()
+                .map(|&(w, keep)| if keep && all_zero != 0 { w } else { 0.0 })
+                .collect();
+            let mut excluded: HashSet<NodeId> = (0..n as NodeId)
+                .filter(|&v| excluded_mask[v as usize] == 0)
+                .collect();
+            if excluded.len() == n {
+                excluded.remove(&0);
+            }
+            let sampler = VertexSampler::new(&w, &excluded);
+            assert_matches_reference(&g, &sampler, size_multiplier, seed)?;
+        }
+    }
+
+    #[test]
+    fn select_candidates_matches_reference_when_budget_runs_out() {
+        // Only vertices 0 and 1 are samplable and they share no edge, so
+        // one injection is possible against a target of 2·|E|: both
+        // implementations must spend the whole attempt budget identically.
+        let mut g = UncertainGraph::with_nodes(6);
+        for (u, v) in [(2, 3), (3, 4), (4, 5), (2, 5)] {
+            g.add_edge(u, v, 0.5).unwrap();
+        }
+        let excluded: HashSet<NodeId> = (2..6).collect();
+        let sampler = VertexSampler::new(&[1.0; 6], &excluded);
+        assert_matches_reference(&g, &sampler, 2.0, 3).unwrap();
+        let cands = select_candidates(&g, &sampler, 2.0, &mut StdRng::seed_from_u64(3));
+        assert_eq!(cands.len(), 5, "4 existing edges + the one injectable pair");
     }
 
     #[test]

@@ -251,7 +251,7 @@ impl Chameleon {
         let knowledge = AdversaryKnowledge::expected_degrees(graph);
 
         // ---- Lines 1–2 of Algorithm 3, hoisted: invariants of the input.
-        let uniq = uniqueness_scores_scaled(graph, self.config.bandwidth_scale);
+        let uniq = uniqueness_scores_scaled(graph, self.config.bandwidth_scale, threads);
         let vrr = if method.reliability_oriented() {
             let ens_seed = seq.derive("relevance-ensemble");
             let err = if self.config.strip_worlds > 0 {
@@ -713,45 +713,54 @@ impl Chameleon {
         let plans = plans.get_or_insert_with(|| {
             let _s = chameleon_obs::span!("genobf.plan_record");
             let base_cache = DegreePmfCache::build(graph, knowledge, threads);
-            (0..cfg.trials)
-                .map(|trial| {
-                    let mut rng = seq.rng_indexed2("genobf-trial", 0, trial as u64);
-                    TrialPlan::record(
-                        graph,
-                        sampler,
-                        cfg,
-                        strategy,
-                        selection,
-                        &base_cache,
-                        &mut rng,
-                    )
-                })
-                .collect()
+            // Each trial records from its own stream, so recording them
+            // concurrently yields the same plans in the same order.
+            parallel::map_items(cfg.trials, threads, |trial| {
+                let mut rng = seq.rng_indexed2("genobf-trial", 0, trial as u64);
+                TrialPlan::record(
+                    graph,
+                    sampler,
+                    cfg,
+                    strategy,
+                    selection,
+                    &base_cache,
+                    &mut rng,
+                )
+            })
         });
-        // Serial strict-improvement fold, same winner rule as the parallel
-        // path. An ε̂ = 0 probe cannot be strictly beaten, so the remaining
-        // trials are skipped (eps_nearest may then under-report — a legal
-        // §6d divergence of the diagnostic trace).
+        // Trials are checked `threads` at a time, and each wave's reports
+        // are folded serially in trial order with the plain path's
+        // strict-improvement winner rule. An ε̂ = 0 probe cannot be
+        // strictly beaten, so the fold stops there and skips the remaining
+        // trials (eps_nearest may then under-report — a legal §6d
+        // divergence of the diagnostic trace). A check is a pure function
+        // of (plan, σ), so a wave-mate checked but never folded leaves no
+        // trace in the result.
         let mut best: Option<(f64, usize, AnonymityReport)> = None;
         let mut eps_nearest = 1.0f64;
-        for (trial, plan) in plans.iter_mut().enumerate() {
-            let _trial_span = chameleon_obs::span!("genobf.trial");
-            chameleon_obs::counter!("genobf.trials").add(1);
-            if plan.is_degenerate() {
-                continue;
-            }
-            let report = plan.check_at_sigma(sigma, strategy, knowledge, cfg);
-            eps_nearest = eps_nearest.min(report.eps_hat);
-            if report.eps_hat <= cfg.epsilon {
-                let better = best
-                    .as_ref()
-                    .map(|(e, _, _)| report.eps_hat < *e)
-                    .unwrap_or(true);
-                if better {
-                    let exact = report.eps_hat == 0.0;
-                    best = Some((report.eps_hat, trial, report));
-                    if exact {
-                        break;
+        'waves: for (w, wave) in plans.chunks_mut(threads).enumerate() {
+            let reports = parallel::map_items_mut(wave, threads, |plan| {
+                let _trial_span = chameleon_obs::span!("genobf.trial");
+                (!plan.is_degenerate())
+                    .then(|| plan.check_at_sigma(sigma, strategy, knowledge, cfg))
+            });
+            for (offset, report) in reports.into_iter().enumerate() {
+                chameleon_obs::counter!("genobf.trials").add(1);
+                let Some(report) = report else {
+                    continue;
+                };
+                eps_nearest = eps_nearest.min(report.eps_hat);
+                if report.eps_hat <= cfg.epsilon {
+                    let better = best
+                        .as_ref()
+                        .map(|(e, _, _)| report.eps_hat < *e)
+                        .unwrap_or(true);
+                    if better {
+                        let exact = report.eps_hat == 0.0;
+                        best = Some((report.eps_hat, w * threads + offset, report));
+                        if exact {
+                            break 'waves;
+                        }
                     }
                 }
             }
@@ -1073,7 +1082,7 @@ mod tests {
     #[test]
     fn prepare_selection_excludes_top_combined() {
         let g = test_graph(8);
-        let uniq = uniqueness_scores_scaled(&g, 1.0);
+        let uniq = uniqueness_scores_scaled(&g, 1.0, 1);
         let mut rng = StdRng::seed_from_u64(0);
         let ens = WorldEnsemble::sample(&g, 100, &mut rng);
         let err = edge_reliability_relevance(&g, &ens);
@@ -1098,7 +1107,7 @@ mod tests {
     #[test]
     fn zero_epsilon_keeps_everyone() {
         let g = test_graph(9);
-        let uniq = uniqueness_scores_scaled(&g, 1.0);
+        let uniq = uniqueness_scores_scaled(&g, 1.0, 1);
         let cfg = ChameleonConfig::builder().epsilon(0.0).build();
         let (excluded, _) = prepare_selection(&g, Method::Me, &uniq, &[], &cfg);
         assert!(excluded.is_empty());
@@ -1166,7 +1175,7 @@ mod tests {
     #[test]
     fn selection_floor_keeps_critical_vertices_perturbable() {
         let g = test_graph(10);
-        let uniq = uniqueness_scores_scaled(&g, 1.0);
+        let uniq = uniqueness_scores_scaled(&g, 1.0, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let ens = WorldEnsemble::sample(&g, 100, &mut rng);
         let err = edge_reliability_relevance(&g, &ens);

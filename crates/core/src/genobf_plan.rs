@@ -30,7 +30,6 @@ use crate::perturb::PerturbStrategy;
 use chameleon_stats::TruncatedNormal;
 use chameleon_ugraph::{NodeId, UncertainGraph};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Incident-probability overlay of one vertex touched by the trial's
 /// candidates: the base adjacency probabilities (plus appended slots for
@@ -110,19 +109,20 @@ impl TrialPlan {
         }
 
         // Overlay construction: one entry per touched vertex.
-        let mut overlay_of: HashMap<NodeId, usize> = HashMap::new();
+        let mut overlay_of: Vec<usize> = vec![usize::MAX; graph.num_nodes()];
         let mut overlays: Vec<VertexOverlay> = Vec::new();
         for (ci, cand) in candidates.iter().enumerate() {
             for w in [cand.u, cand.v] {
-                let oi = *overlay_of.entry(w).or_insert_with(|| {
+                let slot = &mut overlay_of[w as usize];
+                if *slot == usize::MAX {
+                    *slot = overlays.len();
                     overlays.push(VertexOverlay {
                         v: w,
                         template: graph.incident_probs(w),
                         writes: Vec::new(),
                     });
-                    overlays.len() - 1
-                });
-                let overlay = &mut overlays[oi];
+                }
+                let overlay = &mut overlays[*slot];
                 let pos = match cand.existing {
                     Some(e) => graph
                         .neighbors(w)

@@ -15,17 +15,19 @@ use chameleon_stats::GaussianKde;
 use chameleon_ugraph::UncertainGraph;
 
 /// Per-vertex uniqueness scores `U^v` of the uncertain graph, computed on
-/// expected degrees with the paper's θ = σ_G bandwidth.
+/// expected degrees with the paper's θ = σ_G bandwidth, on one thread.
 pub fn uniqueness_scores(graph: &UncertainGraph) -> Vec<f64> {
-    uniqueness_scores_scaled(graph, 1.0)
+    uniqueness_scores_scaled(graph, 1.0, 1)
 }
 
 /// Uniqueness scores with bandwidth θ = `scale`·σ_G — the ablation knob
-/// over the paper's bandwidth choice (§V-C sets scale = 1).
+/// over the paper's bandwidth choice (§V-C sets scale = 1) — with the
+/// O(n²) kernel rows spread over up to `threads` threads (bit-identical
+/// at every thread count; see [`GaussianKde::uniqueness_at_support`]).
 ///
 /// # Panics
 /// Panics if `scale` is not strictly positive and finite.
-pub fn uniqueness_scores_scaled(graph: &UncertainGraph, scale: f64) -> Vec<f64> {
+pub fn uniqueness_scores_scaled(graph: &UncertainGraph, scale: f64, threads: usize) -> Vec<f64> {
     assert!(
         scale.is_finite() && scale > 0.0,
         "invalid bandwidth scale {scale}"
@@ -36,17 +38,7 @@ pub fn uniqueness_scores_scaled(graph: &UncertainGraph, scale: f64) -> Vec<f64> 
     }
     let sd = chameleon_stats::Summary::from_slice(&values).population_std_dev();
     let theta = if sd > 1e-12 { sd * scale } else { scale };
-    uniqueness_with_bandwidth(&values, theta)
-}
-
-/// Uniqueness scores for an explicit property-value vector (used by the
-/// deterministic Rep-An baseline, where the property is the plain degree).
-pub fn uniqueness_of_values(values: &[f64]) -> Vec<f64> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let kde = GaussianKde::with_data_bandwidth(values.to_vec());
-    kde.uniqueness_at_support()
+    GaussianKde::new(values, theta).uniqueness_at_support(threads)
 }
 
 /// Uniqueness scores with an explicit bandwidth θ (exposed for ablations
@@ -55,8 +47,7 @@ pub fn uniqueness_with_bandwidth(values: &[f64], theta: f64) -> Vec<f64> {
     if values.is_empty() {
         return Vec::new();
     }
-    let kde = GaussianKde::new(values.to_vec(), theta);
-    kde.uniqueness_at_support()
+    GaussianKde::new(values.to_vec(), theta).uniqueness_at_support(1)
 }
 
 #[cfg(test)]
@@ -102,7 +93,7 @@ mod tests {
     fn empty_graph() {
         let g = UncertainGraph::with_nodes(0);
         assert!(uniqueness_scores(&g).is_empty());
-        assert!(uniqueness_of_values(&[]).is_empty());
+        assert!(uniqueness_with_bandwidth(&[], 1.0).is_empty());
     }
 
     #[test]

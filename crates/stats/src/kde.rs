@@ -6,7 +6,7 @@
 //! `U_θ(ω) = 1 / C_θ(ω)`. Chameleon sets θ = σ_G, the standard deviation of
 //! the property values in the input uncertain graph (paper §V-C).
 
-use crate::summary::Summary;
+use crate::parallel;
 
 /// A Gaussian kernel density / commonness estimator over scalar property
 /// values (expected degrees in the paper).
@@ -33,25 +33,6 @@ impl GaussianKde {
             theta,
             norm,
         }
-    }
-
-    /// Builds the estimator with the paper's bandwidth choice θ = σ_G, the
-    /// (population) standard deviation of the property values themselves.
-    /// Falls back to bandwidth 1 when the values are constant, matching the
-    /// degenerate case where every node is equally common.
-    pub fn with_data_bandwidth(points: Vec<f64>) -> Self {
-        let mut s = Summary::new();
-        for &x in &points {
-            s.push(x);
-        }
-        let sd = s.population_std_dev();
-        let theta = if sd > 1e-12 { sd } else { 1.0 };
-        Self::new(points, theta)
-    }
-
-    /// The bandwidth θ in use.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// Number of support points.
@@ -88,49 +69,15 @@ impl GaussianKde {
     }
 
     /// Evaluates uniqueness at every support point (the per-vertex scores
-    /// `U^v` of Algorithm 3 line 1). O(n²) — fine at experiment scales; the
-    /// binned variant below is available for large graphs.
-    pub fn uniqueness_at_support(&self) -> Vec<f64> {
-        self.points.iter().map(|&x| self.uniqueness(x)).collect()
+    /// `U^v` of Algorithm 3 line 1) on up to `threads` threads. O(n²)
+    /// kernel evaluations: each row sums over all support points in the
+    /// serial order on one thread, and rows are independent, so the
+    /// result is bit-identical at every thread count.
+    pub fn uniqueness_at_support(&self, threads: usize) -> Vec<f64> {
+        parallel::map_items(self.points.len(), threads, |i| {
+            self.uniqueness(self.points[i])
+        })
     }
-}
-
-/// Commonness of every support point computed via value-binning:
-/// property values (e.g. expected degrees) concentrate on few distinct
-/// values, so we bucket identical-after-rounding values and evaluate the
-/// kernel once per pair of buckets. Exact when values are multiples of
-/// `resolution`; otherwise an approximation with error bounded by the kernel
-/// Lipschitz constant times `resolution`.
-pub fn binned_uniqueness(points: &[f64], theta: f64, resolution: f64) -> Vec<f64> {
-    assert!(theta > 0.0 && resolution > 0.0);
-    use std::collections::BTreeMap;
-    let key = |x: f64| (x / resolution).round() as i64;
-    let mut buckets: BTreeMap<i64, usize> = BTreeMap::new();
-    for &x in points {
-        *buckets.entry(key(x)).or_insert(0) += 1;
-    }
-    let reps: Vec<(f64, f64)> = buckets
-        .iter()
-        .map(|(&k, &c)| (k as f64 * resolution, c as f64))
-        .collect();
-    let norm = 1.0 / (theta * (2.0 * std::f64::consts::PI).sqrt());
-    let inv2t2 = 1.0 / (2.0 * theta * theta);
-    let mut commonness_by_key: BTreeMap<i64, f64> = BTreeMap::new();
-    for (&k, _) in buckets.iter() {
-        let omega = k as f64 * resolution;
-        let c: f64 = reps
-            .iter()
-            .map(|&(x, cnt)| {
-                let d = omega - x;
-                cnt * norm * (-d * d * inv2t2).exp()
-            })
-            .sum();
-        commonness_by_key.insert(k, c);
-    }
-    points
-        .iter()
-        .map(|&x| 1.0 / commonness_by_key[&key(x)].max(1e-300))
-        .collect()
 }
 
 #[cfg(test)]
@@ -155,37 +102,14 @@ mod tests {
     }
 
     #[test]
-    fn data_bandwidth_is_population_sd() {
-        let pts = vec![1.0, 2.0, 3.0, 4.0];
-        let kde = GaussianKde::with_data_bandwidth(pts);
-        // population sd of {1,2,3,4} = sqrt(1.25)
-        assert!((kde.theta() - 1.25f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn constant_data_falls_back_to_unit_bandwidth() {
-        let kde = GaussianKde::with_data_bandwidth(vec![5.0; 10]);
-        assert_eq!(kde.theta(), 1.0);
-    }
-
-    #[test]
     fn uniqueness_at_support_matches_pointwise() {
         let pts = vec![1.0, 2.0, 2.0, 8.0];
         let kde = GaussianKde::new(pts.clone(), 1.5);
-        let scores = kde.uniqueness_at_support();
-        for (i, &x) in pts.iter().enumerate() {
-            assert!((scores[i] - kde.uniqueness(x)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn binned_matches_exact_on_integer_grid() {
-        let pts: Vec<f64> = vec![1.0, 1.0, 2.0, 5.0, 5.0, 5.0, 9.0];
-        let kde = GaussianKde::new(pts.clone(), 2.0);
-        let exact = kde.uniqueness_at_support();
-        let binned = binned_uniqueness(&pts, 2.0, 1.0);
-        for (a, b) in exact.iter().zip(&binned) {
-            assert!((a - b).abs() / a < 1e-9, "{a} vs {b}");
+        for threads in [1, 2, 8] {
+            let scores = kde.uniqueness_at_support(threads);
+            for (i, &x) in pts.iter().enumerate() {
+                assert_eq!(scores[i].to_bits(), kde.uniqueness(x).to_bits());
+            }
         }
     }
 

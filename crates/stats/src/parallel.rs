@@ -254,6 +254,32 @@ where
     chunks.into_iter().flatten().collect()
 }
 
+/// Like [`map_items`], but `f` gets exclusive access to its item: maps
+/// `f(&mut items[i])` over the slice on up to `threads` threads and
+/// returns the results in item order.
+///
+/// The same purity rule applies — `f` may mutate only its own item — so
+/// the output and the items' final states are independent of the thread
+/// count. `threads == 1` (or a single item) is a plain in-order loop.
+pub fn map_items_mut<I, T, F>(items: &mut [I], threads: usize, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(&mut I) -> T + Sync,
+{
+    if resolve_threads(threads) <= 1 || items.len() <= 1 {
+        return items.iter_mut().map(f).collect();
+    }
+    // One uncontended lock per item hands each worker its `&mut` without
+    // unsafe code: every index is claimed by exactly one chunk.
+    let slots: Vec<std::sync::Mutex<&mut I>> =
+        items.iter_mut().map(std::sync::Mutex::new).collect();
+    map_items(slots.len(), threads, |i| {
+        let mut item = slots[i].lock().expect("each slot is locked once");
+        f(&mut item)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +330,21 @@ mod tests {
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
         assert!(map_items(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn map_items_mut_updates_every_item_in_order() {
+        for threads in [1, 2, 8] {
+            let mut items: Vec<u64> = (0..37).collect();
+            let out = map_items_mut(&mut items, threads, |x| {
+                *x *= 3;
+                *x + 1
+            });
+            assert_eq!(items, (0..37).map(|i| i * 3).collect::<Vec<_>>());
+            assert_eq!(out, (0..37).map(|i| i * 3 + 1).collect::<Vec<_>>());
+        }
+        let mut none: Vec<u8> = Vec::new();
+        assert!(map_items_mut(&mut none, 4, |x| *x).is_empty());
     }
 
     #[test]

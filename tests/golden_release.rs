@@ -1,0 +1,124 @@
+//! Cross-version golden releases: `anonymize` output pinned bit for bit.
+//!
+//! Performance work on the σ search (threading, cheaper bookkeeping) must
+//! not change a single published byte. This test pins, for DBLP-like and
+//! BRIGHTKITE-like inputs at n = 400, on both GenObf paths (plain and
+//! incremental) and at 1 and 2 threads: σ and ε̂ bits, the GenObf call
+//! count, an FNV-1a digest of the `sigma_trace` bits, and an FNV-1a digest
+//! of the release's `(u, v, p.to_bits())` edge list.
+//!
+//! The pinned values were recorded at the commit *before* the change that
+//! threaded uniqueness scoring and incremental trial evaluation and
+//! replaced the hash sets in candidate selection and trial recording. The
+//! test passes unchanged on both sides of that change. If a later change
+//! alters these values on purpose, re-pin them in the same commit and say
+//! why in CHANGES.md.
+
+use chameleon::prelude::*;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+fn release_digest(g: &UncertainGraph) -> u64 {
+    g.edges().iter().fold(FNV_OFFSET, |h, e| {
+        let h = fnv1a(&e.u.to_le_bytes(), h);
+        let h = fnv1a(&e.v.to_le_bytes(), h);
+        fnv1a(&e.p.to_bits().to_le_bytes(), h)
+    })
+}
+
+fn trace_digest(trace: &[(f64, f64)]) -> u64 {
+    trace.iter().fold(FNV_OFFSET, |h, &(s, e)| {
+        let h = fnv1a(&s.to_bits().to_le_bytes(), h);
+        fnv1a(&e.to_bits().to_le_bytes(), h)
+    })
+}
+
+/// What one run publishes, reduced to comparable bits.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    sigma: u64,
+    eps_hat: u64,
+    genobf_calls: usize,
+    trace: u64,
+    release: u64,
+}
+
+fn run(g: &UncertainGraph, incremental: bool, threads: usize) -> Golden {
+    let cfg = ChameleonConfig::builder()
+        .k(40)
+        .epsilon(0.01)
+        .trials(3)
+        .num_world_samples(100)
+        .incremental(incremental)
+        .num_threads(threads)
+        .build();
+    let res = Chameleon::new(cfg).anonymize(g, Method::Rsme, 13).unwrap();
+    Golden {
+        sigma: res.sigma.to_bits(),
+        eps_hat: res.eps_hat.to_bits(),
+        genobf_calls: res.genobf_calls,
+        trace: trace_digest(&res.sigma_trace),
+        release: release_digest(&res.graph),
+    }
+}
+
+fn check(name: &str, g: &UncertainGraph, incremental: bool, expect: &Golden) {
+    for threads in [1, 2] {
+        let got = run(g, incremental, threads);
+        assert_eq!(
+            &got, expect,
+            "{name} (incremental {incremental}, threads {threads})"
+        );
+    }
+}
+
+#[test]
+fn dblp_like_releases_are_pinned() {
+    let g = dblp_like(400, 5);
+    let plain = Golden {
+        sigma: 4583538520756322304,
+        eps_hat: 4575296933438234296,
+        genobf_calls: 11,
+        trace: 14950749445917711101,
+        release: 1752031123359142093,
+    };
+    check("dblp plain", &g, false, &plain);
+    let incremental = Golden {
+        sigma: 4583819995733032960,
+        eps_hat: 4575296933438234296,
+        genobf_calls: 11,
+        trace: 9228082986474359459,
+        release: 9112282181921292910,
+    };
+    check("dblp incremental", &g, true, &incremental);
+}
+
+#[test]
+fn brightkite_like_releases_are_pinned() {
+    let g = brightkite_like(400, 5);
+    let plain = Golden {
+        sigma: 4580160821035794432,
+        eps_hat: 4575296933438234296,
+        genobf_calls: 12,
+        trace: 18080866809497384784,
+        release: 11876289533732378021,
+    };
+    check("brightkite plain", &g, false, &plain);
+    let incremental = Golden {
+        sigma: 4580723770989215744,
+        eps_hat: 4575296933438234296,
+        genobf_calls: 12,
+        trace: 718487531587677457,
+        release: 9010971305762701517,
+    };
+    check("brightkite incremental", &g, true, &incremental);
+}
