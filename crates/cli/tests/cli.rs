@@ -273,6 +273,58 @@ fn repan_method_available() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--strip-worlds` only changes how the ERR ensemble is held, so it
+/// composes with `--incremental` and leaves the release bytes unchanged.
+#[test]
+fn incremental_with_strip_worlds_is_byte_identical() {
+    let dir = temp_dir("inc-strip");
+    let graph = dir.join("g.txt");
+    let graph_s = graph.to_str().unwrap();
+    let out = chameleon(&[
+        "generate",
+        graph_s,
+        "--dataset",
+        "brightkite",
+        "--nodes",
+        "200",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let anonymize = |name: &str, extra: &[&str]| {
+        let path = dir.join(name);
+        let mut args = vec![
+            "anonymize",
+            graph_s,
+            path.to_str().unwrap(),
+            "--k",
+            "15",
+            "--epsilon",
+            "0.05",
+            "--worlds",
+            "120",
+            "--trials",
+            "2",
+            "--seed",
+            "7",
+            "--incremental",
+        ];
+        args.extend_from_slice(extra);
+        let out = chameleon(&args);
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(&path).unwrap()
+    };
+    let dense = anonymize("dense.txt", &[]);
+    let strip = anonymize("strip.txt", &["--strip-worlds", "64"]);
+    assert!(!dense.is_empty());
+    assert_eq!(dense, strip);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serve_and_gate_reject_unknown_flags_before_binding() {
     for args in [

@@ -21,7 +21,7 @@
 
 use chameleon_stats::parallel;
 use chameleon_stats::poisson_binomial::pmf_truncated;
-use chameleon_stats::{shannon_entropy_bits, WeightTotal};
+use chameleon_stats::shannon_entropy_bits;
 use chameleon_ugraph::{NodeId, UncertainGraph};
 use std::collections::HashMap;
 
@@ -268,105 +268,6 @@ pub fn anonymity_check_threads(
     // queried).
     let pmfs = degree_pmfs(published, omega_max, threads);
     exact_entropy_sweep(&pmfs, knowledge, k)
-}
-
-/// Strip-streamed [`anonymity_check_threads`]: degree pmfs are built for
-/// one strip of `strip_vertices` vertices at a time and discarded, so the
-/// check holds O(strip·ω_max) floats instead of O(|V|·ω_max).
-///
-/// Entropies are accumulated with the two-phase streaming accumulators of
-/// `chameleon_stats::entropy` ([`WeightTotal`] then
-/// [`chameleon_stats::EntropyTerms`]), replaying each distinct ω's weight
-/// sequence in ascending vertex order across two pmf passes — the exact
-/// arithmetic [`shannon_entropy_bits`] performs on the materialized weight
-/// slice — so the report is **bit-identical** to the in-RAM check for
-/// every strip size and thread count. The trade is CPU for memory: each
-/// vertex's pmf is built twice.
-///
-/// # Panics
-/// Same contract as [`anonymity_check`].
-pub fn anonymity_check_streamed(
-    published: &UncertainGraph,
-    knowledge: &AdversaryKnowledge,
-    k: usize,
-    strip_vertices: usize,
-    threads: usize,
-) -> AnonymityReport {
-    let _span = chameleon_obs::span!("anonymity.check.streamed");
-    chameleon_obs::counter!("anonymity.checks").add(1);
-    assert!(k >= 1, "k must be at least 1");
-    let n = published.num_nodes();
-    assert_eq!(
-        knowledge.len(),
-        n,
-        "adversary knowledge must cover every vertex"
-    );
-    if n == 0 {
-        return AnonymityReport {
-            eps_hat: 0.0,
-            unobfuscated: Vec::new(),
-            entropy_by_omega: HashMap::new(),
-            k,
-        };
-    }
-    let strip = strip_vertices.max(1);
-    let omega_max = knowledge.targets().iter().copied().max().unwrap_or(0) as usize;
-    let strip_pmfs = |base: usize, len: usize| {
-        chameleon_obs::counter!("anonymity.pmfs_built").add(len as u64);
-        parallel::map_items(len, threads, |i| {
-            pmf_truncated(&published.incident_probs((base + i) as u32), omega_max)
-        })
-    };
-    // Pass 1: per-ω weight totals, strips visited in ascending vertex
-    // order — the same `+=` sequence the slice sweep performs.
-    let mut totals: HashMap<u32, WeightTotal> = HashMap::new();
-    for &omega in knowledge.targets() {
-        totals.entry(omega).or_default();
-    }
-    let mut base = 0;
-    while base < n {
-        let len = strip.min(n - base);
-        let pmfs = strip_pmfs(base, len);
-        for pmf in &pmfs {
-            for (&omega, tot) in totals.iter_mut() {
-                tot.add(pmf.get(omega as usize).copied().unwrap_or(0.0));
-            }
-        }
-        base += len;
-    }
-    // Pass 2: replay the identical weight sequence into the entropy terms.
-    let mut terms: HashMap<u32, chameleon_stats::EntropyTerms> = totals
-        .into_iter()
-        .map(|(omega, tot)| (omega, tot.into_terms()))
-        .collect();
-    let mut base = 0;
-    while base < n {
-        let len = strip.min(n - base);
-        let pmfs = strip_pmfs(base, len);
-        for pmf in &pmfs {
-            for (&omega, term) in terms.iter_mut() {
-                term.add(pmf.get(omega as usize).copied().unwrap_or(0.0));
-            }
-        }
-        base += len;
-    }
-    let entropy_by_omega: HashMap<u32, f64> = terms
-        .into_iter()
-        .map(|(omega, term)| (omega, term.bits()))
-        .collect();
-    let threshold = (k as f64).log2();
-    let mut unobfuscated = Vec::new();
-    for v in 0..n as u32 {
-        if entropy_by_omega[&knowledge.target(v)] < threshold {
-            unobfuscated.push(v);
-        }
-    }
-    AnonymityReport {
-        eps_hat: unobfuscated.len() as f64 / n as f64,
-        unobfuscated,
-        entropy_by_omega,
-        k,
-    }
 }
 
 /// The entropy sweep of the exact (tolerance-0) check: one posterior per
@@ -688,42 +589,6 @@ mod tests {
         // The plain entry points are exactly the 1-thread variants.
         let plain = anonymity_check(&g, &knowledge, 4);
         assert_eq!(plain.unobfuscated, serial.unobfuscated);
-    }
-
-    #[test]
-    fn streamed_check_is_bit_identical_to_in_ram() {
-        let mut g = UncertainGraph::with_nodes(30);
-        for v in 1..30u32 {
-            g.add_edge(0, v, 0.4).unwrap();
-            g.add_edge(v, (v % 29) + 1, 0.6).unwrap();
-        }
-        let knowledge = AdversaryKnowledge::expected_degrees(&g);
-        let dense = anonymity_check(&g, &knowledge, 4);
-        for strip in [1usize, 7, 30, 1000] {
-            for threads in [1usize, 4] {
-                let streamed = anonymity_check_streamed(&g, &knowledge, 4, strip, threads);
-                assert_eq!(dense.unobfuscated, streamed.unobfuscated, "strip {strip}");
-                assert_eq!(dense.eps_hat.to_bits(), streamed.eps_hat.to_bits());
-                assert_eq!(dense.k, streamed.k);
-                assert_eq!(
-                    dense.entropy_by_omega.len(),
-                    streamed.entropy_by_omega.len()
-                );
-                for (omega, h) in &dense.entropy_by_omega {
-                    assert_eq!(
-                        h.to_bits(),
-                        streamed.entropy_by_omega[omega].to_bits(),
-                        "omega {omega}, strip {strip}, {threads} threads"
-                    );
-                }
-            }
-        }
-        // Degenerate inputs keep the in-RAM conventions.
-        let empty = UncertainGraph::with_nodes(0);
-        let none = AdversaryKnowledge::from_values(vec![]);
-        let rep = anonymity_check_streamed(&empty, &none, 5, 0, 1);
-        assert_eq!(rep.eps_hat, 0.0);
-        assert!(rep.entropy_by_omega.is_empty());
     }
 
     #[test]

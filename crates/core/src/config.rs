@@ -49,7 +49,8 @@ pub struct ChameleonConfig {
     /// path; later probes legally consume their randomness differently, so
     /// the end-to-end result is a deterministic function of `(seed,
     /// config)` but can differ between the two settings once the σ search
-    /// takes more than one probe.
+    /// takes more than one probe. Composes with `strip_worlds`: neither
+    /// GenObf path reads a world ensemble after ERR.
     pub incremental: bool,
     /// Durability hook (DESIGN.md §11): called with the cumulative
     /// [`SearchCheckpoint`] after every live GenObf probe. The sink only
@@ -63,12 +64,13 @@ pub struct ChameleonConfig {
     /// the final output is bit-identical to an uninterrupted run.
     pub resume_from: Option<SearchCheckpoint>,
     /// Out-of-core ensemble analysis (DESIGN.md §12): when non-zero, the
-    /// VRR ensemble is held compressed and analyzed `strip_worlds` worlds
-    /// at a time (rounded up to the 64-world alignment), making ensemble
-    /// memory O(strip) instead of O(N). Results are **bit-identical** to
-    /// the in-RAM path for every strip size. `0` keeps the dense in-RAM
-    /// ensemble. Incompatible with `incremental` (which must keep its
-    /// dense ensemble alive across σ probes).
+    /// ERR/VRR ensemble is held compressed and analyzed `strip_worlds`
+    /// worlds at a time (rounded up to the 64-world alignment), making
+    /// ensemble memory O(strip) instead of O(N). Results are
+    /// **bit-identical** to the in-RAM path for every strip size, with or
+    /// without `incremental`. `0` keeps the dense in-RAM ensemble. The
+    /// σ-probe anonymity checks use no sampled worlds, so this setting
+    /// does not touch them.
     pub strip_worlds: usize,
 }
 
@@ -135,13 +137,6 @@ impl ChameleonConfig {
         }
         if !(self.bandwidth_scale.is_finite() && self.bandwidth_scale > 0.0) {
             return Err("bandwidth_scale must be positive and finite".into());
-        }
-        if self.strip_worlds > 0 && self.incremental {
-            return Err(
-                "strip_worlds requires the non-incremental search: the incremental \
-                 GenObf path keeps its dense ensemble alive across probes"
-                    .into(),
-            );
         }
         Ok(())
     }
@@ -320,17 +315,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::field_reassign_with_default)]
-    fn strip_worlds_defaults_off_and_rejects_incremental() {
+    fn strip_worlds_defaults_off_and_composes_with_incremental() {
         assert_eq!(ChameleonConfig::default().strip_worlds, 0);
         let c = ChameleonConfig::builder().strip_worlds(256).build();
         assert_eq!(c.strip_worlds, 256);
         assert!(c.validate().is_ok());
-        let mut c = ChameleonConfig::default();
-        c.strip_worlds = 64;
-        c.incremental = true;
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("incremental"), "{err}");
+        let c = ChameleonConfig::builder()
+            .strip_worlds(64)
+            .incremental(true)
+            .build();
+        assert!(c.strip_worlds == 64 && c.incremental);
+        assert!(c.validate().is_ok());
     }
 
     #[test]

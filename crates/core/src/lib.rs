@@ -66,9 +66,8 @@ pub mod relevance;
 pub mod uniqueness;
 
 pub use anonymity::{
-    anonymity_check, anonymity_check_cached, anonymity_check_streamed, anonymity_check_threads,
-    anonymity_check_tolerant, anonymity_check_tolerant_threads, AdversaryKnowledge,
-    AnonymityReport, DegreePmfCache,
+    anonymity_check, anonymity_check_cached, anonymity_check_threads, anonymity_check_tolerant,
+    anonymity_check_tolerant_threads, AdversaryKnowledge, AnonymityReport, DegreePmfCache,
 };
 pub use attack::{simulate_degree_attack, AttackReport};
 pub use cancel::{CancelReason, CancelToken};

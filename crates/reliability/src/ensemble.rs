@@ -40,22 +40,22 @@ pub(crate) const PAIR_BLOCK: usize = 1024;
 /// (Algorithm 2) iterates over exactly this cache.
 #[derive(Debug, Clone)]
 pub struct WorldEnsemble {
-    pub(crate) worlds: WorldMatrix,
+    worlds: WorldMatrix,
     /// World-major flat label matrix: world `w`'s labels are
     /// `labels[w*num_nodes .. (w+1)*num_nodes]`.
-    pub(crate) labels: Vec<u32>,
+    labels: Vec<u32>,
     /// Arena of per-world component sizes, indexed by dense label within
     /// the slice delimited by `size_offsets`.
-    pub(crate) component_sizes: Vec<u32>,
+    component_sizes: Vec<u32>,
     /// `size_offsets[w]..size_offsets[w+1]` is world `w`'s slice of
     /// `component_sizes`; length `num_worlds + 1`.
-    pub(crate) size_offsets: Vec<usize>,
-    pub(crate) connected_pairs: Vec<u64>,
-    pub(crate) num_nodes: usize,
+    size_offsets: Vec<usize>,
+    connected_pairs: Vec<u64>,
+    num_nodes: usize,
     /// Registration of this ensemble's arena bytes against the
     /// process-global gauge (`chameleon_stats::alloc_guard`); released on
     /// drop, re-registered on clone.
-    pub(crate) tracked: Tracked,
+    tracked: Tracked,
 }
 
 impl WorldEnsemble {
@@ -289,21 +289,6 @@ impl WorldEnsemble {
     /// # Panics
     /// Panics if the matrix stride is smaller than the graph's edge count.
     pub fn from_uniform_matrix(graph: &UncertainGraph, uniforms: &UniformMatrix) -> Self {
-        Self::from_uniform_matrix_threads(graph, uniforms, 1)
-    }
-
-    /// [`WorldEnsemble::from_uniform_matrix`] with the connectivity
-    /// analysis on up to `threads` worker threads (`0` = all hardware
-    /// threads). The world bits are a pure per-edge function of the
-    /// uniforms, so the result is identical for every thread count.
-    ///
-    /// # Panics
-    /// Panics if the matrix stride is smaller than the graph's edge count.
-    pub fn from_uniform_matrix_threads(
-        graph: &UncertainGraph,
-        uniforms: &UniformMatrix,
-        threads: usize,
-    ) -> Self {
         let m = graph.num_edges();
         assert!(
             uniforms.stride() >= m,
@@ -322,25 +307,7 @@ impl WorldEnsemble {
                 }
             }
         }
-        Self::from_matrix_threads(graph, matrix, threads)
-    }
-
-    /// Builds an ensemble from a row-per-world CRN uniforms matrix.
-    ///
-    /// # Panics
-    /// Panics if any uniform row is shorter than the graph's edge count.
-    #[deprecated(note = "use `from_uniform_matrix` with a flat `UniformMatrix`")]
-    pub fn from_uniforms(graph: &UncertainGraph, uniforms: &[Vec<f64>]) -> Self {
-        let m = graph.num_edges();
-        for row in uniforms {
-            assert!(row.len() >= m, "need {m} uniforms, got {}", row.len());
-        }
-        let stride = uniforms.iter().map(|r| r.len()).max().unwrap_or(m);
-        let mut flat = UniformMatrix::zeroed(uniforms.len(), stride);
-        for (w, row) in uniforms.iter().enumerate() {
-            flat.row_mut(w)[..row.len()].copy_from_slice(row);
-        }
-        Self::from_uniform_matrix(graph, &flat)
+        Self::from_matrix_threads(graph, matrix, 1)
     }
 
     /// Number of worlds.
@@ -541,20 +508,10 @@ impl UniformMatrix {
         assert!(w < self.num_worlds, "world {w} out of {}", self.num_worlds);
         &self.values[w * self.stride..(w + 1) * self.stride]
     }
-
-    /// Mutable row `w`.
-    ///
-    /// # Panics
-    /// Panics if `w >= num_worlds`.
-    pub fn row_mut(&mut self, w: usize) -> &mut [f64] {
-        assert!(w < self.num_worlds, "world {w} out of {}", self.num_worlds);
-        &mut self.values[w * self.stride..(w + 1) * self.stride]
-    }
 }
 
 /// Generates a flat CRN uniforms matrix: `n_worlds` rows of `n_edges`
-/// variates, drawn row-major (the same RNG sequence as the historical
-/// nested `crn_uniforms`).
+/// variates, drawn row-major.
 pub fn crn_uniform_matrix<R: Rng + ?Sized>(
     n_worlds: usize,
     n_edges: usize,
@@ -565,18 +522,6 @@ pub fn crn_uniform_matrix<R: Rng + ?Sized>(
         *x = rng.gen::<f64>();
     }
     m
-}
-
-/// Generates a CRN uniforms matrix as nested vectors.
-#[deprecated(note = "use `crn_uniform_matrix` for a flat row-stride matrix")]
-pub fn crn_uniforms<R: Rng + ?Sized>(
-    n_worlds: usize,
-    n_edges: usize,
-    rng: &mut R,
-) -> Vec<Vec<f64>> {
-    (0..n_worlds)
-        .map(|_| (0..n_edges).map(|_| rng.gen::<f64>()).collect())
-        .collect()
 }
 
 #[cfg(test)]
@@ -760,22 +705,6 @@ mod tests {
             a.two_terminal_reliability(0, 5),
             b.two_terminal_reliability(0, 5)
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_nested_shims_match_flat_matrix() {
-        let g = bridge_graph();
-        // Same seed → the flat generator draws the identical RNG sequence.
-        let nested = crn_uniforms(50, g.num_edges(), &mut StdRng::seed_from_u64(21));
-        let flat = crn_uniform_matrix(50, g.num_edges(), &mut StdRng::seed_from_u64(21));
-        for (w, row) in nested.iter().enumerate() {
-            assert_eq!(row.as_slice(), flat.row(w));
-        }
-        let a = WorldEnsemble::from_uniforms(&g, &nested);
-        let b = WorldEnsemble::from_uniform_matrix(&g, &flat);
-        assert_eq!(a.matrix(), b.matrix());
-        assert_eq!(a.connected_pairs_all(), b.connected_pairs_all());
     }
 
     #[test]

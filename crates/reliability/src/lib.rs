@@ -47,7 +47,6 @@
 pub mod dcr;
 pub mod discrepancy;
 pub mod ensemble;
-pub mod incremental;
 pub mod metrics;
 pub mod pairs;
 pub mod stream;
@@ -55,6 +54,5 @@ pub mod stream;
 pub use dcr::{dcr_profile, distance_constrained_reliability};
 pub use discrepancy::{avg_reliability_discrepancy, DiscrepancyReport};
 pub use ensemble::{crn_uniform_matrix, UniformMatrix, WorldEnsemble, WORLD_CHUNK};
-pub use incremental::IncrementalEnsemble;
 pub use pairs::sample_distinct_pairs;
 pub use stream::{align_strip, EnsembleStream, STRIP_ALIGN};

@@ -16,90 +16,27 @@ pub fn shannon_entropy_bits(weights: &[f64]) -> f64 {
 
 /// Shannon entropy in nats of the normalized distribution induced by
 /// non-negative weights. Returns 0 for an all-zero (or empty) input.
-pub fn shannon_entropy_nats(weights: &[f64]) -> f64 {
-    let mut total = WeightTotal::new();
-    for &w in weights {
-        total.add(w);
-    }
-    let mut terms = total.into_terms();
-    for &w in weights {
-        terms.add(w);
-    }
-    terms.nats()
-}
-
-/// Phase one of streaming Shannon entropy: accumulate the weight total.
 ///
-/// Entropy of unnormalized weights needs the total before any `p·ln p`
-/// term can be formed, so a streaming computation is two passes: feed
-/// every weight to [`WeightTotal::add`], convert with
-/// [`WeightTotal::into_terms`], then feed every weight *in the same
-/// order* to [`EntropyTerms::add`]. The arithmetic (a left-to-right `+=`
-/// sum, then per-weight `h -= p * p.ln()`) is exactly the sequence
-/// [`shannon_entropy_nats`] performs — which is itself implemented on top
-/// of these accumulators — so a strip-streamed caller that replays the
-/// weights in slice order reproduces the slice result bit-for-bit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WeightTotal {
-    total: f64,
-}
-
-impl WeightTotal {
-    /// An empty accumulator (total 0).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one weight to the running total.
-    pub fn add(&mut self, w: f64) {
+/// The arithmetic is a left-to-right `+=` total, then per-weight
+/// `h -= p * p.ln()` in slice order; the anonymity check's reports are
+/// pinned to these exact bits.
+pub fn shannon_entropy_nats(weights: &[f64]) -> f64 {
+    let mut total = 0.0;
+    for &w in weights {
         debug_assert!(w >= -1e-15, "negative weight {w}");
-        self.total += w;
+        total += w;
     }
-
-    /// The accumulated total so far.
-    pub fn total(&self) -> f64 {
-        self.total
+    if total <= 0.0 {
+        return 0.0;
     }
-
-    /// Finishes phase one, producing the phase-two term accumulator.
-    pub fn into_terms(self) -> EntropyTerms {
-        EntropyTerms {
-            total: self.total,
-            h: 0.0,
+    let mut h = 0.0;
+    for &w in weights {
+        if w > 0.0 {
+            let p = w / total;
+            h -= p * p.ln();
         }
     }
-}
-
-/// Phase two of streaming Shannon entropy: accumulate `-p·ln p` terms
-/// against a fixed total. See [`WeightTotal`] for the protocol.
-#[derive(Debug, Clone, Copy)]
-pub struct EntropyTerms {
-    total: f64,
-    h: f64,
-}
-
-impl EntropyTerms {
-    /// Adds one weight's entropy term. Weights must be replayed in the
-    /// same order as phase one for bit-identical results.
-    pub fn add(&mut self, w: f64) {
-        if self.total > 0.0 && w > 0.0 {
-            let p = w / self.total;
-            self.h -= p * p.ln();
-        }
-    }
-
-    /// Entropy in nats (0 for an all-zero or empty stream).
-    pub fn nats(&self) -> f64 {
-        if self.total <= 0.0 {
-            return 0.0;
-        }
-        self.h
-    }
-
-    /// Entropy in bits (0 for an all-zero or empty stream).
-    pub fn bits(&self) -> f64 {
-        self.nats() / std::f64::consts::LN_2
-    }
+    h
 }
 
 /// Entropy in bits computed from an iterator of weights without allocating.
@@ -182,44 +119,10 @@ mod tests {
         assert!((h - 0.8112781244591328).abs() < 1e-12);
     }
 
-    #[test]
-    fn accumulator_handles_zero_total() {
-        let mut t = WeightTotal::new();
-        t.add(0.0);
-        let mut terms = t.into_terms();
-        terms.add(0.0);
-        assert_eq!(terms.nats(), 0.0);
-        assert_eq!(terms.bits(), 0.0);
-        assert_eq!(WeightTotal::new().into_terms().nats(), 0.0);
-    }
-
     proptest! {
         #[test]
         fn entropy_nonnegative(w in proptest::collection::vec(0.0f64..10.0, 0..64)) {
             prop_assert!(shannon_entropy_bits(&w) >= 0.0);
-        }
-
-        /// Streaming the weights in strips through the two-phase
-        /// accumulator is bit-identical to the slice entry point.
-        #[test]
-        fn two_phase_accumulator_matches_slice_bitwise(
-            w in proptest::collection::vec(0.0f64..10.0, 0..64),
-            strip in 1usize..8,
-        ) {
-            let mut total = WeightTotal::new();
-            for chunk in w.chunks(strip) {
-                for &x in chunk {
-                    total.add(x);
-                }
-            }
-            let mut terms = total.into_terms();
-            for chunk in w.chunks(strip) {
-                for &x in chunk {
-                    terms.add(x);
-                }
-            }
-            prop_assert_eq!(terms.nats().to_bits(), shannon_entropy_nats(&w).to_bits());
-            prop_assert_eq!(terms.bits().to_bits(), shannon_entropy_bits(&w).to_bits());
         }
 
         #[test]

@@ -59,4 +59,4 @@ pub use sample::WorldSampler;
 pub use union_find::UnionFind;
 pub use weighted::WeightedUncertainGraph;
 pub use world::{World, WorldRef, WorldView};
-pub use world_matrix::{ResampleDelta, SamplePlan, WorldMatrix};
+pub use world_matrix::{SamplePlan, WorldMatrix};

@@ -220,86 +220,6 @@ impl SamplePlan {
         }
         m
     }
-
-    /// Builds one world from stored uniform variates instead of an RNG:
-    /// edge `e` is present iff `uniforms[e] < p(e)`. With uniforms drawn
-    /// from `[0, 1)` this is bit-identical to [`SamplePlan::sample_into`]
-    /// fed the same variates, and it is the common-random-numbers (CRN)
-    /// entry point: keeping `uniforms` fixed while edge probabilities move
-    /// couples the sampled worlds across probability vectors.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != words_per_world` or
-    /// `uniforms.len() < num_edges`.
-    pub fn sample_with_uniforms_into(&self, row: &mut [u64], uniforms: &[f64]) {
-        assert_eq!(row.len(), self.words_per_world, "row width mismatch");
-        assert!(
-            uniforms.len() >= self.num_edges,
-            "{} uniforms for {} edges",
-            uniforms.len(),
-            self.num_edges
-        );
-        row.copy_from_slice(&self.template);
-        for &(e, p) in &self.uncertain {
-            if uniforms[e as usize] < p {
-                row[e as usize / 64] |= 1u64 << (e % 64);
-            }
-        }
-    }
-
-    /// Delta-updates a CRN-sampled world in place after edge-probability
-    /// changes, flipping exactly the bits whose stored uniform crosses the
-    /// moved threshold: edge `e` flips iff
-    /// `(uniforms[e] < old_p) != (uniforms[e] < new_p)`.
-    ///
-    /// `changes` lists `(edge_id, old_p, new_p)`; `old_p` must be the
-    /// probability the row was last sampled/updated with (an edge listed
-    /// twice must chain its `old_p` through the previous entry's `new_p`).
-    /// The result is bit-identical to a from-scratch
-    /// [`SamplePlan::sample_with_uniforms_into`] over the updated
-    /// probability vector and the same uniforms.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != words_per_world` or an edge id is out of
-    /// range for `uniforms`.
-    pub fn resample_edges_into(
-        &self,
-        row: &mut [u64],
-        uniforms: &[f64],
-        changes: &[(u32, f64, f64)],
-    ) -> ResampleDelta {
-        assert_eq!(row.len(), self.words_per_world, "row width mismatch");
-        let mut delta = ResampleDelta::default();
-        for &(e, old_p, new_p) in changes {
-            let u = uniforms[e as usize];
-            let was = u < old_p;
-            let now = u < new_p;
-            if was != now {
-                row[e as usize / 64] ^= 1u64 << (e % 64);
-                delta.flipped += 1;
-                if was {
-                    delta.removed += 1;
-                }
-            }
-        }
-        delta
-    }
-}
-
-/// Flip summary from [`SamplePlan::resample_edges_into`]: how many
-/// threshold crossings toggled a bit in one world, and how many of those
-/// were deletions (present → absent); `flipped - removed` were
-/// insertions. An edge listed twice in one batch is counted per crossing
-/// (a down-then-up pair nets zero bit change but still reports a
-/// deletion), so `removed > 0` is a conservative "this world may have
-/// lost an edge" indicator — exactly what incremental component repair
-/// needs to decide between label-merge and full rebuild.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResampleDelta {
-    /// Total bits toggled.
-    pub flipped: usize,
-    /// Bits toggled from present to absent.
-    pub removed: usize,
 }
 
 #[cfg(test)]
@@ -394,125 +314,6 @@ mod tests {
     fn row_out_of_range_panics() {
         let m = WorldMatrix::zeroed(2, 10);
         let _ = m.row(2);
-    }
-
-    #[test]
-    fn uniform_rows_match_rng_rows_on_shared_stream() {
-        use rand::Rng;
-        let g = mixed_graph();
-        let plan = SamplePlan::new(&g);
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut by_rng = vec![0u64; plan.words_per_world()];
-        let mut by_uniform = vec![0u64; plan.words_per_world()];
-        for _ in 0..100 {
-            // Record the exact variates the RNG path consumes (one per
-            // uncertain edge, ascending), replay them positionally.
-            let mut replay = StdRng::seed_from_u64(rng.gen());
-            let mut snapshot = replay.clone();
-            plan.sample_into(&mut by_rng, &mut replay);
-            let mut uniforms = vec![2.0f64; g.num_edges()]; // 2.0: poison for certain edges
-            for (i, edge) in g.edges().iter().enumerate() {
-                if edge.p > 0.0 && edge.p < 1.0 {
-                    uniforms[i] = snapshot.gen::<f64>();
-                }
-            }
-            plan.sample_with_uniforms_into(&mut by_uniform, &uniforms);
-            assert_eq!(by_rng, by_uniform);
-        }
-    }
-
-    #[test]
-    fn resample_matches_from_scratch_under_probability_moves() {
-        use rand::Rng;
-        let g = mixed_graph();
-        let plan = SamplePlan::new(&g);
-        let m = g.num_edges();
-        let mut rng = StdRng::seed_from_u64(77);
-        let uniforms: Vec<f64> = (0..m).map(|_| rng.gen::<f64>()).collect();
-        let mut probs: Vec<f64> = g.edges().iter().map(|e| e.p).collect();
-        let mut row = vec![0u64; plan.words_per_world()];
-        plan.sample_with_uniforms_into(&mut row, &uniforms);
-        let mut scratch = row.clone();
-        for step in 0..200 {
-            // Move a couple of edges, including to/from the 0.0 / 1.0 ends.
-            let mut changes = Vec::new();
-            for _ in 0..1 + step % 3 {
-                let e = rng.gen_range(0..m);
-                if changes.iter().any(|&(c, _, _)| c == e as u32) {
-                    continue; // crossing counts are per-change; keep edges distinct
-                }
-                let new_p = match rng.gen_range(0..4) {
-                    0 => 0.0,
-                    1 => 1.0,
-                    _ => rng.gen::<f64>(),
-                };
-                changes.push((e as u32, probs[e], new_p));
-                probs[e] = new_p;
-            }
-            let delta = plan.resample_edges_into(&mut row, &uniforms, &changes);
-            // Reference: rebuild from scratch over the updated probabilities
-            // (direct `u < p` per edge, the CRN rule).
-            let before = scratch.clone();
-            for word in scratch.iter_mut() {
-                *word = 0;
-            }
-            for (e, &p) in probs.iter().enumerate() {
-                if uniforms[e] < p {
-                    scratch[e / 64] |= 1u64 << (e % 64);
-                }
-            }
-            assert_eq!(row, scratch, "delta path diverged at step {step}");
-            let removed = before
-                .iter()
-                .zip(&scratch)
-                .map(|(b, a)| (b & !a).count_ones() as usize)
-                .sum::<usize>();
-            let flipped = before
-                .iter()
-                .zip(&scratch)
-                .map(|(b, a)| (b ^ a).count_ones() as usize)
-                .sum::<usize>();
-            assert_eq!((delta.flipped, delta.removed), (flipped, removed));
-        }
-    }
-
-    #[test]
-    fn chained_double_change_keeps_bits_exact_and_reports_crossings() {
-        let g = mixed_graph();
-        let plan = SamplePlan::new(&g);
-        let uniforms = vec![0.3f64; g.num_edges()];
-        let mut row = vec![0u64; plan.words_per_world()];
-        plan.sample_with_uniforms_into(&mut row, &uniforms);
-        let before = row.clone();
-        // Edge 2 (p = 0.5, present at u = 0.3): drop below the uniform,
-        // then back above it — net zero bits, two crossings, one deletion.
-        let delta = plan.resample_edges_into(&mut row, &uniforms, &[(2, 0.5, 0.1), (2, 0.1, 0.8)]);
-        assert_eq!(row, before);
-        assert_eq!(
-            delta,
-            ResampleDelta {
-                flipped: 2,
-                removed: 1
-            }
-        );
-    }
-
-    #[test]
-    fn resample_noop_changes_touch_nothing() {
-        let g = mixed_graph();
-        let plan = SamplePlan::new(&g);
-        let uniforms = vec![0.3f64; g.num_edges()];
-        let mut row = vec![0u64; plan.words_per_world()];
-        plan.sample_with_uniforms_into(&mut row, &uniforms);
-        let before = row.clone();
-        // Probability moves that never cross a stored uniform flip nothing.
-        let delta = plan.resample_edges_into(
-            &mut row,
-            &uniforms,
-            &[(2, 0.5, 0.4), (4, 0.25, 0.05), (0, 1.0, 0.9)],
-        );
-        assert_eq!(delta, ResampleDelta::default());
-        assert_eq!(row, before);
     }
 
     proptest! {
