@@ -69,8 +69,8 @@ mod args;
 use args::Cli;
 use chameleon_baseline::RepAn;
 use chameleon_core::{
-    anonymity_check, anonymity_check_tolerant, simulate_degree_attack, AdversaryKnowledge,
-    Chameleon, ChameleonConfig, Method, PrivacyProfile,
+    anonymity_check_tolerant, simulate_degree_attack, AdversaryKnowledge, Chameleon,
+    ChameleonConfig, Method, PrivacyProfile,
 };
 use chameleon_reliability::{avg_reliability_discrepancy, sample_distinct_pairs, WorldEnsemble};
 use chameleon_stats::SeedSequence;
@@ -260,11 +260,7 @@ fn cmd_check(cli: &Cli) -> Result<(), String> {
     let epsilon: f64 = cli.get("epsilon", 0.0f64)?;
     let tolerance: u32 = cli.get("tolerance", 0u32)?;
     let knowledge = knowledge_for(cli, &graph)?;
-    let report = if tolerance == 0 {
-        anonymity_check(&graph, &knowledge, k)
-    } else {
-        anonymity_check_tolerant(&graph, &knowledge, k, tolerance)
-    };
+    let report = anonymity_check_tolerant(&graph, &knowledge, k, tolerance);
     println!(
         "({k}, {epsilon})-obfuscation: {}",
         if report.satisfies(epsilon) {

@@ -25,10 +25,10 @@ use chameleon_stats::shannon_entropy_bits;
 use chameleon_ugraph::{NodeId, UncertainGraph};
 use std::collections::HashMap;
 
-/// Builds the per-vertex truncated degree pmfs — the dominant cost of the
-/// anonymity check — on up to `threads` worker threads. Each vertex's pmf
-/// is a pure function of its incident probabilities, so the output is
-/// identical for every thread count.
+/// Builds the per-vertex degree pmfs, truncated at `omega_max` — the
+/// dominant cost of the anonymity check — on up to `threads` worker
+/// threads. Each vertex's pmf is a pure function of its incident
+/// probabilities, so the output is identical for every thread count.
 fn degree_pmfs(published: &UncertainGraph, omega_max: usize, threads: usize) -> Vec<Vec<f64>> {
     let _span = chameleon_obs::span!("anonymity.degree_pmfs");
     chameleon_obs::counter!("anonymity.pmfs_built").add(published.num_nodes() as u64);
@@ -92,6 +92,12 @@ impl AdversaryKnowledge {
     pub fn is_empty(&self) -> bool {
         self.targets.is_empty()
     }
+
+    /// The largest ω (0 when empty): an exact check reads no degree pmf
+    /// entry above it.
+    fn max_target(&self) -> usize {
+        self.targets.iter().copied().max().unwrap_or(0) as usize
+    }
 }
 
 /// Outcome of the anonymity check.
@@ -111,105 +117,6 @@ impl AnonymityReport {
     /// True when the graph is (k, ε)-obfuscated at tolerance `epsilon`.
     pub fn satisfies(&self, epsilon: f64) -> bool {
         self.eps_hat <= epsilon
-    }
-
-    /// Number of obfuscated vertices.
-    pub fn obfuscated_count(&self, total: usize) -> usize {
-        total - self.unobfuscated.len()
-    }
-}
-
-/// Variant of [`anonymity_check`] for an adversary with *approximate*
-/// degree knowledge: the posterior weight of vertex `u` for target value ω
-/// is `Pr[|deg_G̃(u) − ω| ≤ tolerance]` instead of an exact match.
-///
-/// This models the practical attacker the k-obfuscation literature calls
-/// "fuzzy matching" (paper §III-C: "blend every vertex with other
-/// fuzzy-matching nodes"): real auxiliary information (contact counts,
-/// co-author counts) is rarely exact. `tolerance = 0` coincides with
-/// [`anonymity_check`].
-///
-/// # Panics
-/// Same contract as [`anonymity_check`].
-pub fn anonymity_check_tolerant(
-    published: &UncertainGraph,
-    knowledge: &AdversaryKnowledge,
-    k: usize,
-    tolerance: u32,
-) -> AnonymityReport {
-    anonymity_check_tolerant_threads(published, knowledge, k, tolerance, 1)
-}
-
-/// [`anonymity_check_tolerant`] with the degree-pmf construction spread
-/// over up to `threads` worker threads (`0` = all hardware threads). The
-/// report is identical for every thread count.
-///
-/// # Panics
-/// Same contract as [`anonymity_check`].
-pub fn anonymity_check_tolerant_threads(
-    published: &UncertainGraph,
-    knowledge: &AdversaryKnowledge,
-    k: usize,
-    tolerance: u32,
-    threads: usize,
-) -> AnonymityReport {
-    let _span = chameleon_obs::span!("anonymity.check.tolerant");
-    chameleon_obs::counter!("anonymity.checks").add(1);
-    assert!(k >= 1, "k must be at least 1");
-    let n = published.num_nodes();
-    assert_eq!(
-        knowledge.len(),
-        n,
-        "adversary knowledge must cover every vertex"
-    );
-    if n == 0 {
-        return AnonymityReport {
-            eps_hat: 0.0,
-            unobfuscated: Vec::new(),
-            entropy_by_omega: HashMap::new(),
-            k,
-        };
-    }
-    // Widen to usize *before* adding: `omega + tolerance` in u32 can
-    // overflow (panic in debug, silent wrap in release) for adversary
-    // values near u32::MAX. usize is 64-bit on every supported target, but
-    // saturate anyway so the bound is safe unconditionally.
-    let omega_max = (knowledge.targets().iter().copied().max().unwrap_or(0) as usize)
-        .saturating_add(tolerance as usize);
-    let pmfs = degree_pmfs(published, omega_max, threads);
-    let mut entropy_by_omega: HashMap<u32, f64> = HashMap::new();
-    for &omega in knowledge.targets() {
-        entropy_by_omega.entry(omega).or_insert(f64::NAN);
-    }
-    let threshold = (k as f64).log2();
-    let mut weights = vec![0.0; n];
-    for (&omega, slot) in entropy_by_omega.iter_mut() {
-        let lo = (omega as usize).saturating_sub(tolerance as usize);
-        let hi = (omega as usize).saturating_add(tolerance as usize);
-        for (u, pmf) in pmfs.iter().enumerate() {
-            // Clamp the window to the pmf's support: entries past the end
-            // are exact 0.0 summands, so skipping them is bit-identical
-            // and keeps the sweep O(window ∩ support) even for huge ω.
-            let top = hi.min(pmf.len() - 1);
-            weights[u] = if lo <= top {
-                pmf[lo..=top].iter().sum()
-            } else {
-                0.0
-            };
-        }
-        *slot = shannon_entropy_bits(&weights);
-    }
-    let mut unobfuscated = Vec::new();
-    for v in 0..n as u32 {
-        if entropy_by_omega[&knowledge.target(v)] < threshold {
-            unobfuscated.push(v);
-        }
-    }
-    AnonymityReport {
-        eps_hat: unobfuscated.len() as f64 / n as f64,
-        unobfuscated,
-        entropy_by_omega,
-        k,
     }
 }
 
@@ -244,65 +151,106 @@ pub fn anonymity_check_threads(
     k: usize,
     threads: usize,
 ) -> AnonymityReport {
+    counted_check(published, knowledge, k, 0, threads)
+}
+
+/// Variant of [`anonymity_check`] for an adversary with *approximate*
+/// degree knowledge: the posterior weight of vertex `u` for target value ω
+/// is `Pr[|deg_G̃(u) − ω| ≤ tolerance]` instead of an exact match.
+///
+/// This models the practical attacker the k-obfuscation literature calls
+/// "fuzzy matching" (paper §III-C: "blend every vertex with other
+/// fuzzy-matching nodes"): real auxiliary information (contact counts,
+/// co-author counts) is rarely exact. `tolerance = 0` is
+/// [`anonymity_check`] bit for bit.
+///
+/// # Panics
+/// Same contract as [`anonymity_check`].
+pub fn anonymity_check_tolerant(
+    published: &UncertainGraph,
+    knowledge: &AdversaryKnowledge,
+    k: usize,
+    tolerance: u32,
+) -> AnonymityReport {
+    counted_check(published, knowledge, k, tolerance, 1)
+}
+
+/// One anonymity check as the observability layer sees it: the
+/// `anonymity.check` span and one tick of `anonymity.checks`.
+fn counted_check(
+    published: &UncertainGraph,
+    knowledge: &AdversaryKnowledge,
+    k: usize,
+    tolerance: u32,
+    threads: usize,
+) -> AnonymityReport {
     let _span = chameleon_obs::span!("anonymity.check");
     chameleon_obs::counter!("anonymity.checks").add(1);
+    sweep_graph(published, knowledge, k, tolerance, threads)
+}
+
+/// Builds `published`'s degree pmfs and runs [`sweep`] over them, without
+/// counting a check (the privacy profile is not one).
+pub(crate) fn sweep_graph(
+    published: &UncertainGraph,
+    knowledge: &AdversaryKnowledge,
+    k: usize,
+    tolerance: u32,
+    threads: usize,
+) -> AnonymityReport {
+    // Widen to usize *before* adding: `omega + tolerance` in u32 can
+    // overflow for adversary values near u32::MAX, so saturate.
+    let omega_max = knowledge.max_target().saturating_add(tolerance as usize);
+    let pmfs = degree_pmfs(published, omega_max, threads);
+    sweep(&pmfs, knowledge, k, tolerance)
+}
+
+/// The one entropy sweep behind every anonymity check and the privacy
+/// profile: one posterior per distinct adversary value ω, weighting each
+/// vertex by its degree mass in `[ω − tolerance, ω + tolerance]`, then one
+/// entropy comparison per vertex. At tolerance 0 the window is the single
+/// entry `pmf[ω]`, a one-term sum equal to that entry bit for bit.
+fn sweep(
+    pmfs: &[Vec<f64>],
+    knowledge: &AdversaryKnowledge,
+    k: usize,
+    tolerance: u32,
+) -> AnonymityReport {
     assert!(k >= 1, "k must be at least 1");
-    let n = published.num_nodes();
+    let n = pmfs.len();
     assert_eq!(
         knowledge.len(),
         n,
         "adversary knowledge must cover every vertex"
     );
-    if n == 0 {
-        return AnonymityReport {
-            eps_hat: 0.0,
-            unobfuscated: Vec::new(),
-            entropy_by_omega: HashMap::new(),
-            k,
-        };
-    }
-    // ω_max is a plain u32 → usize widening (no arithmetic), so unlike the
-    // tolerant variant there is nothing to saturate here.
-    let omega_max = knowledge.targets().iter().copied().max().unwrap_or(0) as usize;
-    // Per-vertex degree pmf, truncated at ω_max (values above are never
-    // queried).
-    let pmfs = degree_pmfs(published, omega_max, threads);
-    exact_entropy_sweep(&pmfs, knowledge, k)
-}
-
-/// The entropy sweep of the exact (tolerance-0) check: one posterior per
-/// distinct adversary value, one entropy comparison per vertex. Shared by
-/// [`anonymity_check_threads`] and [`anonymity_check_cached`] so the two
-/// paths are bit-identical by construction.
-fn exact_entropy_sweep(
-    pmfs: &[Vec<f64>],
-    knowledge: &AdversaryKnowledge,
-    k: usize,
-) -> AnonymityReport {
-    let n = pmfs.len();
-    // Distinct adversary values.
     let mut entropy_by_omega: HashMap<u32, f64> = HashMap::new();
     for &omega in knowledge.targets() {
         entropy_by_omega.entry(omega).or_insert(f64::NAN);
     }
-    let threshold = (k as f64).log2();
     let mut weights = vec![0.0; n];
     for (&omega, slot) in entropy_by_omega.iter_mut() {
-        let w = omega as usize;
+        let lo = (omega as usize).saturating_sub(tolerance as usize);
+        let hi = (omega as usize).saturating_add(tolerance as usize);
         for (u, pmf) in pmfs.iter().enumerate() {
-            weights[u] = pmf.get(w).copied().unwrap_or(0.0);
+            // Clamp the window to the pmf's support: entries past the end
+            // are exact 0.0 summands, so skipping them is bit-identical
+            // and keeps the sweep O(window ∩ support) even for huge ω.
+            let top = hi.min(pmf.len() - 1);
+            weights[u] = if lo <= top {
+                pmf[lo..=top].iter().sum()
+            } else {
+                0.0
+            };
         }
         *slot = shannon_entropy_bits(&weights);
     }
-    let mut unobfuscated = Vec::new();
-    for v in 0..n as u32 {
-        let h = entropy_by_omega[&knowledge.target(v)];
-        if h < threshold {
-            unobfuscated.push(v);
-        }
-    }
+    let threshold = (k as f64).log2();
+    let unobfuscated: Vec<NodeId> = (0..n as u32)
+        .filter(|&v| entropy_by_omega[&knowledge.target(v)] < threshold)
+        .collect();
     AnonymityReport {
-        eps_hat: unobfuscated.len() as f64 / n as f64,
+        // An empty graph is trivially obfuscated.
+        eps_hat: unobfuscated.len() as f64 / n.max(1) as f64,
         unobfuscated,
         entropy_by_omega,
         k,
@@ -346,7 +294,7 @@ impl DegreePmfCache {
             published.num_nodes(),
             "adversary knowledge must cover every vertex"
         );
-        let omega_max = knowledge.targets().iter().copied().max().unwrap_or(0) as usize;
+        let omega_max = knowledge.max_target();
         Self {
             omega_max,
             pmfs: degree_pmfs(published, omega_max, threads),
@@ -410,33 +358,23 @@ pub fn anonymity_check_cached(
 ) -> AnonymityReport {
     let _span = chameleon_obs::span!("anonymity.check.cached");
     chameleon_obs::counter!("anonymity.checks").add(1);
-    assert!(k >= 1, "k must be at least 1");
-    assert_eq!(
-        knowledge.len(),
-        cache.len(),
-        "adversary knowledge must cover every vertex"
-    );
-    let max_omega = knowledge.targets().iter().copied().max().unwrap_or(0) as usize;
     assert!(
-        cache.omega_max() >= max_omega,
+        cache.omega_max() >= knowledge.max_target(),
         "cache truncated at {} but the adversary queries {}",
         cache.omega_max(),
-        max_omega
+        knowledge.max_target()
     );
-    if cache.is_empty() {
-        return AnonymityReport {
-            eps_hat: 0.0,
-            unobfuscated: Vec::new(),
-            entropy_by_omega: HashMap::new(),
-            k,
-        };
-    }
-    exact_entropy_sweep(&cache.pmfs, knowledge, k)
+    sweep(&cache.pmfs, knowledge, k, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::PrivacyProfile;
+    use chameleon_ugraph::generators;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// n disconnected edges, all with probability p: every vertex is
     /// statistically identical.
@@ -545,7 +483,7 @@ mod tests {
         let g = matching(3, 0.5);
         let knowledge = AdversaryKnowledge::expected_degrees(&g);
         let rep = anonymity_check(&g, &knowledge, 4);
-        assert_eq!(rep.obfuscated_count(6), 6 - rep.unobfuscated.len());
+        assert_eq!(rep.eps_hat, rep.unobfuscated.len() as f64 / 6.0);
         assert_eq!(rep.k, 4);
     }
 
@@ -574,7 +512,6 @@ mod tests {
         }
         let knowledge = AdversaryKnowledge::expected_degrees(&g);
         let serial = anonymity_check_threads(&g, &knowledge, 4, 1);
-        let serial_tol = anonymity_check_tolerant_threads(&g, &knowledge, 4, 1, 1);
         for threads in [2, 4, 8] {
             let par = anonymity_check_threads(&g, &knowledge, 4, threads);
             assert_eq!(serial.unobfuscated, par.unobfuscated);
@@ -582,9 +519,6 @@ mod tests {
             for (omega, h) in &serial.entropy_by_omega {
                 assert_eq!(h.to_bits(), par.entropy_by_omega[omega].to_bits());
             }
-            let par_tol = anonymity_check_tolerant_threads(&g, &knowledge, 4, 1, threads);
-            assert_eq!(serial_tol.unobfuscated, par_tol.unobfuscated);
-            assert_eq!(serial_tol.eps_hat.to_bits(), par_tol.eps_hat.to_bits());
         }
         // The plain entry points are exactly the 1-thread variants.
         let plain = anonymity_check(&g, &knowledge, 4);
@@ -602,9 +536,9 @@ mod tests {
         let exact = anonymity_check(&g, &knowledge, 3);
         let tol0 = anonymity_check_tolerant(&g, &knowledge, 3, 0);
         assert_eq!(exact.unobfuscated, tol0.unobfuscated);
-        assert_eq!(exact.eps_hat, tol0.eps_hat);
+        assert_eq!(exact.eps_hat.to_bits(), tol0.eps_hat.to_bits());
         for (omega, h) in &exact.entropy_by_omega {
-            assert!((h - tol0.entropy_by_omega[omega]).abs() < 1e-12);
+            assert_eq!(h.to_bits(), tol0.entropy_by_omega[omega].to_bits());
         }
     }
 
@@ -776,5 +710,83 @@ mod tests {
         let h_fuzz = anonymity_check(&fuzz, &knowledge, 2).entropy_by_omega[&1];
         assert!((h_det - 1.0).abs() < 1e-12, "h_det={h_det}");
         assert!((h_fuzz - 2.0).abs() < 1e-12, "h_fuzz={h_fuzz}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Every entry point that runs the entropy sweep — the exact check
+        /// at 1 and 8 threads, the zero-tolerance fuzzy check, the cached
+        /// check and the privacy profile — agrees bit for bit with a naive
+        /// per-vertex reading of Definition 3.
+        #[test]
+        fn every_sweep_entry_point_matches_the_definition(
+            graph_seed in any::<u64>(),
+            n in 1usize..24,
+            density in 0.0f64..=0.5,
+            probs in proptest::collection::vec(0.0f64..=1.0, 16),
+            unreachable in proptest::collection::vec(0u8..4, 24),
+            k in 1usize..12,
+        ) {
+            let m = (density * (n * (n - 1) / 2) as f64) as usize;
+            let mut g = generators::gnm(n, m, &mut StdRng::seed_from_u64(graph_seed));
+            for e in 0..g.num_edges() {
+                // Snap the extremes so certain and impossible edges occur.
+                let p = match probs[e % probs.len()] {
+                    p if p < 0.1 => 0.0,
+                    p if p > 0.9 => 1.0,
+                    p => p,
+                };
+                g.set_prob(e as u32, p).unwrap();
+            }
+            // Expected degrees, with some vertices given values no vertex
+            // can reach (including u32::MAX).
+            let expected = AdversaryKnowledge::expected_degrees(&g);
+            let knowledge = AdversaryKnowledge::from_values(
+                (0..n as u32)
+                    .map(|v| match unreachable[v as usize] {
+                        0 => n as u32 + 3,
+                        1 if v % 2 == 0 => u32::MAX,
+                        _ => expected.target(v),
+                    })
+                    .collect(),
+            );
+            let omega_max = knowledge.max_target();
+            let naive = |omega: u32| {
+                let weights: Vec<f64> = (0..n as u32)
+                    .map(|u| {
+                        let pmf = pmf_truncated(&g.incident_probs(u), omega_max);
+                        pmf.get(omega as usize).copied().unwrap_or(0.0)
+                    })
+                    .collect();
+                shannon_entropy_bits(&weights)
+            };
+            let reference = anonymity_check_threads(&g, &knowledge, k, 1);
+            for (&omega, h) in &reference.entropy_by_omega {
+                prop_assert_eq!(h.to_bits(), naive(omega).to_bits(), "omega {}", omega);
+            }
+            let threshold = (k as f64).log2();
+            let failing: Vec<NodeId> = (0..n as u32)
+                .filter(|&v| naive(knowledge.target(v)) < threshold)
+                .collect();
+            prop_assert_eq!(&reference.unobfuscated, &failing);
+            let others = [
+                anonymity_check_threads(&g, &knowledge, k, 8),
+                anonymity_check_tolerant(&g, &knowledge, k, 0),
+                anonymity_check_cached(&DegreePmfCache::build(&g, &knowledge, 2), &knowledge, k),
+            ];
+            for other in &others {
+                prop_assert_eq!(&reference.unobfuscated, &other.unobfuscated);
+                prop_assert_eq!(reference.eps_hat.to_bits(), other.eps_hat.to_bits());
+                prop_assert_eq!(reference.entropy_by_omega.len(), other.entropy_by_omega.len());
+                for (omega, h) in &reference.entropy_by_omega {
+                    prop_assert_eq!(h.to_bits(), other.entropy_by_omega[omega].to_bits());
+                }
+            }
+            let profile = PrivacyProfile::compute(&g, &knowledge);
+            for v in 0..n as u32 {
+                let h = reference.entropy_by_omega[&knowledge.target(v)];
+                prop_assert_eq!(profile.entropy_bits[v as usize].to_bits(), h.to_bits());
+            }
+        }
     }
 }

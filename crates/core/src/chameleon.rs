@@ -5,14 +5,13 @@ use crate::anonymity::{
     anonymity_check_threads, AdversaryKnowledge, AnonymityReport, DegreePmfCache,
 };
 use crate::cancel::CancelToken;
-use crate::candidate::{select_candidates, VertexSampler};
+use crate::candidate::VertexSampler;
 use crate::config::ChameleonConfig;
 use crate::genobf_checkpoint::{
     graph_fingerprint, search_fingerprint, CheckpointHook, ProbeRecord, SearchCheckpoint,
 };
-use crate::genobf_plan::TrialPlan;
+use crate::genobf_plan::{TrialInputs, TrialPlan};
 use crate::method::Method;
-use crate::perturb::draw_noise;
 use crate::relevance::{
     edge_reliability_relevance_streamed, edge_reliability_relevance_threads, min_max_normalize,
     vertex_reliability_relevance,
@@ -112,6 +111,9 @@ pub struct ObfuscationResult {
     pub replayed_probes: usize,
 }
 
+/// A trial's graph and anonymity report.
+type Release = (UncertainGraph, AnonymityReport);
+
 /// Outcome of one GenObf call (paper Algorithm 3's `⟨ε̃, G̃⟩`).
 #[derive(Debug, Clone)]
 struct GenObfOutcome {
@@ -120,7 +122,53 @@ struct GenObfOutcome {
     /// Smallest ε̂ actually observed across trials, even when above the
     /// target (diagnostic; drives the near-miss report on failure).
     eps_nearest: f64,
-    graph: Option<(UncertainGraph, AnonymityReport)>,
+    graph: Option<Release>,
+}
+
+/// GenObf's winner rule, shared by both trial bodies: fed checked trials
+/// in trial order, it keeps the first trial attaining the minimal passing
+/// ε̂ (strict improvement), exactly as a serial loop over trials picks.
+struct TrialFold<T> {
+    epsilon: f64,
+    eps_nearest: f64,
+    best: Option<(f64, T)>,
+}
+
+impl<T> TrialFold<T> {
+    fn new(epsilon: f64) -> Self {
+        Self {
+            epsilon,
+            eps_nearest: 1.0,
+            best: None,
+        }
+    }
+
+    /// Folds one checked trial. Returns true once the winner has ε̂ = 0:
+    /// no later trial can strictly beat it, and `eps_nearest` already sits
+    /// at its minimum, so the caller may stop.
+    fn push(&mut self, eps_hat: f64, trial: T) -> bool {
+        self.eps_nearest = self.eps_nearest.min(eps_hat);
+        let better = match &self.best {
+            Some((best, _)) => eps_hat < *best,
+            None => true,
+        };
+        if eps_hat <= self.epsilon && better {
+            self.best = Some((eps_hat, trial));
+        }
+        matches!(self.best, Some((e, _)) if e == 0.0)
+    }
+
+    fn finish(self, release: impl FnOnce(T) -> Release) -> GenObfOutcome {
+        let (eps_hat, graph) = match self.best {
+            Some((eps_hat, trial)) => (eps_hat, Some(release(trial))),
+            None => (1.0, None),
+        };
+        GenObfOutcome {
+            eps_hat,
+            eps_nearest: self.eps_nearest,
+            graph,
+        }
+    }
 }
 
 /// Durability state threaded through one σ search: the queue of probes to
@@ -135,24 +183,214 @@ struct CheckpointState<'a> {
     replayed: usize,
 }
 
-/// What the σ-search control flow needs from one probe. `payload` is
-/// `None` for replayed probes — the graph is materialized lazily, and only
-/// if that probe ends up winning the search.
-struct ProbeEval {
-    call: u64,
-    eps_hat: f64,
-    eps_nearest: f64,
-    passed: bool,
-    payload: Option<(UncertainGraph, AnonymityReport)>,
+/// One σ probe as the search sees it. `release` is `None` for replayed
+/// probes — the graph is materialized lazily, and only if that probe ends
+/// up winning the search.
+struct Probe {
+    rec: ProbeRecord,
+    release: Option<Release>,
 }
 
-/// Best passing probe seen so far. A replayed winner carries no payload;
-/// the search end materializes it by re-running its recorded call.
-struct BestSoFar {
-    sigma: f64,
-    eps_hat: f64,
-    call: u64,
-    payload: Option<(UncertainGraph, AnonymityReport)>,
+/// One anonymize run's σ search (paper Algorithm 1) and everything its
+/// probes share, so that each phase of the search is one
+/// [`SigmaSearch::probe`] call per σ.
+struct SigmaSearch<'a> {
+    trial: TrialInputs<'a>,
+    seq: SeedSequence,
+    threads: usize,
+    cancel: &'a CancelToken,
+    /// GenObf invocations so far; call `c` draws its trials from the
+    /// streams `(seed, "genobf-trial", c, trial)`.
+    calls: usize,
+    /// Incremental mode (DESIGN.md §6d): the first GenObf call records
+    /// every trial's randomness into these plans; later σ probes
+    /// re-evaluate them instead of redrawing.
+    plans: Option<Vec<TrialPlan>>,
+    ckpt: CheckpointState<'a>,
+    /// Every probe as `(σ, eps_nearest)`, in call order.
+    sigma_trace: Vec<(f64, f64)>,
+    best_eps_seen: f64,
+}
+
+impl SigmaSearch<'_> {
+    /// One σ probe of Algorithm 1, after polling the cancel token. If the
+    /// front of the resume queue records exactly this `(call, σ)` probe,
+    /// its outcome is taken from the checkpoint without recomputation;
+    /// otherwise the probe runs live via [`SigmaSearch::gen_obf`] and —
+    /// when a sink is configured — the cumulative probe history is emitted
+    /// afterwards.
+    ///
+    /// A replay record that disagrees with the deterministic trajectory
+    /// (wrong σ bits or call index) invalidates the rest of the queue: the
+    /// remainder is dropped and the search continues live, which is always
+    /// correct, merely slower.
+    fn probe(&mut self, sigma: f64) -> Result<Probe, ChameleonError> {
+        if self.cancel.is_cancelled() {
+            return Err(ChameleonError::Cancelled);
+        }
+        let probe = match self.replay(sigma) {
+            Some(rec) => Probe { rec, release: None },
+            None => self.probe_live(sigma),
+        };
+        self.best_eps_seen = self.best_eps_seen.min(probe.rec.eps_nearest);
+        self.sigma_trace.push((sigma, probe.rec.eps_nearest));
+        Ok(probe)
+    }
+
+    fn replay(&mut self, sigma: f64) -> Option<ProbeRecord> {
+        let ckpt = &mut self.ckpt;
+        let front = ckpt.replay.front()?;
+        if front.sigma.to_bits() != sigma.to_bits() || front.call != self.calls as u64 {
+            ckpt.replay.clear();
+            return None;
+        }
+        let rec = ckpt.replay.pop_front().expect("front exists");
+        self.calls = rec.call as usize + 1;
+        ckpt.replayed += 1;
+        chameleon_obs::counter!("genobf.probes_replayed").add(1);
+        ckpt.probes.push(rec.clone());
+        Some(rec)
+    }
+
+    fn probe_live(&mut self, sigma: f64) -> Probe {
+        let call = self.calls as u64;
+        self.calls += 1;
+        let outcome = self.gen_obf(sigma, call);
+        let rec = ProbeRecord {
+            call,
+            sigma,
+            eps_hat: outcome.eps_hat,
+            eps_nearest: outcome.eps_nearest,
+            passed: outcome.graph.is_some(),
+        };
+        let ckpt = &mut self.ckpt;
+        ckpt.probes.push(rec.clone());
+        if let Some(sink) = ckpt.sink {
+            sink.emit(&SearchCheckpoint {
+                fingerprint: ckpt.fingerprint,
+                seed: ckpt.seed,
+                probes: ckpt.probes.clone(),
+            });
+        }
+        Probe {
+            rec,
+            release: outcome.graph,
+        }
+    }
+
+    /// The winning probe's graph and report. A replayed winner was never
+    /// built, but each probe is a pure function of (graph, config, seed,
+    /// call index), so re-running its one call reproduces it bit for bit.
+    fn release(&mut self, winner: Probe) -> Result<Release, ChameleonError> {
+        if let Some(release) = winner.release {
+            return Ok(release);
+        }
+        let ProbeRecord { call, sigma, .. } = winner.rec;
+        self.gen_obf(sigma, call).graph.ok_or_else(|| {
+            ChameleonError::CheckpointInvalid(format!(
+                "checkpointed winning probe (call {call}, sigma {sigma}) \
+                 did not reproduce a passing graph"
+            ))
+        })
+    }
+
+    /// One GenObf invocation (paper Algorithm 3) as call number `call`:
+    /// `t` randomized attempts at noise level σ, returning the best
+    /// (k, ε)-satisfying graph found.
+    ///
+    /// With `incremental` set, the trials' randomness is recorded into
+    /// `plans` on the first call and re-evaluated on every later one
+    /// (DESIGN.md §6d) instead of being redrawn.
+    fn gen_obf(&mut self, sigma: f64, call: u64) -> GenObfOutcome {
+        let _span = chameleon_obs::span!("genobf.call");
+        if self.trial.cfg.incremental {
+            return self.gen_obf_incremental(sigma);
+        }
+        let (trial, seq, threads) = (&self.trial, &self.seq, self.threads);
+        let cfg = trial.cfg;
+        // When trials run concurrently, the per-trial anonymity check runs
+        // single-threaded (nested fan-out would oversubscribe the pool);
+        // with a single trial the check gets the whole budget instead. The
+        // report is thread-count-invariant either way.
+        let check_threads = if threads.min(cfg.trials) > 1 {
+            1
+        } else {
+            threads
+        };
+        // Trials are independent: each owns the RNG stream
+        // (seed, "genobf-trial", call, trial), so they can run in any
+        // order on any number of threads and still reproduce the serial
+        // result exactly. The (call, trial) pair seeds via
+        // `rng_indexed2` — the flattened `call·1000 + trial` form used
+        // previously collides once a config asks for ≥ 1000 trials.
+        let outcomes: Vec<Option<Release>> = parallel::map_items(cfg.trials, threads, |t| {
+            let _trial_span = chameleon_obs::span!("genobf.trial");
+            chameleon_obs::counter!("genobf.trials").add(1);
+            let mut rng = seq.rng_indexed2("genobf-trial", call, t as u64);
+            let perturbed = trial.perturb_inline(sigma, &mut rng)?;
+            // Anonymity check (line 24).
+            let report =
+                anonymity_check_threads(&perturbed, &trial.knowledge, cfg.k, check_threads);
+            Some((perturbed, report))
+        });
+        let mut fold = TrialFold::new(cfg.epsilon);
+        for (perturbed, report) in outcomes.into_iter().flatten() {
+            if fold.push(report.eps_hat, (perturbed, report)) {
+                break;
+            }
+        }
+        fold.finish(|release| release)
+    }
+
+    /// The incremental GenObf path (DESIGN.md §6d): trials are recorded
+    /// once — on the first call, from exactly the RNG streams the
+    /// non-incremental path would consume, so that call's winner is
+    /// bit-identical — and every σ probe afterwards re-transforms the
+    /// stored randomness through the new σ's inverse CDF. Anonymity checks
+    /// run off the shared degree-pmf cache, and the winning graph is
+    /// materialized only when a probe passes.
+    fn gen_obf_incremental(&mut self, sigma: f64) -> GenObfOutcome {
+        let (trial, seq, threads) = (&self.trial, &self.seq, self.threads);
+        // The tape is always recorded from the call-0 RNG streams, no
+        // matter which call triggers recording: in a fresh run the first
+        // call *is* call 0, and in a checkpoint-resumed run the first live
+        // call comes later — pinning the stream index keeps the recorded
+        // tape (and therefore every downstream probe) identical to the
+        // uninterrupted run's.
+        let plans = self.plans.get_or_insert_with(|| {
+            let _s = chameleon_obs::span!("genobf.plan_record");
+            let base_cache = DegreePmfCache::build(trial.graph, &trial.knowledge, threads);
+            // Each trial records from its own stream, so recording them
+            // concurrently yields the same plans in the same order.
+            parallel::map_items(trial.cfg.trials, threads, |t| {
+                let mut rng = seq.rng_indexed2("genobf-trial", 0, t as u64);
+                TrialPlan::record(trial, &base_cache, &mut rng)
+            })
+        });
+        // Trials are checked `threads` at a time, and each wave's reports
+        // are folded serially in trial order. The fold stops at the first
+        // ε̂ = 0 winner and skips the remaining trials; only the
+        // `genobf.trials` counter sees fewer trials. A check is a pure
+        // function of (plan, σ), so a wave-mate checked but never folded
+        // leaves no trace in the result.
+        let mut fold = TrialFold::new(trial.cfg.epsilon);
+        'waves: for (w, wave) in plans.chunks_mut(threads).enumerate() {
+            let reports = parallel::map_items_mut(wave, threads, |plan| {
+                let _trial_span = chameleon_obs::span!("genobf.trial");
+                (!plan.is_degenerate()).then(|| plan.check_at_sigma(sigma, trial))
+            });
+            for (offset, report) in reports.into_iter().enumerate() {
+                chameleon_obs::counter!("genobf.trials").add(1);
+                let Some(report) = report else {
+                    continue;
+                };
+                if fold.push(report.eps_hat, (w * threads + offset, report)) {
+                    break 'waves;
+                }
+            }
+        }
+        fold.finish(|(t, report)| (plans[t].materialize(trial.graph), report))
+    }
 }
 
 /// The anonymization engine. Construct with a [`ChameleonConfig`], then
@@ -236,18 +474,9 @@ impl Chameleon {
             }
             replay = cp.probes.iter().cloned().collect();
         }
-        let mut ckpt = CheckpointState {
-            replay,
-            probes: Vec::new(),
-            fingerprint,
-            seed,
-            sink: self.config.checkpoint.as_ref(),
-            replayed: 0,
-        };
 
         let seq = SeedSequence::new(seed);
         let threads = parallel::resolve_threads(self.config.num_threads);
-        let knowledge = AdversaryKnowledge::expected_degrees(graph);
 
         // ---- Lines 1–2 of Algorithm 3, hoisted: invariants of the input.
         let uniq = uniqueness_scores_scaled(graph, self.config.bandwidth_scale, threads);
@@ -288,8 +517,32 @@ impl Chameleon {
             Vec::new()
         };
         let (excluded, selection) = prepare_selection(graph, method, &uniq, &vrr, &self.config);
+        let mut search = SigmaSearch {
+            trial: TrialInputs {
+                graph,
+                knowledge: AdversaryKnowledge::expected_degrees(graph),
+                cfg: &self.config,
+                strategy: method.perturbation(),
+                sampler: VertexSampler::new(&selection, &excluded),
+                selection,
+            },
+            seq,
+            threads,
+            cancel,
+            calls: 0,
+            plans: None,
+            ckpt: CheckpointState {
+                replay,
+                probes: Vec::new(),
+                fingerprint,
+                seed,
+                sink: self.config.checkpoint.as_ref(),
+                replayed: 0,
+            },
+            sigma_trace: Vec::new(),
+            best_eps_seen: 1.0,
+        };
 
-        let mut sigma_trace: Vec<(f64, f64)> = Vec::new();
         // ---- Algorithm 1: exponential growth phase.
         //
         // Deviation from the paper (documented in DESIGN.md §3): Algorithm
@@ -301,40 +554,13 @@ impl Chameleon {
         // when the upward sweep fails we also sweep downward (halving) —
         // the feasible region is an interval, and the final bisection still
         // finds its lower (minimum-noise) edge.
-        let mut calls = 0usize;
-        // Incremental mode (DESIGN.md §6d): the first GenObf call records
-        // every trial's randomness into these plans; later σ probes
-        // re-evaluate them instead of redrawing.
-        let mut trial_plans: Option<Vec<TrialPlan>> = None;
-        let mut best_eps_seen = 1.0f64;
         let mut sigma_l = 0.0f64;
         let mut sigma_u = self.config.sigma_init;
-        let mut best: Option<BestSoFar> = None;
+        let mut best: Option<Probe> = None;
         for _ in 0..=self.config.max_doublings {
-            if cancel.is_cancelled() {
-                return Err(ChameleonError::Cancelled);
-            }
-            let eval = self.probe_sigma(
-                graph,
-                &knowledge,
-                method,
-                sigma_u,
-                &selection,
-                &excluded,
-                &seq,
-                &mut calls,
-                &mut trial_plans,
-                &mut ckpt,
-            );
-            best_eps_seen = best_eps_seen.min(eval.eps_nearest);
-            sigma_trace.push((sigma_u, eval.eps_nearest));
-            if eval.passed {
-                best = Some(BestSoFar {
-                    sigma: sigma_u,
-                    eps_hat: eval.eps_hat,
-                    call: eval.call,
-                    payload: eval.payload,
-                });
+            let probe = search.probe(sigma_u)?;
+            if probe.rec.passed {
+                best = Some(probe);
                 break;
             }
             sigma_l = sigma_u;
@@ -346,425 +572,50 @@ impl Chameleon {
             // compliant and large noise over-perturbs).
             let mut sigma = self.config.sigma_init / 2.0;
             for _ in 0..MAX_HALVINGS {
-                if cancel.is_cancelled() {
-                    return Err(ChameleonError::Cancelled);
-                }
-                let eval = self.probe_sigma(
-                    graph,
-                    &knowledge,
-                    method,
-                    sigma,
-                    &selection,
-                    &excluded,
-                    &seq,
-                    &mut calls,
-                    &mut trial_plans,
-                    &mut ckpt,
-                );
-                best_eps_seen = best_eps_seen.min(eval.eps_nearest);
-                sigma_trace.push((sigma, eval.eps_nearest));
-                if eval.passed {
+                let probe = search.probe(sigma)?;
+                if probe.rec.passed {
                     sigma_l = 0.0;
                     sigma_u = sigma;
-                    best = Some(BestSoFar {
-                        sigma,
-                        eps_hat: eval.eps_hat,
-                        call: eval.call,
-                        payload: eval.payload,
-                    });
+                    best = Some(probe);
                     break;
                 }
                 sigma /= 2.0;
             }
         }
-        let Some(mut current_best) = best else {
+        let Some(mut best) = best else {
             return Err(ChameleonError::NoObfuscationFound {
                 max_sigma: sigma_u,
-                best_eps_hat: best_eps_seen,
+                best_eps_hat: search.best_eps_seen,
             });
         };
 
         // ---- Algorithm 1: bisection phase (relative tolerance, so tiny
         // feasible edges are located precisely).
         while sigma_u - sigma_l > self.config.sigma_tolerance * sigma_u.max(1e-12) {
-            if cancel.is_cancelled() {
-                return Err(ChameleonError::Cancelled);
-            }
             let sigma = 0.5 * (sigma_u + sigma_l);
-            let eval = self.probe_sigma(
-                graph,
-                &knowledge,
-                method,
-                sigma,
-                &selection,
-                &excluded,
-                &seq,
-                &mut calls,
-                &mut trial_plans,
-                &mut ckpt,
-            );
-            best_eps_seen = best_eps_seen.min(eval.eps_nearest);
-            sigma_trace.push((sigma, eval.eps_nearest));
-            if eval.passed {
+            let probe = search.probe(sigma)?;
+            if probe.rec.passed {
                 sigma_u = sigma;
-                current_best = BestSoFar {
-                    sigma,
-                    eps_hat: eval.eps_hat,
-                    call: eval.call,
-                    payload: eval.payload,
-                };
+                best = probe;
             } else {
                 sigma_l = sigma;
             }
         }
 
-        let BestSoFar {
-            sigma,
-            eps_hat,
-            call,
-            payload,
-        } = current_best;
-        let (graph_out, report) = match payload {
-            Some(payload) => payload,
-            None => {
-                // The winning probe was replayed from the checkpoint, so
-                // its graph was never built. Each probe is a pure function
-                // of (graph, config, seed, call index) — re-running the
-                // one winning call reproduces it bit for bit.
-                let mut replay_calls = call as usize;
-                let outcome = self.gen_obf(
-                    graph,
-                    &knowledge,
-                    method,
-                    sigma,
-                    &selection,
-                    &excluded,
-                    &seq,
-                    &mut replay_calls,
-                    &mut trial_plans,
-                );
-                match outcome.graph {
-                    Some(payload) => payload,
-                    None => {
-                        return Err(ChameleonError::CheckpointInvalid(format!(
-                            "checkpointed winning probe (call {call}, sigma {sigma}) \
-                             did not reproduce a passing graph"
-                        )))
-                    }
-                }
-            }
-        };
+        let (sigma, eps_hat) = (best.rec.sigma, best.rec.eps_hat);
+        let (graph_out, report) = search.release(best)?;
         Ok(ObfuscationResult {
             graph: graph_out,
             sigma,
             eps_hat,
             method,
-            genobf_calls: calls,
+            genobf_calls: search.calls,
             report,
             uniqueness: uniq,
             vrr,
-            sigma_trace,
-            replayed_probes: ckpt.replayed,
+            sigma_trace: search.sigma_trace,
+            replayed_probes: search.ckpt.replayed,
         })
-    }
-
-    /// One σ probe of Algorithm 1, replay-aware: if the front of the
-    /// resume queue records exactly this `(call, σ)` probe, its outcome is
-    /// taken from the checkpoint without recomputation; otherwise the
-    /// probe runs live via [`Chameleon::gen_obf`] and — when a sink is
-    /// configured — the cumulative probe history is emitted afterwards.
-    ///
-    /// A replay record that disagrees with the deterministic trajectory
-    /// (wrong σ bits or call index) invalidates the rest of the queue: the
-    /// remainder is dropped and the search continues live, which is always
-    /// correct, merely slower.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_sigma(
-        &self,
-        graph: &UncertainGraph,
-        knowledge: &AdversaryKnowledge,
-        method: Method,
-        sigma: f64,
-        selection: &[f64],
-        excluded: &HashSet<NodeId>,
-        seq: &SeedSequence,
-        calls: &mut usize,
-        plans: &mut Option<Vec<TrialPlan>>,
-        ckpt: &mut CheckpointState<'_>,
-    ) -> ProbeEval {
-        if let Some(front) = ckpt.replay.front() {
-            if front.sigma.to_bits() == sigma.to_bits() && front.call == *calls as u64 {
-                let rec = ckpt.replay.pop_front().expect("front exists");
-                *calls = rec.call as usize + 1;
-                ckpt.replayed += 1;
-                chameleon_obs::counter!("genobf.probes_replayed").add(1);
-                let eval = ProbeEval {
-                    call: rec.call,
-                    eps_hat: rec.eps_hat,
-                    eps_nearest: rec.eps_nearest,
-                    passed: rec.passed,
-                    payload: None,
-                };
-                ckpt.probes.push(rec);
-                return eval;
-            }
-            ckpt.replay.clear();
-        }
-        let call = *calls as u64;
-        let outcome = self.gen_obf(
-            graph, knowledge, method, sigma, selection, excluded, seq, calls, plans,
-        );
-        ckpt.probes.push(ProbeRecord {
-            call,
-            sigma,
-            eps_hat: outcome.eps_hat,
-            eps_nearest: outcome.eps_nearest,
-            passed: outcome.graph.is_some(),
-        });
-        if let Some(sink) = ckpt.sink {
-            sink.emit(&SearchCheckpoint {
-                fingerprint: ckpt.fingerprint,
-                seed: ckpt.seed,
-                probes: ckpt.probes.clone(),
-            });
-        }
-        ProbeEval {
-            call,
-            eps_hat: outcome.eps_hat,
-            eps_nearest: outcome.eps_nearest,
-            passed: outcome.graph.is_some(),
-            payload: outcome.graph,
-        }
-    }
-
-    /// One GenObf invocation (paper Algorithm 3): `t` randomized attempts
-    /// at noise level σ, returning the best (k, ε)-satisfying graph found.
-    ///
-    /// With `config.incremental` set, the trials' randomness is recorded
-    /// into `plans` on the first call and re-evaluated on every later one
-    /// (DESIGN.md §6d) instead of being redrawn.
-    #[allow(clippy::too_many_arguments)]
-    fn gen_obf(
-        &self,
-        graph: &UncertainGraph,
-        knowledge: &AdversaryKnowledge,
-        method: Method,
-        sigma: f64,
-        selection: &[f64],
-        excluded: &HashSet<NodeId>,
-        seq: &SeedSequence,
-        calls: &mut usize,
-        plans: &mut Option<Vec<TrialPlan>>,
-    ) -> GenObfOutcome {
-        let _span = chameleon_obs::span!("genobf.call");
-        let call_idx = *calls as u64;
-        *calls += 1;
-        let cfg = &self.config;
-        let threads = parallel::resolve_threads(cfg.num_threads);
-        let sampler = VertexSampler::new(selection, excluded);
-        let strategy = method.perturbation();
-        if cfg.incremental {
-            return self.gen_obf_incremental(
-                graph, knowledge, strategy, sigma, selection, &sampler, seq, plans,
-            );
-        }
-        // When trials run concurrently, the per-trial anonymity check runs
-        // single-threaded (nested fan-out would oversubscribe the pool);
-        // with a single trial the check gets the whole budget instead. The
-        // report is thread-count-invariant either way.
-        let check_threads = if threads.min(cfg.trials) > 1 {
-            1
-        } else {
-            threads
-        };
-        // Trials are independent: each owns the RNG stream
-        // (seed, "genobf-trial", call_idx, trial), so they can run in any
-        // order on any number of threads and still reproduce the serial
-        // result exactly. The (call, trial) pair seeds via
-        // `rng_indexed2` — the flattened `call·1000 + trial` form used
-        // previously collides once a config asks for ≥ 1000 trials.
-        let outcomes: Vec<(f64, Option<(UncertainGraph, AnonymityReport)>)> =
-            parallel::map_items(cfg.trials, threads, |trial| {
-                let _trial_span = chameleon_obs::span!("genobf.trial");
-                chameleon_obs::counter!("genobf.trials").add(1);
-                let mut rng = seq.rng_indexed2("genobf-trial", call_idx, trial as u64);
-                // Edge selection (lines 9–16).
-                let candidates = {
-                    let _s = chameleon_obs::span!("genobf.select");
-                    select_candidates(graph, &sampler, cfg.size_multiplier, &mut rng)
-                };
-                if candidates.is_empty() {
-                    return (1.0, None);
-                }
-                chameleon_obs::counter!("genobf.edges_perturbed").add(candidates.len() as u64);
-                // Noise budgets (σ(e) ∝ Q^e, mean σ(e) = σ; §V-E).
-                let q_edge: Vec<f64> = candidates
-                    .iter()
-                    .map(|c| 0.5 * (selection[c.u as usize] + selection[c.v as usize]))
-                    .collect();
-                let q_sum: f64 = q_edge.iter().sum();
-                let q_mean = if q_sum > 0.0 {
-                    q_sum / candidates.len() as f64
-                } else {
-                    1.0
-                };
-                // Perturbation (lines 17–23).
-                let _s_perturb = chameleon_obs::span!("genobf.perturb");
-                let mut perturbed = {
-                    let _s = chameleon_obs::span!("genobf.clone");
-                    graph.clone()
-                };
-                for (cand, &qe) in candidates.iter().zip(&q_edge) {
-                    let sigma_e = if q_sum > 0.0 {
-                        (sigma * qe / q_mean).clamp(1e-9, 3.0)
-                    } else {
-                        sigma.clamp(1e-9, 3.0)
-                    };
-                    let r = draw_noise(sigma_e, cfg.white_noise, &mut rng);
-                    let p_new = strategy.apply(cand.p, r, &mut rng);
-                    match cand.existing {
-                        Some(e) => perturbed.set_prob(e, p_new).expect("edge exists"),
-                        None => {
-                            perturbed
-                                .add_edge(cand.u, cand.v, p_new)
-                                .expect("candidate was a non-edge");
-                        }
-                    }
-                }
-                // Anonymity check (line 24).
-                drop(_s_perturb);
-                let report = anonymity_check_threads(&perturbed, knowledge, cfg.k, check_threads);
-                (report.eps_hat, Some((perturbed, report)))
-            });
-        // Fold in trial order with strict-improvement selection: the
-        // winner is the first trial attaining the minimal passing ε̂,
-        // exactly as a serial loop over trials would pick.
-        let mut best: Option<(f64, UncertainGraph, AnonymityReport)> = None;
-        let mut eps_nearest = 1.0f64;
-        for (eps_observed, trial_result) in outcomes {
-            eps_nearest = eps_nearest.min(eps_observed);
-            let Some((perturbed, report)) = trial_result else {
-                continue;
-            };
-            if report.eps_hat <= cfg.epsilon {
-                let better = best
-                    .as_ref()
-                    .map(|(e, _, _)| report.eps_hat < *e)
-                    .unwrap_or(true);
-                if better {
-                    best = Some((report.eps_hat, perturbed, report));
-                }
-            }
-        }
-        match best {
-            Some((eps_hat, g, rep)) => GenObfOutcome {
-                eps_hat,
-                eps_nearest,
-                graph: Some((g, rep)),
-            },
-            None => GenObfOutcome {
-                eps_hat: 1.0,
-                eps_nearest,
-                graph: None,
-            },
-        }
-    }
-
-    /// The incremental GenObf path (DESIGN.md §6d): trials are recorded
-    /// once — on the first call, from exactly the RNG streams the
-    /// non-incremental path would consume, so that call's winner is
-    /// bit-identical — and every σ probe afterwards re-transforms the
-    /// stored randomness through the new σ's inverse CDF. Anonymity checks
-    /// run off the shared degree-pmf cache, and the winning graph is
-    /// materialized only when a probe passes.
-    #[allow(clippy::too_many_arguments)]
-    fn gen_obf_incremental(
-        &self,
-        graph: &UncertainGraph,
-        knowledge: &AdversaryKnowledge,
-        strategy: crate::perturb::PerturbStrategy,
-        sigma: f64,
-        selection: &[f64],
-        sampler: &VertexSampler,
-        seq: &SeedSequence,
-        plans: &mut Option<Vec<TrialPlan>>,
-    ) -> GenObfOutcome {
-        let cfg = &self.config;
-        let threads = parallel::resolve_threads(cfg.num_threads);
-        // The tape is always recorded from the call-0 RNG streams, no
-        // matter which call triggers recording: in a fresh run the first
-        // call *is* call 0, and in a checkpoint-resumed run the first live
-        // call comes later — pinning the stream index keeps the recorded
-        // tape (and therefore every downstream probe) identical to the
-        // uninterrupted run's.
-        let plans = plans.get_or_insert_with(|| {
-            let _s = chameleon_obs::span!("genobf.plan_record");
-            let base_cache = DegreePmfCache::build(graph, knowledge, threads);
-            // Each trial records from its own stream, so recording them
-            // concurrently yields the same plans in the same order.
-            parallel::map_items(cfg.trials, threads, |trial| {
-                let mut rng = seq.rng_indexed2("genobf-trial", 0, trial as u64);
-                TrialPlan::record(
-                    graph,
-                    sampler,
-                    cfg,
-                    strategy,
-                    selection,
-                    &base_cache,
-                    &mut rng,
-                )
-            })
-        });
-        // Trials are checked `threads` at a time, and each wave's reports
-        // are folded serially in trial order with the plain path's
-        // strict-improvement winner rule. An ε̂ = 0 probe cannot be
-        // strictly beaten, so the fold stops there and skips the remaining
-        // trials. That cannot change the result or `eps_nearest`: both
-        // already sit at their minimum, 0. Only the `genobf.trials`
-        // counter sees fewer trials. A check is a pure function of
-        // (plan, σ), so a wave-mate checked but never folded leaves no
-        // trace in the result.
-        let mut best: Option<(f64, usize, AnonymityReport)> = None;
-        let mut eps_nearest = 1.0f64;
-        'waves: for (w, wave) in plans.chunks_mut(threads).enumerate() {
-            let reports = parallel::map_items_mut(wave, threads, |plan| {
-                let _trial_span = chameleon_obs::span!("genobf.trial");
-                (!plan.is_degenerate())
-                    .then(|| plan.check_at_sigma(sigma, strategy, knowledge, cfg))
-            });
-            for (offset, report) in reports.into_iter().enumerate() {
-                chameleon_obs::counter!("genobf.trials").add(1);
-                let Some(report) = report else {
-                    continue;
-                };
-                eps_nearest = eps_nearest.min(report.eps_hat);
-                if report.eps_hat <= cfg.epsilon {
-                    let better = best
-                        .as_ref()
-                        .map(|(e, _, _)| report.eps_hat < *e)
-                        .unwrap_or(true);
-                    if better {
-                        let exact = report.eps_hat == 0.0;
-                        best = Some((report.eps_hat, w * threads + offset, report));
-                        if exact {
-                            break 'waves;
-                        }
-                    }
-                }
-            }
-        }
-        match best {
-            Some((eps_hat, trial, report)) => GenObfOutcome {
-                eps_hat,
-                eps_nearest,
-                graph: Some((plans[trial].materialize(graph), report)),
-            },
-            None => GenObfOutcome {
-                eps_hat: 1.0,
-                eps_nearest,
-                graph: None,
-            },
-        }
     }
 }
 

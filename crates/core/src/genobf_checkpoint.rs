@@ -26,7 +26,7 @@
 
 use crate::config::ChameleonConfig;
 use crate::method::Method;
-use chameleon_obs::json::{self, Json};
+use chameleon_obs::json::Json;
 use chameleon_ugraph::UncertainGraph;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -162,42 +162,25 @@ impl SearchCheckpoint {
     }
 }
 
-/// Receives checkpoints as a σ search progresses. Implemented for any
-/// `Fn(&SearchCheckpoint)` via [`CheckpointHook::new`].
-pub trait CheckpointSink: Send + Sync {
-    /// Called after every live probe with the cumulative checkpoint. The
-    /// call happens on the search's thread between probes — keep it
-    /// cheap (serialize + hand off); it must not feed randomness back.
-    fn checkpoint(&self, checkpoint: &SearchCheckpoint);
-}
-
-impl<F: Fn(&SearchCheckpoint) + Send + Sync> CheckpointSink for F {
-    fn checkpoint(&self, checkpoint: &SearchCheckpoint) {
-        self(checkpoint);
-    }
-}
-
-/// A cloneable handle to a [`CheckpointSink`], carried on
-/// [`ChameleonConfig::checkpoint`]. Equality is handle identity
-/// (`Arc::ptr_eq`) so the config keeps its derived `PartialEq`; the sink
-/// itself never participates in result bytes.
+/// A cloneable handle to the closure that receives checkpoints as a σ
+/// search progresses, carried on [`ChameleonConfig::checkpoint`]. Equality
+/// is handle identity (`Arc::ptr_eq`) so the config keeps its derived
+/// `PartialEq`; the sink itself never participates in result bytes.
 #[derive(Clone)]
-pub struct CheckpointHook(Arc<dyn CheckpointSink>);
+pub struct CheckpointHook(Arc<dyn Fn(&SearchCheckpoint) + Send + Sync>);
 
 impl CheckpointHook {
-    /// Wraps a closure (or any sink) into a hook.
+    /// Wraps a closure into a hook.
     pub fn new<F: Fn(&SearchCheckpoint) + Send + Sync + 'static>(sink: F) -> Self {
         CheckpointHook(Arc::new(sink))
     }
 
-    /// Wraps an existing shared sink.
-    pub fn from_sink(sink: Arc<dyn CheckpointSink>) -> Self {
-        CheckpointHook(sink)
-    }
-
-    /// Delivers one checkpoint to the sink.
+    /// Delivers one checkpoint to the sink. The search calls this after
+    /// every live probe, on its own thread between probes, with the
+    /// cumulative checkpoint — the sink should stay cheap (serialize and
+    /// hand off) and must not feed randomness back.
     pub fn emit(&self, checkpoint: &SearchCheckpoint) {
-        self.0.checkpoint(checkpoint);
+        (self.0)(checkpoint);
     }
 }
 
@@ -275,13 +258,6 @@ fn hex_u64(v: &Json, key: &str) -> Result<u64, String> {
         .and_then(Json::as_str)
         .ok_or_else(|| format!("checkpoint: missing {key}"))?;
     u64::from_str_radix(s, 16).map_err(|e| format!("checkpoint: bad {key} {s:?}: {e}"))
-}
-
-/// Re-escapes a checkpoint for embedding as a JSON string field (journal
-/// records store checkpoints opaquely; this keeps the quoting in one
-/// place next to the format definition).
-pub fn to_json_string_field(checkpoint: &SearchCheckpoint) -> String {
-    json::string(&checkpoint.to_json())
 }
 
 #[cfg(test)]
@@ -396,14 +372,5 @@ mod tests {
         let b = CheckpointHook::new(|_: &SearchCheckpoint| {});
         assert_eq!(a, a.clone());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn string_field_embedding_round_trips() {
-        let cp = sample();
-        let field = to_json_string_field(&cp);
-        let unquoted = Json::parse(&field).unwrap();
-        let inner = unquoted.as_str().unwrap();
-        assert_eq!(SearchCheckpoint::parse(inner).unwrap(), cp);
     }
 }

@@ -1,5 +1,8 @@
-//! Persisted GenObf trial randomness for the incremental σ search
-//! (DESIGN.md §6d).
+//! GenObf trial bodies (paper Algorithm 3, lines 9–24): the plain trial,
+//! which draws its randomness inline, and the persisted trial of the
+//! incremental σ search (DESIGN.md §6d). Both run the per-candidate
+//! arithmetic of [`crate::perturb`], so they agree bit for bit on the same
+//! draws.
 //!
 //! A GenObf trial is a deterministic function of `(graph, selection, σ,
 //! ρ)` where ρ is the trial's random tape: the candidate selection plus,
@@ -26,10 +29,53 @@ use crate::anonymity::{
 };
 use crate::candidate::{select_candidates, CandidateEdge, VertexSampler};
 use crate::config::ChameleonConfig;
-use crate::perturb::PerturbStrategy;
-use chameleon_stats::TruncatedNormal;
+use crate::perturb::{draw_noise, noise, perturbed_clone, NoiseBudget, PerturbStrategy};
 use chameleon_ugraph::{NodeId, UncertainGraph};
 use rand::Rng;
+
+/// What every GenObf trial of one anonymize run reads; fixed for the
+/// whole σ search.
+pub(crate) struct TrialInputs<'a> {
+    pub(crate) graph: &'a UncertainGraph,
+    pub(crate) knowledge: AdversaryKnowledge,
+    pub(crate) cfg: &'a ChameleonConfig,
+    pub(crate) strategy: PerturbStrategy,
+    /// Selection weights `Q^v` (σ(e) budgets read them too).
+    pub(crate) selection: Vec<f64>,
+    /// Draws vertices ∝ `Q^v` over `V \ H`.
+    pub(crate) sampler: VertexSampler,
+}
+
+impl TrialInputs<'_> {
+    fn select<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<CandidateEdge> {
+        let _s = chameleon_obs::span!("genobf.select");
+        select_candidates(self.graph, &self.sampler, self.cfg.size_multiplier, rng)
+    }
+
+    /// One plain trial at `sigma` with its randomness drawn inline from
+    /// `rng`: the candidates, then per candidate the noise coin and
+    /// magnitude and (unguided only) the sign — the order
+    /// [`TrialPlan::record`] stores. `None` when no candidate was selected.
+    pub(crate) fn perturb_inline<R: Rng + ?Sized>(
+        &self,
+        sigma: f64,
+        rng: &mut R,
+    ) -> Option<UncertainGraph> {
+        let candidates = self.select(rng);
+        if candidates.is_empty() {
+            return None;
+        }
+        chameleon_obs::counter!("genobf.edges_perturbed").add(candidates.len() as u64);
+        let _s = chameleon_obs::span!("genobf.perturb");
+        let budget = NoiseBudget::new(&candidates, &self.selection);
+        let mut p_new = Vec::with_capacity(candidates.len());
+        for (i, cand) in candidates.iter().enumerate() {
+            let r = draw_noise(budget.sigma_e(i, sigma), self.cfg.white_noise, rng);
+            p_new.push(self.strategy.apply(cand.p, r, rng));
+        }
+        Some(perturbed_clone(self.graph, &candidates, &p_new))
+    }
+}
 
 /// Incident-probability overlay of one vertex touched by the trial's
 /// candidates: the base adjacency probabilities (plus appended slots for
@@ -49,18 +95,13 @@ struct VertexOverlay {
 #[derive(Debug, Clone)]
 pub(crate) struct TrialPlan {
     candidates: Vec<CandidateEdge>,
-    /// Per-candidate selection weight `Q^e` and its trial aggregates —
-    /// kept separate (not pre-divided) so σ_e is computed by the exact
-    /// float expression of the non-incremental path.
-    q_edge: Vec<f64>,
-    q_sum: f64,
-    q_mean: f64,
+    budget: NoiseBudget,
     /// White-noise coin uniform per candidate.
     coin: Vec<f64>,
     /// Magnitude uniform per candidate: the white-noise value itself, or
     /// the quantile fed to the truncated normal's inverse CDF.
     value: Vec<f64>,
-    /// Unguided-strategy sign per candidate (empty for max-entropy).
+    /// Unguided-strategy sign per candidate (all `false` for max-entropy).
     sign_up: Vec<bool>,
     overlays: Vec<VertexOverlay>,
     /// Degree pmfs: base-graph values for untouched vertices (shared with
@@ -73,39 +114,21 @@ pub(crate) struct TrialPlan {
 
 impl TrialPlan {
     /// Records one trial's tape from `rng`, consuming draws in exactly the
-    /// order the non-incremental trial does: candidate selection first,
-    /// then coin, value and (unguided only) sign per candidate.
+    /// order [`TrialInputs::perturb_inline`] does.
     pub(crate) fn record<R: Rng + ?Sized>(
-        graph: &UncertainGraph,
-        sampler: &VertexSampler,
-        cfg: &ChameleonConfig,
-        strategy: PerturbStrategy,
-        selection: &[f64],
+        inputs: &TrialInputs<'_>,
         base_cache: &DegreePmfCache,
         rng: &mut R,
     ) -> Self {
-        let candidates = select_candidates(graph, sampler, cfg.size_multiplier, rng);
-        let q_edge: Vec<f64> = candidates
-            .iter()
-            .map(|c| 0.5 * (selection[c.u as usize] + selection[c.v as usize]))
-            .collect();
-        let q_sum: f64 = q_edge.iter().sum();
-        let q_mean = if q_sum > 0.0 {
-            q_sum / candidates.len() as f64
-        } else {
-            1.0
-        };
+        let graph = inputs.graph;
+        let candidates = inputs.select(rng);
         let mut coin = Vec::with_capacity(candidates.len());
         let mut value = Vec::with_capacity(candidates.len());
-        let mut sign_up = Vec::new();
+        let mut sign_up = Vec::with_capacity(candidates.len());
         for _ in &candidates {
             coin.push(rng.gen::<f64>());
-            // Both draw_noise branches consume exactly one more uniform;
-            // which transform applies is decided at evaluation time.
             value.push(rng.gen::<f64>());
-            if strategy == PerturbStrategy::Unguided {
-                sign_up.push(rng.gen::<bool>());
-            }
+            sign_up.push(inputs.strategy.draw_sign(rng));
         }
 
         // Overlay construction: one entry per touched vertex.
@@ -137,24 +160,21 @@ impl TrialPlan {
                 overlay.writes.push((pos as u32, ci as u32));
             }
         }
-        let n_cands = candidates.len();
         Self {
+            budget: NoiseBudget::new(&candidates, &inputs.selection),
+            p_new: vec![0.0; candidates.len()],
             candidates,
-            q_edge,
-            q_sum,
-            q_mean,
             coin,
             value,
             sign_up,
             overlays,
             cache: base_cache.clone(),
-            p_new: vec![0.0; n_cands],
             scratch: Vec::new(),
         }
     }
 
-    /// True when the trial selected no candidates (degenerate; the
-    /// non-incremental path reports `(1.0, None)` for such a trial).
+    /// True when the trial selected no candidates (degenerate; the plain
+    /// trial returns `None` for such a trial).
     pub(crate) fn is_degenerate(&self) -> bool {
         self.candidates.is_empty()
     }
@@ -166,29 +186,13 @@ impl TrialPlan {
     pub(crate) fn check_at_sigma(
         &mut self,
         sigma: f64,
-        strategy: PerturbStrategy,
-        knowledge: &AdversaryKnowledge,
-        cfg: &ChameleonConfig,
+        inputs: &TrialInputs<'_>,
     ) -> AnonymityReport {
         debug_assert!(!self.is_degenerate());
         for (i, cand) in self.candidates.iter().enumerate() {
-            let sigma_e = if self.q_sum > 0.0 {
-                (sigma * self.q_edge[i] / self.q_mean).clamp(1e-9, 3.0)
-            } else {
-                sigma.clamp(1e-9, 3.0)
-            };
-            let r = if self.coin[i] < cfg.white_noise {
-                self.value[i]
-            } else {
-                TruncatedNormal::half_unit(sigma_e.max(1e-9)).inverse_cdf(self.value[i])
-            };
-            self.p_new[i] = match strategy {
-                PerturbStrategy::MaxEntropy => (cand.p + (1.0 - 2.0 * cand.p) * r).clamp(0.0, 1.0),
-                PerturbStrategy::Unguided => {
-                    let sign = if self.sign_up[i] { 1.0 } else { -1.0 };
-                    (cand.p + sign * r).clamp(0.0, 1.0)
-                }
-            };
+            let sigma_e = self.budget.sigma_e(i, sigma);
+            let r = noise(self.coin[i], self.value[i], sigma_e, inputs.cfg.white_noise);
+            self.p_new[i] = inputs.strategy.apply_signed(cand.p, r, self.sign_up[i]);
         }
         for overlay in &self.overlays {
             self.scratch.clear();
@@ -199,25 +203,14 @@ impl TrialPlan {
             self.cache.set_from_probs(overlay.v, &self.scratch);
         }
         chameleon_obs::counter!("genobf.pmf_overlays").add(self.overlays.len() as u64);
-        anonymity_check_cached(&self.cache, knowledge, cfg.k)
+        anonymity_check_cached(&self.cache, &inputs.knowledge, inputs.cfg.k)
     }
 
     /// Builds the perturbed graph for the most recent
-    /// [`TrialPlan::check_at_sigma`] — the same clone-and-apply sequence
-    /// the non-incremental trial performs up front, deferred to winners.
+    /// [`TrialPlan::check_at_sigma`] — the clone-and-apply step the plain
+    /// trial performs up front, deferred to winners.
     pub(crate) fn materialize(&self, graph: &UncertainGraph) -> UncertainGraph {
-        let mut perturbed = graph.clone();
-        for (cand, &p_new) in self.candidates.iter().zip(&self.p_new) {
-            match cand.existing {
-                Some(e) => perturbed.set_prob(e, p_new).expect("edge exists"),
-                None => {
-                    perturbed
-                        .add_edge(cand.u, cand.v, p_new)
-                        .expect("candidate was a non-edge");
-                }
-            }
-        }
-        perturbed
+        perturbed_clone(graph, &self.candidates, &self.p_new)
     }
 }
 
@@ -225,98 +218,55 @@ impl TrialPlan {
 mod tests {
     use super::*;
     use crate::anonymity::anonymity_check;
-    use crate::perturb::draw_noise;
     use chameleon_stats::SeedSequence;
     use chameleon_ugraph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
 
-    fn setup() -> (UncertainGraph, Vec<f64>, VertexSampler) {
+    fn graph() -> UncertainGraph {
         let mut rng = StdRng::seed_from_u64(3);
         let mut g = generators::gnm(30, 55, &mut rng);
         for e in 0..g.num_edges() as u32 {
             g.set_prob(e, rng.gen::<f64>()).unwrap();
         }
-        let selection: Vec<f64> = (0..30).map(|i| 0.05 + 0.03 * i as f64).collect();
-        let sampler = VertexSampler::new(&selection, &HashSet::new());
-        (g, selection, sampler)
+        g
     }
 
-    /// The reference trial: exactly the non-incremental gen_obf body.
-    fn reference_trial(
-        graph: &UncertainGraph,
-        sampler: &VertexSampler,
-        cfg: &ChameleonConfig,
+    fn inputs<'a>(
+        g: &'a UncertainGraph,
+        cfg: &'a ChameleonConfig,
         strategy: PerturbStrategy,
-        selection: &[f64],
-        sigma: f64,
-        rng: &mut StdRng,
-    ) -> UncertainGraph {
-        let candidates = select_candidates(graph, sampler, cfg.size_multiplier, rng);
-        let q_edge: Vec<f64> = candidates
-            .iter()
-            .map(|c| 0.5 * (selection[c.u as usize] + selection[c.v as usize]))
-            .collect();
-        let q_sum: f64 = q_edge.iter().sum();
-        let q_mean = if q_sum > 0.0 {
-            q_sum / candidates.len() as f64
-        } else {
-            1.0
-        };
-        let mut perturbed = graph.clone();
-        for (cand, &qe) in candidates.iter().zip(&q_edge) {
-            let sigma_e = if q_sum > 0.0 {
-                (sigma * qe / q_mean).clamp(1e-9, 3.0)
-            } else {
-                sigma.clamp(1e-9, 3.0)
-            };
-            let r = draw_noise(sigma_e, cfg.white_noise, rng);
-            let p_new = strategy.apply(cand.p, r, rng);
-            match cand.existing {
-                Some(e) => perturbed.set_prob(e, p_new).unwrap(),
-                None => {
-                    perturbed.add_edge(cand.u, cand.v, p_new).unwrap();
-                }
-            }
+    ) -> TrialInputs<'a> {
+        let selection: Vec<f64> = (0..30).map(|i| 0.05 + 0.03 * i as f64).collect();
+        TrialInputs {
+            graph: g,
+            knowledge: AdversaryKnowledge::expected_degrees(g),
+            cfg,
+            strategy,
+            sampler: VertexSampler::new(&selection, &HashSet::new()),
+            selection,
         }
-        perturbed
     }
 
     #[test]
-    fn plan_replays_the_reference_trial_bit_for_bit() {
-        let (g, selection, sampler) = setup();
+    fn plan_replays_the_plain_trial_bit_for_bit() {
+        let g = graph();
         let cfg = ChameleonConfig::builder()
             .k(3)
             .white_noise(0.05)
             .num_world_samples(10)
             .build();
-        let knowledge = AdversaryKnowledge::expected_degrees(&g);
-        let base_cache = DegreePmfCache::build(&g, &knowledge, 1);
         for strategy in [PerturbStrategy::MaxEntropy, PerturbStrategy::Unguided] {
+            let trial = inputs(&g, &cfg, strategy);
+            let base_cache = DegreePmfCache::build(&g, &trial.knowledge, 1);
             for sigma in [0.05, 0.3, 1.7] {
                 let seq = SeedSequence::new(11);
                 let mut rng_ref = seq.rng_indexed2("genobf-trial", 0, 0);
-                let expect = reference_trial(
-                    &g,
-                    &sampler,
-                    &cfg,
-                    strategy,
-                    &selection,
-                    sigma,
-                    &mut rng_ref,
-                );
+                let expect = trial.perturb_inline(sigma, &mut rng_ref).unwrap();
                 let mut rng_plan = seq.rng_indexed2("genobf-trial", 0, 0);
-                let mut plan = TrialPlan::record(
-                    &g,
-                    &sampler,
-                    &cfg,
-                    strategy,
-                    &selection,
-                    &base_cache,
-                    &mut rng_plan,
-                );
-                let report = plan.check_at_sigma(sigma, strategy, &knowledge, &cfg);
+                let mut plan = TrialPlan::record(&trial, &base_cache, &mut rng_plan);
+                let report = plan.check_at_sigma(sigma, &trial);
                 let got = plan.materialize(&g);
                 // Graphs agree bit for bit (edge order, endpoints, probs).
                 assert_eq!(expect.num_edges(), got.num_edges());
@@ -324,9 +274,11 @@ mod tests {
                     assert_eq!((a.u, a.v), (b.u, b.v));
                     assert_eq!(a.p.to_bits(), b.p.to_bits(), "({},{})", a.u, a.v);
                 }
+                // Both streams end at the same position.
+                assert_eq!(rng_ref.gen::<u64>(), rng_plan.gen::<u64>());
                 // Cached check agrees with the direct check of the
                 // materialized graph bit for bit.
-                let direct = anonymity_check(&expect, &knowledge, cfg.k);
+                let direct = anonymity_check(&expect, &trial.knowledge, cfg.k);
                 assert_eq!(report.unobfuscated, direct.unobfuscated);
                 assert_eq!(report.eps_hat.to_bits(), direct.eps_hat.to_bits());
                 for (omega, h) in &direct.entropy_by_omega {
@@ -341,37 +293,26 @@ mod tests {
         // The core incremental property: a single recorded tape checked at
         // several σ values matches freshly perturbed graphs driven by the
         // same RNG stream — in any probe order, including revisits.
-        let (g, selection, sampler) = setup();
+        let g = graph();
         let cfg = ChameleonConfig::builder().k(2).white_noise(0.01).build();
-        let strategy = PerturbStrategy::MaxEntropy;
-        let knowledge = AdversaryKnowledge::expected_degrees(&g);
-        let base_cache = DegreePmfCache::build(&g, &knowledge, 1);
+        let trial = inputs(&g, &cfg, PerturbStrategy::MaxEntropy);
+        let base_cache = DegreePmfCache::build(&g, &trial.knowledge, 1);
         let seq = SeedSequence::new(77);
         let mut plan = TrialPlan::record(
-            &g,
-            &sampler,
-            &cfg,
-            strategy,
-            &selection,
+            &trial,
             &base_cache,
             &mut seq.rng_indexed2("genobf-trial", 0, 0),
         );
         for sigma in [1.0, 0.25, 2.0, 0.25, 0.7] {
-            let report = plan.check_at_sigma(sigma, strategy, &knowledge, &cfg);
-            let expect = reference_trial(
-                &g,
-                &sampler,
-                &cfg,
-                strategy,
-                &selection,
-                sigma,
-                &mut seq.rng_indexed2("genobf-trial", 0, 0),
-            );
+            let report = plan.check_at_sigma(sigma, &trial);
+            let expect = trial
+                .perturb_inline(sigma, &mut seq.rng_indexed2("genobf-trial", 0, 0))
+                .unwrap();
             let got = plan.materialize(&g);
             for (a, b) in expect.edges().iter().zip(got.edges()) {
                 assert_eq!(a.p.to_bits(), b.p.to_bits());
             }
-            let direct = anonymity_check(&expect, &knowledge, cfg.k);
+            let direct = anonymity_check(&expect, &trial.knowledge, cfg.k);
             assert_eq!(report.unobfuscated, direct.unobfuscated);
             assert_eq!(report.eps_hat.to_bits(), direct.eps_hat.to_bits());
         }

@@ -67,15 +67,14 @@ pub mod uniqueness;
 
 pub use anonymity::{
     anonymity_check, anonymity_check_cached, anonymity_check_threads, anonymity_check_tolerant,
-    anonymity_check_tolerant_threads, AdversaryKnowledge, AnonymityReport, DegreePmfCache,
+    AdversaryKnowledge, AnonymityReport, DegreePmfCache,
 };
 pub use attack::{simulate_degree_attack, AttackReport};
 pub use cancel::{CancelReason, CancelToken};
 pub use chameleon::{Chameleon, ChameleonError, ObfuscationResult};
 pub use config::{ChameleonConfig, ChameleonConfigBuilder};
 pub use genobf_checkpoint::{
-    graph_fingerprint, search_fingerprint, CheckpointHook, CheckpointSink, ProbeRecord,
-    SearchCheckpoint,
+    graph_fingerprint, search_fingerprint, CheckpointHook, ProbeRecord, SearchCheckpoint,
 };
 pub use method::Method;
 pub use perturb::PerturbStrategy;

@@ -12,8 +12,15 @@
 //! * **Unguided** (the "naive strategy" of Fig. 7(a)): `p̃ = clamp(p ± r)`
 //!   with a fair random sign — the same noise budget spent without
 //!   direction control; used by the RS variant and as an ablation.
+//!
+//! The per-candidate arithmetic of a GenObf trial — noise budget σ(e),
+//! noise transform, rule, and writing the results into a cloned graph —
+//! is defined here once. Plain trials feed it fresh draws; incremental
+//! trials feed it uniforms recorded on a tape (DESIGN.md §6d).
 
+use crate::candidate::CandidateEdge;
 use chameleon_stats::TruncatedNormal;
+use chameleon_ugraph::UncertainGraph;
 use rand::Rng;
 
 /// A perturbation rule mapping `(p, r) → p̃`.
@@ -26,14 +33,26 @@ pub enum PerturbStrategy {
 }
 
 impl PerturbStrategy {
-    /// Applies the rule. `r` must lie in `[0, 1]`.
+    /// Applies the rule. `r` must lie in `[0, 1]`. The unguided rule draws
+    /// its sign from `rng`; the max-entropy rule draws nothing.
     pub fn apply<R: Rng + ?Sized>(&self, p: f64, r: f64, rng: &mut R) -> f64 {
+        self.apply_signed(p, r, self.draw_sign(rng))
+    }
+
+    /// The unguided rule's sign draw (`true` adds `r`); the max-entropy
+    /// rule consumes no randomness and gets `false`.
+    pub(crate) fn draw_sign<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        *self == PerturbStrategy::Unguided && rng.gen::<bool>()
+    }
+
+    /// The rule with the unguided sign already drawn.
+    pub(crate) fn apply_signed(&self, p: f64, r: f64, up: bool) -> f64 {
         debug_assert!((0.0..=1.0).contains(&p), "p out of range: {p}");
         debug_assert!((0.0..=1.0).contains(&r), "r out of range: {r}");
         match self {
             PerturbStrategy::MaxEntropy => (p + (1.0 - 2.0 * p) * r).clamp(0.0, 1.0),
             PerturbStrategy::Unguided => {
-                let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                let sign = if up { 1.0 } else { -1.0 };
                 (p + sign * r).clamp(0.0, 1.0)
             }
         }
@@ -42,13 +61,82 @@ impl PerturbStrategy {
 
 /// Draws the noise magnitude for one edge (Algorithm 3 lines 19–21): with
 /// probability `white_noise` a uniform draw, otherwise a truncated normal
-/// with scale `sigma_e`.
+/// with scale `sigma_e`. Always consumes exactly two uniforms.
 pub fn draw_noise<R: Rng + ?Sized>(sigma_e: f64, white_noise: f64, rng: &mut R) -> f64 {
-    if rng.gen::<f64>() < white_noise {
-        rng.gen::<f64>()
+    let coin = rng.gen::<f64>();
+    let value = rng.gen::<f64>();
+    noise(coin, value, sigma_e, white_noise)
+}
+
+/// The noise transform behind [`draw_noise`]: `value` itself when
+/// `coin < white_noise`, else the truncated normal's quantile at `value`.
+pub(crate) fn noise(coin: f64, value: f64, sigma_e: f64, white_noise: f64) -> f64 {
+    if coin < white_noise {
+        value
     } else {
-        TruncatedNormal::half_unit(sigma_e.max(1e-9)).sample(rng)
+        TruncatedNormal::half_unit(sigma_e.max(1e-9)).inverse_cdf(value)
     }
+}
+
+/// Per-candidate noise budgets of one trial (§V-E): σ(e) ∝ Q^e with mean
+/// σ(e) = σ, where Q^e averages the endpoints' selection weights.
+#[derive(Debug, Clone)]
+pub(crate) struct NoiseBudget {
+    q_edge: Vec<f64>,
+    q_sum: f64,
+    q_mean: f64,
+}
+
+impl NoiseBudget {
+    pub(crate) fn new(candidates: &[CandidateEdge], selection: &[f64]) -> Self {
+        let q_edge: Vec<f64> = candidates
+            .iter()
+            .map(|c| 0.5 * (selection[c.u as usize] + selection[c.v as usize]))
+            .collect();
+        let q_sum: f64 = q_edge.iter().sum();
+        let q_mean = q_sum / candidates.len() as f64;
+        Self {
+            q_edge,
+            q_sum,
+            q_mean,
+        }
+    }
+
+    /// σ_e of candidate `i` at noise level `sigma` (uniform when every
+    /// weight is 0).
+    pub(crate) fn sigma_e(&self, i: usize, sigma: f64) -> f64 {
+        let sigma_e = if self.q_sum > 0.0 {
+            sigma * self.q_edge[i] / self.q_mean
+        } else {
+            sigma
+        };
+        sigma_e.clamp(1e-9, 3.0)
+    }
+}
+
+/// Clones `graph` and writes each candidate's perturbed probability
+/// (Algorithm 3 lines 22–23): existing edges are re-weighted in place and
+/// non-edges appended in candidate order.
+pub(crate) fn perturbed_clone(
+    graph: &UncertainGraph,
+    candidates: &[CandidateEdge],
+    p_new: &[f64],
+) -> UncertainGraph {
+    let mut perturbed = {
+        let _s = chameleon_obs::span!("genobf.clone");
+        graph.clone()
+    };
+    for (cand, &p) in candidates.iter().zip(p_new) {
+        match cand.existing {
+            Some(e) => perturbed.set_prob(e, p).expect("edge exists"),
+            None => {
+                perturbed
+                    .add_edge(cand.u, cand.v, p)
+                    .expect("candidate was a non-edge");
+            }
+        }
+    }
+    perturbed
 }
 
 #[cfg(test)]

@@ -3,9 +3,7 @@
 //! supports at each tolerance — a release-auditing companion to the binary
 //! pass/fail [`crate::anonymity_check`].
 
-use crate::anonymity::AdversaryKnowledge;
-use chameleon_stats::poisson_binomial::pmf_truncated;
-use chameleon_stats::shannon_entropy_bits;
+use crate::anonymity::{sweep_graph, AdversaryKnowledge};
 use chameleon_ugraph::{NodeId, UncertainGraph};
 
 /// Per-vertex privacy diagnostics for one published graph.
@@ -23,26 +21,13 @@ impl PrivacyProfile {
     /// # Panics
     /// Panics if `knowledge` does not cover `published`'s vertex set.
     pub fn compute(published: &UncertainGraph, knowledge: &AdversaryKnowledge) -> Self {
-        let n = published.num_nodes();
-        assert_eq!(knowledge.len(), n, "knowledge must cover every vertex");
-        let omega_max = knowledge.targets().iter().copied().max().unwrap_or(0) as usize;
-        let pmfs: Vec<Vec<f64>> = (0..n as u32)
-            .map(|v| pmf_truncated(&published.incident_probs(v), omega_max))
+        // The exact check's sweep at k = 1, where no vertex can fail.
+        let report = sweep_graph(published, knowledge, 1, 0, 1);
+        let entropy_bits = knowledge
+            .targets()
+            .iter()
+            .map(|omega| report.entropy_by_omega[omega])
             .collect();
-        let mut cache: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-        let mut weights = vec![0.0; n];
-        let mut entropy_bits = Vec::with_capacity(n);
-        for v in 0..n as u32 {
-            let omega = knowledge.target(v);
-            let h = *cache.entry(omega).or_insert_with(|| {
-                let w = omega as usize;
-                for (u, pmf) in pmfs.iter().enumerate() {
-                    weights[u] = pmf.get(w).copied().unwrap_or(0.0);
-                }
-                shannon_entropy_bits(&weights)
-            });
-            entropy_bits.push(h);
-        }
         Self { entropy_bits }
     }
 

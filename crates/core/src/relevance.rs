@@ -319,24 +319,6 @@ pub fn edge_reliability_relevance_streamed(
     Ok(accum.finish())
 }
 
-/// Strip-streamed [`edge_reliability_relevance_alg2`]; same contract as
-/// [`edge_reliability_relevance_streamed`].
-///
-/// # Errors
-///
-/// Fails if decoding a strip would breach the configured ensemble byte
-/// ceiling.
-pub fn edge_reliability_relevance_alg2_streamed(
-    graph: &UncertainGraph,
-    stream: &EnsembleStream<'_>,
-    threads: usize,
-) -> Result<Vec<f64>, BudgetExceeded> {
-    let _span = chameleon_obs::span!("relevance.err_alg2_streamed");
-    let mut accum = ErrAlg2Accum::new(graph);
-    stream.for_each_strip(|_, strip| accum.fold(strip, threads))?;
-    Ok(accum.finish())
-}
-
 /// Convenience wrapper: samples an ensemble of `num_worlds` worlds and
 /// estimates ERR.
 pub fn edge_reliability_relevance_sampled<R: Rng + ?Sized>(
@@ -597,7 +579,11 @@ mod tests {
             for threads in [1usize, 8] {
                 let stream = EnsembleStream::sample(&g, n, 99, threads, strip).unwrap();
                 let coupled = edge_reliability_relevance_streamed(&g, &stream, threads).unwrap();
-                let alg2 = edge_reliability_relevance_alg2_streamed(&g, &stream, threads).unwrap();
+                let mut accum = ErrAlg2Accum::new(&g);
+                stream
+                    .for_each_strip(|_, strip| accum.fold(strip, threads))
+                    .unwrap();
+                let alg2 = accum.finish();
                 for e in 0..g.num_edges() {
                     assert_eq!(
                         dense_coupled[e].to_bits(),

@@ -10,8 +10,8 @@
 use crate::cache::fnv1a64;
 use chameleon_baseline::RepAn;
 use chameleon_core::{
-    anonymity_check, anonymity_check_tolerant, AdversaryKnowledge, CancelToken, Chameleon,
-    ChameleonConfig, ChameleonError, CheckpointHook, Method, SearchCheckpoint,
+    anonymity_check_tolerant, AdversaryKnowledge, CancelToken, Chameleon, ChameleonConfig,
+    ChameleonError, CheckpointHook, Method, SearchCheckpoint,
 };
 use chameleon_obs::json;
 use chameleon_reliability::{sample_distinct_pairs, WorldEnsemble};
@@ -327,11 +327,7 @@ impl JobSpec {
             } => {
                 let g = parse_graph(graph)?;
                 let knowledge = AdversaryKnowledge::expected_degrees(&g);
-                let report = if *tolerance == 0 {
-                    anonymity_check(&g, &knowledge, *k)
-                } else {
-                    anonymity_check_tolerant(&g, &knowledge, *k, *tolerance)
-                };
+                let report = anonymity_check_tolerant(&g, &knowledge, *k, *tolerance);
                 Ok(ExecOutput {
                     result: format!(
                         "{{\"satisfied\":{},\"eps_hat\":{},\"k\":{k},\"epsilon\":{},\

@@ -102,6 +102,11 @@ fn get_u64(v: &Json, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+fn get_u32(v: &Json, key: &str, default: u32) -> Result<u32, String> {
+    let value = get_u64(v, key, u64::from(default))?;
+    u32::try_from(value).map_err(|_| format!("field {key:?} must be at most {}", u32::MAX))
+}
+
 fn get_f64(v: &Json, key: &str, default: f64) -> Result<f64, String> {
     match v.get(key) {
         None => Ok(default),
@@ -244,7 +249,7 @@ fn parse_job_body(v: &Json, op: &str, id: Option<String>) -> Result<JobRequest, 
                 graph,
                 k: k as usize,
                 epsilon: get_f64(v, "epsilon", 0.0).map_err(&fail)?,
-                tolerance: get_u64(v, "tolerance", 0).map_err(&fail)? as u32,
+                tolerance: get_u32(v, "tolerance", 0).map_err(&fail)?,
             }
         }
         "reliability" => JobSpec::Reliability {
@@ -530,6 +535,28 @@ mod tests {
         assert!(msg.contains("\"k\""));
         let (_, msg) = parse_request(r#"{"op":"check","k":2}"#).err().unwrap();
         assert!(msg.contains("graph"));
+    }
+
+    #[test]
+    fn check_tolerance_above_u32_is_rejected() {
+        // A wrapping cast would read 2^32 as 0 and silently turn the fuzzy
+        // check into an exact one.
+        let line = |tol: u64| {
+            format!(r#"{{"op":"check","id":"t","graph":"0 1 0.5\n","k":2,"tolerance":{tol}}}"#)
+        };
+        let (id, msg) = parse_request(&line(1 << 32)).err().unwrap();
+        assert_eq!(id.as_deref(), Some("t"));
+        assert!(msg.contains("\"tolerance\""), "{msg}");
+        assert!(matches!(
+            parse_request(&line(u64::from(u32::MAX))).unwrap(),
+            Request::Job(JobRequest {
+                spec: JobSpec::Check {
+                    tolerance: u32::MAX,
+                    ..
+                },
+                ..
+            })
+        ));
     }
 
     #[test]
