@@ -479,7 +479,7 @@ impl Chameleon {
         let threads = parallel::resolve_threads(self.config.num_threads);
 
         // ---- Lines 1–2 of Algorithm 3, hoisted: invariants of the input.
-        let uniq = uniqueness_scores_scaled(graph, self.config.bandwidth_scale, threads);
+        let uniq = uniqueness_scores_scaled(graph, self.config.bandwidth_scale);
         let vrr = if method.reliability_oriented() {
             let ens_seed = seq.derive("relevance-ensemble");
             let err = if self.config.strip_worlds > 0 {
@@ -928,7 +928,7 @@ mod tests {
     #[test]
     fn prepare_selection_excludes_top_combined() {
         let g = test_graph(8);
-        let uniq = uniqueness_scores_scaled(&g, 1.0, 1);
+        let uniq = uniqueness_scores_scaled(&g, 1.0);
         let mut rng = StdRng::seed_from_u64(0);
         let ens = WorldEnsemble::sample(&g, 100, &mut rng);
         let err = edge_reliability_relevance(&g, &ens);
@@ -953,7 +953,7 @@ mod tests {
     #[test]
     fn zero_epsilon_keeps_everyone() {
         let g = test_graph(9);
-        let uniq = uniqueness_scores_scaled(&g, 1.0, 1);
+        let uniq = uniqueness_scores_scaled(&g, 1.0);
         let cfg = ChameleonConfig::builder().epsilon(0.0).build();
         let (excluded, _) = prepare_selection(&g, Method::Me, &uniq, &[], &cfg);
         assert!(excluded.is_empty());
@@ -1021,7 +1021,7 @@ mod tests {
     #[test]
     fn selection_floor_keeps_critical_vertices_perturbable() {
         let g = test_graph(10);
-        let uniq = uniqueness_scores_scaled(&g, 1.0, 1);
+        let uniq = uniqueness_scores_scaled(&g, 1.0);
         let mut rng = StdRng::seed_from_u64(1);
         let ens = WorldEnsemble::sample(&g, 100, &mut rng);
         let err = edge_reliability_relevance(&g, &ens);

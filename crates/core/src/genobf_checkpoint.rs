@@ -34,6 +34,16 @@ use std::sync::Arc;
 /// Current serialization version; bumped if the record shape changes.
 const CHECKPOINT_VERSION: u64 = 1;
 
+/// Revision of the σ search's arithmetic, folded into every
+/// [`search_fingerprint`]. A checkpoint records probe *outcomes*, so one
+/// journaled by a build whose search computes different outcomes for the
+/// same inputs must not be replayed into this one. Bump this whenever
+/// `tests/golden_release.rs` is re-pinned.
+///
+/// History: 1 — exact O(n²) uniqueness KDE (fingerprints carried no
+/// revision field); 2 — linear-binned uniqueness KDE.
+pub const SEARCH_REVISION: u64 = 2;
+
 /// One completed GenObf invocation of a σ search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbeRecord {
@@ -221,10 +231,11 @@ pub fn graph_fingerprint(graph: &UncertainGraph) -> u64 {
 }
 
 /// Folds everything that pins a σ-search trajectory into one value: the
-/// graph digest, the method, the seed, and each config knob the search
-/// consults. `num_threads` is deliberately excluded (results are
-/// thread-count invariant); the durability hooks themselves are excluded
-/// (they observe the search, they do not steer it).
+/// [`SEARCH_REVISION`], the graph digest, the method, the seed, and each
+/// config knob the search consults. `num_threads` is deliberately
+/// excluded (results are thread-count invariant); the durability hooks
+/// themselves are excluded (they observe the search, they do not steer
+/// it).
 pub fn search_fingerprint(
     graph_digest: u64,
     method: Method,
@@ -235,7 +246,7 @@ pub fn search_fingerprint(
     let _ = write!(
         canon,
         "g={graph_digest:016x};m={};seed={seed};k={};eps={:016x};c={:016x};q={:016x};t={};N={};\
-         s0={:016x};tol={:016x};d={};bw={:016x};inc={}",
+         s0={:016x};tol={:016x};d={};bw={:016x};inc={};rev={SEARCH_REVISION}",
         method.name(),
         config.k,
         config.epsilon.to_bits(),

@@ -15,19 +15,18 @@ use chameleon_stats::GaussianKde;
 use chameleon_ugraph::UncertainGraph;
 
 /// Per-vertex uniqueness scores `U^v` of the uncertain graph, computed on
-/// expected degrees with the paper's θ = σ_G bandwidth, on one thread.
+/// expected degrees with the paper's θ = σ_G bandwidth.
 pub fn uniqueness_scores(graph: &UncertainGraph) -> Vec<f64> {
-    uniqueness_scores_scaled(graph, 1.0, 1)
+    uniqueness_scores_scaled(graph, 1.0)
 }
 
 /// Uniqueness scores with bandwidth θ = `scale`·σ_G — the ablation knob
-/// over the paper's bandwidth choice (§V-C sets scale = 1) — with the
-/// O(n²) kernel rows spread over up to `threads` threads (bit-identical
-/// at every thread count; see [`GaussianKde::uniqueness_at_support`]).
+/// over the paper's bandwidth choice (§V-C sets scale = 1). The KDE is
+/// evaluated by linear binning (see [`GaussianKde::uniqueness_at_support`]).
 ///
 /// # Panics
 /// Panics if `scale` is not strictly positive and finite.
-pub fn uniqueness_scores_scaled(graph: &UncertainGraph, scale: f64, threads: usize) -> Vec<f64> {
+pub fn uniqueness_scores_scaled(graph: &UncertainGraph, scale: f64) -> Vec<f64> {
     assert!(
         scale.is_finite() && scale > 0.0,
         "invalid bandwidth scale {scale}"
@@ -38,16 +37,7 @@ pub fn uniqueness_scores_scaled(graph: &UncertainGraph, scale: f64, threads: usi
     }
     let sd = chameleon_stats::Summary::from_slice(&values).population_std_dev();
     let theta = if sd > 1e-12 { sd * scale } else { scale };
-    GaussianKde::new(values, theta).uniqueness_at_support(threads)
-}
-
-/// Uniqueness scores with an explicit bandwidth θ (exposed for ablations
-/// over the paper's bandwidth choice).
-pub fn uniqueness_with_bandwidth(values: &[f64], theta: f64) -> Vec<f64> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    GaussianKde::new(values.to_vec(), theta).uniqueness_at_support(1)
+    GaussianKde::new(values, theta).uniqueness_at_support()
 }
 
 #[cfg(test)]
@@ -82,8 +72,9 @@ mod tests {
         let g = star_plus_matching();
         let u = uniqueness_scores(&g);
         for v in 8..13 {
-            assert!(
-                (u[7] - u[v]).abs() < 1e-9,
+            assert_eq!(
+                u[7].to_bits(),
+                u[v].to_bits(),
                 "matching nodes should have equal uniqueness"
             );
         }
@@ -93,7 +84,6 @@ mod tests {
     fn empty_graph() {
         let g = UncertainGraph::with_nodes(0);
         assert!(uniqueness_scores(&g).is_empty());
-        assert!(uniqueness_with_bandwidth(&[], 1.0).is_empty());
     }
 
     #[test]
@@ -105,14 +95,18 @@ mod tests {
     }
 
     #[test]
-    fn explicit_bandwidth_changes_scale() {
-        let vals = [1.0, 1.0, 1.0, 10.0];
-        let narrow = uniqueness_with_bandwidth(&vals, 0.5);
-        let wide = uniqueness_with_bandwidth(&vals, 100.0);
+    fn bandwidth_scale_changes_scale() {
+        // A star centre of expected degree 3 among seven degree-1 vertices.
+        let mut g = UncertainGraph::with_nodes(8);
+        for (u, v) in [(0, 1), (0, 2), (0, 3), (4, 5), (6, 7)] {
+            g.add_edge(u, v, 1.0).unwrap();
+        }
+        let narrow = uniqueness_scores_scaled(&g, 0.25);
+        let wide = uniqueness_scores_scaled(&g, 100.0);
         // Narrow bandwidth: outlier dramatically more unique; wide: scores
         // nearly equal.
-        assert!(narrow[3] / narrow[0] > 2.0);
-        assert!((wide[3] / wide[0] - 1.0).abs() < 0.1);
+        assert!(narrow[0] / narrow[1] > 2.0);
+        assert!((wide[0] / wide[1] - 1.0).abs() < 0.1);
     }
 
     #[test]

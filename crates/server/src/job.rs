@@ -521,6 +521,96 @@ mod tests {
         assert_eq!(spec.execute(&token), Err(ExecError::Cancelled));
     }
 
+    /// The search fingerprint as builds before search revision 2 computed
+    /// it: the same canonical string with no `rev` field.
+    fn fingerprint_without_revision(spec: &JobSpec) -> u64 {
+        let JobSpec::Obfuscate {
+            graph,
+            k,
+            epsilon,
+            method: AnonymizeMethod::Chameleon(m),
+            worlds,
+            trials,
+            seed,
+            ..
+        } = spec
+        else {
+            unreachable!()
+        };
+        let config = ChameleonConfig {
+            k: *k,
+            epsilon: *epsilon,
+            num_world_samples: *worlds,
+            trials: *trials,
+            ..ChameleonConfig::default()
+        };
+        let digest = chameleon_core::graph_fingerprint(&parse_graph(graph).unwrap());
+        fnv1a64(
+            format!(
+                "g={digest:016x};m={};seed={seed};k={};eps={:016x};c={:016x};q={:016x};t={};\
+                 N={};s0={:016x};tol={:016x};d={};bw={:016x};inc={}",
+                m.name(),
+                config.k,
+                config.epsilon.to_bits(),
+                config.size_multiplier.to_bits(),
+                config.white_noise.to_bits(),
+                config.trials,
+                config.num_world_samples,
+                config.sigma_init.to_bits(),
+                config.sigma_tolerance.to_bits(),
+                config.max_doublings,
+                config.bandwidth_scale.to_bits(),
+                config.incremental,
+            )
+            .as_bytes(),
+        )
+    }
+
+    #[test]
+    fn checkpoint_from_an_older_search_revision_runs_fresh() {
+        let spec = JobSpec::Obfuscate {
+            graph: tiny_graph(),
+            k: 2,
+            epsilon: 0.1,
+            method: AnonymizeMethod::Chameleon(Method::Me),
+            worlds: 50,
+            trials: 1,
+            threads: 1,
+            strip_worlds: 0,
+            seed: 7,
+        };
+        let run = |resume: Option<String>| {
+            let journal = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let sink = Arc::clone(&journal);
+            let durability = Durability {
+                sink: Some(Arc::new(move |cp: &str| {
+                    sink.lock().unwrap().push(cp.to_string())
+                })),
+                resume,
+            };
+            let out = spec
+                .execute_durable(&CancelToken::new(), Some(&durability))
+                .unwrap();
+            let last = journal.lock().unwrap().last().cloned();
+            (out, last)
+        };
+        let (fresh, checkpoint) = run(None);
+        let checkpoint = checkpoint.expect("the search journals its probes");
+
+        // A current checkpoint is replayed.
+        let (resumed, _) = run(Some(checkpoint.clone()));
+        assert!(resumed.resumed_probes > 0);
+        assert_eq!(resumed.result, fresh.result);
+
+        // The same probes fingerprinted the older way were observed under a
+        // different uniqueness definition: they must be dropped.
+        let mut stale = SearchCheckpoint::parse(&checkpoint).unwrap();
+        stale.fingerprint = fingerprint_without_revision(&spec);
+        let (rerun, _) = run(Some(stale.to_json()));
+        assert_eq!(rerun.resumed_probes, 0);
+        assert_eq!(rerun.result, fresh.result);
+    }
+
     #[test]
     fn method_names_parse_like_the_cli() {
         assert_eq!(AnonymizeMethod::parse("rsme").unwrap().name(), "RSME");
