@@ -9,7 +9,6 @@ use chameleon_ugraph::UncertainGraph;
 #[derive(Debug, Clone)]
 pub struct RepAn {
     config: ChameleonConfig,
-    strategy: RepresentativeStrategy,
 }
 
 /// Output of the Rep-An pipeline.
@@ -32,21 +31,7 @@ impl RepAn {
     /// Chameleon (so comparisons hold k, ε, c, q, t fixed) and the default
     /// expected-degree representative.
     pub fn new(config: ChameleonConfig) -> Self {
-        Self {
-            config,
-            strategy: RepresentativeStrategy::default(),
-        }
-    }
-
-    /// Overrides the representative-extraction strategy.
-    pub fn with_strategy(mut self, strategy: RepresentativeStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// The representative strategy in use.
-    pub fn strategy(&self) -> RepresentativeStrategy {
-        self.strategy
+        Self { config }
     }
 
     /// Runs the two-stage pipeline.
@@ -60,14 +45,14 @@ impl RepAn {
     /// # Errors
     /// Propagates stage-2 failures ([`ChameleonError`]); additionally fails
     /// with [`ChameleonError::DegenerateInput`] when the representative
-    /// came out edgeless (e.g. all probabilities below ½ with the
-    /// most-probable strategy).
+    /// came out edgeless (e.g. all probabilities so low that the
+    /// expected-degree repair keeps no edge).
     pub fn anonymize(
         &self,
         graph: &UncertainGraph,
         seed: u64,
     ) -> Result<RepAnResult, ChameleonError> {
-        let representative = extract_representative(graph, self.strategy);
+        let representative = extract_representative(graph, RepresentativeStrategy::default());
         if representative.num_edges() == 0 {
             return Err(ChameleonError::DegenerateInput(
                 "representative instance has no edges".into(),
@@ -142,19 +127,13 @@ mod tests {
     }
 
     #[test]
-    fn strategy_override() {
-        let repan = RepAn::new(quick_config(4)).with_strategy(RepresentativeStrategy::MostProbable);
-        assert_eq!(repan.strategy(), RepresentativeStrategy::MostProbable);
-    }
-
-    #[test]
     fn edgeless_representative_is_an_error() {
-        // All probabilities 0.2 → most-probable world empty.
+        // All probabilities 0.2 → the expected-degree repair keeps no edge.
         let mut g = UncertainGraph::with_nodes(10);
         for v in 0..9u32 {
             g.add_edge(v, v + 1, 0.2).unwrap();
         }
-        let repan = RepAn::new(quick_config(2)).with_strategy(RepresentativeStrategy::MostProbable);
+        let repan = RepAn::new(quick_config(2));
         assert!(matches!(
             repan.anonymize(&g, 0),
             Err(ChameleonError::DegenerateInput(_))

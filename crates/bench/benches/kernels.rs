@@ -4,8 +4,8 @@
 
 use chameleon_core::anonymity::{anonymity_check, AdversaryKnowledge};
 use chameleon_core::relevance::{
-    edge_reliability_relevance, edge_reliability_relevance_alg2, edge_reliability_relevance_naive,
-    vertex_reliability_relevance,
+    edge_reliability_relevance_alg2_threads, edge_reliability_relevance_naive,
+    edge_reliability_relevance_threads, vertex_reliability_relevance,
 };
 use chameleon_core::uniqueness::uniqueness_scores;
 use chameleon_datasets::brightkite_like;
@@ -66,14 +66,14 @@ fn bench_err_estimators(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(4);
             let ens = WorldEnsemble::sample(&g, 100, &mut rng);
-            black_box(edge_reliability_relevance_alg2(&g, &ens))
+            black_box(edge_reliability_relevance_alg2_threads(&g, &ens, 1))
         })
     });
     group.bench_function(BenchmarkId::new("coupled_default", g.num_edges()), |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(4);
             let ens = WorldEnsemble::sample(&g, 100, &mut rng);
-            black_box(edge_reliability_relevance(&g, &ens))
+            black_box(edge_reliability_relevance_threads(&g, &ens, 1))
         })
     });
     group.bench_function(BenchmarkId::new("naive_per_edge", g.num_edges()), |b| {
@@ -105,46 +105,9 @@ fn bench_scores(c: &mut Criterion) {
     });
     let mut rng = StdRng::seed_from_u64(6);
     let ens = WorldEnsemble::sample(&g, 150, &mut rng);
-    let err = edge_reliability_relevance(&g, &ens);
+    let err = edge_reliability_relevance_threads(&g, &ens, 1);
     group.bench_function("vrr_aggregate", |b| {
         b.iter(|| black_box(vertex_reliability_relevance(&g, &err)))
-    });
-    group.finish();
-}
-
-fn bench_traversal_kernels(c: &mut Criterion) {
-    use chameleon_reliability::distance_constrained_reliability;
-    use chameleon_reliability::metrics::anf::anf;
-    use chameleon_reliability::metrics::hyperanf::hyperanf;
-    use chameleon_ugraph::{World, WorldView};
-    let g = graph(500);
-    let mut group = c.benchmark_group("traversal");
-    group.sample_size(20);
-    group.bench_function("dcr_one_query_200_worlds", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(8);
-            black_box(distance_constrained_reliability(
-                &g, 0, 100, 4, 200, &mut rng,
-            ))
-        })
-    });
-    let mut full = World::empty(g.num_edges());
-    for e in 0..g.num_edges() as u32 {
-        full.set(e, true);
-    }
-    group.bench_function("fm_anf_64_sketches", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(9);
-            let view = WorldView::new(&g, &full);
-            black_box(anf(&view, 64, 32, &mut rng))
-        })
-    });
-    group.bench_function("hyperanf_256_registers", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(10);
-            let view = WorldView::new(&g, &full);
-            black_box(hyperanf(&view, 8, 32, &mut rng))
-        })
     });
     group.finish();
 }
@@ -170,7 +133,6 @@ criterion_group!(
     bench_err_estimators,
     bench_anonymity_check,
     bench_scores,
-    bench_traversal_kernels,
     bench_stats_kernels
 );
 criterion_main!(kernels);

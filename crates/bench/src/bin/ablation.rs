@@ -13,7 +13,9 @@
 //! (no positional study = run all).
 
 use chameleon_bench::{build_dataset, utility_errors, Args, ExperimentConfig, TablePrinter};
-use chameleon_core::relevance::{edge_reliability_relevance, edge_reliability_relevance_alg2};
+use chameleon_core::relevance::{
+    edge_reliability_relevance_alg2_threads, edge_reliability_relevance_threads,
+};
 use chameleon_core::{Chameleon, ChameleonConfig, Method, PerturbStrategy};
 use chameleon_datasets::DatasetKind;
 use chameleon_reliability::WorldEnsemble;
@@ -176,7 +178,7 @@ fn study_errsamples(cfg: &ExperimentConfig) {
     let reference = {
         let mut rng = seq.rng("err-reference");
         let ens = WorldEnsemble::sample(&g, 4000, &mut rng);
-        edge_reliability_relevance(&g, &ens)
+        edge_reliability_relevance_threads(&g, &ens, 1)
     };
     let mut t = TablePrinter::new([
         "N",
@@ -188,8 +190,8 @@ fn study_errsamples(cfg: &ExperimentConfig) {
     for &n in &[25usize, 50, 100, 250, 500, 1000] {
         let mut rng = seq.rng_indexed("err-sample", n as u64);
         let ens = WorldEnsemble::sample(&g, n, &mut rng);
-        let coupled = edge_reliability_relevance(&g, &ens);
-        let alg2 = edge_reliability_relevance_alg2(&g, &ens);
+        let coupled = edge_reliability_relevance_threads(&g, &ens, 1);
+        let alg2 = edge_reliability_relevance_alg2_threads(&g, &ens, 1);
         let mad = |est: &[f64]| -> f64 {
             est.iter()
                 .zip(&reference)

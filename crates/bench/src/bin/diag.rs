@@ -8,7 +8,7 @@ use chameleon_core::anonymity::{anonymity_check, AdversaryKnowledge};
 use chameleon_core::candidate::{select_candidates, VertexSampler};
 use chameleon_core::perturb::draw_noise;
 use chameleon_core::relevance::{
-    edge_reliability_relevance, min_max_normalize, vertex_reliability_relevance,
+    edge_reliability_relevance_threads, min_max_normalize, vertex_reliability_relevance,
 };
 use chameleon_core::uniqueness::uniqueness_scores;
 use chameleon_core::Method;
@@ -40,7 +40,7 @@ fn main() {
     let uniq = uniqueness_scores(&g);
     let vrr = if method.reliability_oriented() {
         let ens = WorldEnsemble::sample(&g, 200, &mut seq.rng("ens"));
-        let err = edge_reliability_relevance(&g, &ens);
+        let err = edge_reliability_relevance_threads(&g, &ens, 1);
         vertex_reliability_relevance(&g, &err)
     } else {
         vec![0.0; g.num_nodes()]

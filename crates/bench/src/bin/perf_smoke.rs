@@ -11,7 +11,7 @@
 //! far better than seconds do.
 //!
 //! Usage:
-//!   perf_smoke [--out BENCH_PR3.json] [--baseline ci/perf_baseline.json]
+//!   perf_smoke [--out perf-smoke.json] [--baseline ci/perf_baseline.json]
 //!              [--tolerance 0.25] [--reps 5] [--write-baseline] [--allow-new]
 //!
 //! `--write-baseline` re-measures and rewrites the baseline file instead of
@@ -171,7 +171,7 @@ fn main() {
         "perf_smoke times via obs spans; rebuild with the default `obs` feature"
     );
     let args = Args::from_env();
-    let out: String = args.get("out", "BENCH_PR10.json".to_string());
+    let out: String = args.get("out", "perf-smoke.json".to_string());
     let baseline_path: String = args.get("baseline", "ci/perf_baseline.json".to_string());
     let tolerance: f64 = args.get("tolerance", 0.25f64);
     let reps: usize = args.get("reps", 5usize);
@@ -700,7 +700,7 @@ fn main() {
         println!("(baseline written to {baseline_path})");
     }
 
-    // BENCH_PR3.json: measurements + the full metrics snapshot (spans of
+    // The `--out` report: measurements + the full metrics snapshot (spans of
     // this run, pipeline counters, chunk histograms) for the CI artifact.
     // `vs_baseline` is `normalized / committed-baseline` — < 1.0 means the
     // hot path got faster than the baseline commit.

@@ -7,7 +7,7 @@
 //! blocked pair reliability, and the coupled ERR estimator — recording
 //! wall time, peak *tracked* ensemble bytes (the `alloc_guard` gauge the
 //! `--max-ensemble-bytes` ceiling enforces), and the delta+RLE
-//! compression ratio into a JSON artifact (`BENCH_PR9.json`).
+//! compression ratio into a JSON artifact (`scale-smoke.json`).
 //!
 //! With `--verify`, the same statistics are first computed through the
 //! dense in-RAM path (with the ceiling lifted — the reference must be
@@ -20,7 +20,7 @@
 //!
 //! Usage: `scaling [--scales 10000,100000,1000000] [--worlds 256]
 //!         [--strip-worlds 64] [--seed 42] [--threads 0]
-//!         [--max-ensemble-bytes 0] [--verify] [--out BENCH_PR9.json]`
+//!         [--max-ensemble-bytes 0] [--verify] [--out scale-smoke.json]`
 
 use chameleon_bench::Args;
 use chameleon_core::relevance::{
@@ -66,7 +66,7 @@ fn main() {
     let seed: u64 = args.get("seed", 42u64);
     let ceiling: usize = args.get("max-ensemble-bytes", 0usize);
     let verify = args.has("verify");
-    let out: String = args.get("out", "BENCH_PR9.json".to_string());
+    let out: String = args.get("out", "scale-smoke.json".to_string());
     let threads: usize = match args.get("threads", 0usize) {
         0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
         t => t,

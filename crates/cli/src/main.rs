@@ -234,6 +234,9 @@ fn cmd_generate(cli: &Cli) -> Result<(), String> {
     let out = operand(cli, 0, "output path")?;
     let dataset: String = cli.get("dataset", "brightkite".to_string())?;
     let nodes: usize = cli.get("nodes", 500usize)?;
+    if nodes == 0 {
+        return Err("generate requires --nodes >= 1".into());
+    }
     let seed: u64 = cli.get("seed", 42u64)?;
     let graph = match dataset.to_lowercase().as_str() {
         "dblp" => chameleon_datasets::dblp_like(nodes, seed),
@@ -257,6 +260,9 @@ fn cmd_check(cli: &Cli) -> Result<(), String> {
     let path = operand(cli, 0, "graph path")?;
     let graph = load(&path)?;
     let k: usize = cli.require("k")?;
+    if k == 0 {
+        return Err("check requires --k >= 1".into());
+    }
     let epsilon: f64 = cli.get("epsilon", 0.0f64)?;
     let tolerance: u32 = cli.get("tolerance", 0u32)?;
     let knowledge = knowledge_for(cli, &graph)?;
@@ -354,6 +360,9 @@ fn cmd_attack(cli: &Cli) -> Result<(), String> {
     let path = operand(cli, 0, "graph path")?;
     let graph = load(&path)?;
     let candidates: usize = cli.get("candidates", 1usize)?;
+    if candidates == 0 {
+        return Err("attack requires --candidates >= 1".into());
+    }
     let knowledge = knowledge_for(cli, &graph)?;
     let report = simulate_degree_attack(&graph, &knowledge, candidates);
     println!(
@@ -421,6 +430,9 @@ fn cmd_mine(cli: &Cli) -> Result<(), String> {
         }
         "clusters" => {
             let threshold: f64 = cli.get("threshold", 0.5f64)?;
+            if !(0.0..=1.0).contains(&threshold) {
+                return Err(format!("--threshold {threshold} is not in [0, 1]"));
+            }
             let min_size: usize = cli.get("min-size", 3usize)?;
             let cs = chameleon_mining::reliable_clusters(&graph, &ens, threshold, min_size);
             println!(
@@ -468,6 +480,9 @@ fn cmd_synth(cli: &Cli) -> Result<(), String> {
     let seed: u64 = cli.get("seed", 42u64)?;
     let nodes: usize = cli.get("nodes", graph.num_nodes())?;
     let dp_epsilon: f64 = cli.get("dp-epsilon", 0.0f64)?;
+    if nodes == 0 {
+        return Err("synth requires --nodes >= 1".into());
+    }
     let twin = if dp_epsilon > 0.0 {
         if nodes != graph.num_nodes() {
             return Err(
@@ -475,6 +490,10 @@ fn cmd_synth(cli: &Cli) -> Result<(), String> {
             );
         }
         chameleon_dp::DpPublisher::new(dp_epsilon).publish(&graph, seed)
+    } else if graph.num_edges() == 0 {
+        return Err(format!(
+            "{input}: cannot fit a synthetic twin to an edgeless graph"
+        ));
     } else {
         chameleon_datasets::synth_like(&graph, nodes, seed)
     };
@@ -675,6 +694,9 @@ fn cmd_compare(cli: &Cli) -> Result<(), String> {
     }
     let worlds: usize = cli.get("worlds", 500usize)?;
     let pairs: usize = cli.get("pairs", 2000usize)?;
+    if pairs > 0 && a.num_nodes() < 2 {
+        return Err("compare needs graphs with at least 2 nodes to sample pairs".into());
+    }
     let seed: u64 = cli.get("seed", 42u64)?;
     let seq = SeedSequence::new(seed);
     let pair_set = sample_distinct_pairs(a.num_nodes(), pairs, &mut seq.rng("pairs"));

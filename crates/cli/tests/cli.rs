@@ -143,6 +143,56 @@ fn missing_operand_reports_error() {
 }
 
 #[test]
+fn invalid_inputs_error_instead_of_panicking() {
+    let dir = temp_dir("invalid");
+    let graph = dir.join("g.txt");
+    let single = dir.join("single.txt");
+    let edgeless = dir.join("edgeless.txt");
+    let out = dir.join("out.txt");
+    let (graph_s, single_s) = (graph.to_str().unwrap(), single.to_str().unwrap());
+    let (edgeless_s, out_s) = (edgeless.to_str().unwrap(), out.to_str().unwrap());
+    let gen = chameleon(&[
+        "generate",
+        graph_s,
+        "--dataset",
+        "brightkite",
+        "--nodes",
+        "300",
+        "--seed",
+        "7",
+    ]);
+    assert!(gen.status.success(), "{gen:?}");
+    std::fs::write(&single, "nodes 1\n").unwrap();
+    std::fs::write(&edgeless, "nodes 5\n").unwrap();
+    let cases: [&[&str]; 7] = [
+        &["check", graph_s, "--k", "0"],
+        &["attack", graph_s, "--candidates", "0"],
+        &["compare", single_s, single_s],
+        &["synth", graph_s, out_s, "--nodes", "0"],
+        &["synth", edgeless_s, out_s],
+        &[
+            "mine",
+            graph_s,
+            "--task",
+            "clusters",
+            "--threshold",
+            "1.5",
+            "--worlds",
+            "20",
+        ],
+        &["generate", out_s, "--nodes", "0"],
+    ];
+    for args in cases {
+        let run = chameleon(args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn synth_twin_and_dp() {
     let dir = temp_dir("synth");
     let graph = dir.join("g.txt");

@@ -302,7 +302,7 @@ impl DegreePmfCache {
     }
 
     /// The truncation cap (`max ω`) the pmfs were built with.
-    pub fn omega_max(&self) -> usize {
+    pub(crate) fn omega_max(&self) -> usize {
         self.omega_max
     }
 
@@ -321,24 +321,11 @@ impl DegreePmfCache {
         &self.pmfs[v as usize]
     }
 
-    /// Recomputes the pmfs of `dirty` vertices from `published`'s current
-    /// incident probabilities. Every vertex whose incident-probability
-    /// sequence changed since the last refresh must be listed; duplicates
-    /// are harmless.
-    pub fn refresh(&mut self, published: &UncertainGraph, dirty: &[NodeId]) {
-        chameleon_obs::counter!("anonymity.pmfs_built").add(dirty.len() as u64);
-        chameleon_obs::counter!("anonymity.pmfs_reused")
-            .add(self.pmfs.len().saturating_sub(dirty.len()) as u64);
-        for &v in dirty {
-            self.pmfs[v as usize] = pmf_truncated(&published.incident_probs(v), self.omega_max);
-        }
-    }
-
     /// Recomputes vertex `v`'s pmf from an explicit incident-probability
     /// sequence. The caller must supply the probabilities in the same
     /// order [`UncertainGraph::incident_probs`] would produce for the
     /// graph being modelled — the DP result depends on it bit-for-bit.
-    pub fn set_from_probs(&mut self, v: NodeId, incident: &[f64]) {
+    pub(crate) fn set_from_probs(&mut self, v: NodeId, incident: &[f64]) {
         self.pmfs[v as usize] = pmf_truncated(incident, self.omega_max);
     }
 }
@@ -351,7 +338,7 @@ impl DegreePmfCache {
 /// # Panics
 /// Panics if the cache and `knowledge` disagree on the vertex count, if
 /// the cache's cap is below the adversary's maximal value, or `k == 0`.
-pub fn anonymity_check_cached(
+pub(crate) fn anonymity_check_cached(
     cache: &DegreePmfCache,
     knowledge: &AdversaryKnowledge,
     k: usize,
@@ -661,24 +648,15 @@ mod tests {
         g.set_prob(2, 0.95).unwrap(); // edge (0,3)
         let last = g.num_edges() - 1; // edge (3,7)
         g.set_prob(last as u32, 0.05).unwrap();
-        cache.refresh(&g, &[0, 3, 7]);
+        for v in [0, 3, 7] {
+            cache.set_from_probs(v, &g.incident_probs(v));
+        }
         let direct = anonymity_check(&g, &knowledge, 3);
         let cached = anonymity_check_cached(&cache, &knowledge, 3);
         assert_eq!(direct.unobfuscated, cached.unobfuscated);
         for (omega, h) in &direct.entropy_by_omega {
             assert_eq!(h.to_bits(), cached.entropy_by_omega[omega].to_bits());
         }
-        // set_from_probs with the adjacency-order sequence is the same as
-        // a graph refresh.
-        let mut cache2 = cache.clone();
-        g.set_prob(2, 0.11).unwrap();
-        cache.refresh(&g, &[0, 3]);
-        cache2.set_from_probs(0, &g.incident_probs(0));
-        cache2.set_from_probs(3, &g.incident_probs(3));
-        let a = anonymity_check_cached(&cache, &knowledge, 3);
-        let b = anonymity_check_cached(&cache2, &knowledge, 3);
-        assert_eq!(a.unobfuscated, b.unobfuscated);
-        assert_eq!(a.eps_hat.to_bits(), b.eps_hat.to_bits());
     }
 
     #[test]

@@ -672,7 +672,6 @@ fn prepare_selection(
 mod tests {
     use super::*;
     use crate::anonymity::anonymity_check;
-    use crate::relevance::edge_reliability_relevance;
     use chameleon_ugraph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -931,7 +930,7 @@ mod tests {
         let uniq = uniqueness_scores_scaled(&g, 1.0);
         let mut rng = StdRng::seed_from_u64(0);
         let ens = WorldEnsemble::sample(&g, 100, &mut rng);
-        let err = edge_reliability_relevance(&g, &ens);
+        let err = edge_reliability_relevance_threads(&g, &ens, 1);
         let vrr = vertex_reliability_relevance(&g, &err);
         let cfg = ChameleonConfig::builder().epsilon(0.2).build();
         let (excluded, selection) = prepare_selection(&g, Method::Rsme, &uniq, &vrr, &cfg);
@@ -1024,7 +1023,7 @@ mod tests {
         let uniq = uniqueness_scores_scaled(&g, 1.0);
         let mut rng = StdRng::seed_from_u64(1);
         let ens = WorldEnsemble::sample(&g, 100, &mut rng);
-        let err = edge_reliability_relevance(&g, &ens);
+        let err = edge_reliability_relevance_threads(&g, &ens, 1);
         let vrr = vertex_reliability_relevance(&g, &err);
         let cfg = ChameleonConfig::builder().epsilon(0.05).build();
         let (excluded, selection) = prepare_selection(&g, Method::Rsme, &uniq, &vrr, &cfg);

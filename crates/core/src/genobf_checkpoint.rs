@@ -42,7 +42,7 @@ const CHECKPOINT_VERSION: u64 = 1;
 ///
 /// History: 1 — exact O(n²) uniqueness KDE (fingerprints carried no
 /// revision field); 2 — linear-binned uniqueness KDE.
-pub const SEARCH_REVISION: u64 = 2;
+pub(crate) const SEARCH_REVISION: u64 = 2;
 
 /// One completed GenObf invocation of a σ search.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,7 +236,7 @@ pub fn graph_fingerprint(graph: &UncertainGraph) -> u64 {
 /// excluded (results are thread-count invariant); the durability hooks
 /// themselves are excluded (they observe the search, they do not steer
 /// it).
-pub fn search_fingerprint(
+pub(crate) fn search_fingerprint(
     graph_digest: u64,
     method: Method,
     seed: u64,

@@ -66,22 +66,19 @@ pub mod relevance;
 pub mod uniqueness;
 
 pub use anonymity::{
-    anonymity_check, anonymity_check_cached, anonymity_check_threads, anonymity_check_tolerant,
-    AdversaryKnowledge, AnonymityReport, DegreePmfCache,
+    anonymity_check, anonymity_check_threads, anonymity_check_tolerant, AdversaryKnowledge,
+    AnonymityReport, DegreePmfCache,
 };
 pub use attack::{simulate_degree_attack, AttackReport};
 pub use cancel::{CancelReason, CancelToken};
 pub use chameleon::{Chameleon, ChameleonError, ObfuscationResult};
 pub use config::{ChameleonConfig, ChameleonConfigBuilder};
-pub use genobf_checkpoint::{
-    graph_fingerprint, search_fingerprint, CheckpointHook, ProbeRecord, SearchCheckpoint,
-};
+pub use genobf_checkpoint::{graph_fingerprint, CheckpointHook, ProbeRecord, SearchCheckpoint};
 pub use method::Method;
 pub use perturb::PerturbStrategy;
 pub use profile::PrivacyProfile;
 pub use relevance::{
-    edge_reliability_relevance, edge_reliability_relevance_streamed,
-    edge_reliability_relevance_threads, vertex_reliability_relevance, ErrAlg2Accum,
-    ErrCoupledAccum,
+    edge_reliability_relevance_streamed, edge_reliability_relevance_threads,
+    vertex_reliability_relevance, ErrAlg2Accum, ErrCoupledAccum,
 };
 pub use uniqueness::uniqueness_scores;

@@ -41,7 +41,7 @@ impl Method {
 
     /// True when perturbation uses the max-entropy rule (the
     /// "Anonymity-oriented" column).
-    pub fn anonymity_oriented(&self) -> bool {
+    pub(crate) fn anonymity_oriented(&self) -> bool {
         matches!(self, Method::Rsme | Method::Me)
     }
 

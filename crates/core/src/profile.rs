@@ -1,7 +1,7 @@
 //! Privacy profile of a (candidate) release: per-vertex obfuscation
-//! entropies, effective anonymity-set sizes, and the largest k the release
-//! supports at each tolerance — a release-auditing companion to the binary
-//! pass/fail [`crate::anonymity_check`].
+//! entropies and the largest k the release supports at each tolerance —
+//! a release-auditing companion to the binary pass/fail
+//! [`crate::anonymity_check`].
 
 use crate::anonymity::{sweep_graph, AdversaryKnowledge};
 use chameleon_ugraph::{NodeId, UncertainGraph};
@@ -29,18 +29,6 @@ impl PrivacyProfile {
             .map(|omega| report.entropy_by_omega[omega])
             .collect();
         Self { entropy_bits }
-    }
-
-    /// Effective anonymity-set size `2^H` per vertex.
-    pub fn effective_anonymity(&self) -> Vec<f64> {
-        self.entropy_bits.iter().map(|h| h.exp2()).collect()
-    }
-
-    /// The number of vertices k-obfuscated at level `k`.
-    pub fn obfuscated_at(&self, k: usize) -> usize {
-        assert!(k >= 1);
-        let t = (k as f64).log2();
-        self.entropy_bits.iter().filter(|&&h| h >= t).count()
     }
 
     /// The largest integer k such that the release is (k, ε)-obf at
@@ -97,10 +85,6 @@ mod tests {
         for &h in &profile.entropy_bits {
             assert!((h - 3.0).abs() < 1e-9); // log2(8)
         }
-        let eff = profile.effective_anonymity();
-        assert!((eff[0] - 8.0).abs() < 1e-6);
-        assert_eq!(profile.obfuscated_at(8), 8);
-        assert_eq!(profile.obfuscated_at(9), 0);
         assert_eq!(profile.max_k_at(0.0), 8);
     }
 
@@ -115,11 +99,9 @@ mod tests {
         let profile = PrivacyProfile::compute(&g, &knowledge);
         for k in [2usize, 3, 5, 8] {
             let report = anonymity_check(&g, &knowledge, k);
-            assert_eq!(
-                profile.obfuscated_at(k),
-                7 - report.unobfuscated.len(),
-                "k={k}"
-            );
+            let t = (k as f64).log2();
+            let obfuscated = profile.entropy_bits.iter().filter(|&&h| h >= t).count();
+            assert_eq!(obfuscated, 7 - report.unobfuscated.len(), "k={k}");
         }
     }
 

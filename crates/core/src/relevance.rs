@@ -36,7 +36,8 @@ use rand::Rng;
 const ERR_WORLD_CHUNK: usize = 64;
 
 /// Estimates `ERR^e` for every edge via the paper-faithful reused-sampling
-/// estimator (paper Algorithm 2) over a pre-built ensemble.
+/// estimator (paper Algorithm 2) over a pre-built ensemble, on up to
+/// `threads` worker threads (`0` = all hardware threads).
 ///
 /// For edge `e` with probability `p`, worlds are partitioned by membership
 /// of `e`:
@@ -54,17 +55,8 @@ const ERR_WORLD_CHUNK: usize = 64;
 ///
 /// Note: this estimator differences two conditional means of `cc`, whose
 /// world-to-world variance is large on shattered graphs; prefer the
-/// coupled [`edge_reliability_relevance`] (same expectation, same cost,
-/// far lower variance) outside of Lemma 2/3 benchmarking.
-pub fn edge_reliability_relevance_alg2(
-    graph: &UncertainGraph,
-    ensemble: &WorldEnsemble,
-) -> Vec<f64> {
-    edge_reliability_relevance_alg2_threads(graph, ensemble, 1)
-}
-
-/// [`edge_reliability_relevance_alg2`] on up to `threads` worker threads
-/// (`0` = all hardware threads).
+/// coupled [`edge_reliability_relevance_threads`] (same expectation, same
+/// cost, far lower variance) outside of Lemma 2/3 benchmarking.
 ///
 /// Worlds are accumulated in fixed chunks of worlds whose partial sums are
 /// folded in chunk order, so the result is bit-identical for every
@@ -80,9 +72,9 @@ pub fn edge_reliability_relevance_alg2_threads(
     accum.finish()
 }
 
-/// Streaming accumulator behind [`edge_reliability_relevance_alg2`]: folds
-/// worlds strip by strip, replaying the exact per-chunk partial sequence of
-/// the in-RAM estimator.
+/// Streaming accumulator behind [`edge_reliability_relevance_alg2_threads`]:
+/// folds worlds strip by strip, replaying the exact per-chunk partial
+/// sequence of the in-RAM estimator.
 ///
 /// Bit-identity contract: strips must arrive in ascending world order and
 /// every strip boundary must fall on an [`ERR_WORLD_CHUNK`] multiple
@@ -170,7 +162,8 @@ impl ErrAlg2Accum {
     }
 }
 
-/// Coupled (variance-reduced) ERR estimator — the pipeline default.
+/// Coupled (variance-reduced) ERR estimator — the pipeline default — on up
+/// to `threads` worker threads (`0` = all hardware threads).
 ///
 /// By independence of the edges, coupling `G_e` and `G_ē` on all *other*
 /// edges gives the exact identity
@@ -191,14 +184,8 @@ impl ErrAlg2Accum {
 /// estimator is unbiased for the same quantity (DESIGN.md §3).
 ///
 /// Edges present in every sampled world (e.g. p = 1) have no usable
-/// samples and return 0, matching [`edge_reliability_relevance_alg2`]'s
-/// convention for deterministic edges.
-pub fn edge_reliability_relevance(graph: &UncertainGraph, ensemble: &WorldEnsemble) -> Vec<f64> {
-    edge_reliability_relevance_threads(graph, ensemble, 1)
-}
-
-/// [`edge_reliability_relevance`] on up to `threads` worker threads
-/// (`0` = all hardware threads).
+/// samples and return 0, matching the convention of
+/// [`edge_reliability_relevance_alg2_threads`] for deterministic edges.
 ///
 /// Per-edge sums and sample counts are accumulated per fixed chunk of
 /// worlds and the partials folded in chunk order, so the result is
@@ -214,9 +201,9 @@ pub fn edge_reliability_relevance_threads(
     accum.finish()
 }
 
-/// Streaming accumulator behind [`edge_reliability_relevance`]: same
-/// strip-fold contract as [`ErrAlg2Accum`] (ascending, 64-aligned strips
-/// replay the in-RAM chunk partial sequence bit-for-bit).
+/// Streaming accumulator behind [`edge_reliability_relevance_threads`]:
+/// same strip-fold contract as [`ErrAlg2Accum`] (ascending, 64-aligned
+/// strips replay the in-RAM chunk partial sequence bit-for-bit).
 pub struct ErrCoupledAccum {
     // SoA endpoints: the scan only touches endpoints, never probabilities,
     // so cache lines carry twice the useful data of the `Edge` array.
@@ -298,11 +285,11 @@ impl ErrCoupledAccum {
     }
 }
 
-/// Strip-streamed [`edge_reliability_relevance`]: folds the compressed
-/// worlds of an [`EnsembleStream`] strip by strip, never materializing more
-/// than one strip of labeled worlds, and returns the *bit-identical* ERR
-/// vector the in-RAM estimator would produce on the same `(n, seed)`
-/// ensemble.
+/// Strip-streamed [`edge_reliability_relevance_threads`]: folds the
+/// compressed worlds of an [`EnsembleStream`] strip by strip, never
+/// materializing more than one strip of labeled worlds, and returns the
+/// *bit-identical* ERR vector the in-RAM estimator would produce on the
+/// same `(n, seed)` ensemble.
 ///
 /// # Errors
 ///
@@ -317,17 +304,6 @@ pub fn edge_reliability_relevance_streamed(
     let mut accum = ErrCoupledAccum::new(graph);
     stream.for_each_strip(|_, strip| accum.fold(strip, threads))?;
     Ok(accum.finish())
-}
-
-/// Convenience wrapper: samples an ensemble of `num_worlds` worlds and
-/// estimates ERR.
-pub fn edge_reliability_relevance_sampled<R: Rng + ?Sized>(
-    graph: &UncertainGraph,
-    num_worlds: usize,
-    rng: &mut R,
-) -> Vec<f64> {
-    let ensemble = WorldEnsemble::sample(graph, num_worlds, rng);
-    edge_reliability_relevance(graph, &ensemble)
 }
 
 /// Naive ERR estimator (paper's "baseline algorithm", Lemma 2): for each
@@ -410,7 +386,8 @@ mod tests {
     fn bridge_edge_has_highest_relevance() {
         let g = two_clusters();
         let mut rng = StdRng::seed_from_u64(0);
-        let err = edge_reliability_relevance_sampled(&g, 2000, &mut rng);
+        let ens = WorldEnsemble::sample(&g, 2000, &mut rng);
+        let err = edge_reliability_relevance_threads(&g, &ens, 1);
         let bridge = g.find_edge(3, 4).unwrap() as usize;
         for (e, &score) in err.iter().enumerate() {
             if e != bridge {
@@ -432,7 +409,8 @@ mod tests {
         let mut g = UncertainGraph::with_nodes(2);
         g.add_edge(0, 1, 0.5).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let err = edge_reliability_relevance_sampled(&g, 3000, &mut rng);
+        let ens = WorldEnsemble::sample(&g, 3000, &mut rng);
+        let err = edge_reliability_relevance_threads(&g, &ens, 1);
         assert!((err[0] - 1.0).abs() < 0.05, "err={}", err[0]);
     }
 
@@ -442,7 +420,8 @@ mod tests {
         g.add_edge(0, 1, 1.0).unwrap();
         g.add_edge(1, 2, 0.0).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let err = edge_reliability_relevance_sampled(&g, 100, &mut rng);
+        let ens = WorldEnsemble::sample(&g, 100, &mut rng);
+        let err = edge_reliability_relevance_threads(&g, &ens, 1);
         // p = 1: never absent from a world → no usable samples → 0.
         assert_eq!(err[0], 0.0);
         // p = 0: the coupled estimator still knows its marginal impact —
@@ -458,7 +437,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let ens = WorldEnsemble::sample(&g, 100, &mut rng);
         // Algorithm 2 cannot condition on an empty stratum: both are 0.
-        assert_eq!(edge_reliability_relevance_alg2(&g, &ens), vec![0.0, 0.0]);
+        assert_eq!(
+            edge_reliability_relevance_alg2_threads(&g, &ens, 1),
+            vec![0.0, 0.0]
+        );
     }
 
     #[test]
@@ -466,8 +448,8 @@ mod tests {
         let g = two_clusters();
         let mut rng = StdRng::seed_from_u64(12);
         let ens = WorldEnsemble::sample(&g, 6000, &mut rng);
-        let coupled = edge_reliability_relevance(&g, &ens);
-        let alg2 = edge_reliability_relevance_alg2(&g, &ens);
+        let coupled = edge_reliability_relevance_threads(&g, &ens, 1);
+        let alg2 = edge_reliability_relevance_alg2_threads(&g, &ens, 1);
         // Same target quantity; Algorithm 2 is noisier, so compare loosely.
         for (e, (c, a)) in coupled.iter().zip(&alg2).enumerate() {
             assert!((c - a).abs() < 1.5, "edge {e}: coupled={c}, alg2={a}");
@@ -481,7 +463,8 @@ mod tests {
         let mut g = UncertainGraph::with_nodes(2);
         g.add_edge(0, 1, 0.5).unwrap();
         let mut rng = StdRng::seed_from_u64(13);
-        let err = edge_reliability_relevance_sampled(&g, 50, &mut rng);
+        let ens = WorldEnsemble::sample(&g, 50, &mut rng);
+        let err = edge_reliability_relevance_threads(&g, &ens, 1);
         assert_eq!(err[0], 1.0);
     }
 
@@ -489,7 +472,8 @@ mod tests {
     fn reused_matches_naive() {
         let g = two_clusters();
         let mut rng = StdRng::seed_from_u64(3);
-        let fast = edge_reliability_relevance_sampled(&g, 4000, &mut rng);
+        let ens = WorldEnsemble::sample(&g, 4000, &mut rng);
+        let fast = edge_reliability_relevance_threads(&g, &ens, 1);
         let naive = edge_reliability_relevance_naive(&g, 1500, &mut rng);
         for (e, (f, n)) in fast.iter().zip(&naive).enumerate() {
             assert!((f - n).abs() < 1.2, "edge {e}: fast={f}, naive={n}");
@@ -507,8 +491,10 @@ mod tests {
         redundant.add_edge(0, 2, 0.95).unwrap();
         redundant.add_edge(2, 1, 0.95).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let e_lone = edge_reliability_relevance_sampled(&lone, 3000, &mut rng)[0];
-        let e_red = edge_reliability_relevance_sampled(&redundant, 3000, &mut rng)[0];
+        let ens = WorldEnsemble::sample(&lone, 3000, &mut rng);
+        let e_lone = edge_reliability_relevance_threads(&lone, &ens, 1)[0];
+        let ens = WorldEnsemble::sample(&redundant, 3000, &mut rng);
+        let e_red = edge_reliability_relevance_threads(&redundant, &ens, 1)[0];
         assert!(
             e_red < e_lone,
             "redundant {e_red} should be below lone {e_lone}"
@@ -562,9 +548,6 @@ mod tests {
                 assert_eq!(alg2_1[e].to_bits(), alg2_n[e].to_bits());
             }
         }
-        // The serial entry points are exactly the 1-thread variants.
-        assert_eq!(edge_reliability_relevance(&g, &ens), coupled_1);
-        assert_eq!(edge_reliability_relevance_alg2(&g, &ens), alg2_1);
     }
 
     #[test]
@@ -604,7 +587,8 @@ mod tests {
     fn err_nonnegative_everywhere() {
         let g = two_clusters();
         let mut rng = StdRng::seed_from_u64(5);
-        let err = edge_reliability_relevance_sampled(&g, 200, &mut rng);
+        let ens = WorldEnsemble::sample(&g, 200, &mut rng);
+        let err = edge_reliability_relevance_threads(&g, &ens, 1);
         assert!(err.iter().all(|&e| e >= 0.0));
     }
 
@@ -612,7 +596,8 @@ mod tests {
     fn empty_graph() {
         let g = UncertainGraph::with_nodes(4);
         let mut rng = StdRng::seed_from_u64(6);
-        let err = edge_reliability_relevance_sampled(&g, 10, &mut rng);
+        let ens = WorldEnsemble::sample(&g, 10, &mut rng);
+        let err = edge_reliability_relevance_threads(&g, &ens, 1);
         assert!(err.is_empty());
         let vrr = vertex_reliability_relevance(&g, &err);
         assert_eq!(vrr, vec![0.0; 4]);

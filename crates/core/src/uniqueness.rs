@@ -26,7 +26,7 @@ pub fn uniqueness_scores(graph: &UncertainGraph) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if `scale` is not strictly positive and finite.
-pub fn uniqueness_scores_scaled(graph: &UncertainGraph, scale: f64) -> Vec<f64> {
+pub(crate) fn uniqueness_scores_scaled(graph: &UncertainGraph, scale: f64) -> Vec<f64> {
     assert!(
         scale.is_finite() && scale > 0.0,
         "invalid bandwidth scale {scale}"

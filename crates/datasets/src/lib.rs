@@ -38,7 +38,7 @@ pub mod prob_models;
 pub mod spec;
 pub mod synth;
 
-pub use fit::{fit_prob_model, synth_like};
+pub use fit::synth_like;
 pub use prob_models::ProbModel;
 pub use spec::{DatasetKind, DatasetSpec};
 pub use synth::{brightkite_like, dblp_like, generate, ppi_like};

@@ -34,7 +34,11 @@ pub fn generate(spec: &DatasetSpec, seed: u64) -> UncertainGraph {
 }
 
 /// Overwrites every edge probability with a draw from `model`.
-pub fn assign_probs<R: Rng + ?Sized>(graph: &mut UncertainGraph, model: &ProbModel, rng: &mut R) {
+pub(crate) fn assign_probs<R: Rng + ?Sized>(
+    graph: &mut UncertainGraph,
+    model: &ProbModel,
+    rng: &mut R,
+) {
     for e in 0..graph.num_edges() as u32 {
         let p = model.sample(rng);
         graph

@@ -11,7 +11,7 @@ use rand::Rng;
 
 /// Isotonic regression under the L2 norm via pool-adjacent-violators:
 /// returns the non-decreasing sequence closest to `values`.
-pub fn isotonic_regression(values: &[f64]) -> Vec<f64> {
+pub(crate) fn isotonic_regression(values: &[f64]) -> Vec<f64> {
     // Blocks of (mean, count), merged while decreasing.
     let mut means: Vec<f64> = Vec::with_capacity(values.len());
     let mut counts: Vec<usize> = Vec::with_capacity(values.len());
@@ -45,7 +45,7 @@ pub fn isotonic_regression(values: &[f64]) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if `epsilon` is not strictly positive and finite.
-pub fn dp_degree_sequence<R: Rng + ?Sized>(
+pub(crate) fn dp_degree_sequence<R: Rng + ?Sized>(
     degrees: &[usize],
     epsilon: f64,
     max_degree: usize,

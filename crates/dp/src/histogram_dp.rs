@@ -4,28 +4,15 @@
 use crate::laplace::sample_laplace;
 use rand::Rng;
 
-/// Error type reserved for future fallible histogram operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HistogramError {
-    /// The histogram was empty.
-    Empty,
-}
-
-impl std::fmt::Display for HistogramError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HistogramError::Empty => write!(f, "empty histogram"),
-        }
-    }
-}
-
-impl std::error::Error for HistogramError {}
-
 /// Adds Laplace(`scale`) noise to every bin and post-processes back to
 /// non-negative integers (rounding, clamping at zero). Post-processing is
 /// privacy-free; the privacy guarantee comes from `scale` =
 /// sensitivity / ε chosen by the caller.
-pub fn dp_integer_histogram<R: Rng + ?Sized>(counts: &[u64], scale: f64, rng: &mut R) -> Vec<u64> {
+pub(crate) fn dp_integer_histogram<R: Rng + ?Sized>(
+    counts: &[u64],
+    scale: f64,
+    rng: &mut R,
+) -> Vec<u64> {
     counts
         .iter()
         .map(|&c| {
@@ -82,10 +69,5 @@ mod tests {
         let a = dp_integer_histogram(&counts, 1.0, &mut StdRng::seed_from_u64(9));
         let b = dp_integer_histogram(&counts, 1.0, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn error_display() {
-        assert_eq!(HistogramError::Empty.to_string(), "empty histogram");
     }
 }

@@ -6,7 +6,7 @@ use rand::Rng;
 ///
 /// # Panics
 /// Panics if `scale` is not strictly positive and finite.
-pub fn sample_laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
+pub(crate) fn sample_laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
     assert!(
         scale.is_finite() && scale > 0.0,
         "laplace scale must be positive, got {scale}"

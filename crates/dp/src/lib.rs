@@ -44,16 +44,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod degree_sequence;
-pub mod histogram_dp;
-pub mod laplace;
-
-pub use degree_sequence::{dp_degree_sequence, isotonic_regression};
-pub use histogram_dp::{dp_integer_histogram, HistogramError};
-pub use laplace::sample_laplace;
+mod degree_sequence;
+mod histogram_dp;
+mod laplace;
 
 use chameleon_stats::SeedSequence;
 use chameleon_ugraph::{generators, UncertainGraph};
+use degree_sequence::dp_degree_sequence;
+use histogram_dp::dp_integer_histogram;
 use rand::Rng;
 
 /// ε-DP synthetic-graph publisher (dK-1 style; see crate docs).

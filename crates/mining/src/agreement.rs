@@ -7,7 +7,7 @@ use std::collections::HashSet;
 
 /// Jaccard similarity `|A ∩ B| / |A ∪ B|` of two node sets (1.0 when both
 /// are empty — identical answers).
-pub fn jaccard(a: &[NodeId], b: &[NodeId]) -> f64 {
+pub(crate) fn jaccard(a: &[NodeId], b: &[NodeId]) -> f64 {
     let sa: HashSet<NodeId> = a.iter().copied().collect();
     let sb: HashSet<NodeId> = b.iter().copied().collect();
     let union = sa.union(&sb).count();

@@ -33,14 +33,6 @@ impl ClusterSet {
     pub fn is_empty(&self) -> bool {
         self.clusters.is_empty()
     }
-
-    /// The cluster containing `v`, if any.
-    pub fn cluster_of(&self, v: NodeId) -> Option<&[NodeId]> {
-        self.clusters
-            .iter()
-            .find(|c| c.binary_search(&v).is_ok())
-            .map(|c| c.as_slice())
-    }
 }
 
 /// Detects reliable clusters: edges of the *support graph* whose endpoint
@@ -127,8 +119,6 @@ mod tests {
         assert_eq!(cs.len(), 2);
         assert_eq!(cs.clusters[0], vec![0, 1, 2]);
         assert_eq!(cs.clusters[1], vec![3, 4, 5]);
-        assert_eq!(cs.cluster_of(4), Some(&[3, 4, 5][..]));
-        assert_eq!(cs.cluster_of(6), None);
     }
 
     #[test]
@@ -169,7 +159,7 @@ mod tests {
     #[test]
     fn empty_ensemble_yields_singletons_only() {
         let g = dumbbell();
-        let ens = WorldEnsemble::from_worlds(&g, vec![]);
+        let ens = WorldEnsemble::sample_seeded(&g, 0, 0, 1);
         let cs = reliable_clusters(&g, &ens, 0.5, 2);
         assert!(cs.is_empty());
     }
@@ -178,7 +168,7 @@ mod tests {
     #[should_panic]
     fn invalid_threshold_panics() {
         let g = dumbbell();
-        let ens = WorldEnsemble::from_worlds(&g, vec![]);
+        let ens = WorldEnsemble::sample_seeded(&g, 0, 0, 1);
         let _ = reliable_clusters(&g, &ens, 1.5, 2);
     }
 

@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn empty_ensemble_counts_seeds() {
         let g = two_stars();
-        let ens = WorldEnsemble::from_worlds(&g, vec![]);
+        let ens = WorldEnsemble::sample_seeded(&g, 0, 0, 1);
         assert_eq!(influence_spread(&ens, &[0, 5]), 2.0);
     }
 
@@ -188,7 +188,7 @@ mod tests {
     #[should_panic]
     fn empty_seed_set_panics() {
         let g = two_stars();
-        let ens = WorldEnsemble::from_worlds(&g, vec![]);
+        let ens = WorldEnsemble::sample_seeded(&g, 0, 0, 1);
         let _ = influence_spread(&ens, &[]);
     }
 
@@ -196,7 +196,7 @@ mod tests {
     #[should_panic]
     fn too_many_seeds_panics() {
         let g = two_stars();
-        let ens = WorldEnsemble::from_worlds(&g, vec![]);
+        let ens = WorldEnsemble::sample_seeded(&g, 0, 0, 1);
         let _ = greedy_seed_selection(&ens, 99);
     }
 }

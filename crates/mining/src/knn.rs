@@ -112,7 +112,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let ens = WorldEnsemble::sample(&g, 50, &mut rng);
         assert!(reliability_knn(&ens, 0, 0).is_empty());
-        let empty = WorldEnsemble::from_worlds(&g, vec![]);
+        let empty = WorldEnsemble::sample_seeded(&g, 0, 0, 1);
         assert!(reliability_knn(&empty, 0, 5).is_empty());
     }
 
@@ -147,7 +147,7 @@ mod tests {
     #[should_panic]
     fn out_of_range_source_panics() {
         let g = chain_with_strong_and_weak();
-        let ens = WorldEnsemble::from_worlds(&g, vec![]);
+        let ens = WorldEnsemble::sample_seeded(&g, 0, 0, 1);
         let _ = reliability_knn(&ens, 99, 1);
     }
 }

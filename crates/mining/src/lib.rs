@@ -46,7 +46,7 @@ pub mod clusters;
 pub mod influence;
 pub mod knn;
 
-pub use agreement::{cluster_agreement, jaccard, rank_overlap_at_k};
+pub use agreement::{cluster_agreement, rank_overlap_at_k};
 pub use clusters::reliable_clusters;
 pub use influence::{greedy_seed_selection, influence_spread};
 pub use knn::reliability_knn;

@@ -40,6 +40,6 @@ static SCHEDULER_OBSERVER: SchedulerObserver = SchedulerObserver;
 
 /// Installs the scheduler observer (idempotent; first caller wins).
 /// Returns `true` when this call performed the installation.
-pub fn install_scheduler_observer() -> bool {
+pub(crate) fn install_scheduler_observer() -> bool {
     chameleon_stats::parallel::set_parallel_observer(&SCHEDULER_OBSERVER)
 }

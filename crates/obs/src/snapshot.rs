@@ -30,17 +30,12 @@ pub struct SpanStats {
 
 impl SpanStats {
     /// Mean nanoseconds per pass (0 when `count == 0`).
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.total_ns as f64 / self.count as f64
         }
-    }
-
-    /// Mean seconds per pass.
-    pub fn mean_s(&self) -> f64 {
-        self.mean_ns() / 1e9
     }
 
     /// Fastest pass in seconds.

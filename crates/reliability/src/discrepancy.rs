@@ -24,14 +24,6 @@ pub struct DiscrepancyReport {
     pub std_error: f64,
 }
 
-impl DiscrepancyReport {
-    /// Extrapolates the sampled mean to the full `Σ_{u<v}` discrepancy of a
-    /// graph with `n` nodes (paper Definition 2 is the full sum).
-    pub fn extrapolated_total(&self, n: usize) -> f64 {
-        self.avg * (n * n.saturating_sub(1) / 2) as f64
-    }
-}
-
 /// Estimates the reliability discrepancy between two uncertain graphs from
 /// pre-built world ensembles.
 ///
@@ -117,20 +109,6 @@ mod tests {
         assert!((rep.avg - expect).abs() < 0.02, "avg={}", rep.avg);
         assert!(rep.max > 0.7 && rep.max < 0.8);
         assert!(rep.std_error > 0.0);
-    }
-
-    #[test]
-    fn extrapolation_scales_by_pair_count() {
-        let rep = DiscrepancyReport {
-            avg: 0.1,
-            sum: 0.3,
-            max: 0.2,
-            pairs: 3,
-            std_error: 0.0,
-        };
-        // n=4 → 6 pairs → total 0.6
-        assert!((rep.extrapolated_total(4) - 0.6).abs() < 1e-12);
-        assert_eq!(rep.extrapolated_total(0), 0.0);
     }
 
     #[test]

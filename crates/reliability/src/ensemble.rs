@@ -14,9 +14,7 @@
 use chameleon_stats::alloc_guard::Tracked;
 use chameleon_stats::parallel;
 use chameleon_stats::SeedSequence;
-use chameleon_ugraph::{
-    NodeId, SamplePlan, UncertainGraph, UnionFind, World, WorldMatrix, WorldRef,
-};
+use chameleon_ugraph::{NodeId, SamplePlan, UncertainGraph, UnionFind, WorldMatrix, WorldRef};
 use rand::Rng;
 
 /// Fixed number of worlds per sampling/analysis chunk. Chunk boundaries
@@ -78,61 +76,9 @@ impl WorldEnsemble {
     pub fn sample_seeded(graph: &UncertainGraph, n: usize, seed: u64, threads: usize) -> Self {
         let _span = chameleon_obs::span!("ensemble.sample_seeded");
         chameleon_obs::counter!("ensemble.worlds_sampled").add(n as u64);
-        let seq = SeedSequence::new(seed);
         let plan = SamplePlan::new(graph);
-        let wpw = plan.words_per_world();
-        let row_chunks = parallel::map_chunks(n, WORLD_CHUNK, threads, |c, range| {
-            let mut rng = seq.rng_indexed("world-chunk", c as u64);
-            let mut rows = vec![0u64; range.len() * wpw];
-            if wpw > 0 {
-                for row in rows.chunks_exact_mut(wpw) {
-                    plan.sample_into(row, &mut rng);
-                }
-            }
-            // wpw == 0 ⇒ edgeless graph ⇒ no uncertain edges ⇒ a draw-free
-            // world; skipping sample_into consumes the same (zero) RNG
-            // output per world.
-            rows
-        });
-        let mut worlds = WorldMatrix::new(graph.num_edges());
-        worlds.reserve(n);
-        for (c, rows) in row_chunks.iter().enumerate() {
-            if wpw > 0 {
-                worlds.extend_from_words(rows);
-            } else {
-                worlds.grow(parallel::chunk_range(c, WORLD_CHUNK, n).len());
-            }
-        }
+        let worlds = Self::sample_strip_matrix(&plan, seed, 0, n, threads);
         Self::from_matrix_threads(graph, worlds, threads)
-    }
-
-    /// Wraps pre-sampled worlds.
-    ///
-    /// # Panics
-    /// Panics if any world's edge-slot count disagrees with the graph's.
-    pub fn from_worlds(graph: &UncertainGraph, worlds: Vec<World>) -> Self {
-        Self::from_worlds_threads(graph, worlds, 1)
-    }
-
-    /// Wraps pre-sampled worlds, running the connectivity analysis on up
-    /// to `threads` worker threads. See
-    /// [`WorldEnsemble::from_matrix_threads`].
-    pub fn from_worlds_threads(graph: &UncertainGraph, worlds: Vec<World>, threads: usize) -> Self {
-        let mut matrix = WorldMatrix::new(graph.num_edges());
-        matrix.reserve(worlds.len());
-        for w in &worlds {
-            assert_eq!(
-                w.num_edge_slots(),
-                graph.num_edges(),
-                "world/graph edge-count mismatch"
-            );
-            if matrix.words_per_world() > 0 {
-                matrix.extend_from_words(w.as_world_ref().words());
-            } else {
-                matrix.grow(1);
-            }
-        }
-        Self::from_matrix_threads(graph, matrix, threads)
     }
 
     /// Builds the ensemble caches for an already-sampled world matrix,
@@ -244,7 +190,7 @@ impl WorldEnsemble {
     /// Panics unless `world_offset` is a multiple of [`WORLD_CHUNK`]
     /// (strip boundaries must coincide with global chunk boundaries, or
     /// the per-chunk streams would desynchronize).
-    pub fn sample_strip_matrix(
+    pub(crate) fn sample_strip_matrix(
         plan: &SamplePlan,
         seed: u64,
         world_offset: usize,
@@ -408,53 +354,6 @@ impl WorldEnsemble {
                 }
             }
         }
-    }
-
-    /// Estimated set-to-set reliability (the "sets of nodes" generalization
-    /// in paper Definition 1): the probability that *some* vertex of
-    /// `sources` shares a connected component with *some* vertex of
-    /// `targets`.
-    ///
-    /// # Panics
-    /// Panics if either set is empty or indexes out of range.
-    pub fn set_reliability(&self, sources: &[NodeId], targets: &[NodeId]) -> f64 {
-        assert!(
-            !sources.is_empty() && !targets.is_empty(),
-            "set reliability needs non-empty node sets"
-        );
-        let n = self.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let mut source_labels: Vec<u32> = Vec::with_capacity(sources.len());
-        let hits = self.count_set_hits(sources, targets, &mut source_labels);
-        hits as f64 / n as f64
-    }
-
-    /// The kernel of [`WorldEnsemble::set_reliability`]: the number of
-    /// worlds where some source shares a component with some target.
-    /// `source_labels` is a sorted scratch reused across worlds (after the
-    /// first world no allocation happens; capacity is |sources|). Shared
-    /// with the strip-streamed accumulator.
-    pub(crate) fn count_set_hits(
-        &self,
-        sources: &[NodeId],
-        targets: &[NodeId],
-        source_labels: &mut Vec<u32>,
-    ) -> usize {
-        let mut hits = 0usize;
-        for l in self.labels.chunks_exact(self.num_nodes) {
-            source_labels.clear();
-            source_labels.extend(sources.iter().map(|&s| l[s as usize]));
-            source_labels.sort_unstable();
-            if targets
-                .iter()
-                .any(|&t| source_labels.binary_search(&l[t as usize]).is_ok())
-            {
-                hits += 1;
-            }
-        }
-        hits
     }
 
     /// Estimated expected number of connected pairs
@@ -638,7 +537,7 @@ mod tests {
     #[test]
     fn empty_ensemble_degenerates() {
         let g = bridge_graph();
-        let ens = WorldEnsemble::from_worlds(&g, vec![]);
+        let ens = WorldEnsemble::sample_seeded(&g, 0, 0, 1);
         assert!(ens.is_empty());
         assert_eq!(ens.two_terminal_reliability(0, 1), 0.0);
         assert_eq!(ens.expected_connected_pairs(), 0.0);
@@ -667,33 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn from_worlds_threads_matches_serial_analysis() {
-        let g = bridge_graph();
-        let mut rng = StdRng::seed_from_u64(9);
-        let worlds = (0..50)
-            .map(|_| chameleon_ugraph::WorldSampler::sample(&g, &mut rng))
-            .collect::<Vec<_>>();
-        let serial = WorldEnsemble::from_worlds(&g, worlds.clone());
-        let par = WorldEnsemble::from_worlds_threads(&g, worlds, 4);
-        assert_eq!(serial.connected_pairs_all(), par.connected_pairs_all());
-        for w in 0..50 {
-            assert_eq!(serial.labels(w), par.labels(w));
-        }
-    }
-
-    #[test]
-    fn from_worlds_preserves_world_bits() {
-        let g = bridge_graph();
-        let mut rng = StdRng::seed_from_u64(11);
-        let worlds = chameleon_ugraph::WorldSampler::sample_many(&g, 40, &mut rng);
-        let ens = WorldEnsemble::from_worlds(&g, worlds.clone());
-        assert_eq!(ens.len(), 40);
-        for (w, world) in worlds.iter().enumerate() {
-            assert_eq!(ens.world(w), world.as_world_ref());
-        }
-    }
-
-    #[test]
     fn crn_identical_graphs_give_identical_ensembles() {
         let g = bridge_graph();
         let mut rng = StdRng::seed_from_u64(6);
@@ -716,30 +588,6 @@ mod tests {
             let world = chameleon_ugraph::WorldSampler::sample_with_uniforms(&g, uniforms.row(w));
             assert_eq!(ens.world(w), world.as_world_ref());
         }
-    }
-
-    #[test]
-    fn set_reliability_generalizes_two_terminal() {
-        let g = bridge_graph();
-        let mut rng = StdRng::seed_from_u64(10);
-        let ens = WorldEnsemble::sample(&g, 800, &mut rng);
-        // Singleton sets reduce to two-terminal reliability.
-        assert_eq!(
-            ens.set_reliability(&[0], &[5]),
-            ens.two_terminal_reliability(0, 5)
-        );
-        // Supersets can only help: R({0,1,2} → {5}) ≥ R({0} → {5}).
-        assert!(ens.set_reliability(&[0, 1, 2], &[5]) >= ens.set_reliability(&[0], &[5]));
-        // Overlapping sets are trivially connected.
-        assert_eq!(ens.set_reliability(&[0, 3], &[3]), 1.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn set_reliability_rejects_empty_sets() {
-        let g = bridge_graph();
-        let ens = WorldEnsemble::from_worlds(&g, vec![]);
-        let _ = ens.set_reliability(&[], &[1]);
     }
 
     #[test]

@@ -12,13 +12,10 @@
 //!   sampling" idea of paper Algorithm 2).
 //! * [`discrepancy`] — the paper's utility-loss metric, *reliability
 //!   discrepancy* (Definition 2), estimated over sampled node pairs.
-//! * [`pairs`] — node-pair sampling strategies for discrepancy estimation.
-//! * [`dcr`] — distance-constrained reachability (the refinement of
-//!   reliability from the paper's ref [19]).
+//! * [`pairs`] — uniform node-pair sampling for discrepancy estimation.
 //! * [`metrics`] — the evaluation metrics of paper §VI: expected average
-//!   degree (closed form), degree distributions, average distance and
-//!   diameter (per-world BFS, plus an ANF sketch for large worlds), and
-//!   clustering coefficient.
+//!   distance and diameter (exact per-world BFS), clustering coefficient,
+//!   and distances between sampled degree distributions.
 //! * [`stream`] — strip-streamed out-of-core ensemble analysis: O(strip)
 //!   memory, compressed world storage, bit-identical to [`WorldEnsemble`]
 //!   (DESIGN.md §12).
@@ -44,15 +41,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod dcr;
 pub mod discrepancy;
 pub mod ensemble;
 pub mod metrics;
 pub mod pairs;
 pub mod stream;
 
-pub use dcr::{dcr_profile, distance_constrained_reliability};
 pub use discrepancy::{avg_reliability_discrepancy, DiscrepancyReport};
 pub use ensemble::{crn_uniform_matrix, UniformMatrix, WorldEnsemble, WORLD_CHUNK};
 pub use pairs::sample_distinct_pairs;
-pub use stream::{align_strip, EnsembleStream, STRIP_ALIGN};
+pub use stream::EnsembleStream;

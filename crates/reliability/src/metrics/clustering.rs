@@ -4,7 +4,7 @@
 
 use crate::ensemble::WorldEnsemble;
 use chameleon_stats::Summary;
-use chameleon_ugraph::traversal::{global_clustering_coefficient, triangles_and_wedges};
+use chameleon_ugraph::traversal::triangles_and_wedges;
 use chameleon_ugraph::{UncertainGraph, WorldView};
 
 /// Expected clustering statistics over an ensemble.
@@ -89,12 +89,6 @@ pub fn exact_expected_triangles(graph: &UncertainGraph) -> f64 {
     total
 }
 
-/// Global clustering coefficient of a single deterministic world view
-/// (re-exported convenience).
-pub fn world_clustering(view: &WorldView<'_>) -> f64 {
-    global_clustering_coefficient(view)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +166,7 @@ mod tests {
     #[test]
     fn empty_ensemble_is_degenerate() {
         let g = triangle(0.5);
-        let ens = WorldEnsemble::from_worlds(&g, vec![]);
+        let ens = WorldEnsemble::sample_seeded(&g, 0, 0, 1);
         let c = expected_clustering(&g, &ens);
         assert_eq!(c.clustering_coefficient, 0.0);
         assert_eq!(c.worlds, 0);

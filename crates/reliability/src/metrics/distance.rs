@@ -64,62 +64,11 @@ pub fn expected_distances<R: Rng + ?Sized>(
     }
 }
 
-/// ANF-sketch variant of [`expected_distances`] for worlds too large for
-/// exact BFS (the paper's approach: "we use Approximate Neighborhood
-/// Function (ANF) to approximate shortest path-based statistics").
-/// `k_sketches` trades accuracy for time (error ∝ 1/√k).
-pub fn expected_distances_anf<R: Rng + ?Sized>(
-    graph: &UncertainGraph,
-    ensemble: &WorldEnsemble,
-    k_sketches: usize,
-    rng: &mut R,
-) -> ExpectedDistances {
-    let mut avg = Summary::new();
-    let mut diam = Summary::new();
-    for w in 0..ensemble.len() {
-        let view = WorldView::new(graph, ensemble.world(w));
-        let nf = crate::metrics::anf::anf(&view, k_sketches, graph.num_nodes().max(4), rng);
-        let mean = nf.mean_distance();
-        if mean > 0.0 {
-            avg.push(mean);
-            diam.push(nf.effective_diameter(0.99) as f64);
-        }
-    }
-    ExpectedDistances {
-        avg_distance: avg.mean(),
-        diameter: diam.mean(),
-        avg_reachable_pairs: 0.0, // not tracked by the sketch variant
-        worlds: ensemble.len(),
-        sources: graph.num_nodes(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn anf_variant_tracks_exact_on_dense_graph() {
-        // Dense deterministic-ish graph: ANF estimate within sketch
-        // tolerance of the exact all-sources BFS estimate.
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut g = chameleon_ugraph::generators::barabasi_albert(120, 3, &mut rng);
-        for e in 0..g.num_edges() as u32 {
-            g.set_prob(e, 0.9).unwrap();
-        }
-        let ens = WorldEnsemble::sample(&g, 8, &mut rng);
-        let exact = expected_distances(&g, &ens, g.num_nodes(), &mut rng);
-        let sketch = expected_distances_anf(&g, &ens, 64, &mut rng);
-        let rel = (exact.avg_distance - sketch.avg_distance).abs() / exact.avg_distance;
-        assert!(
-            rel < 0.3,
-            "sketch {} vs exact {} (rel {rel})",
-            sketch.avg_distance,
-            exact.avg_distance
-        );
-    }
 
     fn path(n: usize, p: f64) -> UncertainGraph {
         let mut g = UncertainGraph::with_nodes(n);

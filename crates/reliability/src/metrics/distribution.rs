@@ -13,7 +13,7 @@ use chameleon_ugraph::{UncertainGraph, WorldView};
 
 /// Builds the pooled sampled-degree histogram of a graph over an ensemble
 /// (each node of each world contributes one observation).
-pub fn sampled_degree_distribution(
+pub(crate) fn sampled_degree_distribution(
     graph: &UncertainGraph,
     ensemble: &WorldEnsemble,
 ) -> IntHistogram {
@@ -57,7 +57,7 @@ pub fn earth_movers(a: &IntHistogram, b: &IntHistogram) -> f64 {
 }
 
 /// Kolmogorov–Smirnov statistic `max_i |CDF_a(i) − CDF_b(i)|`.
-pub fn kolmogorov_smirnov(a: &IntHistogram, b: &IntHistogram) -> f64 {
+pub(crate) fn kolmogorov_smirnov(a: &IntHistogram, b: &IntHistogram) -> f64 {
     let max = a.max_value().unwrap_or(0).max(b.max_value().unwrap_or(0));
     let (pa, pb) = (dense_pmf(a, max), dense_pmf(b, max));
     let mut cum = 0.0;

@@ -1,26 +1,20 @@
 //! Structural metrics of uncertain graphs (paper §VI-A).
 //!
-//! Except for the expected average degree (closed form), every metric is an
+//! Apart from the expected average degree, which has a closed form
+//! (`UncertainGraph::expected_average_degree`), every metric is an
 //! expectation over possible worlds, approximated by Monte-Carlo sampling
 //! exactly as in the paper: "we create a number of random instances of an
 //! uncertain graph, and we compute the expected value of each metric using
 //! the average of the sampled graphs".
 //!
-//! * [`degree`] — average/maximum degree and degree distributions.
 //! * [`distance`] — average distance & diameter via per-world BFS.
-//! * [`anf`] — Flajolet–Martin Approximate Neighbourhood Function sketches.
-//! * [`hyperanf`] — the HyperLogLog variant (the paper's citation [8] is
-//!   HyperANF) with smaller memory per node.
 //! * [`clustering`] — expected global clustering coefficient.
 //! * [`distribution`] — distribution-level distances (total variation,
 //!   earth mover's, Kolmogorov–Smirnov) between sampled degree laws.
 
-pub mod anf;
 pub mod clustering;
-pub mod degree;
 pub mod distance;
 pub mod distribution;
-pub mod hyperanf;
 
 /// Relative error `|measured − reference| / reference` with the convention
 /// that a zero reference yields 0 when both are zero and +∞ otherwise.

@@ -50,68 +50,6 @@ pub fn sample_distinct_pairs<R: Rng + ?Sized>(
     out
 }
 
-/// Samples pairs stratified by a component labeling of the *original*
-/// graph's "backbone" (e.g. labels from a high-probability world): a
-/// `within_frac` fraction of pairs share a label (their reliability is
-/// typically high and sensitive to perturbation), the rest straddle labels.
-/// Falls back to uniform sampling when the labeling has a single class or
-/// classes too small to stratify.
-pub fn sample_stratified_pairs<R: Rng + ?Sized>(
-    labels: &[u32],
-    count: usize,
-    within_frac: f64,
-    rng: &mut R,
-) -> Vec<(NodeId, NodeId)> {
-    let n = labels.len();
-    if count == 0 {
-        return Vec::new();
-    }
-    assert!(n >= 2, "need at least two nodes");
-    assert!((0.0..=1.0).contains(&within_frac), "invalid fraction");
-    // Group members per label.
-    let num_labels = labels
-        .iter()
-        .copied()
-        .max()
-        .map(|m| m as usize + 1)
-        .unwrap_or(0);
-    let mut groups: Vec<Vec<u32>> = vec![Vec::new(); num_labels];
-    for (v, &l) in labels.iter().enumerate() {
-        groups[l as usize].push(v as u32);
-    }
-    let has_within = groups.iter().any(|g| g.len() >= 2);
-    let has_cross = num_labels >= 2;
-    if !has_within || !has_cross {
-        return sample_distinct_pairs(n, count, rng);
-    }
-    let within_groups: Vec<usize> = (0..num_labels).filter(|&i| groups[i].len() >= 2).collect();
-    let mut seen = HashSet::with_capacity(count);
-    let mut out = Vec::with_capacity(count);
-    let max_pairs = n * (n - 1) / 2;
-    let target = count.min(max_pairs);
-    let mut misses = 0usize;
-    while out.len() < target && misses < 100 * target + 1000 {
-        let want_within = rng.gen::<f64>() < within_frac;
-        let (u, v) = if want_within {
-            let g = &groups[within_groups[rng.gen_range(0..within_groups.len())]];
-            (g[rng.gen_range(0..g.len())], g[rng.gen_range(0..g.len())])
-        } else {
-            (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32))
-        };
-        if u == v {
-            misses += 1;
-            continue;
-        }
-        let key = if u < v { (u, v) } else { (v, u) };
-        if seen.insert(key) {
-            out.push(key);
-        } else {
-            misses += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,43 +87,6 @@ mod tests {
     fn one_node_cannot_pair() {
         let mut rng = StdRng::seed_from_u64(3);
         let _ = sample_distinct_pairs(1, 1, &mut rng);
-    }
-
-    #[test]
-    fn stratified_prefers_within_pairs() {
-        // Two blocks of 25 nodes.
-        let labels: Vec<u32> = (0..50).map(|v| if v < 25 { 0 } else { 1 }).collect();
-        let mut rng = StdRng::seed_from_u64(4);
-        let pairs = sample_stratified_pairs(&labels, 300, 0.8, &mut rng);
-        assert_eq!(pairs.len(), 300);
-        let within = pairs
-            .iter()
-            .filter(|&&(u, v)| labels[u as usize] == labels[v as usize])
-            .count();
-        // ~80% within (cross draws can also land within by chance).
-        assert!(within > 200, "within={within}");
-    }
-
-    #[test]
-    fn stratified_falls_back_on_degenerate_labels() {
-        // Single class → fallback to uniform.
-        let labels = vec![0u32; 20];
-        let mut rng = StdRng::seed_from_u64(5);
-        let pairs = sample_stratified_pairs(&labels, 30, 0.5, &mut rng);
-        assert_eq!(pairs.len(), 30);
-        // All singleton classes → no within pairs possible → fallback.
-        let labels: Vec<u32> = (0..20).collect();
-        let pairs = sample_stratified_pairs(&labels, 30, 0.9, &mut rng);
-        assert_eq!(pairs.len(), 30);
-    }
-
-    #[test]
-    fn stratified_pairs_distinct() {
-        let labels: Vec<u32> = (0..40).map(|v| v % 4).collect();
-        let mut rng = StdRng::seed_from_u64(6);
-        let pairs = sample_stratified_pairs(&labels, 120, 0.5, &mut rng);
-        let set: HashSet<_> = pairs.iter().collect();
-        assert_eq!(set.len(), pairs.len());
     }
 
     #[test]

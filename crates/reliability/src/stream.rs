@@ -37,11 +37,11 @@ use chameleon_ugraph::{CompressedWorlds, NodeId, SamplePlan, UncertainGraph, Wor
 /// ERR estimators' 64-world chunk. Alignment makes every in-strip chunk
 /// boundary a global chunk boundary, which is what keeps per-chunk RNG
 /// streams and fold orders identical to the in-RAM path.
-pub const STRIP_ALIGN: usize = 64;
+pub(crate) const STRIP_ALIGN: usize = 64;
 
 /// Rounds a requested strip size up to the [`STRIP_ALIGN`] contract
 /// (`strip = 1` therefore runs 64-world strips; the docs say so).
-pub fn align_strip(strip_worlds: usize) -> usize {
+pub(crate) fn align_strip(strip_worlds: usize) -> usize {
     strip_worlds.max(1).div_ceil(STRIP_ALIGN) * STRIP_ALIGN
 }
 
@@ -187,20 +187,6 @@ impl<'g> EnsembleStream<'g> {
         Ok(acc.finish())
     }
 
-    /// Strip-streamed [`WorldEnsemble::set_reliability`] (bit-identical).
-    ///
-    /// # Panics
-    /// Panics if either set is empty (same contract as the in-RAM path).
-    pub fn set_reliability(
-        &self,
-        sources: &[NodeId],
-        targets: &[NodeId],
-    ) -> Result<f64, BudgetExceeded> {
-        let mut acc = SetReliabilityAccum::new(sources.to_vec(), targets.to_vec());
-        self.for_each_strip(|_, strip| acc.fold(strip))?;
-        Ok(acc.finish())
-    }
-
     /// Strip-streamed [`WorldEnsemble::expected_connected_pairs`]
     /// (bit-identical: the same left-to-right f64 sum over worlds in
     /// ascending order).
@@ -247,51 +233,6 @@ impl PairReliabilityAccum {
             return vec![0.0; self.pairs.len()];
         }
         self.hits.into_iter().map(|h| h as f64 / n as f64).collect()
-    }
-}
-
-/// Streaming accumulator for [`WorldEnsemble::set_reliability`].
-#[derive(Debug, Clone)]
-pub struct SetReliabilityAccum {
-    sources: Vec<NodeId>,
-    targets: Vec<NodeId>,
-    scratch: Vec<u32>,
-    hits: usize,
-    worlds: usize,
-}
-
-impl SetReliabilityAccum {
-    /// An empty accumulator for `sources` → `targets`.
-    ///
-    /// # Panics
-    /// Panics if either set is empty (same contract as the in-RAM path).
-    pub fn new(sources: Vec<NodeId>, targets: Vec<NodeId>) -> Self {
-        assert!(
-            !sources.is_empty() && !targets.is_empty(),
-            "set reliability needs non-empty node sets"
-        );
-        let scratch = Vec::with_capacity(sources.len());
-        Self {
-            sources,
-            targets,
-            scratch,
-            hits: 0,
-            worlds: 0,
-        }
-    }
-
-    /// Folds one strip's hit count in.
-    pub fn fold(&mut self, strip: &WorldEnsemble) {
-        self.hits += strip.count_set_hits(&self.sources, &self.targets, &mut self.scratch);
-        self.worlds += strip.len();
-    }
-
-    /// The set reliability (`0.0` for a zero-world stream).
-    pub fn finish(self) -> f64 {
-        if self.worlds == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / self.worlds as f64
     }
 }
 
@@ -397,18 +338,6 @@ mod tests {
                 stream.two_terminal_reliability(0, 1).unwrap().to_bits(),
                 in_ram.two_terminal_reliability(0, 1).to_bits()
             );
-            let mid = (nn / 2) as u32;
-            let sources: Vec<u32> = (0..mid).collect();
-            let targets: Vec<u32> = (mid..nn as u32).collect();
-            if !sources.is_empty() && !targets.is_empty() {
-                assert_eq!(
-                    stream
-                        .set_reliability(&sources, &targets)
-                        .unwrap()
-                        .to_bits(),
-                    in_ram.set_reliability(&sources, &targets).to_bits()
-                );
-            }
         }
         assert_eq!(
             stream.expected_connected_pairs().unwrap().to_bits(),

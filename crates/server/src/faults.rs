@@ -131,7 +131,7 @@ impl FaultPlan {
     }
 
     /// True when the plan can inject at least one fault.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         (self.panic_rate > 0.0 && self.panic_budget > 0)
             || (self.cancel_rate > 0.0 && self.cancel_budget > 0)
             || (self.defer_ready_rate > 0.0 && self.defer_ready_budget > 0)
@@ -144,7 +144,7 @@ impl FaultPlan {
 /// — the answer depends only on the arguments, so concurrent sites can
 /// consult the schedule without coordination. Also used by the chaos
 /// harness to derive its client-abuse schedule.
-pub fn decide(seed: u64, label: &str, index: u64, rate: f64) -> bool {
+pub(crate) fn decide(seed: u64, label: &str, index: u64, rate: f64) -> bool {
     if rate <= 0.0 {
         return false;
     }
@@ -203,7 +203,7 @@ impl FaultInjector {
     /// Consumes one execution index and returns the fault (if any) to
     /// inject into the job about to run. Panic takes precedence over a
     /// cancel trip when both trip on the same index.
-    pub fn next_job_fault(&self) -> Option<JobFault> {
+    pub(crate) fn next_job_fault(&self) -> Option<JobFault> {
         let index = self.executions.fetch_add(1, Ordering::Relaxed);
         if decide(
             self.plan.seed,
@@ -238,7 +238,7 @@ impl FaultInjector {
 
     /// Consumes one readiness-event index; true when the reactor should
     /// skip this readable connection for one tick.
-    pub fn next_deferred_ready(&self) -> bool {
+    pub(crate) fn next_deferred_ready(&self) -> bool {
         if self.plan.defer_ready_rate <= 0.0 || self.plan.defer_ready_budget == 0 {
             return false;
         }
@@ -258,7 +258,7 @@ impl FaultInjector {
 
     /// Consumes one flush index; true when the reactor should truncate
     /// this response flush to a single byte.
-    pub fn next_short_write(&self) -> bool {
+    pub(crate) fn next_short_write(&self) -> bool {
         if self.plan.short_write_rate <= 0.0 || self.plan.short_write_budget == 0 {
             return false;
         }

@@ -87,14 +87,9 @@ impl HashRing {
         Self { points }
     }
 
-    /// Number of ring points (backends × replicas).
-    pub fn point_count(&self) -> usize {
-        self.points.len()
-    }
-
     /// Routes `key` to the first live backend clockwise from its hash
     /// point; `None` when every backend is dead (or the ring is empty).
-    pub fn route(&self, key: u64, alive: impl Fn(usize) -> bool) -> Option<usize> {
+    pub(crate) fn route(&self, key: u64, alive: impl Fn(usize) -> bool) -> Option<usize> {
         if self.points.is_empty() {
             return None;
         }
@@ -349,7 +344,7 @@ impl Gateway {
     ///
     /// # Errors
     /// Fails on an empty backend list or bind failure.
-    pub fn bind(config: GatewayConfig) -> std::io::Result<Gateway> {
+    pub(crate) fn bind(config: GatewayConfig) -> std::io::Result<Gateway> {
         if config.backends.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -390,7 +385,7 @@ impl Gateway {
     }
 
     /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.listener.local_addr().expect("listener has an address")
     }
 
@@ -665,7 +660,7 @@ mod tests {
     fn ring_construction_is_deterministic() {
         let a = HashRing::new(&addrs(5), 64);
         let b = HashRing::new(&addrs(5), 64);
-        assert_eq!(a.point_count(), 5 * 64);
+        assert_eq!(a.points.len(), 5 * 64);
         for key in (0..10_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
             assert_eq!(a.owner(key), b.owner(key));
         }

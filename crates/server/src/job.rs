@@ -175,7 +175,7 @@ impl JobSpec {
     /// determinism contract makes results identical at every thread
     /// count, so a hit may serve a request submitted with different
     /// parallelism).
-    pub fn cache_key(&self) -> String {
+    pub(crate) fn cache_key(&self) -> String {
         match self {
             JobSpec::Obfuscate {
                 graph,
@@ -234,7 +234,7 @@ impl JobSpec {
     ///
     /// # Errors
     /// See [`ExecError`].
-    pub fn execute_durable(
+    pub(crate) fn execute_durable(
         &self,
         cancel: &CancelToken,
         durability: Option<&Durability>,

@@ -383,7 +383,7 @@ impl Journal {
     }
 
     /// Flushes buffered records and fsyncs the segment.
-    pub fn sync_now(&mut self) {
+    pub(crate) fn sync_now(&mut self) {
         if !self.dirty {
             return;
         }
@@ -407,7 +407,7 @@ impl Journal {
     /// Interval-mode housekeeping: flush + fsync when the last sync is
     /// older than the interval. Called from the reactor tick; a no-op
     /// when clean or in `Always` mode.
-    pub fn maybe_sync(&mut self) {
+    pub(crate) fn maybe_sync(&mut self) {
         if self.dirty && self.last_sync.elapsed() >= SYNC_INTERVAL {
             self.sync_now();
             self.last_sync = Instant::now();

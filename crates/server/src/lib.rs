@@ -80,12 +80,11 @@ pub use gateway::{Gateway, GatewayHandle, GatewayReport, HashRing, RING_REPLICAS
 pub use job::{AnonymizeMethod, Durability, ExecError, ExecOutput, JobSpec};
 pub use journal::{Journal, JournalStats, JournalSync, ReplayJob, ReplaySummary};
 pub use protocol::{
-    chunk_frames, coded_error_response, codes, error_response, ok_response, parse_request,
-    JobRequest, Request,
+    chunk_frames, codes, error_response, ok_response, parse_request, JobRequest, Request,
 };
 pub use queue::{BoundedQueue, PushError, QueueSnapshot};
 pub use server::{
-    read_response, request_once, request_with_retry, response_field, retry_hint, roundtrip,
-    send_request, RetryPolicy, Server, ServerHandle, ServerReport,
+    read_response, request_once, request_with_retry, response_field, roundtrip, RetryPolicy,
+    Server, ServerHandle, ServerReport,
 };
-pub use sync::{poison_recoveries, RecoverableMutex};
+pub use sync::RecoverableMutex;

@@ -48,7 +48,7 @@ use chameleon_obs::json::{self, Json};
 
 /// Requests below this `chunk_bytes` floor are never chunked: tiny frames
 /// would multiply the framing overhead past the payload itself.
-pub const CHUNK_FLOOR: usize = 512;
+pub(crate) const CHUNK_FLOOR: usize = 512;
 
 /// One fully parsed job submission (top-level or batch element).
 #[derive(Debug, Clone)]
@@ -303,32 +303,32 @@ pub fn error_response(id: Option<&str>, error: &str, retry_after_ms: Option<u64>
 /// of `retry_after_ms` — not the code — is the retryability signal.
 pub mod codes {
     /// Unparsable or semantically invalid request line.
-    pub const BAD_REQUEST: &str = "bad_request";
+    pub(crate) const BAD_REQUEST: &str = "bad_request";
     /// Request line exceeded the configured byte limit.
-    pub const REQUEST_TOO_LARGE: &str = "request_too_large";
+    pub(crate) const REQUEST_TOO_LARGE: &str = "request_too_large";
     /// A started request line stalled past the read deadline.
-    pub const READ_TIMEOUT: &str = "read_timeout";
+    pub(crate) const READ_TIMEOUT: &str = "read_timeout";
     /// Connection refused: too many open connections.
-    pub const SERVER_BUSY: &str = "server_busy";
+    pub(crate) const SERVER_BUSY: &str = "server_busy";
     /// Bounded queue at capacity (retryable).
-    pub const QUEUE_FULL: &str = "queue_full";
+    pub(crate) const QUEUE_FULL: &str = "queue_full";
     /// Daemon is draining for shutdown.
-    pub const SHUTTING_DOWN: &str = "shutting_down";
+    pub(crate) const SHUTTING_DOWN: &str = "shutting_down";
     /// The job exceeded its wall-clock budget.
-    pub const TIMEOUT: &str = "timeout";
+    pub(crate) const TIMEOUT: &str = "timeout";
     /// The job's cancel token was tripped explicitly (retryable — this is
     /// the injected-fault path, not a deadline).
-    pub const CANCELLED: &str = "cancelled";
+    pub(crate) const CANCELLED: &str = "cancelled";
     /// The worker panicked while running the job (retryable; the panic
     /// was isolated and the worker survived).
-    pub const JOB_PANICKED: &str = "job_panicked";
+    pub(crate) const JOB_PANICKED: &str = "job_panicked";
     /// The job ran and failed (bad input, pipeline failure).
-    pub const JOB_FAILED: &str = "job_failed";
+    pub(crate) const JOB_FAILED: &str = "job_failed";
     /// A batch carried more elements than the server's `--max-batch`.
-    pub const BATCH_TOO_LARGE: &str = "batch_too_large";
+    pub(crate) const BATCH_TOO_LARGE: &str = "batch_too_large";
     /// Gateway-synthesized: every backend in the ring is dead or
     /// unreachable (retryable — backends may recover).
-    pub const NO_BACKEND: &str = "no_backend";
+    pub(crate) const NO_BACKEND: &str = "no_backend";
 }
 
 /// Splits a finished response line into `chunk` frames of at most
@@ -384,7 +384,7 @@ pub fn chunk_frames(id: Option<&str>, line: &str, chunk_bytes: usize) -> Option<
 /// Renders an error response tagged with a machine-readable `code` (see
 /// [`codes`]). Field order: `id?`, `status`, `code`, `error`,
 /// `retry_after_ms?`.
-pub fn coded_error_response(
+pub(crate) fn coded_error_response(
     id: Option<&str>,
     code: &str,
     error: &str,

@@ -37,7 +37,7 @@ pub struct QueueSnapshot {
 
 impl QueueSnapshot {
     /// True when nothing is queued and nothing is in flight.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.queued == 0 && self.active == 0
     }
 }
@@ -87,7 +87,7 @@ impl<T> BoundedQueue<T> {
     ///
     /// # Errors
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] once closed.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError> {
+    pub(crate) fn try_push(&self, item: T) -> Result<usize, PushError> {
         let mut state = self.state.lock();
         if state.closed {
             return Err(PushError::Closed);
@@ -121,7 +121,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Marks one previously popped item as finished.
-    pub fn task_done(&self) {
+    pub(crate) fn task_done(&self) {
         let mut state = self.state.lock();
         state.active = state.active.saturating_sub(1);
     }
@@ -147,18 +147,18 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Number of popped-but-unfinished items.
-    pub fn active(&self) -> usize {
+    pub(crate) fn active(&self) -> usize {
         self.snapshot().active
     }
 
     /// True when nothing is queued and nothing is in flight.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.snapshot().is_drained()
     }
 
     /// Stops accepting pushes; blocked `pop`s drain the backlog, then
     /// return `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().closed = true;
         self.not_empty.notify_all();
     }

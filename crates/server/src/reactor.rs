@@ -51,11 +51,11 @@ pub const POLLIN: i16 = 0x001;
 /// Readiness to request: write side (`POLLOUT`).
 pub const POLLOUT: i16 = 0x004;
 /// Returned readiness: error condition on the descriptor.
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// Returned readiness: peer hung up.
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// Returned readiness: descriptor not open (stale registration).
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 /// One `struct pollfd`, layout-compatible with the C definition on every
 /// unix this workspace targets (Linux CI, macOS dev machines).
@@ -231,7 +231,7 @@ impl Wakeup {
     ///
     /// # Errors
     /// Propagates descriptor duplication failures.
-    pub fn waker(&self) -> io::Result<Waker> {
+    pub(crate) fn waker(&self) -> io::Result<Waker> {
         Ok(Waker {
             write_half: self.write_half.try_clone()?,
         })
@@ -254,7 +254,7 @@ impl Waker {
     /// immediately. Best-effort by design: a full pipe means wakeups are
     /// already pending, and any other failure is absorbed by the loop's
     /// bounded poll timeout.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         use std::io::Write;
         let _ = (&self.write_half).write(&[1u8]);
     }

@@ -421,7 +421,7 @@ impl Server {
     ///
     /// # Errors
     /// Propagates bind failures.
-    pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
+    pub(crate) fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
@@ -539,7 +539,7 @@ impl Server {
     ///
     /// # Panics
     /// Never in practice (the listener is bound).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.listener.local_addr().expect("bound listener")
     }
 
@@ -797,7 +797,7 @@ fn process_job(shared: &Arc<Shared>, job: &QueuedJob) -> String {
 ///
 /// # Errors
 /// Propagates socket I/O failures.
-pub fn send_request<W: Write>(writer: &mut W, request: &str) -> std::io::Result<()> {
+pub(crate) fn send_request<W: Write>(writer: &mut W, request: &str) -> std::io::Result<()> {
     writer.write_all(request.as_bytes())?;
     writer.write_all(b"\n")
 }
@@ -924,7 +924,7 @@ impl RetryPolicy {
     /// server's `retry_after_ms` hint when present: the sleep is the
     /// hint (or the base delay) scaled exponentially by attempt, plus a
     /// seeded jitter in `[0, base_delay_ms)`, capped at `max_delay_ms`.
-    pub fn backoff(&self, attempt: u32, retry_after_ms: Option<u64>) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, retry_after_ms: Option<u64>) -> Duration {
         let base = retry_after_ms.unwrap_or(self.base_delay_ms).max(1);
         let scaled = base.saturating_mul(1u64 << attempt.min(10));
         let jitter = SeedSequence::new(self.seed)
@@ -937,7 +937,7 @@ impl RetryPolicy {
 /// The `retry_after_ms` hint of a response line, when the line is an
 /// error that carries one — the server's marker for "transient, safe to
 /// retry". Non-error lines and unparsable lines return `None`.
-pub fn retry_hint(line: &str) -> Option<u64> {
+pub(crate) fn retry_hint(line: &str) -> Option<u64> {
     let v = json::Json::parse(line).ok()?;
     if v.get("status").and_then(json::Json::as_str) != Some("error") {
         return None;

@@ -20,7 +20,7 @@ static POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
 
 /// Total poisoned-lock recoveries since process start. Mirrored by the
 /// `server.lock.poison_recovered` counter, but readable without obs.
-pub fn poison_recoveries() -> u64 {
+pub(crate) fn poison_recoveries() -> u64 {
     POISON_RECOVERIES.load(Ordering::Relaxed)
 }
 

@@ -3,9 +3,9 @@
 //! Two independent instruments live here:
 //!
 //! * [`CountingAlloc`] — a `#[global_allocator]` wrapper around the system
-//!   allocator that counts allocation calls and tracks current/peak heap
-//!   bytes. Test binaries install it to pin steady-state allocation budgets
-//!   (O(chunks), not O(worlds)); production binaries never need it.
+//!   allocator that counts allocation calls. Test binaries install it to
+//!   pin steady-state allocation budgets (O(chunks), not O(worlds));
+//!   production binaries never need it.
 //! * The **ensemble byte budget** — a process-global gauge that the
 //!   ensemble arenas (world matrices, label arenas, compressed world
 //!   stores) register their bytes against via [`Tracked`] guards. A
@@ -28,79 +28,39 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 // Counting global allocator (opt-in via #[global_allocator] in a binary).
 
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
-static HEAP_CURRENT: AtomicUsize = AtomicUsize::new(0);
-static HEAP_PEAK: AtomicUsize = AtomicUsize::new(0);
 
 /// A counting wrapper around the system allocator. Install with
 /// `#[global_allocator] static A: CountingAlloc = CountingAlloc;` in a test
-/// or bench binary, then read [`alloc_calls`] / [`heap_peak_bytes`].
+/// or bench binary, then read [`alloc_calls`].
 pub struct CountingAlloc;
-
-fn heap_add(bytes: usize) {
-    let now = HEAP_CURRENT.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    HEAP_PEAK.fetch_max(now, Ordering::Relaxed);
-}
-
-fn heap_sub(bytes: usize) {
-    // Saturating: frees of memory allocated before a reset must not wrap.
-    let _ = HEAP_CURRENT.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-        Some(v.saturating_sub(bytes))
-    });
-}
 
 #[allow(unsafe_code)] // GlobalAlloc is an inherently unsafe trait to implement.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        heap_add(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        heap_sub(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        heap_add(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        heap_sub(layout.size());
-        heap_add(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// Number of allocation calls (alloc + alloc_zeroed + realloc) since the
-/// last [`reset_alloc_calls`]. Only meaningful when [`CountingAlloc`] is
-/// installed as the global allocator.
+/// Number of allocation calls (alloc + alloc_zeroed + realloc) since
+/// process start. Only meaningful when [`CountingAlloc`] is installed as
+/// the global allocator.
 pub fn alloc_calls() -> usize {
     ALLOC_CALLS.load(Ordering::Relaxed)
-}
-
-/// Resets the allocation-call counter.
-pub fn reset_alloc_calls() {
-    ALLOC_CALLS.store(0, Ordering::Relaxed);
-}
-
-/// Current heap bytes as seen by [`CountingAlloc`] (0 when not installed).
-pub fn heap_current_bytes() -> usize {
-    HEAP_CURRENT.load(Ordering::Relaxed)
-}
-
-/// Peak heap bytes since the last [`reset_heap_peak`] (0 when
-/// [`CountingAlloc`] is not installed).
-pub fn heap_peak_bytes() -> usize {
-    HEAP_PEAK.load(Ordering::Relaxed)
-}
-
-/// Resets the heap peak to the current level.
-pub fn reset_heap_peak() {
-    HEAP_PEAK.store(HEAP_CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -143,7 +103,7 @@ pub fn set_ensemble_limit(bytes: usize) {
 }
 
 /// The configured ensemble byte ceiling (`0` = unlimited).
-pub fn ensemble_limit() -> usize {
+pub(crate) fn ensemble_limit() -> usize {
     ENSEMBLE_LIMIT.load(Ordering::Relaxed)
 }
 

@@ -20,7 +20,7 @@ pub fn shannon_entropy_bits(weights: &[f64]) -> f64 {
 /// The arithmetic is a left-to-right `+=` total, then per-weight
 /// `h -= p * p.ln()` in slice order; the anonymity check's reports are
 /// pinned to these exact bits.
-pub fn shannon_entropy_nats(weights: &[f64]) -> f64 {
+pub(crate) fn shannon_entropy_nats(weights: &[f64]) -> f64 {
     let mut total = 0.0;
     for &w in weights {
         debug_assert!(w >= -1e-15, "negative weight {w}");
@@ -37,29 +37,6 @@ pub fn shannon_entropy_nats(weights: &[f64]) -> f64 {
         }
     }
     h
-}
-
-/// Entropy in bits computed from an iterator of weights without allocating.
-pub fn entropy_bits_iter<I: IntoIterator<Item = f64> + Clone>(weights: I) -> f64 {
-    let total: f64 = weights.clone().into_iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let mut h = 0.0;
-    for w in weights {
-        if w > 0.0 {
-            let p = w / total;
-            h -= p * p.log2();
-        }
-    }
-    h
-}
-
-/// The effective anonymity set size `2^H` implied by an entropy of `h` bits.
-///
-/// `(k, ε)`-obfuscation asks `2^H ≥ k`; this helper makes reports readable.
-pub fn effective_anonymity(h_bits: f64) -> f64 {
-    h_bits.exp2()
 }
 
 #[cfg(test)]
@@ -98,18 +75,6 @@ mod tests {
             (shannon_entropy_bits(&w) * std::f64::consts::LN_2 - shannon_entropy_nats(&w)).abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn iterator_variant_matches_slice() {
-        let w = vec![0.1, 0.4, 0.5, 0.0];
-        assert!((entropy_bits_iter(w.iter().copied()) - shannon_entropy_bits(&w)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn effective_anonymity_roundtrip() {
-        assert!((effective_anonymity(3.0) - 8.0).abs() < 1e-12);
-        assert!((effective_anonymity(0.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rand::Rng;
 ///
 /// # Panics
 /// Panics if `shape` is not strictly positive and finite.
-pub fn sample_gamma<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
+pub(crate) fn sample_gamma<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
     assert!(
         shape.is_finite() && shape > 0.0,
         "gamma shape must be positive, got {shape}"

@@ -52,13 +52,6 @@ impl Histogram {
         self.counts[idx.min(bins - 1)] += 1;
     }
 
-    /// Adds every observation in the slice.
-    pub fn extend_from(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.push(x);
-        }
-    }
-
     /// Raw bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -74,11 +67,6 @@ impl Histogram {
         self.total
     }
 
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Observations above `hi`.
     pub fn overflow(&self) -> u64 {
         self.overflow
@@ -90,12 +78,6 @@ impl Histogram {
         (0..=bins)
             .map(|i| self.lo + (self.hi - self.lo) * i as f64 / bins as f64)
             .collect()
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
     }
 
     /// Bin counts normalized to fractions of total in-range observations
@@ -174,7 +156,7 @@ impl Log2Histogram {
     ///
     /// # Panics
     /// Panics if `i >= LOG2_BUCKETS`.
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
+    pub(crate) fn bucket_bounds(i: usize) -> (u64, u64) {
         assert!(i < LOG2_BUCKETS, "bucket {i} out of range");
         match i {
             0 => (0, 1),
@@ -323,10 +305,12 @@ mod tests {
     #[test]
     fn bins_partition_range() {
         let mut h = Histogram::new(0.0, 1.0, 4);
-        h.extend_from(&[0.0, 0.1, 0.3, 0.5, 0.74, 0.76, 0.99, 1.0]);
+        for x in [0.0, 0.1, 0.3, 0.5, 0.74, 0.76, 0.99, 1.0] {
+            h.push(x);
+        }
         assert_eq!(h.counts(), &[2, 1, 2, 3]);
         assert_eq!(h.total(), 8);
-        assert_eq!(h.underflow(), 0);
+        assert_eq!(h.underflow, 0);
         assert_eq!(h.overflow(), 0);
     }
 
@@ -342,7 +326,7 @@ mod tests {
         let mut h = Histogram::new(0.0, 1.0, 2);
         h.push(-0.5);
         h.push(1.5);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 2);
         assert_eq!(h.counts(), &[0, 0]);
@@ -351,23 +335,25 @@ mod tests {
     #[test]
     fn fractions_sum_to_one() {
         let mut h = Histogram::new(0.0, 10.0, 5);
-        h.extend_from(&[1.0, 2.0, 3.0, 7.0, 9.0]);
+        for x in [1.0, 2.0, 3.0, 7.0, 9.0] {
+            h.push(x);
+        }
         let total: f64 = h.fractions().iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn edges_and_centers() {
+    fn bin_edges() {
         let h = Histogram::new(0.0, 1.0, 2);
         assert_eq!(h.edges(), vec![0.0, 0.5, 1.0]);
-        assert!((h.bin_center(0) - 0.25).abs() < 1e-12);
-        assert!((h.bin_center(1) - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn ascii_render_nonempty() {
         let mut h = Histogram::new(0.0, 1.0, 3);
-        h.extend_from(&[0.1, 0.1, 0.9]);
+        for x in [0.1, 0.1, 0.9] {
+            h.push(x);
+        }
         let s = h.render_ascii(10);
         assert_eq!(s.lines().count(), 3);
         assert!(s.contains('#'));
@@ -484,9 +470,11 @@ mod tests {
         #[test]
         fn total_conserved(xs in proptest::collection::vec(-2.0f64..3.0, 0..200)) {
             let mut h = Histogram::new(0.0, 1.0, 7);
-            h.extend_from(&xs);
+            for &x in &xs {
+                h.push(x);
+            }
             let binned: u64 = h.counts().iter().sum();
-            prop_assert_eq!(binned + h.underflow() + h.overflow(), xs.len() as u64);
+            prop_assert_eq!(binned + h.underflow + h.overflow(), xs.len() as u64);
         }
 
         #[test]

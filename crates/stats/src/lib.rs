@@ -45,8 +45,8 @@ pub mod summary;
 pub mod trunc_normal;
 
 pub use alloc_guard::{BudgetExceeded, CountingAlloc, Tracked};
-pub use entropy::{shannon_entropy_bits, shannon_entropy_nats};
-pub use gamma::{sample_beta, sample_gamma};
+pub use entropy::shannon_entropy_bits;
+pub use gamma::sample_beta;
 pub use histogram::{Histogram, Log2Histogram};
 pub use kde::GaussianKde;
 pub use poisson_binomial::PoissonBinomial;

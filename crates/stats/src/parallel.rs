@@ -67,7 +67,7 @@ fn observer() -> Option<&'static dyn ParallelObserver> {
 }
 
 /// Number of hardware threads, as reported by the OS (≥ 1).
-pub fn available_threads() -> usize {
+pub(crate) fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -84,7 +84,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Number of fixed-size chunks covering `num_items` items.
-pub fn chunk_count(num_items: usize, chunk_size: usize) -> usize {
+pub(crate) fn chunk_count(num_items: usize, chunk_size: usize) -> usize {
     assert!(chunk_size > 0, "chunk size must be positive");
     num_items.div_ceil(chunk_size)
 }

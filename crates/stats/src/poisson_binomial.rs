@@ -6,8 +6,7 @@
 //! (k, ε)-obfuscation check (paper Definition 3) needs, for every vertex `u`
 //! and every adversary property value `ω`, the probability
 //! `Pr[deg(u) = ω]` — i.e. pointwise evaluations of this pmf. Lemma 6 of the
-//! paper additionally uses its mean/variance and a normal (CLT)
-//! approximation of its entropy.
+//! paper additionally uses its mean and variance.
 
 use crate::entropy::shannon_entropy_nats;
 
@@ -66,17 +65,6 @@ impl PoissonBinomial {
         self.pmf.get(k).copied().unwrap_or(0.0)
     }
 
-    /// The full pmf vector over `0..=n`.
-    pub fn pmf_slice(&self) -> &[f64] {
-        &self.pmf
-    }
-
-    /// `Pr[X <= k]`.
-    pub fn cdf(&self, k: usize) -> f64 {
-        let upto = k.min(self.pmf.len().saturating_sub(1));
-        self.pmf[..=upto].iter().sum()
-    }
-
     /// `E[X] = Σ p_i` (exact, not read off the pmf).
     pub fn mean(&self) -> f64 {
         self.mean
@@ -92,31 +80,9 @@ impl PoissonBinomial {
         self.pmf.len() - 1
     }
 
-    /// Most probable value (smallest mode on ties).
-    pub fn mode(&self) -> usize {
-        let mut best = 0;
-        for (k, &p) in self.pmf.iter().enumerate() {
-            if p > self.pmf[best] {
-                best = k;
-            }
-        }
-        best
-    }
-
     /// Exact Shannon entropy of the pmf, in nats.
     pub fn entropy_nats(&self) -> f64 {
         shannon_entropy_nats(&self.pmf)
-    }
-
-    /// CLT approximation of the entropy in nats:
-    /// `½·ln(2π·Var) + ½` — the differential entropy of the matching normal
-    /// (paper Lemma 6). Returns 0 for a deterministic (zero-variance) sum.
-    pub fn entropy_nats_normal_approx(&self) -> f64 {
-        if self.variance <= 0.0 {
-            0.0
-        } else {
-            0.5 * (2.0 * std::f64::consts::PI * self.variance).ln() + 0.5
-        }
     }
 }
 
@@ -180,7 +146,6 @@ mod tests {
     fn deterministic_edges_shift_support() {
         let d = PoissonBinomial::new(&[1.0, 1.0, 0.0]);
         assert!((d.pmf(2) - 1.0).abs() < 1e-15);
-        assert_eq!(d.mode(), 2);
         assert!(d.entropy_nats() < 1e-12);
     }
 
@@ -201,21 +166,8 @@ mod tests {
         assert!((d.mean() - m).abs() < 1e-15);
         assert!((d.variance() - v).abs() < 1e-15);
         // Mean read off the pmf agrees too.
-        let m2: f64 = d
-            .pmf_slice()
-            .iter()
-            .enumerate()
-            .map(|(k, p)| k as f64 * p)
-            .sum();
+        let m2: f64 = (0..=d.n()).map(|k| k as f64 * d.pmf(k)).sum();
         assert!((m2 - m).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_terminates_at_one() {
-        let d = PoissonBinomial::new(&[0.4, 0.6, 0.25]);
-        assert!((d.cdf(3) - 1.0).abs() < 1e-12);
-        assert!((d.cdf(10) - 1.0).abs() < 1e-12);
-        assert!(d.cdf(0) > 0.0);
     }
 
     #[test]
@@ -229,19 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_approx_tracks_exact_entropy_for_large_n() {
-        let probs = vec![0.5; 200];
-        let d = PoissonBinomial::new(&probs);
-        let exact = d.entropy_nats();
-        let approx = d.entropy_nats_normal_approx();
-        // CLT regime: relative error small.
-        assert!(
-            (exact - approx).abs() / exact < 0.02,
-            "exact={exact}, approx={approx}"
-        );
-    }
-
-    #[test]
     #[should_panic]
     fn rejects_invalid_probability() {
         let _ = PoissonBinomial::new(&[1.5]);
@@ -251,14 +190,14 @@ mod tests {
         #[test]
         fn pmf_sums_to_one(probs in proptest::collection::vec(0.0f64..=1.0, 0..40)) {
             let d = PoissonBinomial::new(&probs);
-            let total: f64 = d.pmf_slice().iter().sum();
+            let total: f64 = (0..=d.n()).map(|k| d.pmf(k)).sum();
             prop_assert!((total - 1.0).abs() < 1e-9);
         }
 
         #[test]
         fn pmf_nonnegative(probs in proptest::collection::vec(0.0f64..=1.0, 0..40)) {
             let d = PoissonBinomial::new(&probs);
-            prop_assert!(d.pmf_slice().iter().all(|&p| p >= 0.0));
+            prop_assert!((0..=d.n()).all(|k| d.pmf(k) >= 0.0));
         }
 
         #[test]
@@ -266,8 +205,7 @@ mod tests {
             probs in proptest::collection::vec(0.0f64..=1.0, 0..30)
         ) {
             let d = PoissonBinomial::new(&probs);
-            let m: f64 = d.pmf_slice().iter().enumerate()
-                .map(|(k, p)| k as f64 * p).sum();
+            let m: f64 = (0..=d.n()).map(|k| k as f64 * d.pmf(k)).sum();
             prop_assert!((m - d.mean()).abs() < 1e-8);
         }
 

@@ -47,11 +47,6 @@ impl SeedSequence {
         Self { master }
     }
 
-    /// Returns the master seed this sequence was built from.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// Derives a child seed for the component named `label`.
     pub fn derive(&self, label: &str) -> u64 {
         // FNV-1a over the label, mixed with the master through SplitMix64.
@@ -166,10 +161,5 @@ mod tests {
         // Reference output of SplitMix64 seeded with 0 (first output).
         let mut s = 0u64;
         assert_eq!(splitmix64(&mut s), 0xE220_A839_7B1D_CDAF);
-    }
-
-    #[test]
-    fn master_accessor() {
-        assert_eq!(SeedSequence::new(5).master(), 5);
     }
 }

@@ -49,26 +49,6 @@ impl Summary {
         }
     }
 
-    /// Merges another summary into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -84,7 +64,7 @@ impl Summary {
     }
 
     /// Unbiased sample variance (0 when fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -93,7 +73,7 @@ impl Summary {
     }
 
     /// Population variance (0 when empty).
-    pub fn population_variance(&self) -> f64 {
+    pub(crate) fn population_variance(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -102,7 +82,7 @@ impl Summary {
     }
 
     /// Unbiased sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
+    pub(crate) fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
@@ -171,31 +151,6 @@ mod tests {
         assert_eq!(s.max(), 3.5);
     }
 
-    #[test]
-    fn merge_matches_sequential() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
-        let whole = Summary::from_slice(&xs);
-        let mut a = Summary::from_slice(&xs[..3]);
-        let b = Summary::from_slice(&xs[3..]);
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.sample_variance() - whole.sample_variance()).abs() < 1e-12);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::from_slice(&[1.0, 2.0]);
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
     proptest! {
         #[test]
         fn mean_within_min_max(xs in proptest::collection::vec(-100.0f64..100.0, 1..100)) {
@@ -209,20 +164,6 @@ mod tests {
             let s = Summary::from_slice(&xs);
             prop_assert!(s.sample_variance() >= 0.0);
             prop_assert!(s.population_variance() >= 0.0);
-        }
-
-        #[test]
-        fn merge_any_split_matches(
-            xs in proptest::collection::vec(-50.0f64..50.0, 2..60),
-            split_frac in 0.0f64..1.0
-        ) {
-            let split = ((xs.len() as f64) * split_frac) as usize;
-            let whole = Summary::from_slice(&xs);
-            let mut a = Summary::from_slice(&xs[..split]);
-            let b = Summary::from_slice(&xs[split..]);
-            a.merge(&b);
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-9);
-            prop_assert!((a.population_variance() - whole.population_variance()).abs() < 1e-7);
         }
     }
 }

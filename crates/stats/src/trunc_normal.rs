@@ -93,26 +93,16 @@ impl TruncatedNormal {
         let x = self.sigma * normal_quantile(target);
         x.clamp(self.lo, self.hi)
     }
-
-    /// Probability density at `x` (0 outside the truncation interval).
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < self.lo || x > self.hi || self.cdf_span <= f64::EPSILON {
-            return 0.0;
-        }
-        let z = x / self.sigma;
-        let phi = (-0.5 * z * z).exp() / (self.sigma * (2.0 * std::f64::consts::PI).sqrt());
-        phi / self.cdf_span
-    }
 }
 
 /// Standard normal CDF via `erf`.
-pub fn normal_cdf(z: f64) -> f64 {
+pub(crate) fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 
 /// Standard normal quantile (inverse CDF), Acklam's rational approximation
 /// refined with one Halley step; |error| < 1e-13 over (0, 1).
-pub fn normal_quantile(p: f64) -> f64 {
+pub(crate) fn normal_quantile(p: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p), "p out of range: {p}");
     if p <= 0.0 {
         return f64::NEG_INFINITY;
@@ -176,7 +166,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 
 /// Error function, accurate to ~1e-14: Maclaurin series for small |x|,
 /// complementary continued fraction (modified Lentz) for large |x|.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     if x < 0.0 {
         return -erf(-x);
     }
@@ -308,22 +298,6 @@ mod tests {
         }
         assert!((d.inverse_cdf(0.0) - 0.0).abs() < 1e-9);
         assert!((d.inverse_cdf(1.0) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        let d = TruncatedNormal::half_unit(0.5);
-        let n = 20_000;
-        let h = 1.0 / n as f64;
-        let integral: f64 = (0..n).map(|i| d.pdf((i as f64 + 0.5) * h) * h).sum();
-        assert!((integral - 1.0).abs() < 1e-4, "integral={integral}");
-    }
-
-    #[test]
-    fn pdf_zero_outside_support() {
-        let d = TruncatedNormal::half_unit(0.5);
-        assert_eq!(d.pdf(-0.1), 0.0);
-        assert_eq!(d.pdf(1.1), 0.0);
     }
 
     #[test]

@@ -1,64 +1,8 @@
-//! Structural analysis of uncertain graphs: components of the support
-//! graph, probability-thresholded backbones, and summary statistics used
-//! by dataset validation and the experiment harness.
+//! Structural analysis of uncertain graphs: summary statistics used by
+//! dataset validation and the experiment harness.
 
-use crate::graph::{NodeId, UncertainGraph};
+use crate::graph::UncertainGraph;
 use crate::union_find::UnionFind;
-
-/// Connected components of the *support* graph (every edge counted
-/// regardless of probability, optionally thresholded).
-///
-/// `min_prob` restricts to edges with `p >= min_prob`; pass 0.0 for the
-/// full support.
-pub fn support_components(graph: &UncertainGraph, min_prob: f64) -> UnionFind {
-    let mut uf = UnionFind::new(graph.num_nodes());
-    for e in graph.edges() {
-        if e.p >= min_prob {
-            uf.union(e.u, e.v);
-        }
-    }
-    uf
-}
-
-/// Nodes of the largest support component (ties broken by smallest root
-/// label; deterministic).
-pub fn largest_component(graph: &UncertainGraph, min_prob: f64) -> Vec<NodeId> {
-    let mut uf = support_components(graph, min_prob);
-    let labels = uf.component_labels();
-    let num = uf.num_components();
-    let mut sizes = vec![0usize; num];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    let best = sizes
-        .iter()
-        .enumerate()
-        .max_by_key(|&(i, &s)| (s, std::cmp::Reverse(i)))
-        .map(|(i, _)| i as u32)
-        .unwrap_or(0);
-    (0..graph.num_nodes() as u32)
-        .filter(|&v| labels[v as usize] == best)
-        .collect()
-}
-
-/// The subgraph induced on `nodes` (edges with both endpoints inside),
-/// with nodes relabeled densely in the order given. Returns the new graph
-/// and the mapping `new_id -> old_id`.
-pub fn induced_subgraph(graph: &UncertainGraph, nodes: &[NodeId]) -> (UncertainGraph, Vec<NodeId>) {
-    let mut old_to_new: std::collections::HashMap<NodeId, NodeId> =
-        std::collections::HashMap::with_capacity(nodes.len());
-    for (new, &old) in nodes.iter().enumerate() {
-        let prev = old_to_new.insert(old, new as NodeId);
-        assert!(prev.is_none(), "duplicate node {old} in selection");
-    }
-    let mut sub = UncertainGraph::with_nodes(nodes.len());
-    for e in graph.edges() {
-        if let (Some(&u), Some(&v)) = (old_to_new.get(&e.u), old_to_new.get(&e.v)) {
-            sub.add_edge(u, v, e.p).expect("valid induced edge");
-        }
-    }
-    (sub, nodes.to_vec())
-}
 
 /// Summary statistics of an uncertain graph, for dataset tables and logs.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,56 +91,6 @@ mod tests {
             g.add_edge(u, v, 0.2).unwrap();
         }
         g
-    }
-
-    #[test]
-    fn support_components_by_threshold() {
-        let g = two_triangles();
-        let mut full = support_components(&g, 0.0);
-        assert_eq!(full.num_components(), 3); // two triangles + isolate
-        assert!(full.connected(0, 2));
-        assert!(!full.connected(0, 3));
-        let mut strong = support_components(&g, 0.5);
-        assert_eq!(strong.num_components(), 5); // weak triangle dissolves
-        assert!(!strong.connected(3, 4));
-    }
-
-    #[test]
-    fn largest_component_selection() {
-        let mut g = two_triangles();
-        g.add_edge(3, 6, 0.3).unwrap(); // second cluster now size 4
-        let comp = largest_component(&g, 0.0);
-        assert_eq!(comp, vec![3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn largest_component_tie_is_deterministic() {
-        let g = two_triangles();
-        let a = largest_component(&g, 0.0);
-        let b = largest_component(&g, 0.0);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = two_triangles();
-        let (sub, mapping) = induced_subgraph(&g, &[0, 1, 2, 3]);
-        assert_eq!(sub.num_nodes(), 4);
-        assert_eq!(sub.num_edges(), 3); // triangle 0-1-2 only
-        assert!(sub.has_edge(0, 1));
-        assert!(!sub.has_edge(0, 3));
-        assert_eq!(mapping, vec![0, 1, 2, 3]);
-        // Probabilities preserved.
-        let e = sub.find_edge(0, 1).unwrap();
-        assert!((sub.prob(e) - 0.9).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic]
-    fn induced_subgraph_rejects_duplicates() {
-        let g = two_triangles();
-        let _ = induced_subgraph(&g, &[0, 0]);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl BitSet {
         }
     }
 
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Clears all bits.
     pub fn clear(&mut self) {
         for w in &mut self.words {
@@ -72,7 +67,7 @@ impl BitSet {
     }
 
     /// Iterator over indices of set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut w = w;
             std::iter::from_fn(move || {
@@ -103,10 +98,10 @@ mod tests {
         b.set(129, true);
         assert!(b.get(0) && b.get(63) && b.get(64) && b.get(129));
         assert!(!b.get(1) && !b.get(65));
-        assert_eq!(b.count_ones(), 4);
+        assert_eq!(b.iter_ones().count(), 4);
         b.set(64, false);
         assert!(!b.get(64));
-        assert_eq!(b.count_ones(), 3);
+        assert_eq!(b.iter_ones().count(), 3);
     }
 
     #[test]
@@ -124,7 +119,7 @@ mod tests {
         let mut b = BitSet::new(10);
         b.set(5, true);
         b.clear();
-        assert_eq!(b.count_ones(), 0);
+        assert_eq!(b.iter_ones().count(), 0);
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
             for (i, &expected) in v.iter().enumerate() {
                 prop_assert_eq!(b.get(i), expected);
             }
-            prop_assert_eq!(b.count_ones(), v.iter().filter(|&&x| x).count());
+            prop_assert_eq!(b.iter_ones().count(), v.iter().filter(|&&x| x).count());
             let ones: Vec<usize> = b.iter_ones().collect();
             let expect: Vec<usize> = (0..256).filter(|&i| v[i]).collect();
             prop_assert_eq!(ones, expect);

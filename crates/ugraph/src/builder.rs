@@ -44,13 +44,13 @@ impl GraphBuilder {
     }
 
     /// Sets the duplicate-resolution policy.
-    pub fn dedup_policy(mut self, policy: DedupPolicy) -> Self {
+    pub(crate) fn dedup_policy(mut self, policy: DedupPolicy) -> Self {
         self.policy = policy;
         self
     }
 
     /// Grows the node count if `n` exceeds the current one.
-    pub fn ensure_nodes(&mut self, n: usize) {
+    pub(crate) fn ensure_nodes(&mut self, n: usize) {
         self.num_nodes = self.num_nodes.max(n);
     }
 

@@ -133,7 +133,7 @@ impl CompressedWorlds {
     /// (`num_worlds × words_per_world × 8`).
     ///
     /// [`WorldMatrix`]: crate::world_matrix::WorldMatrix
-    pub fn uncompressed_bytes(&self) -> usize {
+    pub(crate) fn uncompressed_bytes(&self) -> usize {
         self.num_worlds() * self.words_per_world * std::mem::size_of::<u64>()
     }
 

@@ -54,40 +54,6 @@ pub fn gnm<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> UncertainGraph {
     g
 }
 
-/// Erdős–Rényi G(n, p): each pair independently an edge with probability
-/// `p_edge`, generated in O(n + m) expected time with geometric skipping.
-pub fn gnp<R: Rng + ?Sized>(n: usize, p_edge: f64, rng: &mut R) -> UncertainGraph {
-    assert!((0.0..=1.0).contains(&p_edge), "invalid edge probability");
-    let mut g = UncertainGraph::with_nodes(n);
-    if p_edge <= 0.0 || n < 2 {
-        return g;
-    }
-    if p_edge >= 1.0 {
-        for u in 0..n as u32 {
-            for v in (u + 1)..n as u32 {
-                g.add_edge(u, v, 1.0).unwrap();
-            }
-        }
-        return g;
-    }
-    // Batagelj–Brandes linear-time skipping over the lower triangle.
-    let ln_q = (1.0 - p_edge).ln();
-    let mut v: i64 = 1;
-    let mut w: i64 = -1;
-    while (v as usize) < n {
-        let r: f64 = rng.gen::<f64>();
-        w += 1 + ((1.0 - r).ln() / ln_q).floor() as i64;
-        while w >= v && (v as usize) < n {
-            w -= v;
-            v += 1;
-        }
-        if (v as usize) < n {
-            g.add_edge(w as u32, v as u32, 1.0).expect("w < v");
-        }
-    }
-    g
-}
-
 /// Barabási–Albert preferential attachment: starts from a clique of
 /// `m0 = m_attach` nodes, each new node attaches to `m_attach` existing
 /// nodes chosen with probability proportional to degree. Produces
@@ -233,28 +199,6 @@ mod tests {
     fn gnm_rejects_impossible() {
         let mut rng = StdRng::seed_from_u64(4);
         let _ = gnm(4, 100, &mut rng);
-    }
-
-    #[test]
-    fn gnp_edge_fraction() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 150;
-        let p = 0.1;
-        let g = gnp(n, p, &mut rng);
-        let expect = p * (n * (n - 1) / 2) as f64;
-        let got = g.num_edges() as f64;
-        assert!(
-            (got - expect).abs() < 4.0 * expect.sqrt() + 10.0,
-            "got {got}, expect {expect}"
-        );
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        let mut rng = StdRng::seed_from_u64(6);
-        assert_eq!(gnp(20, 0.0, &mut rng).num_edges(), 0);
-        assert_eq!(gnp(6, 1.0, &mut rng).num_edges(), 15);
-        assert_eq!(gnp(1, 0.5, &mut rng).num_edges(), 0);
     }
 
     #[test]

@@ -22,25 +22,6 @@ pub struct Edge {
     pub p: f64,
 }
 
-impl Edge {
-    /// The endpoint other than `w`.
-    ///
-    /// # Panics
-    /// Panics if `w` is not an endpoint of this edge.
-    pub fn other(&self, w: NodeId) -> NodeId {
-        if w == self.u {
-            self.v
-        } else if w == self.v {
-            self.u
-        } else {
-            panic!(
-                "node {w} is not an endpoint of edge ({}, {})",
-                self.u, self.v
-            )
-        }
-    }
-}
-
 /// An undirected uncertain graph `G = (V, E, p)` without self-loops or
 /// multi-edges (paper §III-A).
 ///
@@ -215,7 +196,7 @@ impl UncertainGraph {
     }
 
     /// Total probability mass `Σ_e p(e)` (= expected number of edges).
-    pub fn total_prob_mass(&self) -> f64 {
+    pub(crate) fn total_prob_mass(&self) -> f64 {
         self.edges.iter().map(|e| e.p).sum()
     }
 
@@ -227,19 +208,6 @@ impl UncertainGraph {
         } else {
             2.0 * self.total_prob_mass() / self.num_nodes() as f64
         }
-    }
-
-    /// Returns a copy with all probability-0 edges dropped (useful before
-    /// publishing an anonymized graph).
-    pub fn pruned(&self, min_prob: f64) -> UncertainGraph {
-        let mut g = UncertainGraph::with_nodes(self.num_nodes());
-        for e in &self.edges {
-            if e.p >= min_prob && e.p > 0.0 {
-                g.add_edge(e.u, e.v, e.p)
-                    .expect("pruning preserves validity");
-            }
-        }
-        g
     }
 
     /// Edge endpoints in structure-of-arrays form: `(us, vs)` with
@@ -381,32 +349,6 @@ mod tests {
         assert_eq!(nbrs, vec![0, 2]);
         let probs = g.incident_probs(1);
         assert_eq!(probs, vec![0.5, 0.25]);
-    }
-
-    #[test]
-    fn edge_other_endpoint() {
-        let e = Edge { u: 2, v: 5, p: 0.5 };
-        assert_eq!(e.other(2), 5);
-        assert_eq!(e.other(5), 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn edge_other_panics_for_nonmember() {
-        let e = Edge { u: 2, v: 5, p: 0.5 };
-        let _ = e.other(3);
-    }
-
-    #[test]
-    fn pruned_drops_low_probability_edges() {
-        let mut g = triangle();
-        let e = g.find_edge(0, 1).unwrap();
-        g.set_prob(e, 0.0).unwrap();
-        let pruned = g.pruned(0.1);
-        assert_eq!(pruned.num_edges(), 2);
-        assert!(!pruned.has_edge(0, 1));
-        assert!(pruned.has_edge(1, 2));
-        assert_eq!(pruned.num_nodes(), 3);
     }
 
     #[test]

@@ -37,10 +37,10 @@ use std::path::Path;
 
 /// Leading magic of the binary format ("Chameleon Uncertain Graph,
 /// Binary").
-pub const BINARY_MAGIC: [u8; 4] = *b"CUGB";
+pub(crate) const BINARY_MAGIC: [u8; 4] = *b"CUGB";
 
 /// Current binary format version.
-pub const BINARY_VERSION: u8 = 1;
+pub(crate) const BINARY_VERSION: u8 = 1;
 
 /// Writes a graph in the text format.
 pub fn write_text<W: Write>(graph: &UncertainGraph, mut out: W) -> Result<(), GraphError> {
@@ -153,17 +153,6 @@ pub fn write_binary<W: Write>(graph: &UncertainGraph, mut out: W) -> Result<(), 
     Ok(())
 }
 
-/// Writes a graph to a file in the binary format.
-pub fn write_binary_file<P: AsRef<Path>>(
-    graph: &UncertainGraph,
-    path: P,
-) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path)?;
-    let mut out = std::io::BufWriter::new(file);
-    write_binary(graph, &mut out)?;
-    Ok(out.flush()?)
-}
-
 fn binary_parse_err(message: impl Into<String>) -> GraphError {
     GraphError::Parse {
         line: 0,
@@ -173,7 +162,7 @@ fn binary_parse_err(message: impl Into<String>) -> GraphError {
 
 /// Reads a graph in the binary format, streaming edge records one at a
 /// time (memory stays O(graph), never O(file) on top of it).
-pub fn read_binary<R: BufRead>(
+pub(crate) fn read_binary<R: BufRead>(
     mut input: R,
     policy: DedupPolicy,
 ) -> Result<UncertainGraph, GraphError> {
@@ -212,15 +201,6 @@ pub fn read_binary<R: BufRead>(
             .map_err(|e| edge_err(e.to_string()))?;
     }
     Ok(builder.build())
-}
-
-/// Reads a graph from a binary-format file.
-pub fn read_binary_file<P: AsRef<Path>>(
-    path: P,
-    policy: DedupPolicy,
-) -> Result<UncertainGraph, GraphError> {
-    let file = std::fs::File::open(path)?;
-    read_binary(std::io::BufReader::new(file), policy)
 }
 
 /// Reads a graph from a file, auto-detecting text vs binary format from
@@ -424,11 +404,9 @@ mod tests {
         let dir = std::env::temp_dir().join("chameleon-io-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.cugb");
-        write_binary_file(&g, &path).unwrap();
-        let explicit = read_binary_file(&path, DedupPolicy::Reject).unwrap();
+        std::fs::write(&path, to_binary_bytes(&g)).unwrap();
         // read_file sniffs the magic and dispatches to the binary reader.
         let sniffed = read_file(&path, DedupPolicy::Reject).unwrap();
-        assert_eq!(explicit.num_edges(), 3);
         assert_eq!(sniffed.num_edges(), 3);
         std::fs::remove_file(&path).ok();
     }

@@ -2,20 +2,19 @@
 //!
 //! The node-separation metrics of the paper's evaluation (average distance,
 //! graph diameter, Fig. 10) are expected values over possible worlds of
-//! per-world shortest-path statistics; those per-world statistics come from
-//! the BFS routines here (exact) or from the ANF sketch in the reliability
-//! crate (approximate, for large worlds).
+//! per-world shortest-path statistics, and those per-world statistics come
+//! from the exact BFS routines here.
 
 use crate::graph::NodeId;
 use crate::world::WorldView;
 use std::collections::VecDeque;
 
 /// Distance value used for unreachable pairs.
-pub const UNREACHABLE: u32 = u32::MAX;
+pub(crate) const UNREACHABLE: u32 = u32::MAX;
 
 /// Single-source BFS distances in a world; unreachable nodes get
 /// [`UNREACHABLE`].
-pub fn bfs_distances(view: &WorldView<'_>, source: NodeId) -> Vec<u32> {
+pub(crate) fn bfs_distances(view: &WorldView<'_>, source: NodeId) -> Vec<u32> {
     let n = view.num_nodes();
     let mut dist = vec![UNREACHABLE; n];
     let mut queue = VecDeque::new();
@@ -31,32 +30,6 @@ pub fn bfs_distances(view: &WorldView<'_>, source: NodeId) -> Vec<u32> {
         }
     }
     dist
-}
-
-/// Shortest-path distance between two nodes in a world, or `None` when
-/// disconnected. Early-exits once `target` is settled.
-pub fn bfs_distance(view: &WorldView<'_>, source: NodeId, target: NodeId) -> Option<u32> {
-    if source == target {
-        return Some(0);
-    }
-    let n = view.num_nodes();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut queue = VecDeque::new();
-    dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(x) = queue.pop_front() {
-        let dx = dist[x as usize];
-        for y in view.neighbors(x) {
-            if dist[y as usize] == UNREACHABLE {
-                if y == target {
-                    return Some(dx + 1);
-                }
-                dist[y as usize] = dx + 1;
-                queue.push_back(y);
-            }
-        }
-    }
-    None
 }
 
 /// Per-world statistics from a set of BFS sources: mean finite distance and
@@ -142,16 +115,6 @@ pub fn triangles_and_wedges(view: &WorldView<'_>) -> (u64, u64) {
     (triangles, wedges)
 }
 
-/// Global clustering coefficient of a world: `3·triangles / wedges`.
-pub fn global_clustering_coefficient(view: &WorldView<'_>) -> f64 {
-    let (t, w) = triangles_and_wedges(view);
-    if w == 0 {
-        0.0
-    } else {
-        3.0 * t as f64 / w as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,8 +144,6 @@ mod tests {
         let w = full_world(&g);
         let view = WorldView::new(&g, &w);
         assert_eq!(bfs_distances(&view, 0), vec![0, 1, 2, 3]);
-        assert_eq!(bfs_distance(&view, 0, 3), Some(3));
-        assert_eq!(bfs_distance(&view, 2, 2), Some(0));
     }
 
     #[test]
@@ -191,7 +152,6 @@ mod tests {
         let mut w = full_world(&g);
         w.set(1, false); // cut 1-2
         let view = WorldView::new(&g, &w);
-        assert_eq!(bfs_distance(&view, 0, 3), None);
         let d = bfs_distances(&view, 0);
         assert_eq!(d[1], 1);
         assert_eq!(d[2], UNREACHABLE);
@@ -235,7 +195,6 @@ mod tests {
         let (t, wd) = triangles_and_wedges(&view);
         assert_eq!(t, 4);
         assert_eq!(wd, 12);
-        assert!((global_clustering_coefficient(&view) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -246,7 +205,6 @@ mod tests {
         let (t, wd) = triangles_and_wedges(&view);
         assert_eq!(t, 0);
         assert_eq!(wd, 2); // two internal wedges at nodes 1 and 2
-        assert_eq!(global_clustering_coefficient(&view), 0.0);
     }
 
     #[test]
@@ -263,7 +221,6 @@ mod tests {
         assert_eq!(t, 1);
         // degrees: 2,2,3,1 → wedges 1+1+3+0 = 5
         assert_eq!(wd, 5);
-        assert!((global_clustering_coefficient(&view) - 0.6).abs() < 1e-12);
     }
 
     #[test]

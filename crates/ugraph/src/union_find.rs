@@ -66,7 +66,7 @@ impl UnionFind {
     }
 
     /// Size of the set containing `x`.
-    pub fn component_size(&mut self, x: u32) -> u32 {
+    pub(crate) fn component_size(&mut self, x: u32) -> u32 {
         let r = self.find(x);
         self.size[r as usize]
     }

@@ -9,7 +9,7 @@
 use std::io::{self, Read, Write};
 
 /// Appends the canonical LEB128 encoding of `v` to `buf`.
-pub fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -22,7 +22,7 @@ pub fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Writes the canonical LEB128 encoding of `v` to `w`.
-pub fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
+pub(crate) fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     let mut buf = [0u8; 10]; // ceil(64 / 7) bytes max
     let mut n = 0;
     let mut v = v;
@@ -46,7 +46,7 @@ pub fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
 /// `UnexpectedEof` when the stream ends mid-integer, `InvalidData` when
 /// the encoding overflows 64 bits or is non-canonical (a redundant
 /// all-zero continuation group).
-pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
+pub(crate) fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -81,7 +81,7 @@ pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
 /// # Panics
 /// Panics if `bytes` ends mid-integer or overflows (the compressed world
 /// store writes only canonical varints, so this is a logic error).
-pub fn decode_u64(bytes: &[u8]) -> (u64, usize) {
+pub(crate) fn decode_u64(bytes: &[u8]) -> (u64, usize) {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     for (i, &b) in bytes.iter().enumerate() {

@@ -111,7 +111,7 @@ impl PartialOrd for HeapEntry {
 
 /// Single-source Dijkstra over one possible world; unreachable nodes get
 /// `f64::INFINITY`.
-pub fn dijkstra(
+pub(crate) fn dijkstra(
     weighted: &WeightedUncertainGraph,
     view: &WorldView<'_>,
     source: NodeId,

@@ -20,12 +20,12 @@ impl World {
     }
 
     /// Builds a world from an explicit bitset.
-    pub fn from_bitset(present: BitSet) -> Self {
+    pub(crate) fn from_bitset(present: BitSet) -> Self {
         Self { present }
     }
 
     /// Number of edge slots (present or not).
-    pub fn num_edge_slots(&self) -> usize {
+    pub(crate) fn num_edge_slots(&self) -> usize {
         self.present.len()
     }
 
@@ -40,13 +40,8 @@ impl World {
         self.present.set(e as usize, present);
     }
 
-    /// Number of edges present.
-    pub fn num_present(&self) -> usize {
-        self.present.count_ones()
-    }
-
     /// Iterator over the ids of present edges.
-    pub fn present_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+    pub(crate) fn present_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.present.iter_ones().map(|i| i as EdgeId)
     }
 
@@ -102,7 +97,7 @@ impl<'a> WorldRef<'a> {
     ///
     /// # Panics
     /// Panics if `words` is not exactly `ceil(len / 64)` words long.
-    pub fn from_words(words: &'a [u64], len: usize) -> Self {
+    pub(crate) fn from_words(words: &'a [u64], len: usize) -> Self {
         assert_eq!(
             words.len(),
             len.div_ceil(64),
@@ -112,7 +107,7 @@ impl<'a> WorldRef<'a> {
     }
 
     /// Number of edge slots (present or not).
-    pub fn num_edge_slots(&self) -> usize {
+    pub(crate) fn num_edge_slots(&self) -> usize {
         self.len
     }
 
@@ -128,24 +123,8 @@ impl<'a> WorldRef<'a> {
     }
 
     /// Number of edges present.
-    pub fn num_present(&self) -> usize {
+    pub(crate) fn num_present(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Iterator over the ids of present edges, ascending.
-    pub fn present_edges(&self) -> impl Iterator<Item = EdgeId> + 'a {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros();
-                    w &= w - 1;
-                    Some(wi as EdgeId * 64 + b)
-                }
-            })
-        })
     }
 
     /// The backing `u64` words, least-significant bit first.
@@ -266,7 +245,7 @@ mod tests {
     fn empty_world_has_no_edges() {
         let g = path_graph();
         let w = World::empty(g.num_edges());
-        assert_eq!(w.num_present(), 0);
+        assert_eq!(w.present_edges().count(), 0);
         assert_eq!(w.connected_pairs(&g), 0);
         let view = WorldView::new(&g, &w);
         assert_eq!(view.num_edges(), 0);
@@ -280,7 +259,7 @@ mod tests {
         for e in 0..g.num_edges() as u32 {
             w.set(e, true);
         }
-        assert_eq!(w.num_present(), 3);
+        assert_eq!(w.present_edges().count(), 3);
         assert_eq!(w.connected_pairs(&g), 6); // C(4,2)
         let view = WorldView::new(&g, &w);
         assert_eq!(view.degree(1), 2);
@@ -337,11 +316,8 @@ mod tests {
         }
         let r = w.as_world_ref();
         assert_eq!(r.num_edge_slots(), 130);
-        assert_eq!(r.num_present(), w.num_present());
+        assert_eq!(r.num_present(), w.present_edges().count());
         assert!(r.contains(64) && !r.contains(65));
-        let from_ref: Vec<EdgeId> = r.present_edges().collect();
-        let from_world: Vec<EdgeId> = w.present_edges().collect();
-        assert_eq!(from_ref, from_world);
         assert_eq!(r.words(), WorldRef::from(&w).words());
         assert_eq!(WorldRef::from_words(r.words(), 130), r);
     }

@@ -184,11 +184,6 @@ impl SamplePlan {
         self.words_per_world
     }
 
-    /// Number of edges that consume a uniform variate per draw.
-    pub fn num_uncertain(&self) -> usize {
-        self.uncertain.len()
-    }
-
     /// The deterministic-edge template row (`words_per_world` words with
     /// every p ≥ 1 edge bit set). Compressed world stores delta-encode
     /// rows against this template.
@@ -249,7 +244,6 @@ mod tests {
     fn plan_draws_match_sampler_draw_for_draw() {
         let g = mixed_graph();
         let plan = SamplePlan::new(&g);
-        assert_eq!(plan.num_uncertain(), 2);
         // One shared RNG across many sequential draws: any extra or missing
         // gen::<f64>() call would desynchronize all subsequent worlds.
         let mut rng_old = StdRng::seed_from_u64(99);
