@@ -123,6 +123,19 @@ fn bench_stats_kernels(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(7);
         b.iter(|| black_box(tn.sample(&mut rng)))
     });
+    // GenObf's per-candidate noise transform, construction included, over
+    // 256 quantiles. `erf`'s argument runs up to 1/(σ√2) ≈ 7.1, 2.4, 0.71
+    // and 0.24, so between them the four σ reach every `erf` branch.
+    let quantiles: Vec<f64> = (0..256).map(|i| (i as f64 + 0.5) / 256.0).collect();
+    for sigma in [0.1, 0.3, 1.0, 3.0] {
+        group.bench_function(format!("trunc_normal_inverse_cdf/{sigma}"), |b| {
+            b.iter(|| {
+                quantiles.iter().fold(0.0, |acc, &u| {
+                    acc + TruncatedNormal::half_unit(black_box(sigma)).inverse_cdf(u)
+                })
+            })
+        });
+    }
     group.finish();
 }
 

@@ -41,8 +41,9 @@ const CHECKPOINT_VERSION: u64 = 1;
 /// `tests/golden_release.rs` is re-pinned.
 ///
 /// History: 1 — exact O(n²) uniqueness KDE (fingerprints carried no
-/// revision field); 2 — linear-binned uniqueness KDE.
-pub(crate) const SEARCH_REVISION: u64 = 2;
+/// revision field); 2 — linear-binned uniqueness KDE; 3 — fdlibm rational
+/// `erf` in the truncated-normal noise (last-ulp changes to the noise).
+pub(crate) const SEARCH_REVISION: u64 = 3;
 
 /// One completed GenObf invocation of a σ search.
 #[derive(Debug, Clone, PartialEq)]

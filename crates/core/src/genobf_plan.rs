@@ -69,9 +69,12 @@ impl TrialInputs<'_> {
         let _s = chameleon_obs::span!("genobf.perturb");
         let budget = NoiseBudget::new(&candidates, &self.selection);
         let mut p_new = Vec::with_capacity(candidates.len());
-        for (i, cand) in candidates.iter().enumerate() {
-            let r = draw_noise(budget.sigma_e(i, sigma), self.cfg.white_noise, rng);
-            p_new.push(self.strategy.apply(cand.p, r, rng));
+        {
+            let _s = chameleon_obs::span!("genobf.noise");
+            for (i, cand) in candidates.iter().enumerate() {
+                let r = draw_noise(budget.sigma_e(i, sigma), self.cfg.white_noise, rng);
+                p_new.push(self.strategy.apply(cand.p, r, rng));
+            }
         }
         Some(perturbed_clone(self.graph, &candidates, &p_new))
     }
@@ -189,18 +192,24 @@ impl TrialPlan {
         inputs: &TrialInputs<'_>,
     ) -> AnonymityReport {
         debug_assert!(!self.is_degenerate());
-        for (i, cand) in self.candidates.iter().enumerate() {
-            let sigma_e = self.budget.sigma_e(i, sigma);
-            let r = noise(self.coin[i], self.value[i], sigma_e, inputs.cfg.white_noise);
-            self.p_new[i] = inputs.strategy.apply_signed(cand.p, r, self.sign_up[i]);
-        }
-        for overlay in &self.overlays {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(&overlay.template);
-            for &(pos, ci) in &overlay.writes {
-                self.scratch[pos as usize] = self.p_new[ci as usize];
+        {
+            let _s = chameleon_obs::span!("genobf.noise");
+            for (i, cand) in self.candidates.iter().enumerate() {
+                let sigma_e = self.budget.sigma_e(i, sigma);
+                let r = noise(self.coin[i], self.value[i], sigma_e, inputs.cfg.white_noise);
+                self.p_new[i] = inputs.strategy.apply_signed(cand.p, r, self.sign_up[i]);
             }
-            self.cache.set_from_probs(overlay.v, &self.scratch);
+        }
+        {
+            let _s = chameleon_obs::span!("genobf.overlay_pmfs");
+            for overlay in &self.overlays {
+                self.scratch.clear();
+                self.scratch.extend_from_slice(&overlay.template);
+                for &(pos, ci) in &overlay.writes {
+                    self.scratch[pos as usize] = self.p_new[ci as usize];
+                }
+                self.cache.set_from_probs(overlay.v, &self.scratch);
+            }
         }
         chameleon_obs::counter!("genobf.pmf_overlays").add(self.overlays.len() as u64);
         anonymity_check_cached(&self.cache, &inputs.knowledge, inputs.cfg.k)

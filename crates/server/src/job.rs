@@ -521,9 +521,10 @@ mod tests {
         assert_eq!(spec.execute(&token), Err(ExecError::Cancelled));
     }
 
-    /// The search fingerprint as builds before search revision 2 computed
-    /// it: the same canonical string with no `rev` field.
-    fn fingerprint_without_revision(spec: &JobSpec) -> u64 {
+    /// The search fingerprint as an older build computed it: the same
+    /// canonical string ending in `;rev={rev}`, or with no `rev` field at
+    /// all (`None`, builds before search revision 2).
+    fn fingerprint_at_revision(spec: &JobSpec, rev: Option<u64>) -> u64 {
         let JobSpec::Obfuscate {
             graph,
             k,
@@ -545,10 +546,11 @@ mod tests {
             ..ChameleonConfig::default()
         };
         let digest = chameleon_core::graph_fingerprint(&parse_graph(graph).unwrap());
+        let rev = rev.map(|r| format!(";rev={r}")).unwrap_or_default();
         fnv1a64(
             format!(
                 "g={digest:016x};m={};seed={seed};k={};eps={:016x};c={:016x};q={:016x};t={};\
-                 N={};s0={:016x};tol={:016x};d={};bw={:016x};inc={}",
+                 N={};s0={:016x};tol={:016x};d={};bw={:016x};inc={}{rev}",
                 m.name(),
                 config.k,
                 config.epsilon.to_bits(),
@@ -602,13 +604,20 @@ mod tests {
         assert!(resumed.resumed_probes > 0);
         assert_eq!(resumed.result, fresh.result);
 
-        // The same probes fingerprinted the older way were observed under a
-        // different uniqueness definition: they must be dropped.
-        let mut stale = SearchCheckpoint::parse(&checkpoint).unwrap();
-        stale.fingerprint = fingerprint_without_revision(&spec);
-        let (rerun, _) = run(Some(stale.to_json()));
-        assert_eq!(rerun.resumed_probes, 0);
-        assert_eq!(rerun.result, fresh.result);
+        // The fingerprint helper reproduces the current one at the current
+        // revision, so the stale variants below differ only in `rev`.
+        let mut current = SearchCheckpoint::parse(&checkpoint).unwrap();
+        assert_eq!(fingerprint_at_revision(&spec, Some(3)), current.fingerprint);
+
+        // The same probes fingerprinted by an older search (no revision
+        // field: exact uniqueness KDE; revision 2: the series `erf`) were
+        // observed under different arithmetic: they must be dropped.
+        for rev in [None, Some(2)] {
+            current.fingerprint = fingerprint_at_revision(&spec, rev);
+            let (rerun, _) = run(Some(current.to_json()));
+            assert_eq!(rerun.resumed_probes, 0, "revision {rev:?}");
+            assert_eq!(rerun.result, fresh.result);
+        }
     }
 
     #[test]

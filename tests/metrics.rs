@@ -42,6 +42,14 @@ fn recording_on_or_off_yields_bit_identical_output() {
     chameleon::obs::set_enabled(true);
     let with_obs_again = run();
     let counters_second = chameleon::obs::snapshot();
+    let incremental = ChameleonConfig {
+        incremental: true,
+        ..cfg.clone()
+    };
+    Chameleon::new(incremental)
+        .anonymize(&g, Method::Rsme, 77)
+        .unwrap();
+    let after_incremental = chameleon::obs::snapshot();
     chameleon::obs::set_enabled(was_on);
 
     // 1. Toggling recording changes nothing about the pipeline output.
@@ -77,5 +85,16 @@ fn recording_on_or_off_yields_bit_identical_output() {
                  (or the disabled run recorded)"
             );
         }
+
+        // 4. Both trial bodies time their noise transform; only the
+        //    incremental one rebuilds overlay pmfs.
+        let passes =
+            |snap: &chameleon::obs::Snapshot, name: &str| snap.span(name).map_or(0, |s| s.count);
+        assert!(passes(&counters_first, "genobf.noise") > 0);
+        assert_eq!(passes(&counters_second, "genobf.overlay_pmfs"), 0);
+        assert!(
+            passes(&after_incremental, "genobf.noise") > passes(&counters_second, "genobf.noise")
+        );
+        assert!(passes(&after_incremental, "genobf.overlay_pmfs") > 0);
     }
 }
