@@ -29,8 +29,6 @@ use chameleon_datasets::DatasetKind;
 use chameleon_obs::site::{SpanGuard, SpanSite};
 use chameleon_reliability::{sample_distinct_pairs, EnsembleStream, WorldEnsemble};
 use chameleon_stats::SeedSequence;
-use chameleon_ugraph::GraphBuilder;
-use rand::Rng;
 use std::fmt::Write as _;
 
 /// Fixed workload: small enough for a sub-minute CI job, large enough that
@@ -43,14 +41,10 @@ const SEED: u64 = 42;
 /// default; see DESIGN.md §12).
 const STRIP_WORLDS: usize = 64;
 
-/// Hard ceiling on the streamed-analysis tax: decoding + analyzing
-/// strips from the compressed world store may cost at most this multiple
-/// of the in-RAM connectivity analysis on the same pre-sampled worlds.
+/// Hard ceiling on the streamed-analysis tax: analyzing the stored
+/// world strips one by one may cost at most this multiple of the in-RAM
+/// connectivity analysis on the same pre-sampled worlds.
 const STREAMED_OVERHEAD_CEILING: f64 = 1.25;
-
-/// Hard floor on the delta+RLE world store's size win in its target
-/// regime (a certain base graph with an appended uncertain fringe).
-const COMPRESS_RATIO_FLOOR: f64 = 2.0;
 
 /// Iterations of the calibration loop (~10–40 ms per rep on 2020s x86).
 const CALIBRATION_ITERS: u64 = 1 << 24;
@@ -208,8 +202,8 @@ fn main() {
         RELIABILITY_PAIRS,
         &mut SeedSequence::new(SEED).rng("perf-pairs"),
     );
-    // Streamed-analysis tax (DESIGN.md §12): decode + analyze
-    // STRIP_WORLDS-world strips from the compressed store vs the in-RAM
+    // Streamed-analysis tax (DESIGN.md §12): analyze the stored
+    // STRIP_WORLDS-world strips one by one vs the in-RAM
     // connectivity analysis of the same pre-sampled worlds. Both are
     // compute-bound, but shared runners still jitter, so the ratio is
     // re-measured (minima accumulate in the spans) before it may fail.
@@ -243,36 +237,9 @@ fn main() {
         );
     }
     let streamed_overhead = streamed_seconds / analyze_seconds;
-    // world_compress_ratio site: the delta+RLE store gated in its target
-    // regime — a certain (p = 1) base graph published with an appended
-    // fringe of uncertain candidate edges (the uncertainty-injection
-    // shape). Base words equal the template row and collapse into one
-    // zero-run token; only fringe words pay literal bytes.
-    let injected = {
-        let mut b = GraphBuilder::new(g.num_nodes());
-        for e in g.edges() {
-            b.add_edge(e.u, e.v, 1.0).expect("base edge");
-        }
-        let mut rng = SeedSequence::new(SEED).rng("perf-compress-fringe");
-        let target = g.num_edges() + (g.num_edges() / 5).max(1);
-        let mut tries = 0usize;
-        while b.num_edges() < target && tries < 100 * target {
-            tries += 1;
-            let u = rng.gen_range(0..g.num_nodes() as u32);
-            let v = rng.gen_range(0..g.num_nodes() as u32);
-            if u != v {
-                let _ = b.add_edge(u, v, 0.05 + 0.25 * rng.gen::<f64>());
-            }
-        }
-        b.build()
-    };
-    let world_compress_ratio = EnsembleStream::sample(&injected, WORLDS, SEED, 1, STRIP_WORLDS)
-        .expect("no ensemble ceiling")
-        .compression_ratio();
     println!(
         "ensemble streamed: {streamed_overhead:.2}x in-RAM analyze (ceiling \
-         {STREAMED_OVERHEAD_CEILING:.2}x); world compress ratio {world_compress_ratio:.2}x \
-         (floor {COMPRESS_RATIO_FLOOR:.1}x)"
+         {STREAMED_OVERHEAD_CEILING:.2}x)"
     );
     let sites = [
         Measurement::new(
@@ -679,15 +646,10 @@ fn main() {
         let _ = writeln!(doc, "  \"calibration_iters\": {CALIBRATION_ITERS},");
         let _ = writeln!(doc, "  \"scale\": {SCALE},");
         let _ = writeln!(doc, "  \"worlds\": {WORLDS},");
-        // Informational, not gated sites: the lockstep/batch ratio and the
-        // compressed-store win this baseline was written at, for comparing
-        // against CI artifacts (their gates are fixed floors, not
-        // baseline-relative).
+        // Informational, not a gated site: the lockstep/batch ratio this
+        // baseline was written at, for comparing against CI artifacts (its
+        // gate is a fixed floor, not baseline-relative).
         let _ = writeln!(doc, "  \"batch_speedup\": {batch_speedup:.4},");
-        let _ = writeln!(
-            doc,
-            "  \"world_compress_ratio\": {world_compress_ratio:.4},"
-        );
         for (i, m) in sites.iter().enumerate() {
             let sep = if i + 1 < sites.len() { "," } else { "" };
             let _ = writeln!(doc, "  \"{}\": {:.4}{sep}", m.name, m.normalized);
@@ -725,10 +687,6 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"ensemble_streamed_overhead\": {streamed_overhead:.4},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"world_compress_ratio\": {world_compress_ratio:.4},"
     );
     let _ = writeln!(json, "  \"scale\": {SCALE},");
     let _ = writeln!(json, "  \"worlds\": {WORLDS},");
@@ -807,21 +765,13 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // Out-of-core gates (DESIGN.md §12): strip-streamed analysis may not
-    // tax the in-RAM analyze beyond its ceiling (re-measured above), and
-    // the delta+RLE store must actually win in its target regime.
+    // Out-of-core gate (DESIGN.md §12): strip-streamed analysis may not
+    // tax the in-RAM analyze beyond its ceiling (re-measured above).
     if streamed_overhead > STREAMED_OVERHEAD_CEILING {
         eprintln!(
             "perf_smoke FAILED: streamed ensemble analysis {streamed_overhead:.2}x > allowed \
              {STREAMED_OVERHEAD_CEILING:.2}x of in-RAM analyze after \
              {SPEEDUP_MEASURE_ATTEMPTS} measurement attempts"
-        );
-        std::process::exit(1);
-    }
-    if world_compress_ratio < COMPRESS_RATIO_FLOOR {
-        eprintln!(
-            "perf_smoke FAILED: compressed world store only {world_compress_ratio:.2}x smaller \
-             than dense (floor {COMPRESS_RATIO_FLOOR:.1}x) on the injected-fringe workload"
         );
         std::process::exit(1);
     }

@@ -3,11 +3,11 @@
 //!
 //! For each scale, generates a BRIGHTKITE-like synthetic graph
 //! (`chameleon_datasets::synth`) and runs the strip-streamed ensemble
-//! pipeline — compressed world sampling, expected connected pairs,
+//! pipeline — strip-wise world sampling, expected connected pairs,
 //! blocked pair reliability, and the coupled ERR estimator — recording
 //! wall time, peak *tracked* ensemble bytes (the `alloc_guard` gauge the
-//! `--max-ensemble-bytes` ceiling enforces), and the delta+RLE
-//! compression ratio into a JSON artifact (`scale-smoke.json`).
+//! `--max-ensemble-bytes` ceiling enforces), and the bytes of the stored
+//! world strips into a JSON artifact (`scale-smoke.json`).
 //!
 //! With `--verify`, the same statistics are first computed through the
 //! dense in-RAM path (with the ceiling lifted — the reference must be
@@ -43,8 +43,7 @@ struct Row {
     gen_s: f64,
     streamed_s: f64,
     streamed_peak_bytes: usize,
-    compressed_bytes: usize,
-    compression_ratio: f64,
+    stream_bytes: usize,
     dense_s: Option<f64>,
     dense_peak_bytes: Option<usize>,
     verified: bool,
@@ -172,17 +171,15 @@ fn main() {
             gen_s,
             streamed_s,
             streamed_peak_bytes,
-            compressed_bytes: stream.compressed_bytes(),
-            compression_ratio: stream.compression_ratio(),
+            stream_bytes: stream.compressed_bytes(),
             dense_s,
             dense_peak_bytes,
             verified,
         };
         println!(
             "n={n} m={m}: gen {gen_s:.2}s, streamed {streamed_s:.2}s \
-             (peak {streamed_peak_bytes} B, store {} B, ratio {:.3}){}{}",
-            row.compressed_bytes,
-            row.compression_ratio,
+             (peak {streamed_peak_bytes} B, store {} B){}{}",
+            row.stream_bytes,
             match (dense_s, dense_peak_bytes) {
                 (Some(s), Some(p)) => format!(", dense {s:.2}s (peak {p} B)"),
                 _ => String::new(),
@@ -209,16 +206,14 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{ \"n\": {}, \"m\": {}, \"gen_s\": {:.4}, \"streamed_s\": {:.4}, \
-             \"streamed_peak_bytes\": {}, \"compressed_bytes\": {}, \
-             \"compression_ratio\": {:.4}, \"dense_s\": {}, \"dense_peak_bytes\": {}, \
-             \"verified\": {} }}{sep}",
+             \"streamed_peak_bytes\": {}, \"stream_bytes\": {}, \
+             \"dense_s\": {}, \"dense_peak_bytes\": {}, \"verified\": {} }}{sep}",
             r.n,
             r.m,
             r.gen_s,
             r.streamed_s,
             r.streamed_peak_bytes,
-            r.compressed_bytes,
-            r.compression_ratio,
+            r.stream_bytes,
             opt_f(r.dense_s),
             opt_u(r.dense_peak_bytes),
             r.verified,

@@ -483,7 +483,7 @@ impl Chameleon {
         let vrr = if method.reliability_oriented() {
             let ens_seed = seq.derive("relevance-ensemble");
             let err = if self.config.strip_worlds > 0 {
-                // Out-of-core path (DESIGN.md §12): compressed worlds,
+                // Out-of-core path (DESIGN.md §12): raw world strips,
                 // strip-folded ERR. Bit-identical to the dense branch —
                 // same CRN chunk streams, same fold order.
                 let stream = EnsembleStream::sample(

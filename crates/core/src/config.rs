@@ -64,13 +64,14 @@ pub struct ChameleonConfig {
     /// the final output is bit-identical to an uninterrupted run.
     pub resume_from: Option<SearchCheckpoint>,
     /// Out-of-core ensemble analysis (DESIGN.md §12): when non-zero, the
-    /// ERR/VRR ensemble is held compressed and analyzed `strip_worlds`
-    /// worlds at a time (rounded up to the 64-world alignment), making
-    /// ensemble memory O(strip) instead of O(N). Results are
-    /// **bit-identical** to the in-RAM path for every strip size, with or
-    /// without `incremental`. `0` keeps the dense in-RAM ensemble. The
-    /// σ-probe anonymity checks use no sampled worlds, so this setting
-    /// does not touch them.
+    /// ERR/VRR ensemble is held as raw world strips and analyzed
+    /// `strip_worlds` worlds at a time (rounded up to the 64-world
+    /// alignment), so per-world labels and component sizes take O(strip)
+    /// memory instead of O(N); only the world bits are held for all N
+    /// worlds. Results are **bit-identical** to the in-RAM path for every
+    /// strip size, with or without `incremental`. `0` keeps the dense
+    /// in-RAM ensemble. The σ-probe anonymity checks use no sampled
+    /// worlds, so this setting does not touch them.
     pub strip_worlds: usize,
 }
 

@@ -79,6 +79,6 @@ pub use perturb::PerturbStrategy;
 pub use profile::PrivacyProfile;
 pub use relevance::{
     edge_reliability_relevance_streamed, edge_reliability_relevance_threads,
-    vertex_reliability_relevance, ErrAlg2Accum, ErrCoupledAccum,
+    vertex_reliability_relevance,
 };
 pub use uniqueness::uniqueness_scores;

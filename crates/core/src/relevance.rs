@@ -83,7 +83,7 @@ pub fn edge_reliability_relevance_alg2_threads(
 /// in the in-RAM pass, and the fold adds them in the same order, so
 /// [`ErrAlg2Accum::finish`] is bit-for-bit equal to
 /// [`edge_reliability_relevance_alg2_threads`].
-pub struct ErrAlg2Accum {
+pub(crate) struct ErrAlg2Accum {
     cc_with: Vec<f64>,
     count_with: Vec<u32>,
     cc_total: f64,
@@ -204,7 +204,7 @@ pub fn edge_reliability_relevance_threads(
 /// Streaming accumulator behind [`edge_reliability_relevance_threads`]:
 /// same strip-fold contract as [`ErrAlg2Accum`] (ascending, 64-aligned
 /// strips replay the in-RAM chunk partial sequence bit-for-bit).
-pub struct ErrCoupledAccum {
+pub(crate) struct ErrCoupledAccum {
     // SoA endpoints: the scan only touches endpoints, never probabilities,
     // so cache lines carry twice the useful data of the `Edge` array.
     us: Vec<u32>,
@@ -286,14 +286,14 @@ impl ErrCoupledAccum {
 }
 
 /// Strip-streamed [`edge_reliability_relevance_threads`]: folds the
-/// compressed worlds of an [`EnsembleStream`] strip by strip, never
+/// world strips of an [`EnsembleStream`] one by one, never
 /// materializing more than one strip of labeled worlds, and returns the
 /// *bit-identical* ERR vector the in-RAM estimator would produce on the
 /// same `(n, seed)` ensemble.
 ///
 /// # Errors
 ///
-/// Fails if decoding a strip would breach the configured ensemble byte
+/// Fails if analyzing a strip would breach the configured ensemble byte
 /// ceiling (`alloc_guard::set_ensemble_limit`).
 pub fn edge_reliability_relevance_streamed(
     graph: &UncertainGraph,

@@ -16,9 +16,9 @@
 //! * [`metrics`] — the evaluation metrics of paper §VI: expected average
 //!   distance and diameter (exact per-world BFS), clustering coefficient,
 //!   and distances between sampled degree distributions.
-//! * [`stream`] — strip-streamed out-of-core ensemble analysis: O(strip)
-//!   memory, compressed world storage, bit-identical to [`WorldEnsemble`]
-//!   (DESIGN.md §12).
+//! * [`stream`] — strip-streamed out-of-core ensemble analysis: raw world
+//!   strips plus one strip of labels at a time, bit-identical to
+//!   [`WorldEnsemble`] (DESIGN.md §12).
 
 //! # Example
 //!

@@ -1,15 +1,17 @@
 //! Strip-streamed ensemble analysis (DESIGN.md §12).
 //!
-//! [`EnsembleStream`] makes ensemble memory O(strip) instead of
-//! O(worlds): worlds are sampled chunk-by-chunk into a delta+RLE
-//! [`CompressedWorlds`] store (the only per-world state that persists),
-//! then decoded and analyzed one fixed-size strip at a time through
-//! streaming accumulators. Every statistic the in-RAM [`WorldEnsemble`]
+//! [`EnsembleStream`] bounds the *analysis* memory by the strip instead
+//! of the ensemble: worlds are sampled strip by strip and each strip's
+//! raw [`WorldMatrix`] is kept as sampled (the only per-world state that
+//! persists), then analyzed one fixed-size strip at a time through
+//! streaming accumulators. The labels, component sizes and connected-pair
+//! counts — several times the world bits at population scale — exist for
+//! one strip at a time. Every statistic the in-RAM [`WorldEnsemble`]
 //! exposes is reproduced **bit-identically**:
 //!
 //! * Sampling reuses the per-chunk CRN streams of
 //!   [`WorldEnsemble::sample_seeded`] (`(seed, "world-chunk", c)` with the
-//!   *global* chunk index `c`), so the decoded world bits are the same
+//!   *global* chunk index `c`), so the stored world bits are the same
 //!   bits, in the same order.
 //! * Strip boundaries are aligned to [`STRIP_ALIGN`] worlds — the least
 //!   common multiple of the sampling/analysis chunk
@@ -22,15 +24,15 @@
 //!   identical additions because strips are visited in ascending world
 //!   order.
 //!
-//! The compressed store registers its bytes against the
-//! `chameleon_stats::alloc_guard` ensemble gauge fallibly, and each
-//! strip's transient arenas are prechecked against the configured
-//! ceiling, so `--max-ensemble-bytes` is a hard contract rather than a
-//! hint.
+//! Each stored strip registers its exact bytes against the
+//! `chameleon_stats::alloc_guard` ensemble gauge fallibly before it is
+//! sampled, and each strip's transient analysis arenas are prechecked
+//! against the configured ceiling, so `--max-ensemble-bytes` is a hard
+//! contract rather than a hint.
 
 use crate::ensemble::WorldEnsemble;
 use chameleon_stats::alloc_guard::{self, BudgetExceeded, Tracked};
-use chameleon_ugraph::{CompressedWorlds, NodeId, SamplePlan, UncertainGraph, WorldMatrix};
+use chameleon_ugraph::{NodeId, SamplePlan, UncertainGraph, WorldMatrix};
 
 /// Strip sizes are rounded up to a multiple of this many worlds: the
 /// least common multiple of [`WORLD_CHUNK`] (sampling/labeling) and the
@@ -41,33 +43,37 @@ pub(crate) const STRIP_ALIGN: usize = 64;
 
 /// Rounds a requested strip size up to the [`STRIP_ALIGN`] contract
 /// (`strip = 1` therefore runs 64-world strips; the docs say so).
+/// Saturates at the largest aligned `usize`, so any request at least the
+/// world count runs as one strip.
 pub(crate) fn align_strip(strip_worlds: usize) -> usize {
-    strip_worlds.max(1).div_ceil(STRIP_ALIGN) * STRIP_ALIGN
+    strip_worlds
+        .max(1)
+        .checked_next_multiple_of(STRIP_ALIGN)
+        .unwrap_or(usize::MAX / STRIP_ALIGN * STRIP_ALIGN)
 }
 
-/// A sampled ensemble held in compressed form and analyzed strip by
+/// A sampled ensemble held as raw world strips and analyzed strip by
 /// strip. See the module docs for the bit-identity contract.
 #[derive(Debug)]
 pub struct EnsembleStream<'g> {
     graph: &'g UncertainGraph,
-    plan: SamplePlan,
-    store: CompressedWorlds,
+    /// The sampled worlds, one matrix per strip in ascending world order;
+    /// each is paired with its gauge registration.
+    strips: Vec<(WorldMatrix, Tracked)>,
     num_worlds: usize,
     strip_worlds: usize,
     threads: usize,
-    /// Gauge registration for the compressed store.
-    tracked: Tracked,
 }
 
 impl<'g> EnsembleStream<'g> {
-    /// Samples `n` worlds of `graph` from `seed` into compressed storage,
-    /// strip by strip. The sampled bits are identical to
-    /// [`WorldEnsemble::sample_seeded`] with the same `(graph, n, seed)`.
-    /// `strip_worlds` is rounded up via [`align_strip`].
+    /// Samples `n` worlds of `graph` from `seed`, strip by strip. The
+    /// sampled bits are identical to [`WorldEnsemble::sample_seeded`]
+    /// with the same `(graph, n, seed)`. `strip_worlds` is rounded up via
+    /// [`align_strip`].
     ///
     /// # Errors
-    /// [`BudgetExceeded`] when the compressed store (or a transient
-    /// sampling strip) would cross the configured ensemble byte ceiling.
+    /// [`BudgetExceeded`] when the next stored strip would cross the
+    /// configured ensemble byte ceiling.
     pub fn sample(
         graph: &'g UncertainGraph,
         n: usize,
@@ -79,36 +85,26 @@ impl<'g> EnsembleStream<'g> {
         chameleon_obs::counter!("ensemble.worlds_sampled").add(n as u64);
         let strip_worlds = align_strip(strip_worlds);
         let plan = SamplePlan::new(graph);
-        let mut store = CompressedWorlds::new(&plan);
-        let mut tracked = Tracked::try_register(store.compressed_bytes())?;
+        let mut strips = Vec::with_capacity(n.div_ceil(strip_worlds));
         let mut offset = 0usize;
         while offset < n {
             let len = strip_worlds.min(n - offset);
-            // The transient strip matrix lives only for this iteration.
-            alloc_guard::check_ensemble_budget(
-                len * plan.words_per_world() * std::mem::size_of::<u64>(),
-            )?;
+            let tracked =
+                Tracked::try_register(len * plan.words_per_world() * std::mem::size_of::<u64>())?;
             let strip = WorldEnsemble::sample_strip_matrix(&plan, seed, offset, len, threads);
-            for w in 0..len {
-                store.push_world(strip.row(w));
-            }
-            // Re-register at the grown size (delta accounting would drift
-            // under Vec growth; a fresh guard is exact).
-            drop(tracked);
-            tracked = Tracked::try_register(store.compressed_bytes())?;
+            debug_assert_eq!(strip.arena_bytes(), tracked.bytes());
+            strips.push((strip, tracked));
             offset += len;
         }
-        chameleon_obs::counter!("ensemble.stream_compressed_bytes")
-            .add(store.compressed_bytes() as u64);
-        Ok(Self {
+        let stream = Self {
             graph,
-            plan,
-            store,
+            strips,
             num_worlds: n,
             strip_worlds,
             threads,
-            tracked,
-        })
+        };
+        chameleon_obs::counter!("ensemble.stream_bytes").add(stream.compressed_bytes() as u64);
+        Ok(stream)
     }
 
     /// Number of worlds.
@@ -126,22 +122,22 @@ impl<'g> EnsembleStream<'g> {
         self.strip_worlds
     }
 
-    /// Bytes the compressed world store occupies.
+    /// Bytes the stored world strips occupy, exactly as registered
+    /// against the ensemble gauge. The name predates raw strip
+    /// storage and stays until a benchmark change renames the
+    /// `ugraph.compressed_bytes` metric it feeds.
     pub fn compressed_bytes(&self) -> usize {
-        self.store.compressed_bytes()
+        self.strips.iter().map(|(_, t)| t.bytes()).sum()
     }
 
-    /// `uncompressed / compressed` size ratio of the world store.
+    /// Size ratio of the world store against the raw worlds: always 1.0,
+    /// since strips are stored raw. The name stays until a benchmark
+    /// change renames the `ugraph.compression_ratio` metric it feeds.
     pub fn compression_ratio(&self) -> f64 {
-        self.store.compression_ratio()
+        1.0
     }
 
-    /// Bytes registered against the ensemble gauge for this stream.
-    pub fn tracked_bytes(&self) -> usize {
-        self.tracked.bytes()
-    }
-
-    /// Decodes and analyzes the ensemble one strip at a time, calling
+    /// Analyzes the ensemble one strip at a time, calling
     /// `f(world_offset, &strip_ensemble)` for each strip in ascending
     /// world order. The strip ensembles are bit-identical to the
     /// corresponding world ranges of the in-RAM ensemble (same worlds,
@@ -156,16 +152,13 @@ impl<'g> EnsembleStream<'g> {
     ) -> Result<(), BudgetExceeded> {
         let _span = chameleon_obs::span!("ensemble.stream_analyze");
         let mut offset = 0usize;
-        while offset < self.num_worlds {
-            let len = self.strip_worlds.min(self.num_worlds - offset);
+        for (matrix, _) in &self.strips {
+            let len = matrix.num_worlds();
             alloc_guard::check_ensemble_budget(WorldEnsemble::estimate_arena_bytes(
                 self.graph, len,
             ))?;
-            let mut matrix = WorldMatrix::zeroed(len, self.plan.num_edges());
-            for w in 0..len {
-                self.store.decode_into(offset + w, matrix.row_mut(w));
-            }
-            let strip = WorldEnsemble::from_matrix_threads(self.graph, matrix, self.threads);
+            let strip =
+                WorldEnsemble::from_matrix_threads(self.graph, matrix.clone(), self.threads);
             f(offset, &strip);
             offset += len;
         }
@@ -201,7 +194,7 @@ impl<'g> EnsembleStream<'g> {
 /// `two_terminal_reliability`: u32 hit counters folded strip by strip
 /// through the in-RAM kernel.
 #[derive(Debug, Clone)]
-pub struct PairReliabilityAccum {
+pub(crate) struct PairReliabilityAccum {
     pairs: Vec<(NodeId, NodeId)>,
     hits: Vec<u32>,
     worlds: usize,
@@ -241,7 +234,7 @@ impl PairReliabilityAccum {
 /// world-order f64 sum, so folding strips in ascending order replays the
 /// exact additions of the in-RAM `iter().sum::<f64>()`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ConnectedPairsAccum {
+pub(crate) struct ConnectedPairsAccum {
     sum: f64,
     worlds: usize,
 }
@@ -361,7 +354,7 @@ mod tests {
         // strip is ragged. strip=1 (rounds to 64), a mid size, and
         // strip ≥ n (single strip) all match.
         let n = 2 * STRIP_ALIGN + 17;
-        for strip in [1, STRIP_ALIGN, 100, n, 10 * n] {
+        for strip in [1, STRIP_ALIGN, 100, n, 10 * n, usize::MAX] {
             assert_stream_matches_in_ram(&g, n, 42, 1, strip);
         }
     }
@@ -387,20 +380,13 @@ mod tests {
     }
 
     #[test]
-    fn all_deterministic_graph_matches_and_compresses() {
+    fn all_deterministic_graph_matches_in_ram() {
         let mut b = GraphBuilder::new(0);
         for i in 0..200u32 {
             b.add_edge(i, i + 1, 1.0).unwrap();
         }
         let g = b.build();
         assert_stream_matches_in_ram(&g, 3 * STRIP_ALIGN, 5, 2, 64);
-        let stream = EnsembleStream::sample(&g, 3 * STRIP_ALIGN, 5, 1, 64).unwrap();
-        // Worlds equal the template: near-total compression.
-        assert!(
-            stream.compression_ratio() > 2.0,
-            "{}",
-            stream.compression_ratio()
-        );
     }
 
     proptest! {

@@ -7,8 +7,8 @@
 //!   pin steady-state allocation budgets (O(chunks), not O(worlds));
 //!   production binaries never need it.
 //! * The **ensemble byte budget** — a process-global gauge that the
-//!   ensemble arenas (world matrices, label arenas, compressed world
-//!   stores) register their bytes against via [`Tracked`] guards. A
+//!   ensemble arenas (world matrices, label arenas, stored world
+//!   strips) register their bytes against via [`Tracked`] guards. A
 //!   configured limit ([`set_ensemble_limit`], wired to
 //!   `--max-ensemble-bytes`) turns the gauge into a ceiling: fallible
 //!   entry points call [`Tracked::try_register`] and surface [`BudgetExceeded`] with a

@@ -25,8 +25,6 @@
 //!   topology generators used by the synthetic dataset substitutes.
 //! * [`io`] — plain-text and compact binary edge-list interchange formats
 //!   (binary: magic + varints + exact f64 bits, auto-detected on read).
-//! * [`compressed`] — delta+RLE compressed world storage for out-of-core
-//!   ensemble analysis (DESIGN.md §12).
 //! * [`weighted`] — the weighted+probabilistic data model of the paper's
 //!   road-network motivation (weights ride along; probabilities anonymize).
 
@@ -36,7 +34,6 @@
 pub mod analysis;
 pub mod bitset;
 pub mod builder;
-pub mod compressed;
 pub mod error;
 pub mod generators;
 pub mod graph;
@@ -52,7 +49,6 @@ pub mod world_matrix;
 pub use analysis::GraphSummary;
 pub use bitset::BitSet;
 pub use builder::GraphBuilder;
-pub use compressed::CompressedWorlds;
 pub use error::GraphError;
 pub use graph::{Edge, EdgeId, NodeId, UncertainGraph};
 pub use sample::WorldSampler;

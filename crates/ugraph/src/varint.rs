@@ -1,5 +1,5 @@
-//! LEB128 variable-length integers, shared by the binary graph format
-//! ([`crate::io`]) and the delta+RLE world store ([`crate::compressed`]).
+//! LEB128 variable-length integers for the binary graph format
+//! ([`crate::io`]).
 //!
 //! Encoding is canonical: 7 value bits per byte, least-significant group
 //! first, high bit set on every byte except the last, and no redundant
@@ -7,19 +7,6 @@
 //! re-write" byte-identical for the binary graph format.
 
 use std::io::{self, Read, Write};
-
-/// Appends the canonical LEB128 encoding of `v` to `buf`.
-pub(crate) fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
 
 /// Writes the canonical LEB128 encoding of `v` to `w`.
 pub(crate) fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
@@ -74,64 +61,24 @@ pub(crate) fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     }
 }
 
-/// Decodes one LEB128 integer from the front of `bytes`, returning the
-/// value and the number of bytes consumed. Used by the in-memory world
-/// store, where `InvalidData` indicates internal corruption.
-///
-/// # Panics
-/// Panics if `bytes` ends mid-integer or overflows (the compressed world
-/// store writes only canonical varints, so this is a logic error).
-pub(crate) fn decode_u64(bytes: &[u8]) -> (u64, usize) {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    for (i, &b) in bytes.iter().enumerate() {
-        let group = u64::from(b & 0x7f);
-        assert!(
-            shift < 64 && !(shift == 63 && group > 1),
-            "varint overflows u64"
-        );
-        v |= group << shift;
-        if b & 0x80 == 0 {
-            return (v, i + 1);
-        }
-        shift += 7;
-    }
-    panic!("truncated varint");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn known_encodings() {
+    fn encode(v: u64) -> Vec<u8> {
         let mut buf = Vec::new();
-        push_u64(&mut buf, 0);
-        assert_eq!(buf, [0x00]);
-        buf.clear();
-        push_u64(&mut buf, 127);
-        assert_eq!(buf, [0x7f]);
-        buf.clear();
-        push_u64(&mut buf, 128);
-        assert_eq!(buf, [0x80, 0x01]);
-        buf.clear();
-        push_u64(&mut buf, 300);
-        assert_eq!(buf, [0xac, 0x02]);
-        buf.clear();
-        push_u64(&mut buf, u64::MAX);
-        assert_eq!(buf.len(), 10);
+        write_u64(&mut buf, v).unwrap();
+        buf
     }
 
     #[test]
-    fn writer_matches_push() {
-        for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX / 3, u64::MAX] {
-            let mut pushed = Vec::new();
-            push_u64(&mut pushed, v);
-            let mut written = Vec::new();
-            write_u64(&mut written, v).unwrap();
-            assert_eq!(pushed, written);
-        }
+    fn known_encodings() {
+        assert_eq!(encode(0), [0x00]);
+        assert_eq!(encode(127), [0x7f]);
+        assert_eq!(encode(128), [0x80, 0x01]);
+        assert_eq!(encode(300), [0xac, 0x02]);
+        assert_eq!(encode(u64::MAX).len(), 10);
     }
 
     #[test]
@@ -163,13 +110,10 @@ mod tests {
     proptest! {
         #[test]
         fn roundtrip(v in any::<u64>()) {
-            let mut buf = Vec::new();
-            push_u64(&mut buf, v);
-            let (decoded, used) = decode_u64(&buf);
-            prop_assert_eq!(decoded, v);
-            prop_assert_eq!(used, buf.len());
+            let buf = encode(v);
             let mut cursor = std::io::Cursor::new(&buf);
             prop_assert_eq!(read_u64(&mut cursor).unwrap(), v);
+            prop_assert_eq!(cursor.position() as usize, buf.len());
         }
     }
 }

@@ -184,13 +184,6 @@ impl SamplePlan {
         self.words_per_world
     }
 
-    /// The deterministic-edge template row (`words_per_world` words with
-    /// every p ≥ 1 edge bit set). Compressed world stores delta-encode
-    /// rows against this template.
-    pub fn template(&self) -> &[u64] {
-        &self.template
-    }
-
     /// Samples one world into `row`: copies the deterministic template,
     /// then draws `rng.gen::<f64>() < p` for each uncertain edge ascending
     /// — the exact call sequence of `WorldSampler::sample`.
