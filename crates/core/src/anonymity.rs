@@ -20,21 +20,119 @@
 //! covered by [`AdversaryKnowledge`].
 
 use chameleon_stats::parallel;
-use chameleon_stats::poisson_binomial::pmf_truncated;
+use chameleon_stats::poisson_binomial::pmf_truncated_into;
 use chameleon_stats::shannon_entropy_bits;
 use chameleon_ugraph::{NodeId, UncertainGraph};
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// Builds the per-vertex degree pmfs, truncated at `omega_max` — the
-/// dominant cost of the anonymity check — on up to `threads` worker
-/// threads. Each vertex's pmf is a pure function of its incident
-/// probabilities, so the output is identical for every thread count.
-fn degree_pmfs(published: &UncertainGraph, omega_max: usize, threads: usize) -> Vec<Vec<f64>> {
-    let _span = chameleon_obs::span!("anonymity.degree_pmfs");
-    chameleon_obs::counter!("anonymity.pmfs_built").add(published.num_nodes() as u64);
-    parallel::map_items(published.num_nodes(), threads, |v| {
-        pmf_truncated(&published.incident_probs(v as u32), omega_max)
-    })
+/// Every vertex's incident edge probabilities in one flat array
+/// (compressed sparse rows): vertex `v`'s are `probs[off[v]..off[v + 1]]`,
+/// in adjacency order — the Bernoulli parameters of its degree, in the
+/// order the pmf DP consumes them.
+#[derive(Debug, Clone)]
+pub(crate) struct Incidence {
+    pub(crate) off: Vec<usize>,
+    pub(crate) probs: Vec<f64>,
+}
+
+impl Incidence {
+    /// `graph`'s incident probabilities, in [`UncertainGraph::incident_probs`]
+    /// order.
+    pub(crate) fn of(graph: &UncertainGraph) -> Self {
+        let mut off = Vec::with_capacity(graph.num_nodes() + 1);
+        let mut probs = Vec::with_capacity(2 * graph.num_edges());
+        off.push(0);
+        for v in 0..graph.num_nodes() as NodeId {
+            probs.extend(graph.neighbors(v).iter().map(|&(_, e)| graph.prob(e)));
+            off.push(probs.len());
+        }
+        Self { off, probs }
+    }
+
+    /// Vertex `v`'s incident probabilities.
+    pub(crate) fn of_vertex(&self, v: usize) -> &[f64] {
+        &self.probs[self.off[v]..self.off[v + 1]]
+    }
+}
+
+/// Every vertex's degree pmf, truncated at a cap `omega_max`, in one
+/// arena: vertex `v`'s `min(deg v, omega_max) + 1` entries are
+/// `vals[off[v]..off[v + 1]]`. The layout depends only on the degrees, so
+/// a GenObf trial lays its arena out once and rebuilds it in place at
+/// every σ. Entries `≤ ω` of the truncated DP do not depend on the cap,
+/// so any cap `≥ max ω` gives the same sweep.
+#[derive(Debug, Clone)]
+pub(crate) struct DegreePmfs {
+    off: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl DegreePmfs {
+    /// The arena for `incidence`'s degrees at cap `omega_max`; its values
+    /// are written by [`DegreePmfs::build`].
+    pub(crate) fn layout(incidence: &Incidence, omega_max: usize) -> Self {
+        let mut off = Vec::with_capacity(incidence.off.len());
+        off.push(0);
+        for w in incidence.off.windows(2) {
+            off.push(off[off.len() - 1] + (w[1] - w[0]).min(omega_max) + 1);
+        }
+        let vals = vec![0.0; off[off.len() - 1]];
+        Self { off, vals }
+    }
+
+    /// Number of vertices covered.
+    fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Builds every vertex's pmf from `incidence` — the dominant cost of
+    /// the anonymity check — splitting the vertices into ranges over up to
+    /// `threads` worker threads. Each pmf is a pure function of its
+    /// incident probabilities, so the arena is identical for every thread
+    /// count.
+    ///
+    /// `incidence` must have the degrees the arena was laid out for.
+    pub(crate) fn build(&mut self, incidence: &Incidence, threads: usize) {
+        let _span = chameleon_obs::span!("anonymity.degree_pmfs");
+        let n = self.len();
+        debug_assert_eq!(
+            incidence.off.len(),
+            n + 1,
+            "arena laid out for another graph"
+        );
+        chameleon_obs::counter!("anonymity.pmfs_built").add(n as u64);
+        let off = &self.off;
+        let fill = |vertices: Range<usize>, vals: &mut [f64]| {
+            let base = off[vertices.start];
+            for v in vertices {
+                pmf_truncated_into(
+                    incidence.of_vertex(v),
+                    &mut vals[off[v] - base..off[v + 1] - base],
+                );
+            }
+        };
+        // Disjoint vertex ranges own disjoint arena slices; ~8 ranges per
+        // worker keep stragglers short.
+        let threads = parallel::resolve_threads(threads);
+        let chunk = n.div_ceil(threads * 8).max(1);
+        let mut ranges = Vec::with_capacity(n.div_ceil(chunk));
+        let mut rest = self.vals.as_mut_slice();
+        for start in (0..n).step_by(chunk) {
+            let end = (start + chunk).min(n);
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(off[end] - off[start]);
+            ranges.push((start..end, head));
+            rest = tail;
+        }
+        parallel::map_items_mut(&mut ranges, threads, |(vertices, vals)| {
+            fill(vertices.clone(), vals)
+        });
+    }
+
+    /// Vertex `v`'s pmf.
+    fn pmf(&self, v: usize) -> &[f64] {
+        &self.vals[self.off[v]..self.off[v + 1]]
+    }
 }
 
 /// The adversary's background knowledge: one property value per vertex of
@@ -95,7 +193,7 @@ impl AdversaryKnowledge {
 
     /// The largest ω (0 when empty): an exact check reads no degree pmf
     /// entry above it.
-    fn max_target(&self) -> usize {
+    pub(crate) fn max_target(&self) -> usize {
         self.targets.iter().copied().max().unwrap_or(0) as usize
     }
 }
@@ -189,6 +287,23 @@ fn counted_check(
     sweep_graph(published, knowledge, k, tolerance, threads)
 }
 
+/// The exact check of a GenObf trial whose perturbed graph is given as its
+/// incidence: rebuilds `pmfs` (laid out for `incidence` at a cap
+/// `≥ max ω`) and sweeps them. Counted like [`anonymity_check`], and
+/// bit-identical to it on the graph `incidence` describes.
+pub(crate) fn trial_check(
+    incidence: &Incidence,
+    pmfs: &mut DegreePmfs,
+    knowledge: &AdversaryKnowledge,
+    k: usize,
+    threads: usize,
+) -> AnonymityReport {
+    let _span = chameleon_obs::span!("anonymity.check");
+    chameleon_obs::counter!("anonymity.checks").add(1);
+    pmfs.build(incidence, threads);
+    sweep(pmfs, knowledge, k, 0)
+}
+
 /// Builds `published`'s degree pmfs and runs [`sweep`] over them, without
 /// counting a check (the privacy profile is not one).
 pub(crate) fn sweep_graph(
@@ -201,7 +316,9 @@ pub(crate) fn sweep_graph(
     // Widen to usize *before* adding: `omega + tolerance` in u32 can
     // overflow for adversary values near u32::MAX, so saturate.
     let omega_max = knowledge.max_target().saturating_add(tolerance as usize);
-    let pmfs = degree_pmfs(published, omega_max, threads);
+    let incidence = Incidence::of(published);
+    let mut pmfs = DegreePmfs::layout(&incidence, omega_max);
+    pmfs.build(&incidence, threads);
     sweep(&pmfs, knowledge, k, tolerance)
 }
 
@@ -211,7 +328,7 @@ pub(crate) fn sweep_graph(
 /// entropy comparison per vertex. At tolerance 0 the window is the single
 /// entry `pmf[ω]`, a one-term sum equal to that entry bit for bit.
 fn sweep(
-    pmfs: &[Vec<f64>],
+    pmfs: &DegreePmfs,
     knowledge: &AdversaryKnowledge,
     k: usize,
     tolerance: u32,
@@ -231,12 +348,13 @@ fn sweep(
     for (&omega, slot) in entropy_by_omega.iter_mut() {
         let lo = (omega as usize).saturating_sub(tolerance as usize);
         let hi = (omega as usize).saturating_add(tolerance as usize);
-        for (u, pmf) in pmfs.iter().enumerate() {
+        for (u, weight) in weights.iter_mut().enumerate() {
+            let pmf = pmfs.pmf(u);
             // Clamp the window to the pmf's support: entries past the end
             // are exact 0.0 summands, so skipping them is bit-identical
             // and keeps the sweep O(window ∩ support) even for huge ω.
             let top = hi.min(pmf.len() - 1);
-            weights[u] = if lo <= top {
+            *weight = if lo <= top {
                 pmf[lo..=top].iter().sum()
             } else {
                 0.0
@@ -257,107 +375,11 @@ fn sweep(
     }
 }
 
-/// Per-vertex truncated degree pmfs cached across anonymity checks.
-///
-/// Inside GenObf's σ-probe loop consecutive candidate graphs differ on a
-/// few hundred edges, so most vertices keep their incident-probability
-/// multiset — and their pmf — from one check to the next. The cache stores
-/// every vertex's pmf (truncated at the adversary's maximal value, which
-/// is fixed per anonymize run) and recomputes only vertices the caller
-/// marks dirty.
-///
-/// **Exactness**: a pmf rebuilt from the same incident probabilities *in
-/// the same adjacency order* is bit-identical (the truncated DP is a fixed
-/// float program of its input sequence), and entries `≤ ω` of the DP do
-/// not depend on the truncation cap, so a cache built with any
-/// `omega_max ≥ max ω` yields reports bit-identical to
-/// [`anonymity_check_threads`].
-#[derive(Debug, Clone)]
-pub struct DegreePmfCache {
-    omega_max: usize,
-    pmfs: Vec<Vec<f64>>,
-}
-
-impl DegreePmfCache {
-    /// Builds the cache for `published` against `knowledge` (the cap is
-    /// the adversary's maximal value, matching [`anonymity_check`]).
-    ///
-    /// # Panics
-    /// Panics if `knowledge` covers a different number of vertices.
-    pub fn build(
-        published: &UncertainGraph,
-        knowledge: &AdversaryKnowledge,
-        threads: usize,
-    ) -> Self {
-        assert_eq!(
-            knowledge.len(),
-            published.num_nodes(),
-            "adversary knowledge must cover every vertex"
-        );
-        let omega_max = knowledge.max_target();
-        Self {
-            omega_max,
-            pmfs: degree_pmfs(published, omega_max, threads),
-        }
-    }
-
-    /// The truncation cap (`max ω`) the pmfs were built with.
-    pub(crate) fn omega_max(&self) -> usize {
-        self.omega_max
-    }
-
-    /// Number of vertices covered.
-    pub fn len(&self) -> usize {
-        self.pmfs.len()
-    }
-
-    /// True when the cache covers no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.pmfs.is_empty()
-    }
-
-    /// Cached pmf of vertex `v`.
-    pub fn pmf(&self, v: NodeId) -> &[f64] {
-        &self.pmfs[v as usize]
-    }
-
-    /// Recomputes vertex `v`'s pmf from an explicit incident-probability
-    /// sequence. The caller must supply the probabilities in the same
-    /// order [`UncertainGraph::incident_probs`] would produce for the
-    /// graph being modelled — the DP result depends on it bit-for-bit.
-    pub(crate) fn set_from_probs(&mut self, v: NodeId, incident: &[f64]) {
-        self.pmfs[v as usize] = pmf_truncated(incident, self.omega_max);
-    }
-}
-
-/// [`anonymity_check`] reading degree pmfs from a [`DegreePmfCache`]
-/// instead of rebuilding them: the entropy sweep is the same code, so the
-/// report is bit-identical to the direct check whenever the cache is
-/// up to date with the published graph.
-///
-/// # Panics
-/// Panics if the cache and `knowledge` disagree on the vertex count, if
-/// the cache's cap is below the adversary's maximal value, or `k == 0`.
-pub(crate) fn anonymity_check_cached(
-    cache: &DegreePmfCache,
-    knowledge: &AdversaryKnowledge,
-    k: usize,
-) -> AnonymityReport {
-    let _span = chameleon_obs::span!("anonymity.check.cached");
-    chameleon_obs::counter!("anonymity.checks").add(1);
-    assert!(
-        cache.omega_max() >= knowledge.max_target(),
-        "cache truncated at {} but the adversary queries {}",
-        cache.omega_max(),
-        knowledge.max_target()
-    );
-    sweep(&cache.pmfs, knowledge, k, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::PrivacyProfile;
+    use chameleon_stats::poisson_binomial::pmf_truncated;
     use chameleon_ugraph::generators;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -604,10 +626,7 @@ mod tests {
                     knowledge.targets().iter().copied().max().unwrap() as usize + tol as usize;
                 let weights: Vec<f64> = (0..8u32)
                     .map(|u| {
-                        let pmf = chameleon_stats::poisson_binomial::pmf_truncated(
-                            &g.incident_probs(u),
-                            omega_max,
-                        );
+                        let pmf = pmf_truncated(&g.incident_probs(u), omega_max);
                         (lo..=hi).map(|w| pmf.get(w).copied().unwrap_or(0.0)).sum()
                     })
                     .collect();
@@ -615,58 +634,6 @@ mod tests {
                 assert_eq!(h.to_bits(), expect.to_bits(), "omega={omega} tol={tol}");
             }
         }
-    }
-
-    #[test]
-    fn cached_check_is_bit_identical_to_direct() {
-        let mut g = UncertainGraph::with_nodes(12);
-        for v in 1..12u32 {
-            g.add_edge(0, v, 0.5).unwrap();
-            g.add_edge(v, (v % 11) + 1, 0.35).unwrap();
-        }
-        let knowledge = AdversaryKnowledge::expected_degrees(&g);
-        let cache = DegreePmfCache::build(&g, &knowledge, 2);
-        let direct = anonymity_check(&g, &knowledge, 4);
-        let cached = anonymity_check_cached(&cache, &knowledge, 4);
-        assert_eq!(direct.unobfuscated, cached.unobfuscated);
-        assert_eq!(direct.eps_hat.to_bits(), cached.eps_hat.to_bits());
-        for (omega, h) in &direct.entropy_by_omega {
-            assert_eq!(h.to_bits(), cached.entropy_by_omega[omega].to_bits());
-        }
-    }
-
-    #[test]
-    fn cache_refresh_tracks_edge_perturbations() {
-        let mut g = UncertainGraph::with_nodes(10);
-        for v in 1..10u32 {
-            g.add_edge(0, v, 0.4).unwrap();
-        }
-        g.add_edge(3, 7, 0.9).unwrap();
-        let knowledge = AdversaryKnowledge::expected_degrees(&g);
-        let mut cache = DegreePmfCache::build(&g, &knowledge, 1);
-        // Perturb two edges; only their endpoints go dirty.
-        g.set_prob(2, 0.95).unwrap(); // edge (0,3)
-        let last = g.num_edges() - 1; // edge (3,7)
-        g.set_prob(last as u32, 0.05).unwrap();
-        for v in [0, 3, 7] {
-            cache.set_from_probs(v, &g.incident_probs(v));
-        }
-        let direct = anonymity_check(&g, &knowledge, 3);
-        let cached = anonymity_check_cached(&cache, &knowledge, 3);
-        assert_eq!(direct.unobfuscated, cached.unobfuscated);
-        for (omega, h) in &direct.entropy_by_omega {
-            assert_eq!(h.to_bits(), cached.entropy_by_omega[omega].to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cache truncated at")]
-    fn cached_check_rejects_stale_cap() {
-        let g = matching(2, 0.5);
-        let knowledge = AdversaryKnowledge::from_values(vec![1, 1, 1, 1]);
-        let cache = DegreePmfCache::build(&g, &knowledge, 1);
-        let wider = AdversaryKnowledge::from_values(vec![9, 1, 1, 1]);
-        let _ = anonymity_check_cached(&cache, &wider, 2);
     }
 
     #[test]
@@ -693,9 +660,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Every entry point that runs the entropy sweep — the exact check
-        /// at 1 and 8 threads, the zero-tolerance fuzzy check, the cached
-        /// check and the privacy profile — agrees bit for bit with a naive
-        /// per-vertex reading of Definition 3.
+        /// at 1 and 8 threads, the zero-tolerance fuzzy check and the
+        /// privacy profile — agrees bit for bit with a naive per-vertex
+        /// reading of Definition 3.
         #[test]
         fn every_sweep_entry_point_matches_the_definition(
             graph_seed in any::<u64>(),
@@ -750,7 +717,6 @@ mod tests {
             let others = [
                 anonymity_check_threads(&g, &knowledge, k, 8),
                 anonymity_check_tolerant(&g, &knowledge, k, 0),
-                anonymity_check_cached(&DegreePmfCache::build(&g, &knowledge, 2), &knowledge, k),
             ];
             for other in &others {
                 prop_assert_eq!(&reference.unobfuscated, &other.unobfuscated);

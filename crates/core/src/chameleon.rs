@@ -1,16 +1,14 @@
 //! The Chameleon anonymization driver: GenObf (paper Algorithm 3) wrapped
 //! in the σ binary-search skeleton (paper Algorithm 1).
 
-use crate::anonymity::{
-    anonymity_check_threads, AdversaryKnowledge, AnonymityReport, DegreePmfCache,
-};
+use crate::anonymity::AnonymityReport;
 use crate::cancel::CancelToken;
 use crate::candidate::VertexSampler;
 use crate::config::ChameleonConfig;
 use crate::genobf_checkpoint::{
     graph_fingerprint, search_fingerprint, CheckpointHook, ProbeRecord, SearchCheckpoint,
 };
-use crate::genobf_plan::{TrialInputs, TrialPlan};
+use crate::genobf_plan::{Perturbation, TrialInputs, TrialPlan};
 use crate::method::Method;
 use crate::relevance::{
     edge_reliability_relevance_streamed, edge_reliability_relevance_threads, min_max_normalize,
@@ -111,8 +109,9 @@ pub struct ObfuscationResult {
     pub replayed_probes: usize,
 }
 
-/// A trial's graph and anonymity report.
-type Release = (UncertainGraph, AnonymityReport);
+/// A passing trial's perturbation and anonymity report. Its graph is
+/// built only if the trial wins the whole search.
+type Release = (Perturbation, AnonymityReport);
 
 /// Outcome of one GenObf call (paper Algorithm 3's `⟨ε̃, G̃⟩`).
 #[derive(Debug, Clone)]
@@ -122,7 +121,7 @@ struct GenObfOutcome {
     /// Smallest ε̂ actually observed across trials, even when above the
     /// target (diagnostic; drives the near-miss report on failure).
     eps_nearest: f64,
-    graph: Option<Release>,
+    release: Option<Release>,
 }
 
 /// GenObf's winner rule, shared by both trial bodies: fed checked trials
@@ -159,14 +158,14 @@ impl<T> TrialFold<T> {
     }
 
     fn finish(self, release: impl FnOnce(T) -> Release) -> GenObfOutcome {
-        let (eps_hat, graph) = match self.best {
+        let (eps_hat, release) = match self.best {
             Some((eps_hat, trial)) => (eps_hat, Some(release(trial))),
             None => (1.0, None),
         };
         GenObfOutcome {
             eps_hat,
             eps_nearest: self.eps_nearest,
-            graph,
+            release,
         }
     }
 }
@@ -183,8 +182,8 @@ struct CheckpointState<'a> {
     replayed: usize,
 }
 
-/// One σ probe as the search sees it. `release` is `None` for replayed
-/// probes — the graph is materialized lazily, and only if that probe ends
+/// One σ probe as the search sees it. `release` is `None` for failed and
+/// replayed probes; a graph is materialized only for the probe that ends
 /// up winning the search.
 struct Probe {
     rec: ProbeRecord,
@@ -261,7 +260,7 @@ impl SigmaSearch<'_> {
             sigma,
             eps_hat: outcome.eps_hat,
             eps_nearest: outcome.eps_nearest,
-            passed: outcome.graph.is_some(),
+            passed: outcome.release.is_some(),
         };
         let ckpt = &mut self.ckpt;
         ckpt.probes.push(rec.clone());
@@ -274,122 +273,101 @@ impl SigmaSearch<'_> {
         }
         Probe {
             rec,
-            release: outcome.graph,
+            release: outcome.release,
         }
     }
 
-    /// The winning probe's graph and report. A replayed winner was never
-    /// built, but each probe is a pure function of (graph, config, seed,
-    /// call index), so re-running its one call reproduces it bit for bit.
-    fn release(&mut self, winner: Probe) -> Result<Release, ChameleonError> {
-        if let Some(release) = winner.release {
-            return Ok(release);
-        }
+    /// The winning probe's graph and report. A replayed winner kept no
+    /// perturbation, but each probe is a pure function of (graph, config,
+    /// seed, call index), so re-running its one call reproduces it bit for
+    /// bit.
+    fn release(
+        &mut self,
+        winner: Probe,
+    ) -> Result<(UncertainGraph, AnonymityReport), ChameleonError> {
         let ProbeRecord { call, sigma, .. } = winner.rec;
-        self.gen_obf(sigma, call).graph.ok_or_else(|| {
-            ChameleonError::CheckpointInvalid(format!(
-                "checkpointed winning probe (call {call}, sigma {sigma}) \
-                 did not reproduce a passing graph"
-            ))
-        })
+        let (perturbation, report) = winner
+            .release
+            .or_else(|| self.gen_obf(sigma, call).release)
+            .ok_or_else(|| {
+                ChameleonError::CheckpointInvalid(format!(
+                    "checkpointed winning probe (call {call}, sigma {sigma}) \
+                     did not reproduce a passing graph"
+                ))
+            })?;
+        Ok((perturbation.materialize(self.trial.graph), report))
     }
 
     /// One GenObf invocation (paper Algorithm 3) as call number `call`:
     /// `t` randomized attempts at noise level σ, returning the best
     /// (k, ε)-satisfying graph found.
     ///
-    /// With `incremental` set, the trials' randomness is recorded into
-    /// `plans` on the first call and re-evaluated on every later one
-    /// (DESIGN.md §6d) instead of being redrawn.
+    /// Both bodies check trial plans (DESIGN.md §6d) through the same wave
+    /// loop. The plain body records fresh plans from this call's streams;
+    /// with `incremental` set, the plans are recorded on the first call
+    /// and re-checked at every later σ instead of being redrawn.
     fn gen_obf(&mut self, sigma: f64, call: u64) -> GenObfOutcome {
         let _span = chameleon_obs::span!("genobf.call");
-        if self.trial.cfg.incremental {
-            return self.gen_obf_incremental(sigma);
-        }
         let (trial, seq, threads) = (&self.trial, &self.seq, self.threads);
-        let cfg = trial.cfg;
-        // When trials run concurrently, the per-trial anonymity check runs
-        // single-threaded (nested fan-out would oversubscribe the pool);
-        // with a single trial the check gets the whole budget instead. The
-        // report is thread-count-invariant either way.
-        let check_threads = if threads.min(cfg.trials) > 1 {
-            1
-        } else {
-            threads
-        };
+        let trials = trial.cfg.trials;
         // Trials are independent: each owns the RNG stream
         // (seed, "genobf-trial", call, trial), so they can run in any
         // order on any number of threads and still reproduce the serial
         // result exactly. The (call, trial) pair seeds via
         // `rng_indexed2` — the flattened `call·1000 + trial` form used
         // previously collides once a config asks for ≥ 1000 trials.
-        let outcomes: Vec<Option<Release>> = parallel::map_items(cfg.trials, threads, |t| {
-            let _trial_span = chameleon_obs::span!("genobf.trial");
-            chameleon_obs::counter!("genobf.trials").add(1);
-            let mut rng = seq.rng_indexed2("genobf-trial", call, t as u64);
-            let perturbed = trial.perturb_inline(sigma, &mut rng)?;
-            // Anonymity check (line 24).
-            let report =
-                anonymity_check_threads(&perturbed, &trial.knowledge, cfg.k, check_threads);
-            Some((perturbed, report))
-        });
-        let mut fold = TrialFold::new(cfg.epsilon);
-        for (perturbed, report) in outcomes.into_iter().flatten() {
-            if fold.push(report.eps_hat, (perturbed, report)) {
-                break;
-            }
-        }
-        fold.finish(|release| release)
-    }
-
-    /// The incremental GenObf path (DESIGN.md §6d): trials are recorded
-    /// once — on the first call, from exactly the RNG streams the
-    /// non-incremental path would consume, so that call's winner is
-    /// bit-identical — and every σ probe afterwards re-transforms the
-    /// stored randomness through the new σ's inverse CDF. Anonymity checks
-    /// run off the shared degree-pmf cache, and the winning graph is
-    /// materialized only when a probe passes.
-    fn gen_obf_incremental(&mut self, sigma: f64) -> GenObfOutcome {
-        let (trial, seq, threads) = (&self.trial, &self.seq, self.threads);
-        // The tape is always recorded from the call-0 RNG streams, no
-        // matter which call triggers recording: in a fresh run the first
-        // call *is* call 0, and in a checkpoint-resumed run the first live
-        // call comes later — pinning the stream index keeps the recorded
-        // tape (and therefore every downstream probe) identical to the
-        // uninterrupted run's.
-        let plans = self.plans.get_or_insert_with(|| {
+        let record = |call: u64, t: usize| {
+            TrialPlan::record(trial, &mut seq.rng_indexed2("genobf-trial", call, t as u64))
+        };
+        if trial.cfg.incremental && self.plans.is_none() {
+            // The tape is always recorded from the call-0 RNG streams, no
+            // matter which call triggers recording: in a fresh run the
+            // first call *is* call 0, and in a checkpoint-resumed run the
+            // first live call comes later — pinning the stream index keeps
+            // the recorded tape (and every downstream probe) identical to
+            // the uninterrupted run's.
             let _s = chameleon_obs::span!("genobf.plan_record");
-            let base_cache = DegreePmfCache::build(trial.graph, &trial.knowledge, threads);
-            // Each trial records from its own stream, so recording them
-            // concurrently yields the same plans in the same order.
-            parallel::map_items(trial.cfg.trials, threads, |t| {
-                let mut rng = seq.rng_indexed2("genobf-trial", 0, t as u64);
-                TrialPlan::record(trial, &base_cache, &mut rng)
-            })
-        });
+            self.plans = Some(parallel::map_items(trials, threads, |t| record(0, t)));
+        }
         // Trials are checked `threads` at a time, and each wave's reports
         // are folded serially in trial order. The fold stops at the first
-        // ε̂ = 0 winner and skips the remaining trials; only the
-        // `genobf.trials` counter sees fewer trials. A check is a pure
-        // function of (plan, σ), so a wave-mate checked but never folded
-        // leaves no trace in the result.
+        // ε̂ = 0 winner and skips the remaining trials; only the trial
+        // counters see fewer trials. A check is a pure function of
+        // (plan, σ), so a wave-mate checked but never folded leaves no
+        // trace in the result. A wave narrower than the pool hands the
+        // spare threads to each check's pmf loop.
         let mut fold = TrialFold::new(trial.cfg.epsilon);
-        'waves: for (w, wave) in plans.chunks_mut(threads).enumerate() {
-            let reports = parallel::map_items_mut(wave, threads, |plan| {
-                let _trial_span = chameleon_obs::span!("genobf.trial");
-                (!plan.is_degenerate()).then(|| plan.check_at_sigma(sigma, trial))
-            });
-            for (offset, report) in reports.into_iter().enumerate() {
+        'waves: for start in (0..trials).step_by(threads) {
+            let wave = start..(start + threads).min(trials);
+            let pmf_threads = (threads / wave.len()).max(1);
+            let check = |plan: &mut TrialPlan| plan.check_at_sigma(sigma, trial, pmf_threads);
+            // Each checked trial, with its plan when this call owns it.
+            let checked: Vec<(Option<TrialPlan>, AnonymityReport)> = match &mut self.plans {
+                Some(plans) => parallel::map_items_mut(&mut plans[wave], threads, |plan| {
+                    let _trial_span = chameleon_obs::span!("genobf.trial");
+                    (None, check(plan))
+                }),
+                None => parallel::map_items(wave.len(), threads, |i| {
+                    let _trial_span = chameleon_obs::span!("genobf.trial");
+                    let mut plan = record(call, start + i);
+                    let report = check(&mut plan);
+                    (Some(plan), report)
+                }),
+            };
+            for (t, (plan, report)) in (start..).zip(checked) {
                 chameleon_obs::counter!("genobf.trials").add(1);
-                let Some(report) = report else {
-                    continue;
-                };
-                if fold.push(report.eps_hat, (w * threads + offset, report)) {
+                if fold.push(report.eps_hat, (t, plan, report)) {
                     break 'waves;
                 }
             }
         }
-        fold.finish(|(t, report)| (plans[t].materialize(trial.graph), report))
+        fold.finish(|(t, plan, report)| {
+            let plans = self.plans.as_deref().unwrap_or_default();
+            (
+                plan.as_ref().unwrap_or_else(|| &plans[t]).perturbation(),
+                report,
+            )
+        })
     }
 }
 
@@ -517,15 +495,15 @@ impl Chameleon {
             Vec::new()
         };
         let (excluded, selection) = prepare_selection(graph, method, &uniq, &vrr, &self.config);
+        let sampler = VertexSampler::new(&selection, &excluded);
         let mut search = SigmaSearch {
-            trial: TrialInputs {
+            trial: TrialInputs::new(
                 graph,
-                knowledge: AdversaryKnowledge::expected_degrees(graph),
-                cfg: &self.config,
-                strategy: method.perturbation(),
-                sampler: VertexSampler::new(&selection, &excluded),
+                &self.config,
+                method.perturbation(),
                 selection,
-            },
+                sampler,
+            ),
             seq,
             threads,
             cancel,
@@ -671,7 +649,7 @@ fn prepare_selection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::anonymity::anonymity_check;
+    use crate::anonymity::{anonymity_check, AdversaryKnowledge};
     use chameleon_ugraph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -115,8 +115,8 @@ impl ChameleonConfig {
         if !(0.0..=1.0).contains(&self.epsilon) {
             return Err(format!("epsilon {} must lie in [0, 1]", self.epsilon));
         }
-        if self.size_multiplier <= 0.0 {
-            return Err("size multiplier must be positive".into());
+        if !(self.size_multiplier.is_finite() && self.size_multiplier > 0.0) {
+            return Err("size multiplier must be positive and finite".into());
         }
         if !(0.0..=1.0).contains(&self.white_noise) {
             return Err(format!(
@@ -133,8 +133,8 @@ impl ChameleonConfig {
         if self.sigma_init <= 0.0 || !self.sigma_init.is_finite() {
             return Err("sigma_init must be positive and finite".into());
         }
-        if self.sigma_tolerance <= 0.0 {
-            return Err("sigma_tolerance must be positive".into());
+        if !(self.sigma_tolerance.is_finite() && self.sigma_tolerance > 0.0) {
+            return Err("sigma_tolerance must be positive and finite".into());
         }
         if !(self.bandwidth_scale.is_finite() && self.bandwidth_scale > 0.0) {
             return Err("bandwidth_scale must be positive and finite".into());
@@ -310,6 +310,17 @@ mod tests {
         let mut c = ChameleonConfig::default();
         c.sigma_tolerance = 0.0;
         assert!(c.validate().is_err());
+        // Non-finite values fail every `<= 0.0` test, so each needs its own
+        // rejection: NaN would make the selection target 1 and ∞ every
+        // non-edge.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut c = ChameleonConfig::default();
+            c.size_multiplier = bad;
+            assert!(c.validate().is_err(), "size_multiplier {bad}");
+            let mut c = ChameleonConfig::default();
+            c.sigma_tolerance = bad;
+            assert!(c.validate().is_err(), "sigma_tolerance {bad}");
+        }
         let mut c = ChameleonConfig::default();
         c.bandwidth_scale = 0.0;
         assert!(c.validate().is_err());

@@ -1,8 +1,6 @@
-//! GenObf trial bodies (paper Algorithm 3, lines 9–24): the plain trial,
-//! which draws its randomness inline, and the persisted trial of the
-//! incremental σ search (DESIGN.md §6d). Both run the per-candidate
-//! arithmetic of [`crate::perturb`], so they agree bit for bit on the same
-//! draws.
+//! GenObf trials (paper Algorithm 3, lines 9–24) as recorded plans, the
+//! one trial body behind both the plain search and the incremental σ
+//! search (DESIGN.md §6d).
 //!
 //! A GenObf trial is a deterministic function of `(graph, selection, σ,
 //! ρ)` where ρ is the trial's random tape: the candidate selection plus,
@@ -11,90 +9,76 @@
 //! — the truncated-normal draw is inverse-CDF sampling, `r = F⁻¹_σ(u)` —
 //! so one recorded tape can be re-evaluated at every σ the search probes.
 //!
-//! [`TrialPlan`] records the tape once (from the trial's call-0 RNG
-//! stream) and re-transforms it per probe. Evaluating a probe then costs
-//! the inverse CDFs plus a *cached* anonymity check: only vertices
-//! incident to candidate edges recompute their degree pmf
-//! ([`DegreePmfCache`]), against an incident-probability overlay instead
-//! of a cloned graph. The winning trial's graph is materialized only when
-//! a probe passes.
+//! [`TrialPlan::record`] draws the tape in the order Algorithm 3 uses it
+//! (selection, then coin / value / sign per candidate) and lays out the
+//! perturbed graph's incidence once: the input's incident probabilities
+//! in adjacency order, with each vertex's injected edges appended in
+//! candidate order — exactly where `add_edge` puts them — and each
+//! candidate's two flat positions in it. [`TrialPlan::check_at_sigma`]
+//! then scatters the perturbed probabilities into that array, rebuilds
+//! the degree-pmf arena and sweeps it; no graph is built. A passing trial
+//! keeps only its [`Perturbation`], and the σ search materializes the
+//! final winner's alone into an [`UncertainGraph`].
 //!
-//! The first GenObf call of a run consumes the tape exactly as the
-//! non-incremental path would, so call 0 is bit-identical with the toggle
-//! on or off; later calls reuse the tape instead of redrawing, which is
-//! the documented stream divergence of §6d.
+//! A plain GenObf call records fresh plans from its own streams and checks
+//! each once; the incremental search records its plans on the first call
+//! and re-checks them at every later σ, which is the documented stream
+//! divergence of §6d.
 
-use crate::anonymity::{
-    anonymity_check_cached, AdversaryKnowledge, AnonymityReport, DegreePmfCache,
-};
+use crate::anonymity::{trial_check, AdversaryKnowledge, AnonymityReport, DegreePmfs, Incidence};
 use crate::candidate::{select_candidates, CandidateEdge, VertexSampler};
 use crate::config::ChameleonConfig;
-use crate::perturb::{draw_noise, noise, perturbed_clone, NoiseBudget, PerturbStrategy};
-use chameleon_ugraph::{NodeId, UncertainGraph};
+use crate::perturb::{noise, NoiseBudget, PerturbStrategy};
+use chameleon_ugraph::UncertainGraph;
 use rand::Rng;
 
 /// What every GenObf trial of one anonymize run reads; fixed for the
 /// whole σ search.
 pub(crate) struct TrialInputs<'a> {
     pub(crate) graph: &'a UncertainGraph,
-    pub(crate) knowledge: AdversaryKnowledge,
+    knowledge: AdversaryKnowledge,
     pub(crate) cfg: &'a ChameleonConfig,
-    pub(crate) strategy: PerturbStrategy,
+    strategy: PerturbStrategy,
     /// Selection weights `Q^v` (σ(e) budgets read them too).
-    pub(crate) selection: Vec<f64>,
+    selection: Vec<f64>,
     /// Draws vertices ∝ `Q^v` over `V \ H`.
-    pub(crate) sampler: VertexSampler,
+    sampler: VertexSampler,
+    /// The input graph's incidence, which every trial's starts from.
+    base: Incidence,
+    /// Edge `e`'s index in the adjacency lists of `e.u` and of `e.v`.
+    edge_slots: Vec<[u32; 2]>,
 }
 
-impl TrialInputs<'_> {
-    fn select<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<CandidateEdge> {
-        let _s = chameleon_obs::span!("genobf.select");
-        select_candidates(self.graph, &self.sampler, self.cfg.size_multiplier, rng)
-    }
-
-    /// One plain trial at `sigma` with its randomness drawn inline from
-    /// `rng`: the candidates, then per candidate the noise coin and
-    /// magnitude and (unguided only) the sign — the order
-    /// [`TrialPlan::record`] stores. `None` when no candidate was selected.
-    pub(crate) fn perturb_inline<R: Rng + ?Sized>(
-        &self,
-        sigma: f64,
-        rng: &mut R,
-    ) -> Option<UncertainGraph> {
-        let candidates = self.select(rng);
-        if candidates.is_empty() {
-            return None;
-        }
-        chameleon_obs::counter!("genobf.edges_perturbed").add(candidates.len() as u64);
-        let _s = chameleon_obs::span!("genobf.perturb");
-        let budget = NoiseBudget::new(&candidates, &self.selection);
-        let mut p_new = Vec::with_capacity(candidates.len());
-        {
-            let _s = chameleon_obs::span!("genobf.noise");
-            for (i, cand) in candidates.iter().enumerate() {
-                let r = draw_noise(budget.sigma_e(i, sigma), self.cfg.white_noise, rng);
-                p_new.push(self.strategy.apply(cand.p, r, rng));
+impl<'a> TrialInputs<'a> {
+    pub(crate) fn new(
+        graph: &'a UncertainGraph,
+        cfg: &'a ChameleonConfig,
+        strategy: PerturbStrategy,
+        selection: Vec<f64>,
+        sampler: VertexSampler,
+    ) -> Self {
+        let mut edge_slots = vec![[0u32; 2]; graph.num_edges()];
+        for v in 0..graph.num_nodes() as u32 {
+            for (i, &(_, e)) in graph.neighbors(v).iter().enumerate() {
+                let end = usize::from(graph.edge(e).u != v);
+                edge_slots[e as usize][end] = i as u32;
             }
         }
-        Some(perturbed_clone(self.graph, &candidates, &p_new))
+        Self {
+            graph,
+            knowledge: AdversaryKnowledge::expected_degrees(graph),
+            cfg,
+            strategy,
+            selection,
+            sampler,
+            base: Incidence::of(graph),
+            edge_slots,
+        }
     }
 }
 
-/// Incident-probability overlay of one vertex touched by the trial's
-/// candidates: the base adjacency probabilities (plus appended slots for
-/// injected edges) and where each candidate's perturbed probability lands.
-#[derive(Debug, Clone)]
-struct VertexOverlay {
-    v: NodeId,
-    /// Base incident probabilities in adjacency order, extended by one
-    /// slot per injected incident candidate (in candidate order — exactly
-    /// where `add_edge` would append them).
-    template: Vec<f64>,
-    /// `(position in template, candidate index)` writes to apply.
-    writes: Vec<(u32, u32)>,
-}
-
-/// One GenObf trial's recorded randomness, re-evaluable at any σ.
+/// One GenObf trial's recorded randomness and its perturbed graph's
+/// incidence, re-evaluable at any σ.
 #[derive(Debug, Clone)]
 pub(crate) struct TrialPlan {
     candidates: Vec<CandidateEdge>,
@@ -106,25 +90,28 @@ pub(crate) struct TrialPlan {
     value: Vec<f64>,
     /// Unguided-strategy sign per candidate (all `false` for max-entropy).
     sign_up: Vec<bool>,
-    overlays: Vec<VertexOverlay>,
-    /// Degree pmfs: base-graph values for untouched vertices (shared with
-    /// every probe), overwritten per probe for overlay vertices.
-    cache: DegreePmfCache,
-    /// Perturbed probability per candidate at the most recent σ.
-    p_new: Vec<f64>,
-    scratch: Vec<f64>,
+    /// Each candidate's positions in `incidence.probs`, one per endpoint.
+    slots: Vec<[usize; 2]>,
+    /// The perturbed graph's incident probabilities at the most recent σ.
+    incidence: Incidence,
+    /// Its degree pmfs, truncated at the adversary's largest value.
+    pmfs: DegreePmfs,
 }
 
 impl TrialPlan {
-    /// Records one trial's tape from `rng`, consuming draws in exactly the
-    /// order [`TrialInputs::perturb_inline`] does.
-    pub(crate) fn record<R: Rng + ?Sized>(
-        inputs: &TrialInputs<'_>,
-        base_cache: &DegreePmfCache,
-        rng: &mut R,
-    ) -> Self {
-        let graph = inputs.graph;
-        let candidates = inputs.select(rng);
+    /// Records one trial's tape from `rng` — the candidates, then per
+    /// candidate the noise coin and magnitude and (unguided only) the sign
+    /// — and lays out its perturbed incidence.
+    pub(crate) fn record<R: Rng + ?Sized>(inputs: &TrialInputs<'_>, rng: &mut R) -> Self {
+        let candidates = {
+            let _s = chameleon_obs::span!("genobf.select");
+            select_candidates(
+                inputs.graph,
+                &inputs.sampler,
+                inputs.cfg.size_multiplier,
+                rng,
+            )
+        };
         let mut coin = Vec::with_capacity(candidates.len());
         let mut value = Vec::with_capacity(candidates.len());
         let mut sign_up = Vec::with_capacity(candidates.len());
@@ -134,92 +121,126 @@ impl TrialPlan {
             sign_up.push(inputs.strategy.draw_sign(rng));
         }
 
-        // Overlay construction: one entry per touched vertex.
-        let mut overlay_of: Vec<usize> = vec![usize::MAX; graph.num_nodes()];
-        let mut overlays: Vec<VertexOverlay> = Vec::new();
-        for (ci, cand) in candidates.iter().enumerate() {
-            for w in [cand.u, cand.v] {
-                let slot = &mut overlay_of[w as usize];
-                if *slot == usize::MAX {
-                    *slot = overlays.len();
-                    overlays.push(VertexOverlay {
-                        v: w,
-                        template: graph.incident_probs(w),
-                        writes: Vec::new(),
-                    });
-                }
-                let overlay = &mut overlays[*slot];
-                let pos = match cand.existing {
-                    Some(e) => graph
-                        .neighbors(w)
-                        .iter()
-                        .position(|&(_, id)| id == e)
-                        .expect("candidate edge is incident to its endpoint"),
-                    None => {
-                        overlay.template.push(0.0);
-                        overlay.template.len() - 1
-                    }
-                };
-                overlay.writes.push((pos as u32, ci as u32));
-            }
+        let _s = chameleon_obs::span!("genobf.layout");
+        let base = &inputs.base;
+        let n = inputs.graph.num_nodes();
+        // `next[v]` counts v's injected edges, then becomes the flat
+        // position of v's next injected slot.
+        let mut next = vec![0usize; n];
+        for cand in candidates.iter().filter(|c| c.existing.is_none()) {
+            next[cand.u as usize] += 1;
+            next[cand.v as usize] += 1;
         }
+        let mut off = Vec::with_capacity(n + 1);
+        let mut probs = Vec::with_capacity(base.probs.len() + next.iter().sum::<usize>());
+        off.push(0);
+        for (v, next) in next.iter_mut().enumerate() {
+            probs.extend_from_slice(base.of_vertex(v));
+            let injected = std::mem::replace(next, probs.len());
+            probs.resize(probs.len() + injected, 0.0);
+            off.push(probs.len());
+        }
+        let slots = candidates
+            .iter()
+            .map(|cand| {
+                let (u, v) = (cand.u as usize, cand.v as usize);
+                match cand.existing {
+                    Some(e) => {
+                        let [su, sv] = inputs.edge_slots[e as usize];
+                        [off[u] + su as usize, off[v] + sv as usize]
+                    }
+                    None => {
+                        next[u] += 1;
+                        next[v] += 1;
+                        [next[u] - 1, next[v] - 1]
+                    }
+                }
+            })
+            .collect();
+        let incidence = Incidence { off, probs };
         Self {
             budget: NoiseBudget::new(&candidates, &inputs.selection),
-            p_new: vec![0.0; candidates.len()],
+            pmfs: DegreePmfs::layout(&incidence, inputs.knowledge.max_target()),
+            incidence,
+            slots,
             candidates,
             coin,
             value,
             sign_up,
-            overlays,
-            cache: base_cache.clone(),
-            scratch: Vec::new(),
         }
     }
 
-    /// True when the trial selected no candidates (degenerate; the plain
-    /// trial returns `None` for such a trial).
-    pub(crate) fn is_degenerate(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
-    /// Re-evaluates the tape at `sigma`: recomputes every candidate's
-    /// perturbed probability, refreshes the touched degree pmfs, and runs
-    /// the cached anonymity check. Bit-identical to perturbing a cloned
-    /// graph and checking it directly.
+    /// Evaluates the tape at `sigma`: writes every candidate's perturbed
+    /// probability into the incidence and runs the anonymity check, its
+    /// pmfs built on up to `threads` threads. Bit-identical to perturbing
+    /// a cloned graph and checking it directly.
     pub(crate) fn check_at_sigma(
         &mut self,
         sigma: f64,
         inputs: &TrialInputs<'_>,
+        threads: usize,
     ) -> AnonymityReport {
-        debug_assert!(!self.is_degenerate());
+        chameleon_obs::counter!("genobf.edges_perturbed").add(self.candidates.len() as u64);
         {
             let _s = chameleon_obs::span!("genobf.noise");
+            let probs = &mut self.incidence.probs;
             for (i, cand) in self.candidates.iter().enumerate() {
                 let sigma_e = self.budget.sigma_e(i, sigma);
                 let r = noise(self.coin[i], self.value[i], sigma_e, inputs.cfg.white_noise);
-                self.p_new[i] = inputs.strategy.apply_signed(cand.p, r, self.sign_up[i]);
+                let p = inputs.strategy.apply_signed(cand.p, r, self.sign_up[i]);
+                let [a, b] = self.slots[i];
+                probs[a] = p;
+                probs[b] = p;
             }
         }
-        {
-            let _s = chameleon_obs::span!("genobf.overlay_pmfs");
-            for overlay in &self.overlays {
-                self.scratch.clear();
-                self.scratch.extend_from_slice(&overlay.template);
-                for &(pos, ci) in &overlay.writes {
-                    self.scratch[pos as usize] = self.p_new[ci as usize];
-                }
-                self.cache.set_from_probs(overlay.v, &self.scratch);
-            }
-        }
-        chameleon_obs::counter!("genobf.pmf_overlays").add(self.overlays.len() as u64);
-        anonymity_check_cached(&self.cache, &inputs.knowledge, inputs.cfg.k)
+        trial_check(
+            &self.incidence,
+            &mut self.pmfs,
+            &inputs.knowledge,
+            inputs.cfg.k,
+            threads,
+        )
     }
 
-    /// Builds the perturbed graph for the most recent
-    /// [`TrialPlan::check_at_sigma`] — the clone-and-apply step the plain
-    /// trial performs up front, deferred to winners.
+    /// The candidates and perturbed probabilities of the most recent
+    /// [`TrialPlan::check_at_sigma`].
+    pub(crate) fn perturbation(&self) -> Perturbation {
+        let probs = &self.incidence.probs;
+        Perturbation {
+            candidates: self.candidates.clone(),
+            p_new: self.slots.iter().map(|&[a, _]| probs[a]).collect(),
+        }
+    }
+}
+
+/// A checked trial's candidates and perturbed probabilities: enough to
+/// build its graph, which the σ search does for its final winner only.
+#[derive(Debug, Clone)]
+pub(crate) struct Perturbation {
+    candidates: Vec<CandidateEdge>,
+    p_new: Vec<f64>,
+}
+
+impl Perturbation {
+    /// Clones `graph` and writes each candidate's perturbed probability
+    /// (Algorithm 3 lines 22–23): existing edges are re-weighted in place
+    /// and non-edges appended in candidate order.
     pub(crate) fn materialize(&self, graph: &UncertainGraph) -> UncertainGraph {
-        perturbed_clone(graph, &self.candidates, &self.p_new)
+        let mut perturbed = {
+            let _s = chameleon_obs::span!("genobf.clone");
+            graph.clone()
+        };
+        for (cand, &p) in self.candidates.iter().zip(&self.p_new) {
+            match cand.existing {
+                Some(e) => perturbed.set_prob(e, p).expect("edge exists"),
+                None => {
+                    perturbed
+                        .add_edge(cand.u, cand.v, p)
+                        .expect("candidate was a non-edge");
+                }
+            }
+        }
+        perturbed
     }
 }
 
@@ -227,17 +248,45 @@ impl TrialPlan {
 mod tests {
     use super::*;
     use crate::anonymity::anonymity_check;
+    use crate::perturb::draw_noise;
     use chameleon_stats::SeedSequence;
     use chameleon_ugraph::generators;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
 
-    fn graph() -> UncertainGraph {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut g = generators::gnm(30, 55, &mut rng);
-        for e in 0..g.num_edges() as u32 {
-            g.set_prob(e, rng.gen::<f64>()).unwrap();
+    /// The plain trial as Algorithm 3 writes it, kept as the reference:
+    /// draw each value as it is used, then perturb a clone of the input.
+    fn perturb_inline<R: Rng + ?Sized>(
+        inputs: &TrialInputs<'_>,
+        sigma: f64,
+        rng: &mut R,
+    ) -> UncertainGraph {
+        let candidates = select_candidates(
+            inputs.graph,
+            &inputs.sampler,
+            inputs.cfg.size_multiplier,
+            rng,
+        );
+        let budget = NoiseBudget::new(&candidates, &inputs.selection);
+        let p_new: Vec<f64> = (0..candidates.len())
+            .map(|i| {
+                let r = draw_noise(budget.sigma_e(i, sigma), inputs.cfg.white_noise, rng);
+                inputs.strategy.apply(candidates[i].p, r, rng)
+            })
+            .collect();
+        Perturbation { candidates, p_new }.materialize(inputs.graph)
+    }
+
+    /// A G(n, m) graph with random probabilities; with `isolated`, the
+    /// last few vertices get no edges.
+    fn graph(seed: u64, n: usize, m: usize, isolated: usize) -> UncertainGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let core = generators::gnm(n - isolated, m, &mut rng);
+        let mut g = UncertainGraph::with_nodes(n);
+        for e in core.edges() {
+            g.add_edge(e.u, e.v, rng.gen::<f64>()).unwrap();
         }
         g
     }
@@ -247,83 +296,102 @@ mod tests {
         cfg: &'a ChameleonConfig,
         strategy: PerturbStrategy,
     ) -> TrialInputs<'a> {
-        let selection: Vec<f64> = (0..30).map(|i| 0.05 + 0.03 * i as f64).collect();
-        TrialInputs {
-            graph: g,
-            knowledge: AdversaryKnowledge::expected_degrees(g),
-            cfg,
-            strategy,
-            sampler: VertexSampler::new(&selection, &HashSet::new()),
-            selection,
+        let selection: Vec<f64> = (0..g.num_nodes())
+            .map(|i| 0.05 + 0.03 * (i % 30) as f64)
+            .collect();
+        let sampler = VertexSampler::new(&selection, &HashSet::new());
+        TrialInputs::new(g, cfg, strategy, selection, sampler)
+    }
+
+    fn assert_same_graph(expect: &UncertainGraph, got: &UncertainGraph) {
+        assert_eq!(expect.num_edges(), got.num_edges());
+        for (a, b) in expect.edges().iter().zip(got.edges()) {
+            assert_eq!((a.u, a.v), (b.u, b.v));
+            assert_eq!(a.p.to_bits(), b.p.to_bits(), "({},{})", a.u, a.v);
         }
     }
 
-    #[test]
-    fn plan_replays_the_plain_trial_bit_for_bit() {
-        let g = graph();
-        let cfg = ChameleonConfig::builder()
-            .k(3)
-            .white_noise(0.05)
-            .num_world_samples(10)
-            .build();
-        for strategy in [PerturbStrategy::MaxEntropy, PerturbStrategy::Unguided] {
+    fn assert_same_report(expect: &AnonymityReport, got: &AnonymityReport) {
+        assert_eq!(expect.unobfuscated, got.unobfuscated);
+        assert_eq!(expect.eps_hat.to_bits(), got.eps_hat.to_bits());
+        assert_eq!(expect.entropy_by_omega.len(), got.entropy_by_omega.len());
+        for (omega, h) in &expect.entropy_by_omega {
+            assert_eq!(h.to_bits(), got.entropy_by_omega[omega].to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// A plan checked at any σ sequence (revisits included) and with
+        /// any pmf thread count matches the plain trial: the same draws
+        /// leave both RNG streams at the same position, the materialized
+        /// graph equals the inline-perturbed clone bit for bit, and the
+        /// plan's report equals the direct check of that graph.
+        #[test]
+        fn plan_replays_the_plain_trial_bit_for_bit(
+            graph_seed in any::<u64>(),
+            trial_seed in any::<u64>(),
+            n in 6usize..40,
+            density in 0.05f64..0.4,
+            isolated in 0usize..4,
+            multiplier in 0usize..3,
+            unguided in any::<bool>(),
+            sigmas in proptest::collection::vec(0usize..4, 1..6),
+            threads in 0usize..4,
+        ) {
+            let multiplier = [0.5, 1.0, 2.0][multiplier];
+            let threads = [1, 2, 3, 8][threads];
+            let live = n - isolated;
+            let m = ((density * (live * (live - 1) / 2) as f64) as usize).max(1);
+            let g = graph(graph_seed, n, m, isolated);
+            let cfg = ChameleonConfig::builder()
+                .k(3)
+                .white_noise(0.05)
+                .size_multiplier(multiplier)
+                .num_world_samples(10)
+                .build();
+            let strategy = if unguided {
+                PerturbStrategy::Unguided
+            } else {
+                PerturbStrategy::MaxEntropy
+            };
             let trial = inputs(&g, &cfg, strategy);
-            let base_cache = DegreePmfCache::build(&g, &trial.knowledge, 1);
-            for sigma in [0.05, 0.3, 1.7] {
-                let seq = SeedSequence::new(11);
+            let seq = SeedSequence::new(trial_seed);
+            let mut rng_plan = seq.rng_indexed2("genobf-trial", 0, 0);
+            let mut plan = TrialPlan::record(&trial, &mut rng_plan);
+            prop_assert!(!plan.candidates.is_empty());
+            for sigma in sigmas.into_iter().map(|i| [0.02, 0.3, 1.0, 1.7][i]) {
+                let report = plan.check_at_sigma(sigma, &trial, threads);
                 let mut rng_ref = seq.rng_indexed2("genobf-trial", 0, 0);
-                let expect = trial.perturb_inline(sigma, &mut rng_ref).unwrap();
-                let mut rng_plan = seq.rng_indexed2("genobf-trial", 0, 0);
-                let mut plan = TrialPlan::record(&trial, &base_cache, &mut rng_plan);
-                let report = plan.check_at_sigma(sigma, &trial);
-                let got = plan.materialize(&g);
-                // Graphs agree bit for bit (edge order, endpoints, probs).
-                assert_eq!(expect.num_edges(), got.num_edges());
-                for (a, b) in expect.edges().iter().zip(got.edges()) {
-                    assert_eq!((a.u, a.v), (b.u, b.v));
-                    assert_eq!(a.p.to_bits(), b.p.to_bits(), "({},{})", a.u, a.v);
-                }
-                // Both streams end at the same position.
-                assert_eq!(rng_ref.gen::<u64>(), rng_plan.gen::<u64>());
-                // Cached check agrees with the direct check of the
-                // materialized graph bit for bit.
-                let direct = anonymity_check(&expect, &trial.knowledge, cfg.k);
-                assert_eq!(report.unobfuscated, direct.unobfuscated);
-                assert_eq!(report.eps_hat.to_bits(), direct.eps_hat.to_bits());
-                for (omega, h) in &direct.entropy_by_omega {
-                    assert_eq!(h.to_bits(), report.entropy_by_omega[omega].to_bits());
-                }
+                let expect = perturb_inline(&trial, sigma, &mut rng_ref);
+                let mut rng_after = rng_plan.clone();
+                prop_assert_eq!(rng_ref.gen::<u64>(), rng_after.gen::<u64>());
+                let got = plan.perturbation().materialize(&g);
+                assert_same_graph(&expect, &got);
+                assert_same_report(&anonymity_check(&got, &trial.knowledge, cfg.k), &report);
             }
         }
     }
 
     #[test]
-    fn one_plan_re_evaluates_across_many_sigmas() {
-        // The core incremental property: a single recorded tape checked at
-        // several σ values matches freshly perturbed graphs driven by the
-        // same RNG stream — in any probe order, including revisits.
-        let g = graph();
-        let cfg = ChameleonConfig::builder().k(2).white_noise(0.01).build();
+    fn injected_slots_follow_add_edge_order() {
+        // A path plus a multiplier large enough to inject several edges
+        // per vertex: every vertex's incidence must list its probabilities
+        // exactly as the materialized graph's adjacency does.
+        let g = graph(5, 12, 11, 2);
+        let cfg = ChameleonConfig::builder().k(2).size_multiplier(3.0).build();
         let trial = inputs(&g, &cfg, PerturbStrategy::MaxEntropy);
-        let base_cache = DegreePmfCache::build(&g, &trial.knowledge, 1);
-        let seq = SeedSequence::new(77);
-        let mut plan = TrialPlan::record(
-            &trial,
-            &base_cache,
-            &mut seq.rng_indexed2("genobf-trial", 0, 0),
-        );
-        for sigma in [1.0, 0.25, 2.0, 0.25, 0.7] {
-            let report = plan.check_at_sigma(sigma, &trial);
-            let expect = trial
-                .perturb_inline(sigma, &mut seq.rng_indexed2("genobf-trial", 0, 0))
-                .unwrap();
-            let got = plan.materialize(&g);
-            for (a, b) in expect.edges().iter().zip(got.edges()) {
-                assert_eq!(a.p.to_bits(), b.p.to_bits());
-            }
-            let direct = anonymity_check(&expect, &trial.knowledge, cfg.k);
-            assert_eq!(report.unobfuscated, direct.unobfuscated);
-            assert_eq!(report.eps_hat.to_bits(), direct.eps_hat.to_bits());
+        let mut plan = TrialPlan::record(&trial, &mut StdRng::seed_from_u64(9));
+        let _ = plan.check_at_sigma(0.4, &trial, 1);
+        let got = plan.perturbation().materialize(&g);
+        assert!(got.num_edges() > g.num_edges(), "no edge was injected");
+        for v in 0..g.num_nodes() {
+            let bits = |ps: &[f64]| ps.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(plan.incidence.of_vertex(v)),
+                bits(&got.incident_probs(v as u32)),
+                "vertex {v}"
+            );
         }
     }
 }

@@ -67,7 +67,7 @@ pub mod uniqueness;
 
 pub use anonymity::{
     anonymity_check, anonymity_check_threads, anonymity_check_tolerant, AdversaryKnowledge,
-    AnonymityReport, DegreePmfCache,
+    AnonymityReport,
 };
 pub use attack::{simulate_degree_attack, AttackReport};
 pub use cancel::{CancelReason, CancelToken};

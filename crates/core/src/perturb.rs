@@ -14,13 +14,11 @@
 //!   direction control; used by the RS variant and as an ablation.
 //!
 //! The per-candidate arithmetic of a GenObf trial — noise budget σ(e),
-//! noise transform, rule, and writing the results into a cloned graph —
-//! is defined here once. Plain trials feed it fresh draws; incremental
-//! trials feed it uniforms recorded on a tape (DESIGN.md §6d).
+//! noise transform and rule — is defined here once; trials feed it
+//! uniforms recorded on a tape (DESIGN.md §6d).
 
 use crate::candidate::CandidateEdge;
 use chameleon_stats::TruncatedNormal;
-use chameleon_ugraph::UncertainGraph;
 use rand::Rng;
 
 /// A perturbation rule mapping `(p, r) → p̃`.
@@ -112,31 +110,6 @@ impl NoiseBudget {
         };
         sigma_e.clamp(1e-9, 3.0)
     }
-}
-
-/// Clones `graph` and writes each candidate's perturbed probability
-/// (Algorithm 3 lines 22–23): existing edges are re-weighted in place and
-/// non-edges appended in candidate order.
-pub(crate) fn perturbed_clone(
-    graph: &UncertainGraph,
-    candidates: &[CandidateEdge],
-    p_new: &[f64],
-) -> UncertainGraph {
-    let mut perturbed = {
-        let _s = chameleon_obs::span!("genobf.clone");
-        graph.clone()
-    };
-    for (cand, &p) in candidates.iter().zip(p_new) {
-        match cand.existing {
-            Some(e) => perturbed.set_prob(e, p).expect("edge exists"),
-            None => {
-                perturbed
-                    .add_edge(cand.u, cand.v, p)
-                    .expect("candidate was a non-edge");
-            }
-        }
-    }
-    perturbed
 }
 
 #[cfg(test)]

@@ -90,18 +90,37 @@ impl PoissonBinomial {
 /// needed: computes the DP truncated at `k_max` states. Useful for anonymity
 /// checks where the adversary values of interest are bounded.
 pub fn pmf_truncated(probs: &[f64], k_max: usize) -> Vec<f64> {
-    let cap = k_max.min(probs.len());
-    let mut pmf = vec![0.0; cap + 1];
+    let mut pmf = vec![0.0; k_max.min(probs.len()) + 1];
+    pmf_truncated_into(probs, &mut pmf);
+    pmf
+}
+
+/// [`pmf_truncated`] written into a caller-owned slice, whose length is the
+/// number of states kept: `pmf.len() − 1` plays the role of
+/// `k_max.min(probs.len())`. Every entry is overwritten, so the slice may
+/// hold anything on entry.
+///
+/// # Panics
+/// Panics if `pmf` is empty.
+pub fn pmf_truncated_into(probs: &[f64], pmf: &mut [f64]) {
+    let cap = pmf.len() - 1;
+    pmf.fill(0.0);
     pmf[0] = 1.0;
     for (i, &p) in probs.iter().enumerate() {
         debug_assert!((0.0..=1.0).contains(&p));
+        let q = 1.0 - p;
         let hi = (i + 1).min(cap);
-        for j in (1..=hi).rev() {
-            pmf[j] = pmf[j] * (1.0 - p) + pmf[j - 1] * p;
+        // pmf[j] ← pmf[j]·q + pmf[j−1]·p for j = hi..=1, written upwards
+        // with the old pmf[j−1] carried: the same products and sums, so the
+        // same bits, without bounds checks and in a form that vectorizes.
+        let mut below = pmf[0];
+        for x in &mut pmf[1..=hi] {
+            let old = *x;
+            *x = old * q + below * p;
+            below = old;
         }
-        pmf[0] *= 1.0 - p;
+        pmf[0] *= q;
     }
-    pmf
 }
 
 #[cfg(test)]
@@ -217,6 +236,30 @@ mod tests {
             let h = d.entropy_nats();
             prop_assert!(h >= 0.0);
             prop_assert!(h <= ((probs.len() + 1) as f64).ln() + 1e-9);
+        }
+
+        /// The carried upward DP equals the textbook in-place downward
+        /// update bit for bit, at every cap and whatever the slice held.
+        #[test]
+        fn truncated_dp_matches_the_downward_update(
+            probs in proptest::collection::vec(0.0f64..=1.0, 0..60),
+            k_max in 0usize..70,
+            garbage in -1.0f64..2.0,
+        ) {
+            let cap = k_max.min(probs.len());
+            let mut reference = vec![0.0; cap + 1];
+            reference[0] = 1.0;
+            for (i, &p) in probs.iter().enumerate() {
+                for j in (1..=(i + 1).min(cap)).rev() {
+                    reference[j] = reference[j] * (1.0 - p) + reference[j - 1] * p;
+                }
+                reference[0] *= 1.0 - p;
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut into = vec![garbage; cap + 1];
+            pmf_truncated_into(&probs, &mut into);
+            prop_assert_eq!(bits(&into), bits(&reference));
+            prop_assert_eq!(bits(&pmf_truncated(&probs, k_max)), bits(&reference));
         }
     }
 }

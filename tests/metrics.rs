@@ -86,15 +86,25 @@ fn recording_on_or_off_yields_bit_identical_output() {
             );
         }
 
-        // 4. Both trial bodies time their noise transform; only the
-        //    incremental one rebuilds overlay pmfs.
+        // 4. Both trial bodies time their noise transform and their pmf
+        //    loop under the same spans, and every trial check builds one
+        //    pmf per vertex, counted in `anonymity.pmfs_built`.
         let passes =
             |snap: &chameleon::obs::Snapshot, name: &str| snap.span(name).map_or(0, |s| s.count);
-        assert!(passes(&counters_first, "genobf.noise") > 0);
-        assert_eq!(passes(&counters_second, "genobf.overlay_pmfs"), 0);
-        assert!(
-            passes(&after_incremental, "genobf.noise") > passes(&counters_second, "genobf.noise")
+        for name in ["genobf.noise", "anonymity.degree_pmfs"] {
+            assert!(passes(&counters_first, name) > 0, "{name}");
+            assert!(
+                passes(&after_incremental, name) > passes(&counters_second, name),
+                "{name} never ran in the incremental body"
+            );
+        }
+        let n = g.num_nodes() as u64;
+        let delta = |name: &str| after_incremental.counter(name) - counters_second.counter(name);
+        assert_eq!(
+            counters_first.counter("anonymity.pmfs_built"),
+            n * counters_first.counter("anonymity.checks")
         );
-        assert!(passes(&after_incremental, "genobf.overlay_pmfs") > 0);
+        assert_eq!(delta("anonymity.pmfs_built"), n * delta("anonymity.checks"));
+        assert!(delta("anonymity.checks") > 0);
     }
 }
