@@ -10,6 +10,7 @@ use chameleon_core::relevance::{
 use chameleon_core::uniqueness::uniqueness_scores;
 use chameleon_datasets::brightkite_like;
 use chameleon_reliability::{sample_distinct_pairs, WorldEnsemble};
+use chameleon_stats::trunc_normal::half_unit_quantiles;
 use chameleon_stats::{PoissonBinomial, TruncatedNormal};
 use chameleon_ugraph::{UncertainGraph, WorldSampler};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -127,12 +128,21 @@ fn bench_stats_kernels(c: &mut Criterion) {
     // 256 quantiles. `erf`'s argument runs up to 1/(σ√2) ≈ 7.1, 2.4, 0.71
     // and 0.24, so between them the four σ reach every `erf` branch.
     let quantiles: Vec<f64> = (0..256).map(|i| (i as f64 + 0.5) / 256.0).collect();
+    // The same quantiles through the stage-wise block form GenObf runs.
+    let mut out = vec![0.0; quantiles.len()];
     for sigma in [0.1, 0.3, 1.0, 3.0] {
         group.bench_function(format!("trunc_normal_inverse_cdf/{sigma}"), |b| {
             b.iter(|| {
                 quantiles.iter().fold(0.0, |acc, &u| {
                     acc + TruncatedNormal::half_unit(black_box(sigma)).inverse_cdf(u)
                 })
+            })
+        });
+        let sigmas = vec![sigma; quantiles.len()];
+        group.bench_function(format!("trunc_normal_half_unit_quantiles/{sigma}"), |b| {
+            b.iter(|| {
+                half_unit_quantiles(black_box(&sigmas), &quantiles, &mut out);
+                out.iter().sum::<f64>()
             })
         });
     }

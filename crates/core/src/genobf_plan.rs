@@ -26,9 +26,10 @@
 //! divergence of §6d.
 
 use crate::anonymity::{trial_check, AdversaryKnowledge, AnonymityReport, DegreePmfs, Incidence};
-use crate::candidate::{select_candidates, CandidateEdge, VertexSampler};
+use crate::candidate::{select_candidates, CandidateEdge, EdgeIndex, VertexSampler};
 use crate::config::ChameleonConfig;
-use crate::perturb::{noise, NoiseBudget, PerturbStrategy};
+use crate::perturb::{NoiseBudget, PerturbStrategy};
+use chameleon_stats::trunc_normal::{half_unit_quantiles, QUANTILE_BLOCK};
 use chameleon_ugraph::UncertainGraph;
 use rand::Rng;
 
@@ -43,6 +44,8 @@ pub(crate) struct TrialInputs<'a> {
     selection: Vec<f64>,
     /// Draws vertices ∝ `Q^v` over `V \ H`.
     sampler: VertexSampler,
+    /// The input's edges, for the selection loop's lookups.
+    edges: EdgeIndex,
     /// The input graph's incidence, which every trial's starts from.
     base: Incidence,
     /// Edge `e`'s index in the adjacency lists of `e.u` and of `e.v`.
@@ -71,6 +74,7 @@ impl<'a> TrialInputs<'a> {
             strategy,
             selection,
             sampler,
+            edges: EdgeIndex::new(graph),
             base: Incidence::of(graph),
             edge_slots,
         }
@@ -107,6 +111,7 @@ impl TrialPlan {
             let _s = chameleon_obs::span!("genobf.select");
             select_candidates(
                 inputs.graph,
+                &inputs.edges,
                 &inputs.sampler,
                 inputs.cfg.size_multiplier,
                 rng,
@@ -174,6 +179,11 @@ impl TrialPlan {
     /// probability into the incidence and runs the anonymity check, its
     /// pmfs built on up to `threads` threads. Bit-identical to perturbing
     /// a cloned graph and checking it directly.
+    ///
+    /// The noise runs a stack block of candidates at a time: their σ(e),
+    /// then their truncated-normal quantiles stage by stage
+    /// ([`half_unit_quantiles`]), then the white-noise coin, which keeps
+    /// the uniform itself, and the perturbation rule.
     pub(crate) fn check_at_sigma(
         &mut self,
         sigma: f64,
@@ -184,13 +194,29 @@ impl TrialPlan {
         {
             let _s = chameleon_obs::span!("genobf.noise");
             let probs = &mut self.incidence.probs;
-            for (i, cand) in self.candidates.iter().enumerate() {
-                let sigma_e = self.budget.sigma_e(i, sigma);
-                let r = noise(self.coin[i], self.value[i], sigma_e, inputs.cfg.white_noise);
-                let p = inputs.strategy.apply_signed(cand.p, r, self.sign_up[i]);
-                let [a, b] = self.slots[i];
-                probs[a] = p;
-                probs[b] = p;
+            let mut sigma_e = [0.0; QUANTILE_BLOCK];
+            let mut quantile = [0.0; QUANTILE_BLOCK];
+            for start in (0..self.candidates.len()).step_by(QUANTILE_BLOCK) {
+                let end = (start + QUANTILE_BLOCK).min(self.candidates.len());
+                let sigma_e = &mut sigma_e[..end - start];
+                let quantile = &mut quantile[..end - start];
+                for (j, s) in sigma_e.iter_mut().enumerate() {
+                    *s = self.budget.sigma_e(start + j, sigma).max(1e-9);
+                }
+                half_unit_quantiles(sigma_e, &self.value[start..end], quantile);
+                for (i, &q) in (start..end).zip(quantile.iter()) {
+                    let r = if self.coin[i] < inputs.cfg.white_noise {
+                        self.value[i]
+                    } else {
+                        q
+                    };
+                    let p = inputs
+                        .strategy
+                        .apply_signed(self.candidates[i].p, r, self.sign_up[i]);
+                    let [a, b] = self.slots[i];
+                    probs[a] = p;
+                    probs[b] = p;
+                }
             }
         }
         trial_check(
@@ -224,12 +250,19 @@ pub(crate) struct Perturbation {
 impl Perturbation {
     /// Clones `graph` and writes each candidate's perturbed probability
     /// (Algorithm 3 lines 22–23): existing edges are re-weighted in place
-    /// and non-edges appended in candidate order.
+    /// and non-edges appended in candidate order, into edge storage grown
+    /// once for all of them.
     pub(crate) fn materialize(&self, graph: &UncertainGraph) -> UncertainGraph {
         let mut perturbed = {
             let _s = chameleon_obs::span!("genobf.clone");
             graph.clone()
         };
+        perturbed.reserve_edges(
+            self.candidates
+                .iter()
+                .filter(|c| c.existing.is_none())
+                .count(),
+        );
         for (cand, &p) in self.candidates.iter().zip(&self.p_new) {
             match cand.existing {
                 Some(e) => perturbed.set_prob(e, p).expect("edge exists"),
@@ -265,6 +298,7 @@ mod tests {
     ) -> UncertainGraph {
         let candidates = select_candidates(
             inputs.graph,
+            &inputs.edges,
             &inputs.sampler,
             inputs.cfg.size_multiplier,
             rng,

@@ -54,7 +54,7 @@
 pub mod anonymity;
 pub mod attack;
 pub mod cancel;
-pub mod candidate;
+mod candidate;
 pub mod chameleon;
 pub mod config;
 pub mod genobf_checkpoint;

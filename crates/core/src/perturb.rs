@@ -18,7 +18,6 @@
 //! uniforms recorded on a tape (DESIGN.md §6d).
 
 use crate::candidate::CandidateEdge;
-use chameleon_stats::TruncatedNormal;
 use rand::Rng;
 
 /// A perturbation rule mapping `(p, r) → p̃`.
@@ -59,20 +58,16 @@ impl PerturbStrategy {
 
 /// Draws the noise magnitude for one edge (Algorithm 3 lines 19–21): with
 /// probability `white_noise` a uniform draw, otherwise a truncated normal
-/// with scale `sigma_e`. Always consumes exactly two uniforms.
-pub fn draw_noise<R: Rng + ?Sized>(sigma_e: f64, white_noise: f64, rng: &mut R) -> f64 {
+/// with scale `sigma_e`. Always consumes exactly two uniforms. The scalar
+/// form of the trial's block noise, kept as its reference.
+#[cfg(test)]
+pub(crate) fn draw_noise<R: Rng + ?Sized>(sigma_e: f64, white_noise: f64, rng: &mut R) -> f64 {
     let coin = rng.gen::<f64>();
     let value = rng.gen::<f64>();
-    noise(coin, value, sigma_e, white_noise)
-}
-
-/// The noise transform behind [`draw_noise`]: `value` itself when
-/// `coin < white_noise`, else the truncated normal's quantile at `value`.
-pub(crate) fn noise(coin: f64, value: f64, sigma_e: f64, white_noise: f64) -> f64 {
     if coin < white_noise {
         value
     } else {
-        TruncatedNormal::half_unit(sigma_e.max(1e-9)).inverse_cdf(value)
+        chameleon_stats::TruncatedNormal::half_unit(sigma_e.max(1e-9)).inverse_cdf(value)
     }
 }
 

@@ -147,14 +147,17 @@ fn try_failover(nodes: usize, worlds: usize, trials: usize, seed: u64) -> Option
     let submitter = std::thread::spawn(move || request_once(&submit_addr, &submit_req));
 
     // SIGKILL the owner as soon as its worker reports the job in flight.
+    // A job can also start and finish between two polls; the answered
+    // submitter ends the wait too, and the re-drive check below escalates.
     wait_until(
         Duration::from_secs(60),
         "the owner to start the job",
         || {
-            field(&status(&backends[owner].addr), "in_flight")
-                .as_u64()
-                .unwrap()
-                >= 1
+            submitter.is_finished()
+                || field(&status(&backends[owner].addr), "in_flight")
+                    .as_u64()
+                    .unwrap()
+                    >= 1
         },
     );
     backends[owner].child.kill().unwrap();

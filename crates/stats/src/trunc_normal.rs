@@ -126,6 +126,96 @@ pub(crate) fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 
+/// Elements per block of [`half_unit_quantiles`]: small enough that a
+/// block's scratch lives on the stack, large enough that each stage's
+/// independent iterations overlap in the pipeline.
+pub const QUANTILE_BLOCK: usize = 64;
+
+/// `out[i] = TruncatedNormal::half_unit(sigma[i]).inverse_cdf(u[i])`, bit
+/// for bit, for a whole slice at once.
+///
+/// The scalar path is one long dependency chain per element (two `erf`s,
+/// an `exp`, a tail `ln` and about six divisions). Here each block of
+/// [`QUANTILE_BLOCK`] elements runs that chain stage by stage — the
+/// standardized upper end, its `erf`, the CDF span and target, Acklam's
+/// rational, the `erf` of the Halley argument, then the Halley step and
+/// the clamp — so the iterations of a stage are independent and overlap.
+/// Every element keeps the scalar path's operations in the scalar path's
+/// order: the stages share [`acklam`] and [`halley`] with
+/// [`normal_quantile`], and Φ(0) is the constant ½ that the scalar path
+/// computes (`erf(+0)` is `+0`). The special cases match too: a span of at
+/// most `f64::EPSILON` gives 0, and a target that rounds to 1 gives +∞,
+/// which the clamp turns into 1.
+///
+/// # Panics
+/// Panics if the slices differ in length, or (as `half_unit` does) if a σ
+/// is not strictly positive and finite.
+pub fn half_unit_quantiles(sigma: &[f64], u: &[f64], out: &mut [f64]) {
+    assert_eq!(sigma.len(), u.len(), "one quantile per sigma");
+    assert_eq!(sigma.len(), out.len(), "one output per sigma");
+    let blocks = sigma
+        .chunks(QUANTILE_BLOCK)
+        .zip(u.chunks(QUANTILE_BLOCK))
+        .zip(out.chunks_mut(QUANTILE_BLOCK));
+    for ((sigma, u), out) in blocks {
+        half_unit_block(sigma, u, out);
+    }
+}
+
+/// One block of [`half_unit_quantiles`], at most [`QUANTILE_BLOCK`] long.
+fn half_unit_block(sigma: &[f64], u: &[f64], out: &mut [f64]) {
+    let n = sigma.len();
+    let mut span = [0.0; QUANTILE_BLOCK];
+    let mut target = [0.0; QUANTILE_BLOCK];
+    let mut x = [0.0; QUANTILE_BLOCK];
+    let mut erf_x = [0.0; QUANTILE_BLOCK];
+    let (span, target, x, erf_x) = (
+        &mut span[..n],
+        &mut target[..n],
+        &mut x[..n],
+        &mut erf_x[..n],
+    );
+    // 1. The interval's upper end, standardized for erf: (1/σ)/√2.
+    for (s, &sigma) in span.iter_mut().zip(sigma) {
+        assert!(
+            sigma.is_finite() && sigma > 0.0,
+            "sigma must be positive and finite, got {sigma}"
+        );
+        *s = 1.0 / sigma / std::f64::consts::SQRT_2;
+    }
+    // 2. Its erf.
+    for s in span.iter_mut() {
+        *s = erf(*s);
+    }
+    // 3. The span Φ(1/σ) − Φ(0) and the target Φ(0) + u·span.
+    for ((s, t), &u) in span.iter_mut().zip(target.iter_mut()).zip(u) {
+        *s = 0.5 * (1.0 + *s) - 0.5;
+        *t = 0.5 + u.clamp(0.0, 1.0) * *s;
+    }
+    // 4. Acklam's estimate of the standard quantile (∞ for a target of 1;
+    // the span ≥ 0, so a target is never below ½).
+    for (x, &t) in x.iter_mut().zip(target.iter()) {
+        *x = if t >= 1.0 { f64::INFINITY } else { acklam(t) };
+    }
+    // 5. The erf of the Halley step's argument.
+    for (e, &x) in erf_x.iter_mut().zip(x.iter()) {
+        *e = erf(x / std::f64::consts::SQRT_2);
+    }
+    // 6. The Halley step, the scaling by σ and the clamp to [0, 1].
+    for i in 0..n {
+        out[i] = if span[i] <= f64::EPSILON {
+            0.0
+        } else {
+            let z = if target[i] >= 1.0 {
+                f64::INFINITY
+            } else {
+                halley(x[i], target[i], erf_x[i])
+            };
+            (sigma[i] * z).clamp(0.0, 1.0)
+        };
+    }
+}
+
 /// Standard normal quantile (inverse CDF), Acklam's rational approximation
 /// refined with one Halley step: `normal_cdf(normal_quantile(p))` is within
 /// 1e-15 of `p` (the `quantile_inverts_cdf` test pins it on 0.001–0.999).
@@ -137,7 +227,13 @@ pub(crate) fn normal_quantile(p: f64) -> f64 {
     if p >= 1.0 {
         return f64::INFINITY;
     }
+    let x = acklam(p);
+    halley(x, p, erf(x / std::f64::consts::SQRT_2))
+}
 
+/// Acklam's rational approximation of the standard normal quantile at
+/// `p ∈ (0, 1)`, accurate to about 1.15e-9 relative.
+fn acklam(p: f64) -> f64 {
     // Acklam coefficients.
     const A: [f64; 6] = [
         -3.969683028665376e+01,
@@ -170,7 +266,7 @@ pub(crate) fn normal_quantile(p: f64) -> f64 {
     ];
     const P_LOW: f64 = 0.02425;
 
-    let x = if p < P_LOW {
+    if p < P_LOW {
         let q = (-2.0 * p.ln()).sqrt();
         (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
@@ -183,10 +279,13 @@ pub(crate) fn normal_quantile(p: f64) -> f64 {
         let q = (-2.0 * (1.0 - p).ln()).sqrt();
         -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
+    }
+}
 
-    // One Halley refinement step.
-    let e = normal_cdf(x) - p;
+/// One Halley refinement step of an estimate `x` of the standard normal
+/// quantile at `p`, given `erf_x = erf(x/√2)` (so Φ(x) = ½(1 + erf_x)).
+fn halley(x: f64, p: f64, erf_x: f64) -> f64 {
+    let e = 0.5 * (1.0 + erf_x) - p;
     let u = e * (2.0 * std::f64::consts::PI).sqrt() * (0.5 * x * x).exp();
     x - u / (1.0 + 0.5 * x * u)
 }
@@ -497,6 +596,104 @@ mod tests {
                 normal_cdf(z)
             );
         }
+    }
+
+    /// (σ, u) pairs where the block form could part from the scalar path:
+    /// σ from 1e-9 to 3 (the clamp GenObf applies) densely enough that
+    /// erf(1/(σ√2)) runs through every branch, σ small enough that
+    /// Φ(1/σ) rounds to 1, σ large enough that the CDF span falls to
+    /// `f64::EPSILON` or below; u on a grid plus 0, ½ and 1 − 2⁻⁵³.
+    fn quantile_grid() -> (Vec<f64>, Vec<f64>) {
+        let mut sigmas: Vec<f64> = (0..=400)
+            .map(|i| 1e-9 * (3e9f64).powf(i as f64 / 400.0))
+            .collect();
+        sigmas.extend([1e-9, 0.1, 0.2475, 0.566, 0.838, 3.0, 1e15, 1e17, 1e300]);
+        let mut us: Vec<f64> = (0..=64).map(|i| i as f64 / 64.0).collect();
+        us.extend([0.0, 0.5, 1.0 - f64::EPSILON / 2.0, 1e-300, 0.999, 0.9999999]);
+        let (mut s, mut u) = (Vec::new(), Vec::new());
+        for &sigma in &sigmas {
+            for &v in &us {
+                s.push(sigma);
+                u.push(v);
+            }
+        }
+        (s, u)
+    }
+
+    fn assert_block_matches_scalar(sigma: &[f64], u: &[f64]) {
+        let mut out = vec![f64::NAN; sigma.len()];
+        half_unit_quantiles(sigma, u, &mut out);
+        for i in 0..sigma.len() {
+            let want = TruncatedNormal::half_unit(sigma[i]).inverse_cdf(u[i]);
+            assert_eq!(
+                out[i].to_bits(),
+                want.to_bits(),
+                "sigma={} u={}: {} vs {want}",
+                sigma[i],
+                u[i],
+                out[i]
+            );
+        }
+    }
+
+    /// Which of erf's branches `x` takes: 0 for |x| < 2⁻²⁸, then one more
+    /// per branch point passed, up to 5 for |x| ≥ 6.
+    fn erf_branch(x: f64) -> usize {
+        let ix = (x.to_bits() >> 32) as u32 & 0x7fff_ffff;
+        [
+            0x3e30_0000,
+            0x3feb_0000,
+            0x3ff4_0000,
+            0x4006_db6e,
+            0x4018_0000,
+        ]
+        .iter()
+        .filter(|&&t| ix >= t)
+        .count()
+    }
+
+    #[test]
+    fn block_quantiles_match_scalar_bit_for_bit() {
+        let (sigma, u) = quantile_grid();
+        assert!(sigma.len() % QUANTILE_BLOCK != 0);
+        // Both erf stages, between them, take every branch.
+        let mut seen = [false; 6];
+        for (&s, &u) in sigma.iter().zip(&u) {
+            seen[erf_branch(1.0 / s / std::f64::consts::SQRT_2)] = true;
+            let target = 0.5 + u * (normal_cdf(1.0 / s) - 0.5);
+            if target < 1.0 {
+                seen[erf_branch(acklam(target) / std::f64::consts::SQRT_2)] = true;
+            }
+        }
+        assert_eq!(seen, [true; 6]);
+        assert_block_matches_scalar(&sigma, &u);
+        // Every block length around the block size, from every offset
+        // class of the grid.
+        for len in [0, 1, 63, 64, 65] {
+            for start in [0, 7, 500, sigma.len() - len] {
+                assert_block_matches_scalar(&sigma[start..start + len], &u[start..start + len]);
+            }
+        }
+    }
+
+    #[test]
+    fn block_quantiles_cover_the_special_cases() {
+        // Φ(1/σ) rounds to 1, so the span is exactly ½ and u = 1 − 2⁻⁵³
+        // gives a target that rounds to 1: +∞, clamped to 1.
+        let u = 1.0 - f64::EPSILON / 2.0;
+        assert_eq!(erf(1.0 / 0.1 / std::f64::consts::SQRT_2), 1.0);
+        assert_eq!(0.5 + u * 0.5, 1.0);
+        let mut out = [f64::NAN; 3];
+        half_unit_quantiles(&[0.1, 1e17, 3.0], &[u, 0.5, 0.0], &mut out);
+        assert_eq!(out, [1.0, 0.0, 0.0]);
+        // Φ(0) is ½ exactly.
+        assert_eq!(normal_cdf(0.0), 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be positive")]
+    fn block_quantiles_reject_nonpositive_sigma() {
+        half_unit_quantiles(&[0.3, 0.0], &[0.5, 0.5], &mut [0.0; 2]);
     }
 
     #[test]

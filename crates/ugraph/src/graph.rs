@@ -1,6 +1,7 @@
 //! The [`UncertainGraph`] structure.
 
 use crate::error::GraphError;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Node identifier: a dense index in `0..num_nodes`.
@@ -27,9 +28,8 @@ pub struct Edge {
 ///
 /// Nodes are dense `u32` indices. Edges live in a flat array (their index is
 /// the [`EdgeId`]); adjacency lists store `(neighbor, edge_id)` pairs; a hash
-/// map over normalized endpoint pairs supports O(1) membership queries, which
-/// the candidate-edge selection loop of GenObf (paper Algorithm 3, lines
-/// 13–15) performs heavily.
+/// map over normalized endpoint pairs supports O(1) membership queries and
+/// rejects duplicate edges on insertion.
 #[derive(Debug, Clone, Default)]
 pub struct UncertainGraph {
     edges: Vec<Edge>,
@@ -136,9 +136,12 @@ impl UncertainGraph {
             return Err(GraphError::InvalidProbability(p));
         }
         let key = normalize(u, v);
-        if self.index.contains_key(&key) {
-            return Err(GraphError::DuplicateEdge(key.0, key.1));
-        }
+        // One hash per call: the entry both detects a duplicate and holds
+        // the slot the new id goes into.
+        let slot = match self.index.entry(key) {
+            Entry::Occupied(_) => return Err(GraphError::DuplicateEdge(key.0, key.1)),
+            Entry::Vacant(slot) => slot,
+        };
         // Edge ids are dense u32 indices; past this point `len as EdgeId`
         // would wrap and corrupt the adjacency/index invariants.
         if self.edges.len() >= u32::MAX as usize {
@@ -148,6 +151,7 @@ impl UncertainGraph {
             });
         }
         let id = self.edges.len() as EdgeId;
+        slot.insert(id);
         self.edges.push(Edge {
             u: key.0,
             v: key.1,
@@ -155,8 +159,15 @@ impl UncertainGraph {
         });
         self.adj[u as usize].push((v, id));
         self.adj[v as usize].push((u, id));
-        self.index.insert(key, id);
         Ok(id)
+    }
+
+    /// Reserves room for `additional` more edges in the edge array and the
+    /// endpoint index, so that many [`UncertainGraph::add_edge`] calls grow
+    /// each of them once.
+    pub fn reserve_edges(&mut self, additional: usize) {
+        self.edges.reserve(additional);
+        self.index.reserve(additional);
     }
 
     /// Neighbors of `v` as `(neighbor, edge_id)` pairs (includes edges whose

@@ -13,6 +13,14 @@
 //! uncertain edge in ascending edge order. That makes arena-sampled
 //! ensembles bit-identical to the historical per-`World` path for any RNG
 //! stream.
+//!
+//! The plan compares integers instead of doubles. `rng.gen::<f64>()` is
+//! `k·2⁻⁵³` with `k = next_u64() >> 11`, and for an integer `k`,
+//! `k·2⁻⁵³ < p ⟺ k < p·2⁵³ ⟺ k < ⌈p·2⁵³⌉`. `p·2⁵³` is exact (a power-of-two
+//! scaling of a double in `(0, 1)`, subnormals included) and so is its
+//! ceiling, so the stored threshold `⌈p·2⁵³⌉ ∈ [1, 2⁵³]` decides every edge
+//! as the float comparison does, and each world bit is set without a
+//! branch.
 
 use crate::graph::UncertainGraph;
 use crate::world::WorldRef;
@@ -146,8 +154,9 @@ impl WorldMatrix {
 #[derive(Debug, Clone)]
 pub struct SamplePlan {
     template: Vec<u64>,
-    /// `(edge_id, p)` for edges with `0 < p < 1`, ascending by id.
-    uncertain: Vec<(u32, f64)>,
+    /// `(edge_id, ⌈p·2⁵³⌉)` for edges with `0 < p < 1`, ascending by id:
+    /// the edge is present iff `next_u64() >> 11` is below the threshold.
+    uncertain: Vec<(u32, u64)>,
     num_edges: usize,
     words_per_world: usize,
 }
@@ -163,7 +172,7 @@ impl SamplePlan {
             if edge.p >= 1.0 {
                 template[i / 64] |= 1u64 << (i % 64);
             } else if edge.p > 0.0 {
-                uncertain.push((i as u32, edge.p));
+                uncertain.push((i as u32, threshold(edge.p)));
             }
         }
         Self {
@@ -185,18 +194,18 @@ impl SamplePlan {
     }
 
     /// Samples one world into `row`: copies the deterministic template,
-    /// then draws `rng.gen::<f64>() < p` for each uncertain edge ascending
-    /// — the exact call sequence of `WorldSampler::sample`.
+    /// then decides `rng.gen::<f64>() < p` for each uncertain edge
+    /// ascending — the exact call sequence and outcomes of
+    /// `WorldSampler::sample`, compared on the integer threshold.
     ///
     /// # Panics
     /// Panics if `row.len() != words_per_world`.
     pub fn sample_into<R: Rng + ?Sized>(&self, row: &mut [u64], rng: &mut R) {
         assert_eq!(row.len(), self.words_per_world, "row width mismatch");
         row.copy_from_slice(&self.template);
-        for &(e, p) in &self.uncertain {
-            if rng.gen::<f64>() < p {
-                row[e as usize / 64] |= 1u64 << (e % 64);
-            }
+        for &(e, t) in &self.uncertain {
+            let present = u64::from((rng.next_u64() >> 11) < t);
+            row[e as usize / 64] |= present << (e % 64);
         }
     }
 
@@ -208,6 +217,13 @@ impl SamplePlan {
         }
         m
     }
+}
+
+/// `⌈p·2⁵³⌉` for `0 < p < 1`: the count of 53-bit integers `k` with
+/// `k·2⁻⁵³ < p`.
+fn threshold(p: f64) -> u64 {
+    debug_assert!(p > 0.0 && p < 1.0, "p = {p} is not uncertain");
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 #[cfg(test)]
@@ -233,9 +249,73 @@ mod tests {
         WorldRef::from_words(row, world.num_edge_slots()) == world.as_world_ref()
     }
 
+    /// The probabilities where an integer threshold could part from the
+    /// float comparison: the smallest and largest uncertain doubles, exact
+    /// multiples of 2⁻⁵³, a subnormal and ½.
+    const EDGE_PROBS: [f64; 6] = [
+        1.0 / (1u64 << 53) as f64,
+        1.0 - 1.0 / (1u64 << 53) as f64,
+        3.0 / (1u64 << 53) as f64,
+        4_503_599_627_370_497.0 / (1u64 << 53) as f64,
+        f64::MIN_POSITIVE / 4.0,
+        0.5,
+    ];
+
+    /// [`mixed_graph`] plus one edge per [`EDGE_PROBS`] entry.
+    fn boundary_graph() -> UncertainGraph {
+        let mut g = UncertainGraph::with_nodes(6 + 2 * EDGE_PROBS.len());
+        for e in mixed_graph().edges() {
+            g.add_edge(e.u, e.v, e.p).unwrap();
+        }
+        for (i, &p) in EDGE_PROBS.iter().enumerate() {
+            let u = (6 + 2 * i) as u32;
+            g.add_edge(u, u + 1, p).unwrap();
+        }
+        g
+    }
+
+    /// Replays a fixed list of raw words, then zeros.
+    struct Tape(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Tape {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().unwrap_or(0)
+        }
+    }
+
+    #[test]
+    fn thresholds_decide_every_boundary_draw_like_the_float_compare() {
+        let g = boundary_graph();
+        let plan = SamplePlan::new(&g);
+        // Per uncertain edge, one world per raw word whose top 53 bits sit
+        // at the threshold, one below it and one above it, with and
+        // without low bits (which the float draw discards too).
+        let thresholds: Vec<u64> = plan.uncertain.iter().map(|&(_, t)| t).collect();
+        let mut words = Vec::new();
+        for (i, &t) in thresholds.iter().enumerate() {
+            for k in [t.saturating_sub(1), t, (t + 1).min((1 << 53) - 1)] {
+                for low in [0, 0x7ff] {
+                    // Edge i gets k; every other edge gets a fixed word.
+                    for j in 0..thresholds.len() {
+                        words.push(if j == i { k << 11 | low } else { 0x5555 << 11 });
+                    }
+                }
+            }
+        }
+        let worlds = words.len() / thresholds.len();
+        let mut old = Tape(words.clone().into_iter());
+        let mut new = Tape(words.into_iter());
+        let mut row = vec![0u64; plan.words_per_world()];
+        for _ in 0..worlds {
+            let world = WorldSampler::sample(&g, &mut old);
+            plan.sample_into(&mut row, &mut new);
+            assert!(row_equals_world(&row, &world));
+        }
+    }
+
     #[test]
     fn plan_draws_match_sampler_draw_for_draw() {
-        let g = mixed_graph();
+        let g = boundary_graph();
         let plan = SamplePlan::new(&g);
         // One shared RNG across many sequential draws: any extra or missing
         // gen::<f64>() call would desynchronize all subsequent worlds.

@@ -58,7 +58,7 @@ struct Golden {
     release: u64,
 }
 
-fn run(g: &UncertainGraph, incremental: bool, threads: usize) -> Golden {
+fn run(g: &UncertainGraph, method: Method, incremental: bool, threads: usize) -> Golden {
     let cfg = ChameleonConfig::builder()
         .k(40)
         .epsilon(0.01)
@@ -67,7 +67,7 @@ fn run(g: &UncertainGraph, incremental: bool, threads: usize) -> Golden {
         .incremental(incremental)
         .num_threads(threads)
         .build();
-    let res = Chameleon::new(cfg).anonymize(g, Method::Rsme, 13).unwrap();
+    let res = Chameleon::new(cfg).anonymize(g, method, 13).unwrap();
     Golden {
         sigma: res.sigma.to_bits(),
         eps_hat: res.eps_hat.to_bits(),
@@ -77,9 +77,9 @@ fn run(g: &UncertainGraph, incremental: bool, threads: usize) -> Golden {
     }
 }
 
-fn check(name: &str, g: &UncertainGraph, incremental: bool, expect: &Golden) {
+fn check(name: &str, g: &UncertainGraph, method: Method, incremental: bool, expect: &Golden) {
     for threads in [1, 2] {
-        let got = run(g, incremental, threads);
+        let got = run(g, method, incremental, threads);
         assert_eq!(
             &got, expect,
             "{name} (incremental {incremental}, threads {threads})"
@@ -97,7 +97,7 @@ fn dblp_like_releases_are_pinned() {
         trace: 14950749445917711101,
         release: 891227147826729781,
     };
-    check("dblp plain", &g, false, &plain);
+    check("dblp plain", &g, Method::Rsme, false, &plain);
     let incremental = Golden {
         sigma: 4583819995733032960,
         eps_hat: 4575296933438234296,
@@ -105,7 +105,7 @@ fn dblp_like_releases_are_pinned() {
         trace: 9228082986474359459,
         release: 13409644970936684181,
     };
-    check("dblp incremental", &g, true, &incremental);
+    check("dblp incremental", &g, Method::Rsme, true, &incremental);
 }
 
 #[test]
@@ -118,7 +118,7 @@ fn brightkite_like_releases_are_pinned() {
         trace: 18080866809497384784,
         release: 12799395245728731244,
     };
-    check("brightkite plain", &g, false, &plain);
+    check("brightkite plain", &g, Method::Rsme, false, &plain);
     let incremental = Golden {
         sigma: 4580723770989215744,
         eps_hat: 4575296933438234296,
@@ -126,5 +126,56 @@ fn brightkite_like_releases_are_pinned() {
         trace: 718487531587677457,
         release: 9391171669957736188,
     };
-    check("brightkite incremental", &g, true, &incremental);
+    check(
+        "brightkite incremental",
+        &g,
+        Method::Rsme,
+        true,
+        &incremental,
+    );
+}
+
+#[test]
+fn rs_releases_are_pinned() {
+    let g = dblp_like(400, 5);
+    let plain = Golden {
+        sigma: 4590856870150799360,
+        eps_hat: 4575296933438234296,
+        genobf_calls: 15,
+        trace: 17406946673308674687,
+        release: 7504422068804438678,
+    };
+    check("dblp RS plain", &g, Method::Rs, false, &plain);
+    let incremental = Golden {
+        sigma: 4591138345127510016,
+        eps_hat: 4575296933438234296,
+        genobf_calls: 15,
+        trace: 5287203607741084635,
+        release: 14455805608288297812,
+    };
+    check("dblp RS incremental", &g, Method::Rs, true, &incremental);
+
+    let g = brightkite_like(400, 5);
+    let plain = Golden {
+        sigma: 4588323595360403456,
+        eps_hat: 4575296933438234296,
+        genobf_calls: 10,
+        trace: 2878904184410179020,
+        release: 224521525566848939,
+    };
+    check("brightkite RS plain", &g, Method::Rs, false, &plain);
+    let incremental = Golden {
+        sigma: 4588042120383692800,
+        eps_hat: 4575296933438234296,
+        genobf_calls: 10,
+        trace: 5135149932742856906,
+        release: 4723112012845938852,
+    };
+    check(
+        "brightkite RS incremental",
+        &g,
+        Method::Rs,
+        true,
+        &incremental,
+    );
 }
