@@ -56,6 +56,34 @@ fn bench_ensemble(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 64-world strip — the `STRIP_ALIGN` unit of the strip-streamed
+/// path — at n = 10⁴, where the strip's label arena (2.5 MB) outgrows a
+/// core's L2 as it does at population scale (the `ensemble` group's n =
+/// 500 stays in L1): the per-world union–find analysis at 1 and 2
+/// threads, and the coupled ERR fold over the analyzed strip at 2
+/// threads.
+fn bench_strip(c: &mut Criterion) {
+    let g = graph(10_000);
+    let strip = WorldEnsemble::sample_seeded(&g, 64, 8, 2);
+    let mut group = c.benchmark_group("strip_64_worlds_n10k");
+    group.sample_size(10);
+    for threads in [1usize, 2] {
+        group.bench_function(BenchmarkId::new("analyze", threads), |b| {
+            b.iter(|| {
+                black_box(WorldEnsemble::from_matrix_threads(
+                    &g,
+                    strip.matrix().clone(),
+                    threads,
+                ))
+            })
+        });
+    }
+    group.bench_function(BenchmarkId::new("err_coupled_fold", 2), |b| {
+        b.iter(|| black_box(edge_reliability_relevance_threads(&g, &strip, 2)))
+    });
+    group.finish();
+}
+
 /// Paper Lemma 2 vs Lemma 3: the reused-sampling ERR estimator
 /// (Algorithm 2) against the naive per-edge baseline. The asymptotic gap
 /// is a factor of |E|; keep the instance small so the naive side finishes.
@@ -153,6 +181,7 @@ criterion_group!(
     kernels,
     bench_world_sampling,
     bench_ensemble,
+    bench_strip,
     bench_err_estimators,
     bench_anonymity_check,
     bench_scores,

@@ -21,7 +21,6 @@
 
 use chameleon_stats::parallel;
 use chameleon_stats::poisson_binomial::pmf_truncated_into;
-use chameleon_stats::shannon_entropy_bits;
 use chameleon_ugraph::{NodeId, UncertainGraph};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -327,6 +326,15 @@ pub(crate) fn sweep_graph(
 /// vertex by its degree mass in `[ω − tolerance, ω + tolerance]`, then one
 /// entropy comparison per vertex. At tolerance 0 the window is the single
 /// entry `pmf[ω]`, a one-term sum equal to that entry bit for bit.
+///
+/// The sweep is vertex-major: two ascending passes over the pmf arena,
+/// each reading one vertex's pmf for every ω at once — the first sums
+/// each posterior's total, the second accumulates `h -= p·ln p`. That is
+/// the arithmetic of [`chameleon_stats::shannon_entropy_bits`] over the
+/// per-ω weight vector, in the same per-ω order: left-to-right totals,
+/// then `h` in vertex order. A vertex whose support ends below ω's window
+/// has weight exactly 0.0 there; it adds `+0.0` to a total that is never
+/// `-0.0` and no `h` term, so skipping it changes no bit.
 fn sweep(
     pmfs: &DegreePmfs,
     knowledge: &AdversaryKnowledge,
@@ -340,38 +348,57 @@ fn sweep(
         n,
         "adversary knowledge must cover every vertex"
     );
-    let mut entropy_by_omega: HashMap<u32, f64> = HashMap::new();
-    for &omega in knowledge.targets() {
-        entropy_by_omega.entry(omega).or_insert(f64::NAN);
+    let mut omegas = knowledge.targets().to_vec();
+    omegas.sort_unstable();
+    omegas.dedup();
+    let tol = tolerance as usize;
+    let mut totals = vec![0.0f64; omegas.len()];
+    for u in 0..n {
+        for_each_weight(&omegas, tol, pmfs.pmf(u), |j, w| totals[j] += w);
     }
-    let mut weights = vec![0.0; n];
-    for (&omega, slot) in entropy_by_omega.iter_mut() {
-        let lo = (omega as usize).saturating_sub(tolerance as usize);
-        let hi = (omega as usize).saturating_add(tolerance as usize);
-        for (u, weight) in weights.iter_mut().enumerate() {
-            let pmf = pmfs.pmf(u);
-            // Clamp the window to the pmf's support: entries past the end
-            // are exact 0.0 summands, so skipping them is bit-identical
-            // and keeps the sweep O(window ∩ support) even for huge ω.
-            let top = hi.min(pmf.len() - 1);
-            *weight = if lo <= top {
-                pmf[lo..=top].iter().sum()
-            } else {
-                0.0
-            };
-        }
-        *slot = shannon_entropy_bits(&weights);
+    let mut h = vec![0.0f64; omegas.len()];
+    for u in 0..n {
+        for_each_weight(&omegas, tol, pmfs.pmf(u), |j, w| {
+            if w > 0.0 {
+                let p = w / totals[j];
+                h[j] -= p * p.ln();
+            }
+        });
     }
+    // An all-zero posterior has no `h` term and entropy 0.
+    let entropy: Vec<f64> = h.iter().map(|&h| h / std::f64::consts::LN_2).collect();
     let threshold = (k as f64).log2();
     let unobfuscated: Vec<NodeId> = (0..n as u32)
-        .filter(|&v| entropy_by_omega[&knowledge.target(v)] < threshold)
+        .filter(|&v| {
+            let j = omegas
+                .binary_search(&knowledge.target(v))
+                .expect("every target is a swept ω");
+            entropy[j] < threshold
+        })
         .collect();
     AnonymityReport {
         // An empty graph is trivially obfuscated.
         eps_hat: unobfuscated.len() as f64 / n.max(1) as f64,
         unobfuscated,
-        entropy_by_omega,
+        entropy_by_omega: omegas.into_iter().zip(entropy).collect(),
         k,
+    }
+}
+
+/// Calls `f(j, weight)` for every ω_j of the ascending, distinct `omegas`
+/// whose window `[ω − tol, ω + tol]` meets `pmf`'s support, with the pmf
+/// mass in that window. Entries past the support are exact 0.0 summands,
+/// so clamping the window keeps the sweep O(window ∩ support) even for
+/// huge ω; the windows a pmf reaches are a prefix of `omegas`.
+fn for_each_weight(omegas: &[u32], tol: usize, pmf: &[f64], mut f: impl FnMut(usize, f64)) {
+    let top_entry = pmf.len() - 1;
+    for (j, &omega) in omegas.iter().enumerate() {
+        let lo = (omega as usize).saturating_sub(tol);
+        if lo > top_entry {
+            break;
+        }
+        let top = (omega as usize).saturating_add(tol).min(top_entry);
+        f(j, pmf[lo..=top].iter().sum());
     }
 }
 
@@ -380,6 +407,7 @@ mod tests {
     use super::*;
     use crate::profile::PrivacyProfile;
     use chameleon_stats::poisson_binomial::pmf_truncated;
+    use chameleon_stats::shannon_entropy_bits;
     use chameleon_ugraph::generators;
     use proptest::prelude::*;
     use rand::rngs::StdRng;

@@ -24,6 +24,7 @@ use chameleon_stats::alloc_guard::BudgetExceeded;
 use chameleon_stats::parallel;
 use chameleon_ugraph::UncertainGraph;
 use rand::Rng;
+use std::ops::Range;
 
 /// Worlds per accumulation chunk for the parallel ERR estimators. Partial
 /// sums are computed per chunk and folded in chunk order, so results are
@@ -84,8 +85,8 @@ pub fn edge_reliability_relevance_alg2_threads(
 /// [`ErrAlg2Accum::finish`] is bit-for-bit equal to
 /// [`edge_reliability_relevance_alg2_threads`].
 pub(crate) struct ErrAlg2Accum {
-    cc_with: Vec<f64>,
-    count_with: Vec<u32>,
+    /// Per edge: summed `cc` and count of the worlds containing it.
+    with: Vec<EdgeTally>,
     cc_total: f64,
     worlds: usize,
 }
@@ -93,10 +94,8 @@ pub(crate) struct ErrAlg2Accum {
 impl ErrAlg2Accum {
     /// Empty accumulator for `graph`'s edge set.
     pub fn new(graph: &UncertainGraph) -> Self {
-        let m = graph.num_edges();
         Self {
-            cc_with: vec![0.0f64; m],
-            count_with: vec![0u32; m],
+            with: vec![EdgeTally::default(); graph.num_edges()],
             cc_total: 0.0,
             worlds: 0,
         }
@@ -104,56 +103,50 @@ impl ErrAlg2Accum {
 
     /// Folds one strip of worlds into the running conditional sums.
     pub fn fold(&mut self, strip: &WorldEnsemble, threads: usize) {
-        let m = self.cc_with.len();
         chameleon_obs::counter!("relevance.worlds_scanned").add(strip.len() as u64);
-        let partials = parallel::map_chunks(strip.len(), ERR_WORLD_CHUNK, threads, |_, range| {
-            let mut cc_with = vec![0.0f64; m];
-            let mut count_with = vec![0u32; m];
-            let mut cc_total = 0.0f64;
-            for w in range {
-                let world = strip.world(w);
+        for start in (0..strip.len()).step_by(ERR_WORLD_CHUNK) {
+            let mut chunk_total = 0.0f64;
+            for w in start..(start + ERR_WORLD_CHUNK).min(strip.len()) {
+                chunk_total += strip.connected_pairs(w) as f64;
+            }
+            self.cc_total += chunk_total;
+        }
+        fold_edge_split(
+            &mut self.with,
+            strip,
+            threads,
+            |w, edges, partial, counts| {
                 let cc = strip.connected_pairs(w) as f64;
-                cc_total += cc;
                 // Walk present edges word-by-word: iterate the set bits of
-                // each 64-edge block. Ascending edge order, exactly like the
-                // historical per-edge `contains` loop, so the floating-point
-                // accumulation order (and thus every bit of the result) is
-                // unchanged.
-                for (wi, &word) in world.words().iter().enumerate() {
+                // each 64-edge block, in ascending edge order.
+                let words = &strip.world(w).words()[edges.start / 64..edges.end.div_ceil(64)];
+                for (i, &word) in words.iter().enumerate() {
+                    let base = i * 64;
                     let mut x = word;
                     while x != 0 {
-                        let e = wi * 64 + x.trailing_zeros() as usize;
+                        let e = base + x.trailing_zeros() as usize;
                         x &= x - 1;
-                        cc_with[e] += cc;
-                        count_with[e] += 1;
+                        partial[e] += cc;
+                        counts[e] += 1;
                     }
                 }
-            }
-            (cc_with, count_with, cc_total)
-        });
-        for (part_cc_with, part_count, part_total) in partials {
-            for e in 0..m {
-                self.cc_with[e] += part_cc_with[e];
-                self.count_with[e] += part_count[e];
-            }
-            self.cc_total += part_total;
-        }
+            },
+        );
         self.worlds += strip.len();
     }
 
     /// Finishes the estimate: per-edge conditional-mean gap, clamped at 0.
     pub fn finish(&self) -> Vec<f64> {
-        let m = self.cc_with.len();
-        let mut err = Vec::with_capacity(m);
-        for e in 0..m {
-            let n_e = self.count_with[e];
+        let mut err = Vec::with_capacity(self.with.len());
+        for with in &self.with {
+            let n_e = with.count;
             let n_not = self.worlds as u32 - n_e;
             if n_e == 0 || n_not == 0 {
                 err.push(0.0);
                 continue;
             }
-            let mean_with = self.cc_with[e] / n_e as f64;
-            let mean_without = (self.cc_total - self.cc_with[e]) / n_not as f64;
+            let mean_with = with.sum / n_e as f64;
+            let mean_without = (self.cc_total - with.sum) / n_not as f64;
             // Connectivity is monotone in edge presence, so the true gap is
             // ≥ 0; clamp away sampling noise.
             err.push((mean_with - mean_without).max(0.0));
@@ -209,43 +202,41 @@ pub(crate) struct ErrCoupledAccum {
     // so cache lines carry twice the useful data of the `Edge` array.
     us: Vec<u32>,
     vs: Vec<u32>,
-    sum: Vec<f64>,
-    count: Vec<u32>,
+    /// Per edge: summed `s_u·s_v` terms and count of the worlds lacking it.
+    absent: Vec<EdgeTally>,
 }
 
 impl ErrCoupledAccum {
     /// Empty accumulator for `graph`'s edge set.
     pub fn new(graph: &UncertainGraph) -> Self {
-        let m = graph.num_edges();
         let (us, vs) = graph.endpoint_soa();
         Self {
             us,
             vs,
-            sum: vec![0.0f64; m],
-            count: vec![0u32; m],
+            absent: vec![EdgeTally::default(); graph.num_edges()],
         }
     }
 
     /// Folds one strip of worlds into the running per-edge sums.
     pub fn fold(&mut self, strip: &WorldEnsemble, threads: usize) {
-        let m = self.sum.len();
-        let (us, vs) = (&self.us, &self.vs);
+        let m = self.absent.len();
+        let (us, vs) = (&self.us[..], &self.vs[..]);
         chameleon_obs::counter!("relevance.worlds_scanned").add(strip.len() as u64);
-        let partials = parallel::map_chunks(strip.len(), ERR_WORLD_CHUNK, threads, |_, range| {
-            let mut sum = vec![0.0f64; m];
-            let mut count = vec![0u32; m];
-            for w in range {
-                let world = strip.world(w);
+        fold_edge_split(
+            &mut self.absent,
+            strip,
+            threads,
+            |w, edges, partial, counts| {
+                let (us, vs) = (&us[edges.clone()], &vs[edges.clone()]);
                 let labels = strip.labels(w);
                 let sizes = strip.component_sizes(w);
                 // Walk *absent* edges word-by-word: the set bits of `!word`,
-                // masked to the valid tail in the final 64-edge block. The
-                // edge order is ascending, identical to the historical
-                // per-edge `contains` skip loop, so the accumulation is
-                // bit-for-bit unchanged.
-                for (wi, &word) in world.words().iter().enumerate() {
-                    let base = wi * 64;
-                    let width = (m - base).min(64);
+                // masked to the valid tail in the final 64-edge block, in
+                // ascending edge order.
+                let words = &strip.world(w).words()[edges.start / 64..edges.end.div_ceil(64)];
+                for (i, &word) in words.iter().enumerate() {
+                    let base = i * 64;
+                    let width = (m - edges.start - base).min(64);
                     let mut x = !word;
                     if width < 64 {
                         x &= (1u64 << width) - 1;
@@ -253,36 +244,83 @@ impl ErrCoupledAccum {
                     while x != 0 {
                         let e = base + x.trailing_zeros() as usize;
                         x &= x - 1;
-                        count[e] += 1;
+                        counts[e] += 1;
                         let (lu, lv) = (labels[us[e] as usize], labels[vs[e] as usize]);
                         if lu != lv {
-                            sum[e] += sizes[lu as usize] as f64 * sizes[lv as usize] as f64;
+                            partial[e] += sizes[lu as usize] as f64 * sizes[lv as usize] as f64;
                         }
                     }
                 }
-            }
-            (sum, count)
-        });
-        for (part_sum, part_count) in partials {
-            for e in 0..m {
-                self.sum[e] += part_sum[e];
-                self.count[e] += part_count[e];
-            }
-        }
+            },
+        );
     }
 
     /// Finishes the estimate: per-edge conditional mean (0 with no samples).
     pub fn finish(&self) -> Vec<f64> {
-        (0..self.sum.len())
-            .map(|e| {
-                if self.count[e] == 0 {
+        self.absent
+            .iter()
+            .map(|t| {
+                if t.count == 0 {
                     0.0
                 } else {
-                    self.sum[e] / self.count[e] as f64
+                    t.sum / t.count as f64
                 }
             })
             .collect()
     }
+}
+
+/// One edge's running total in an ERR accumulator: a sum of per-world
+/// terms, folded chunk partial by chunk partial, and a world count.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeTally {
+    sum: f64,
+    count: u32,
+}
+
+/// Folds `strip` into `tallies`, split over edges: the edges are cut into
+/// 64-aligned ranges, one per thread, and each range walks every
+/// [`ERR_WORLD_CHUNK`]-world chunk of the strip in chunk order.
+///
+/// `scan(w, edges, partial, counts)` adds world `w`'s terms and world
+/// counts for the edge range `edges` into the chunk's `partial` sums and
+/// `counts`; both are indexed from `edges.start`, and the world's words
+/// for the range start at word `edges.start / 64`. Every chunk partial
+/// starts at 0.0, sums its worlds in ascending order and is added
+/// to the running total in chunk order, so each edge sees exactly the
+/// additions of a serial world-major pass: the split changes which thread
+/// does an edge's arithmetic, never the arithmetic, and the result is
+/// bit-identical at every thread count.
+fn fold_edge_split<F>(tallies: &mut [EdgeTally], strip: &WorldEnsemble, threads: usize, scan: F)
+where
+    F: Fn(usize, Range<usize>, &mut [f64], &mut [u32]) + Sync,
+{
+    let m = tallies.len();
+    let threads = parallel::resolve_threads(threads);
+    let block = m.div_ceil(64).div_ceil(threads).max(1) * 64;
+    parallel::map_chunks_into(
+        tallies,
+        1,
+        m,
+        block,
+        threads,
+        || (Vec::<f64>::new(), Vec::<u32>::new()),
+        |(partial, counts), _, edges, tallies| {
+            for start in (0..strip.len()).step_by(ERR_WORLD_CHUNK) {
+                partial.clear();
+                partial.resize(edges.len(), 0.0);
+                counts.clear();
+                counts.resize(edges.len(), 0);
+                for w in start..(start + ERR_WORLD_CHUNK).min(strip.len()) {
+                    scan(w, edges.clone(), partial, counts);
+                }
+                for ((t, &p), &c) in tallies.iter_mut().zip(partial.iter()).zip(counts.iter()) {
+                    t.sum += p;
+                    t.count += c;
+                }
+            }
+        },
+    );
 }
 
 /// Strip-streamed [`edge_reliability_relevance_threads`]: folds the

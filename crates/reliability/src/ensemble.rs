@@ -32,9 +32,10 @@ pub(crate) const PAIR_BLOCK: usize = 1024;
 /// A Monte-Carlo ensemble of possible worlds of one uncertain graph, with
 /// per-world component labels and connected-pair counts cached.
 ///
-/// Building the ensemble costs O(N·(|E| + |V|·α(|V|))); afterwards every
-/// two-terminal reliability query is O(N) label comparisons and the
-/// expected-connected-pairs statistic is O(1). The paper's ERR estimator
+/// Building the ensemble costs O(N·(|V| + |E|·log|V|)) in the worst case
+/// (Rem's union–find links by index) and near-linear time in practice;
+/// afterwards every two-terminal reliability query is O(N) label
+/// comparisons and the expected-connected-pairs statistic is O(1). The paper's ERR estimator
 /// (Algorithm 2) iterates over exactly this cache.
 #[derive(Debug, Clone)]
 pub struct WorldEnsemble {
@@ -86,8 +87,9 @@ impl WorldEnsemble {
     /// component sizes, connected-pair counts) on up to `threads` worker
     /// threads (`0` = all hardware threads). Each world's analysis is a
     /// pure function of that world, so the result is identical for every
-    /// thread count. Each worker reuses one union-find and one label
-    /// scratch across all its chunks.
+    /// thread count. Each worker reuses one union-find across all its
+    /// chunks, and each chunk writes its labels straight into its own rows
+    /// of the label arena.
     ///
     /// # Panics
     /// Panics if the matrix's edge-slot count disagrees with the graph's.
@@ -105,45 +107,47 @@ impl WorldEnsemble {
         let n = worlds.num_worlds();
         let nn = graph.num_nodes();
         let (us, vs) = graph.endpoint_soa();
-        let analyzed = parallel::map_chunks_scratch(
+        // Each chunk labels its worlds straight into its own rows of the
+        // final arena; only the (far smaller) size lists are merged.
+        let mut labels = vec![0u32; n * nn];
+        let analyzed = parallel::map_chunks_into(
+            &mut labels,
+            nn,
             n,
             WORLD_CHUNK,
             threads,
-            || (UnionFind::new(nn), Vec::<u32>::new()),
-            |(uf, label_scratch), _, range| {
+            || UnionFind::new(nn),
+            |uf, _, range, rows| {
                 let k = range.len();
-                let mut labels = Vec::with_capacity(k * nn);
-                let mut sizes = Vec::with_capacity(k * nn.min(64));
+                let mut sizes = Vec::new();
                 let mut ncomps = Vec::with_capacity(k);
                 let mut pairs = Vec::with_capacity(k);
                 // Union–find work per world: one makeset per node plus one
                 // union per present edge; counted once per chunk to keep
                 // the recording cost off the per-world path.
                 let mut uf_ops = 0u64;
-                for w in range {
+                for (i, w) in range.enumerate() {
                     uf.reset();
                     let present = worlds.world(w).union_into(&us, &vs, uf);
                     uf_ops += nn as u64 + present as u64;
                     let (ncomp, cc) =
-                        uf.append_labels_and_sizes(&mut labels, &mut sizes, label_scratch);
+                        uf.labels_and_sizes(&mut rows[i * nn..(i + 1) * nn], &mut sizes);
                     ncomps.push(ncomp);
                     pairs.push(cc);
                 }
                 chameleon_obs::counter!("ensemble.union_find_ops").add(uf_ops);
                 // Worlds after the first in a chunk recycle the worker's
-                // union-find and label scratch instead of allocating —
-                // defined per chunk, so the count is thread-invariant.
+                // union-find instead of allocating — defined per chunk, so
+                // the count is thread-invariant.
                 chameleon_obs::counter!("ensemble.scratch_reuses").add(k.saturating_sub(1) as u64);
-                (labels, sizes, ncomps, pairs)
+                (sizes, ncomps, pairs)
             },
         );
-        let mut labels = Vec::with_capacity(n * nn);
         let mut component_sizes = Vec::new();
         let mut size_offsets = Vec::with_capacity(n + 1);
         size_offsets.push(0usize);
         let mut connected_pairs = Vec::with_capacity(n);
-        for (l, sizes, ncomps, pairs) in analyzed {
-            labels.extend_from_slice(&l);
+        for (sizes, ncomps, pairs) in analyzed {
             component_sizes.extend_from_slice(&sizes);
             for ncomp in ncomps {
                 let last = *size_offsets.last().expect("seeded with 0");

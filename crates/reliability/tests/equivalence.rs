@@ -1,19 +1,20 @@
 //! Kernel-equivalence suite: the flat arena ensemble must be bit-identical
-//! to the pre-rewrite reference path (one `World` allocation per world,
-//! `World::components` union–find, `component_labels()` + naive size
-//! counting). The reference implementation is reproduced here, against the
-//! stable public API, so any drift in the optimized kernel — RNG draw
-//! order, union order, label numbering, size indexing, pair counting —
-//! fails loudly.
+//! to a reference path built on an independent oracle: one `World`
+//! allocation per world and a breadth-first search over its `WorldView`,
+//! with components numbered by first appearance over vertex ids. The
+//! reference never touches `UnionFind`, so any drift in the optimized
+//! kernel — RNG draw order, union–find linking, label numbering, size
+//! indexing, pair counting — fails loudly. The `union_find` proptest pins
+//! the union–find itself against the same search.
 
 use chameleon_reliability::{WorldEnsemble, WORLD_CHUNK};
 use chameleon_stats::SeedSequence;
-use chameleon_ugraph::{NodeId, UncertainGraph, World, WorldSampler};
+use chameleon_ugraph::{NodeId, UncertainGraph, UnionFind, World, WorldSampler, WorldView};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Per-world analysis results of the historical layout.
+/// Per-world analysis results of the reference path.
 struct RefWorld {
     world: World,
     labels: Vec<u32>,
@@ -21,18 +22,44 @@ struct RefWorld {
     connected_pairs: u64,
 }
 
-/// The pre-rewrite analysis: one union–find per world via
-/// `World::components`, dense labels via `component_labels`, sizes by
-/// counting label occurrences.
-fn analyze_reference(graph: &UncertainGraph, world: World) -> RefWorld {
-    let mut uf = world.components(graph);
-    let labels = uf.component_labels();
-    let ncomp = uf.num_components();
-    let mut sizes = vec![0u32; ncomp];
-    for &l in &labels {
-        sizes[l as usize] += 1;
+/// Connected components by breadth-first search over the world's
+/// adjacency: dense labels in order of first appearance over vertex ids,
+/// and each label's size.
+fn bfs_components(view: &WorldView<'_>) -> (Vec<u32>, Vec<u32>) {
+    let n = view.num_nodes();
+    let mut labels = vec![u32::MAX; n];
+    let mut sizes = Vec::new();
+    let mut queue = std::collections::VecDeque::new();
+    for s in 0..n {
+        if labels[s] != u32::MAX {
+            continue;
+        }
+        let label = sizes.len() as u32;
+        labels[s] = label;
+        queue.push_back(s as NodeId);
+        let mut size = 0u32;
+        while let Some(x) = queue.pop_front() {
+            size += 1;
+            for y in view.neighbors(x) {
+                if labels[y as usize] == u32::MAX {
+                    labels[y as usize] = label;
+                    queue.push_back(y);
+                }
+            }
+        }
+        sizes.push(size);
     }
-    let connected_pairs = uf.connected_pairs();
+    (labels, sizes)
+}
+
+fn pairs_of(sizes: &[u32]) -> u64 {
+    sizes.iter().map(|&s| s as u64 * (s as u64 - 1) / 2).sum()
+}
+
+/// The reference analysis of one world: a BFS over its view.
+fn analyze_reference(graph: &UncertainGraph, world: World) -> RefWorld {
+    let (labels, sizes) = bfs_components(&WorldView::new(graph, &world));
+    let connected_pairs = pairs_of(&sizes);
     RefWorld {
         world,
         labels,
@@ -41,7 +68,7 @@ fn analyze_reference(graph: &UncertainGraph, world: World) -> RefWorld {
     }
 }
 
-/// The pre-rewrite `sample_seeded` draw schedule: fixed chunks of
+/// The historical `sample_seeded` draw schedule: fixed chunks of
 /// [`WORLD_CHUNK`] worlds, chunk `c` drawing from the RNG stream
 /// `(seed, "world-chunk", c)`, one `WorldSampler::sample` call per world.
 fn sample_seeded_reference(graph: &UncertainGraph, n: usize, seed: u64) -> Vec<RefWorld> {
@@ -241,5 +268,93 @@ proptest! {
         // Both paths must leave the RNG in the same state.
         use rand::Rng;
         prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+    }
+}
+
+/// Unions `pairs` in order on `n` singletons, checking each return value
+/// against the BFS partition of the pairs before it, then checks labels,
+/// sizes, `num_components` and `connected_pairs` against the BFS partition
+/// of all of them. Self pairs and repeats reach `union` unchanged; the
+/// graph behind the BFS holds each distinct non-self pair once.
+fn check_union_find(n: usize, pairs: &[(u32, u32)]) {
+    let mut g = UncertainGraph::with_nodes(n);
+    for &(a, b) in pairs {
+        if a != b && !g.has_edge(a, b) {
+            g.add_edge(a, b, 0.5).unwrap();
+        }
+    }
+    let mut world = World::empty(g.num_edges());
+    let mut uf = UnionFind::new(n);
+    for (i, &(a, b)) in pairs.iter().enumerate() {
+        let (before, _) = bfs_components(&WorldView::new(&g, &world));
+        let distinct = before[a as usize] != before[b as usize];
+        assert_eq!(uf.union(a, b), distinct, "union #{i} ({a}, {b})");
+        if let Some(e) = g.find_edge(a, b) {
+            world.set(e, true);
+        }
+    }
+    let (labels, sizes) = bfs_components(&WorldView::new(&g, &world));
+    assert_eq!(uf.num_components(), sizes.len());
+    assert_eq!(uf.connected_pairs(), pairs_of(&sizes));
+    assert_eq!(uf.component_labels(), labels);
+    let mut out = vec![0u32; n];
+    let mut out_sizes = Vec::new();
+    assert_eq!(
+        uf.labels_and_sizes(&mut out, &mut out_sizes),
+        (sizes.len(), pairs_of(&sizes))
+    );
+    assert_eq!(out, labels);
+    assert_eq!(out_sizes, sizes);
+    for a in 0..n as u32 {
+        assert!(uf.find(a) <= a, "a set's root is its smallest member");
+        for b in 0..n as u32 {
+            assert_eq!(uf.connected(a, b), labels[a as usize] == labels[b as usize]);
+        }
+    }
+}
+
+#[test]
+fn union_find_matches_bfs_on_adversarial_orders() {
+    check_union_find(0, &[]);
+    check_union_find(1, &[]);
+    check_union_find(1, &[(0, 0), (0, 0)]);
+    let n = 64u32;
+    // A path whose edges arrive in descending order, so every union hangs
+    // a fresh root on a growing chain; and the same path ascending.
+    let desc: Vec<(u32, u32)> = (0..n - 1).rev().map(|i| (i + 1, i)).collect();
+    check_union_find(n as usize, &desc);
+    let asc: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+    check_union_find(n as usize, &asc);
+    // Stars centred on the largest and on the smallest vertex.
+    let star_hi: Vec<(u32, u32)> = (0..n - 1).map(|v| (n - 1, v)).collect();
+    check_union_find(n as usize, &star_hi);
+    let star_lo: Vec<(u32, u32)> = (1..n).rev().map(|v| (v, 0)).collect();
+    check_union_find(n as usize, &star_lo);
+    // Repeated and self unions, interleaved.
+    let repeats = [
+        (3, 3),
+        (5, 9),
+        (9, 5),
+        (5, 9),
+        (9, 9),
+        (2, 5),
+        (5, 2),
+        (2, 2),
+    ];
+    check_union_find(12, &repeats);
+}
+
+proptest! {
+    #[test]
+    fn union_find(
+        n in 0usize..40,
+        raw in proptest::collection::vec((0u32..40, 0u32..40), 0..80),
+    ) {
+        let pairs: Vec<(u32, u32)> = if n == 0 {
+            Vec::new()
+        } else {
+            raw.iter().map(|&(a, b)| (a % n as u32, b % n as u32)).collect()
+        };
+        check_union_find(n, &pairs);
     }
 }

