@@ -402,7 +402,7 @@ fn cmd_profile(cli: &Cli) -> Result<(), String> {
     for (v, h) in profile.weakest(top) {
         println!(
             "  vertex {v:>6}: H = {h:.3} bits (effective anonymity {:.1})",
-            h.exp2()
+            chameleon_stats::detmath::exp(h * std::f64::consts::LN_2)
         );
     }
     Ok(())

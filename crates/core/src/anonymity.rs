@@ -19,6 +19,8 @@
 //! §3); for a deterministic original it is the plain degree — both are
 //! covered by [`AdversaryKnowledge`].
 
+use chameleon_stats::detmath;
+use chameleon_stats::entropy::{entropy_nats_from_sums, uniform_entropy_bits, weighted_ln};
 use chameleon_stats::parallel;
 use chameleon_stats::poisson_binomial::pmf_truncated_into;
 use chameleon_ugraph::{NodeId, UncertainGraph};
@@ -29,7 +31,7 @@ use std::ops::Range;
 /// (compressed sparse rows): vertex `v`'s are `probs[off[v]..off[v + 1]]`,
 /// in adjacency order — the Bernoulli parameters of its degree, in the
 /// order the pmf DP consumes them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Incidence {
     pub(crate) off: Vec<usize>,
     pub(crate) probs: Vec<f64>,
@@ -61,7 +63,7 @@ impl Incidence {
 /// a GenObf trial lays its arena out once and rebuilds it in place at
 /// every σ. Entries `≤ ω` of the truncated DP do not depend on the cap,
 /// so any cap `≥ max ω` gives the same sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DegreePmfs {
     off: Vec<usize>,
     vals: Vec<f64>,
@@ -71,13 +73,22 @@ impl DegreePmfs {
     /// The arena for `incidence`'s degrees at cap `omega_max`; its values
     /// are written by [`DegreePmfs::build`].
     pub(crate) fn layout(incidence: &Incidence, omega_max: usize) -> Self {
-        let mut off = Vec::with_capacity(incidence.off.len());
+        let mut pmfs = Self::default();
+        pmfs.layout_into(incidence, omega_max);
+        pmfs
+    }
+
+    /// [`DegreePmfs::layout`] into this arena's buffers.
+    pub(crate) fn layout_into(&mut self, incidence: &Incidence, omega_max: usize) {
+        let off = &mut self.off;
+        off.clear();
+        off.reserve(incidence.off.len());
         off.push(0);
         for w in incidence.off.windows(2) {
             off.push(off[off.len() - 1] + (w[1] - w[0]).min(omega_max) + 1);
         }
-        let vals = vec![0.0; off[off.len() - 1]];
-        Self { off, vals }
+        // `build` overwrites every entry, so only growth needs zeroing.
+        self.vals.resize(off[off.len() - 1], 0.0);
     }
 
     /// Number of vertices covered.
@@ -327,14 +338,17 @@ pub(crate) fn sweep_graph(
 /// entropy comparison per vertex. At tolerance 0 the window is the single
 /// entry `pmf[ω]`, a one-term sum equal to that entry bit for bit.
 ///
-/// The sweep is vertex-major: two ascending passes over the pmf arena,
-/// each reading one vertex's pmf for every ω at once — the first sums
-/// each posterior's total, the second accumulates `h -= p·ln p`. That is
-/// the arithmetic of [`chameleon_stats::shannon_entropy_bits`] over the
-/// per-ω weight vector, in the same per-ω order: left-to-right totals,
-/// then `h` in vertex order. A vertex whose support ends below ω's window
-/// has weight exactly 0.0 there; it adds `+0.0` to a total that is never
-/// `-0.0` and no `h` term, so skipping it changes no bit.
+/// The sweep is one vertex-major pass over the pmf arena: each vertex's
+/// weights for every ω it reaches are gathered (at tolerance 0 they are
+/// pmf entries, read in place), their `ln`s taken as one slice, and each
+/// posterior accumulates `T = Σw` and `S = Σ w·ln w`;
+/// its entropy is then `ln T − S/T`. That is the arithmetic of
+/// [`chameleon_stats::shannon_entropy_bits`] over the per-ω weight vector,
+/// in the same per-ω order. A vertex whose support ends below ω's window
+/// has weight exactly 0.0 there; it adds `+0.0` to `T` and to `S`, neither
+/// of which is ever `-0.0`, so skipping it changes no bit. A vertex is
+/// obfuscated when its posterior's entropy reaches
+/// [`uniform_entropy_bits`]`(k)`, log₂k computed by the same expression.
 fn sweep(
     pmfs: &DegreePmfs,
     knowledge: &AdversaryKnowledge,
@@ -353,21 +367,55 @@ fn sweep(
     omegas.dedup();
     let tol = tolerance as usize;
     let mut totals = vec![0.0f64; omegas.len()];
+    let mut sums = vec![0.0f64; omegas.len()];
+    // The ω_j = j prefix of `omegas`, where a pmf's entries line up with
+    // the posteriors one to one.
+    let dense = omegas
+        .iter()
+        .enumerate()
+        .take_while(|&(j, &omega)| omega as usize == j)
+        .count();
+    let (mut weights, mut lns) = (Vec::new(), Vec::new());
     for u in 0..n {
-        for_each_weight(&omegas, tol, pmfs.pmf(u), |j, w| totals[j] += w);
-    }
-    let mut h = vec![0.0f64; omegas.len()];
-    for u in 0..n {
-        for_each_weight(&omegas, tol, pmfs.pmf(u), |j, w| {
-            if w > 0.0 {
-                let p = w / totals[j];
-                h[j] -= p * p.ln();
+        let pmf = pmfs.pmf(u);
+        if tol == 0 {
+            // Each weight is a pmf entry: take the `ln`s of the pmf's head,
+            // up to the largest ω it reaches, as one slice.
+            let reach = omegas.partition_point(|&omega| (omega as usize) < pmf.len());
+            let head = omegas[..reach]
+                .last()
+                .map_or(0, |&omega| omega as usize + 1);
+            lns.resize(head, 0.0);
+            detmath::ln_into(&pmf[..head], &mut lns[..head]);
+            let lined_up = dense.min(reach);
+            let entries = pmf.iter().zip(&lns[..lined_up]);
+            for ((t, s), (&w, &ln_w)) in totals.iter_mut().zip(&mut sums).zip(entries) {
+                *t += w;
+                *s += weighted_ln(w, ln_w);
             }
-        });
+            let rest = totals.iter_mut().zip(&mut sums).zip(&omegas[..reach]);
+            for ((t, s), &omega) in rest.skip(lined_up) {
+                let w = pmf[omega as usize];
+                *t += w;
+                *s += weighted_ln(w, lns[omega as usize]);
+            }
+        } else {
+            gather_weights(&omegas, tol, pmf, &mut weights);
+            lns.resize(weights.len(), 0.0);
+            detmath::ln_into(&weights, &mut lns);
+            for (((t, s), &w), &ln_w) in totals.iter_mut().zip(&mut sums).zip(&weights).zip(&lns) {
+                *t += w;
+                *s += weighted_ln(w, ln_w);
+            }
+        }
     }
-    // An all-zero posterior has no `h` term and entropy 0.
-    let entropy: Vec<f64> = h.iter().map(|&h| h / std::f64::consts::LN_2).collect();
-    let threshold = (k as f64).log2();
+    // An all-zero posterior has entropy 0.
+    let entropy: Vec<f64> = totals
+        .iter()
+        .zip(&sums)
+        .map(|(&t, &s)| entropy_nats_from_sums(t, s) / std::f64::consts::LN_2)
+        .collect();
+    let threshold = uniform_entropy_bits(k);
     let unobfuscated: Vec<NodeId> = (0..n as u32)
         .filter(|&v| {
             let j = omegas
@@ -385,20 +433,22 @@ fn sweep(
     }
 }
 
-/// Calls `f(j, weight)` for every ω_j of the ascending, distinct `omegas`
-/// whose window `[ω − tol, ω + tol]` meets `pmf`'s support, with the pmf
-/// mass in that window. Entries past the support are exact 0.0 summands,
-/// so clamping the window keeps the sweep O(window ∩ support) even for
-/// huge ω; the windows a pmf reaches are a prefix of `omegas`.
-fn for_each_weight(omegas: &[u32], tol: usize, pmf: &[f64], mut f: impl FnMut(usize, f64)) {
+/// Replaces `weights` with the pmf mass in the window `[ω − tol, ω + tol]`
+/// of every ω_j of the ascending, distinct `omegas` whose window meets
+/// `pmf`'s support: `weights[j]` belongs to ω_j, since the windows a pmf
+/// reaches are a prefix of `omegas`. Entries past the support are exact
+/// 0.0 summands, so clamping the window keeps the sweep
+/// O(window ∩ support) even for huge ω.
+fn gather_weights(omegas: &[u32], tol: usize, pmf: &[f64], weights: &mut Vec<f64>) {
+    weights.clear();
     let top_entry = pmf.len() - 1;
-    for (j, &omega) in omegas.iter().enumerate() {
+    for &omega in omegas {
         let lo = (omega as usize).saturating_sub(tol);
         if lo > top_entry {
             break;
         }
         let top = (omega as usize).saturating_add(tol).min(top_entry);
-        f(j, pmf[lo..=top].iter().sum());
+        weights.push(pmf[lo..=top].iter().sum());
     }
 }
 
@@ -664,6 +714,31 @@ mod tests {
         }
     }
 
+    /// A posterior uniform over exactly k candidates is k-obfuscated: the
+    /// k leaves of a certain star share degree 1, their entropy is log₂k as
+    /// the threshold computes it, bit for bit, and they pass at k and fail
+    /// at k + 1.
+    #[test]
+    fn uniform_posterior_over_exactly_k_is_obfuscated() {
+        use chameleon_stats::entropy::uniform_entropy_bits;
+        for k in (2..=64).chain([100, 255, 256, 512, 1000, 1023, 1024]) {
+            let mut g = UncertainGraph::with_nodes(k + 1);
+            for leaf in 1..=k as u32 {
+                g.add_edge(0, leaf, 1.0).unwrap();
+            }
+            let knowledge = AdversaryKnowledge::structural_degrees(&g);
+            let rep = anonymity_check(&g, &knowledge, k);
+            assert_eq!(
+                rep.entropy_by_omega[&1].to_bits(),
+                uniform_entropy_bits(k).to_bits(),
+                "k={k}"
+            );
+            assert_eq!(rep.unobfuscated, vec![0], "k={k}");
+            let rep = anonymity_check(&g, &knowledge, k + 1);
+            assert_eq!(rep.unobfuscated.len(), k + 1, "k={k}");
+        }
+    }
+
     #[test]
     fn adding_uncertainty_blends_adjacent_degrees() {
         // Path 0-1-2-3. Deterministic: Y_1 = uniform over the two endpoints
@@ -737,7 +812,7 @@ mod tests {
             for (&omega, h) in &reference.entropy_by_omega {
                 prop_assert_eq!(h.to_bits(), naive(omega).to_bits(), "omega {}", omega);
             }
-            let threshold = (k as f64).log2();
+            let threshold = uniform_entropy_bits(k);
             let failing: Vec<NodeId> = (0..n as u32)
                 .filter(|&v| naive(knowledge.target(v)) < threshold)
                 .collect();

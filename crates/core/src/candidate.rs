@@ -215,7 +215,7 @@ impl EdgeIndex {
 /// multiplicative (Fibonacci) hash, and 0 as the empty-slot sentinel —
 /// no pair packs to 0, since `v > u ≥ 0`. It starts empty and doubles at
 /// half load, so its size follows the pairs actually injected.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct PairSet {
     slots: Vec<u64>,
     len: usize,
@@ -223,6 +223,12 @@ struct PairSet {
 
 impl PairSet {
     const EMPTY: u64 = 0;
+
+    /// Empties the set, keeping its table.
+    fn clear(&mut self) {
+        self.slots.fill(Self::EMPTY);
+        self.len = 0;
+    }
 
     /// Inserts `(u, v)`, `u < v`; false when it was already present.
     fn insert(&mut self, u: NodeId, v: NodeId) -> bool {
@@ -265,6 +271,7 @@ impl PairSet {
 /// budget so adversarial weight configurations cannot hang (on budget
 /// exhaustion the current set is returned — the algorithm is randomized
 /// anyway and GenObf copes with any candidate set).
+#[cfg(test)]
 pub(crate) fn select_candidates<R: Rng + ?Sized>(
     graph: &UncertainGraph,
     edges: &EdgeIndex,
@@ -272,6 +279,40 @@ pub(crate) fn select_candidates<R: Rng + ?Sized>(
     size_multiplier: f64,
     rng: &mut R,
 ) -> Vec<CandidateEdge> {
+    let mut out = Vec::new();
+    let mut scratch = SelectScratch::default();
+    select_candidates_into(
+        graph,
+        edges,
+        sampler,
+        size_multiplier,
+        rng,
+        &mut scratch,
+        &mut out,
+    );
+    out
+}
+
+/// The selection loop's working sets, kept by a caller that selects
+/// repeatedly so that a selection allocates nothing once they have grown.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SelectScratch {
+    present: Vec<bool>,
+    injected: PairSet,
+    added: Vec<(NodeId, NodeId)>,
+}
+
+/// [`select_candidates`] written into `out` (cleared first), with its
+/// working sets in `scratch`: the same candidates and the same draws.
+pub(crate) fn select_candidates_into<R: Rng + ?Sized>(
+    graph: &UncertainGraph,
+    edges: &EdgeIndex,
+    sampler: &VertexSampler,
+    size_multiplier: f64,
+    rng: &mut R,
+    scratch: &mut SelectScratch,
+    out: &mut Vec<CandidateEdge>,
+) {
     let m = graph.num_edges();
     let n = graph.num_nodes();
     let target = ((m as f64 * size_multiplier).round() as usize)
@@ -279,10 +320,16 @@ pub(crate) fn select_candidates<R: Rng + ?Sized>(
         .max(1.min(m));
     // E_C ← E. Existing edges are tracked by their dense id; only the
     // injected pairs need a set. `size` is |E_C|.
-    let mut present = vec![true; m];
+    let SelectScratch {
+        present,
+        injected,
+        added,
+    } = scratch;
+    present.clear();
+    present.resize(m, true);
+    injected.clear();
+    added.clear();
     let mut size = m;
-    let mut injected = PairSet::default();
-    let mut added: Vec<(NodeId, NodeId)> = Vec::new();
     let attempt_budget = 200 * target + 10_000;
     let mut attempts = 0usize;
     while size != target && attempts < attempt_budget {
@@ -309,7 +356,8 @@ pub(crate) fn select_candidates<R: Rng + ?Sized>(
     chameleon_obs::counter!("genobf.candidate_attempts").add(attempts as u64);
     // Deterministic output order: original edges first (by id), then added
     // pairs in insertion order.
-    let mut out = Vec::with_capacity(size);
+    out.clear();
+    out.reserve(size);
     for (id, e) in graph.edges().iter().enumerate() {
         if present[id] {
             out.push(CandidateEdge {
@@ -320,13 +368,12 @@ pub(crate) fn select_candidates<R: Rng + ?Sized>(
             });
         }
     }
-    out.extend(added.into_iter().map(|(u, v)| CandidateEdge {
+    out.extend(added.iter().map(|&(u, v)| CandidateEdge {
         u,
         v,
         existing: None,
         p: 0.0,
     }));
-    out
 }
 
 #[cfg(test)]

@@ -201,10 +201,13 @@ struct SigmaSearch<'a> {
     /// GenObf invocations so far; call `c` draws its trials from the
     /// streams `(seed, "genobf-trial", c, trial)`.
     calls: usize,
-    /// Incremental mode (DESIGN.md §6d): the first GenObf call records
-    /// every trial's randomness into these plans; later σ probes
-    /// re-evaluate them instead of redrawing.
-    plans: Option<Vec<TrialPlan>>,
+    /// One plan per trial slot, kept across GenObf calls. The plain body
+    /// re-records each slot's tape at every call into the plan's buffers;
+    /// in incremental mode (DESIGN.md §6d) the first GenObf call records
+    /// every trial's randomness and later σ probes re-evaluate it.
+    plans: Vec<TrialPlan>,
+    /// Whether `plans` hold the incremental search's recorded tapes.
+    recorded: bool,
     ckpt: CheckpointState<'a>,
     /// Every probe as `(σ, eps_nearest)`, in call order.
     sigma_trace: Vec<(f64, f64)>,
@@ -316,10 +319,12 @@ impl SigmaSearch<'_> {
         // result exactly. The (call, trial) pair seeds via
         // `rng_indexed2` — the flattened `call·1000 + trial` form used
         // previously collides once a config asks for ≥ 1000 trials.
-        let record = |call: u64, t: usize| {
-            TrialPlan::record(trial, &mut seq.rng_indexed2("genobf-trial", call, t as u64))
+        let record = |plan: &mut TrialPlan, call: u64, t: usize| {
+            plan.record_into(trial, &mut seq.rng_indexed2("genobf-trial", call, t as u64))
         };
-        if trial.cfg.incremental && self.plans.is_none() {
+        let incremental = trial.cfg.incremental;
+        self.plans.resize_with(trials, TrialPlan::default);
+        if incremental && !self.recorded {
             // The tape is always recorded from the call-0 RNG streams, no
             // matter which call triggers recording: in a fresh run the
             // first call *is* call 0, and in a checkpoint-resumed run the
@@ -327,7 +332,9 @@ impl SigmaSearch<'_> {
             // the recorded tape (and every downstream probe) identical to
             // the uninterrupted run's.
             let _s = chameleon_obs::span!("genobf.plan_record");
-            self.plans = Some(parallel::map_items(trials, threads, |t| record(0, t)));
+            let mut slots: Vec<_> = self.plans.iter_mut().enumerate().collect();
+            parallel::map_items_mut(&mut slots, threads, |(t, plan)| record(plan, 0, *t));
+            self.recorded = true;
         }
         // Trials are checked `threads` at a time, and each wave's reports
         // are folded serially in trial order. The fold stops at the first
@@ -340,34 +347,24 @@ impl SigmaSearch<'_> {
         'waves: for start in (0..trials).step_by(threads) {
             let wave = start..(start + threads).min(trials);
             let pmf_threads = (threads / wave.len()).max(1);
-            let check = |plan: &mut TrialPlan| plan.check_at_sigma(sigma, trial, pmf_threads);
-            // Each checked trial, with its plan when this call owns it.
-            let checked: Vec<(Option<TrialPlan>, AnonymityReport)> = match &mut self.plans {
-                Some(plans) => parallel::map_items_mut(&mut plans[wave], threads, |plan| {
-                    let _trial_span = chameleon_obs::span!("genobf.trial");
-                    (None, check(plan))
-                }),
-                None => parallel::map_items(wave.len(), threads, |i| {
-                    let _trial_span = chameleon_obs::span!("genobf.trial");
-                    let mut plan = record(call, start + i);
-                    let report = check(&mut plan);
-                    (Some(plan), report)
-                }),
-            };
-            for (t, (plan, report)) in (start..).zip(checked) {
+            let mut slots: Vec<_> = (start..).zip(&mut self.plans[wave]).collect();
+            let reports = parallel::map_items_mut(&mut slots, threads, |(t, plan)| {
+                let _trial_span = chameleon_obs::span!("genobf.trial");
+                if !incremental {
+                    record(plan, call, *t);
+                }
+                plan.check_at_sigma(sigma, trial, pmf_threads)
+            });
+            for (t, report) in (start..).zip(reports) {
                 chameleon_obs::counter!("genobf.trials").add(1);
-                if fold.push(report.eps_hat, (t, plan, report)) {
+                if fold.push(report.eps_hat, (t, report)) {
                     break 'waves;
                 }
             }
         }
-        fold.finish(|(t, plan, report)| {
-            let plans = self.plans.as_deref().unwrap_or_default();
-            (
-                plan.as_ref().unwrap_or_else(|| &plans[t]).perturbation(),
-                report,
-            )
-        })
+        // A winner's slot is not re-recorded before the fold finishes: later
+        // waves use later slots.
+        fold.finish(|(t, report)| (self.plans[t].perturbation(), report))
     }
 }
 
@@ -508,7 +505,8 @@ impl Chameleon {
             threads,
             cancel,
             calls: 0,
-            plans: None,
+            plans: Vec::new(),
+            recorded: false,
             ckpt: CheckpointState {
                 replay,
                 probes: Vec::new(),

@@ -42,8 +42,11 @@ const CHECKPOINT_VERSION: u64 = 1;
 ///
 /// History: 1 — exact O(n²) uniqueness KDE (fingerprints carried no
 /// revision field); 2 — linear-binned uniqueness KDE; 3 — fdlibm rational
-/// `erf` in the truncated-normal noise (last-ulp changes to the noise).
-pub(crate) const SEARCH_REVISION: u64 = 3;
+/// `erf` in the truncated-normal noise (last-ulp changes to the noise); 4 —
+/// release-path `exp`/`ln` from `chameleon_stats::detmath` instead of the
+/// host's libm, AS241 instead of Acklam + Halley for the noise quantile,
+/// and the one-pass `ln T − S/T` entropy with its log₂k threshold.
+pub(crate) const SEARCH_REVISION: u64 = 4;
 
 /// One completed GenObf invocation of a σ search.
 #[derive(Debug, Clone, PartialEq)]

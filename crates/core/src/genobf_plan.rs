@@ -9,7 +9,7 @@
 //! — the truncated-normal draw is inverse-CDF sampling, `r = F⁻¹_σ(u)` —
 //! so one recorded tape can be re-evaluated at every σ the search probes.
 //!
-//! [`TrialPlan::record`] draws the tape in the order Algorithm 3 uses it
+//! [`TrialPlan::record_into`] draws the tape in the order Algorithm 3 uses it
 //! (selection, then coin / value / sign per candidate) and lays out the
 //! perturbed graph's incidence once: the input's incident probabilities
 //! in adjacency order, with each vertex's injected edges appended in
@@ -20,15 +20,18 @@
 //! keeps only its [`Perturbation`], and the σ search materializes the
 //! final winner's alone into an [`UncertainGraph`].
 //!
-//! A plain GenObf call records fresh plans from its own streams and checks
-//! each once; the incremental search records its plans on the first call
-//! and re-checks them at every later σ, which is the documented stream
+//! A plain GenObf call records fresh tapes from its own streams, into the
+//! buffers of one plan per trial slot kept across calls, and checks each
+//! once; the incremental search records its plans on the first call and
+//! re-checks them at every later σ, which is the documented stream
 //! divergence of §6d.
 
 use crate::anonymity::{trial_check, AdversaryKnowledge, AnonymityReport, DegreePmfs, Incidence};
-use crate::candidate::{select_candidates, CandidateEdge, EdgeIndex, VertexSampler};
+use crate::candidate::{
+    select_candidates_into, CandidateEdge, EdgeIndex, SelectScratch, VertexSampler,
+};
 use crate::config::ChameleonConfig;
-use crate::perturb::{NoiseBudget, PerturbStrategy};
+use crate::perturb::{apply_direction, sigma_e_of, NoiseBudget, PerturbStrategy};
 use chameleon_stats::trunc_normal::{half_unit_quantiles, QUANTILE_BLOCK};
 use chameleon_ugraph::UncertainGraph;
 use rand::Rng;
@@ -82,72 +85,90 @@ impl<'a> TrialInputs<'a> {
 }
 
 /// One GenObf trial's recorded randomness and its perturbed graph's
-/// incidence, re-evaluable at any σ.
-#[derive(Debug, Clone)]
+/// incidence, re-evaluable at any σ. A plan re-records into its own
+/// buffers, so a trial slot that records a fresh tape at every GenObf
+/// call allocates nothing once its buffers have grown.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TrialPlan {
     candidates: Vec<CandidateEdge>,
+    /// The candidates' σ(e) budgets, in candidate order.
     budget: NoiseBudget,
-    /// White-noise coin uniform per candidate.
-    coin: Vec<f64>,
-    /// Magnitude uniform per candidate: the white-noise value itself, or
-    /// the quantile fed to the truncated normal's inverse CDF.
-    value: Vec<f64>,
-    /// Unguided-strategy sign per candidate (all `false` for max-entropy).
-    sign_up: Vec<bool>,
-    /// Each candidate's positions in `incidence.probs`, one per endpoint.
-    slots: Vec<[usize; 2]>,
+    /// The noise order: `order[j]` is the candidate at noise position `j`
+    /// (see [`noise_order`]).
+    order: Vec<u32>,
+    /// What the noise reads of each candidate, in the noise order.
+    lanes: Vec<NoiseLane>,
+    /// Each candidate's positions in `incidence.probs`, in candidate order
+    /// (the layout's scratch).
+    cand_slots: Vec<[usize; 2]>,
+    /// Scratch of [`noise_order`]: bucket counts and each candidate's
+    /// noise position.
+    buckets: Vec<u32>,
+    position: Vec<u32>,
     /// The perturbed graph's incident probabilities at the most recent σ.
     incidence: Incidence,
     /// Its degree pmfs, truncated at the adversary's largest value.
     pmfs: DegreePmfs,
+    /// The selection loop's working sets.
+    select: SelectScratch,
+    /// Per vertex, the layout's injected-slot cursor.
+    next: Vec<usize>,
 }
 
 impl TrialPlan {
+    /// Records one trial's tape from `rng` into a new plan.
+    #[cfg(test)]
+    pub(crate) fn record<R: Rng + ?Sized>(inputs: &TrialInputs<'_>, rng: &mut R) -> Self {
+        let mut plan = Self::default();
+        plan.record_into(inputs, rng);
+        plan
+    }
+
     /// Records one trial's tape from `rng` — the candidates, then per
     /// candidate the noise coin and magnitude and (unguided only) the sign
-    /// — and lays out its perturbed incidence.
-    pub(crate) fn record<R: Rng + ?Sized>(inputs: &TrialInputs<'_>, rng: &mut R) -> Self {
-        let candidates = {
+    /// — and lays out its perturbed incidence, overwriting whatever this
+    /// plan held in the buffers it already has.
+    pub(crate) fn record_into<R: Rng + ?Sized>(&mut self, inputs: &TrialInputs<'_>, rng: &mut R) {
+        {
             let _s = chameleon_obs::span!("genobf.select");
-            select_candidates(
+            select_candidates_into(
                 inputs.graph,
                 &inputs.edges,
                 &inputs.sampler,
                 inputs.cfg.size_multiplier,
                 rng,
-            )
-        };
-        let mut coin = Vec::with_capacity(candidates.len());
-        let mut value = Vec::with_capacity(candidates.len());
-        let mut sign_up = Vec::with_capacity(candidates.len());
-        for _ in &candidates {
-            coin.push(rng.gen::<f64>());
-            value.push(rng.gen::<f64>());
-            sign_up.push(inputs.strategy.draw_sign(rng));
+                &mut self.select,
+                &mut self.candidates,
+            );
         }
-
-        let _s = chameleon_obs::span!("genobf.layout");
-        let base = &inputs.base;
-        let n = inputs.graph.num_nodes();
-        // `next[v]` counts v's injected edges, then becomes the flat
-        // position of v's next injected slot.
-        let mut next = vec![0usize; n];
-        for cand in candidates.iter().filter(|c| c.existing.is_none()) {
-            next[cand.u as usize] += 1;
-            next[cand.v as usize] += 1;
-        }
-        let mut off = Vec::with_capacity(n + 1);
-        let mut probs = Vec::with_capacity(base.probs.len() + next.iter().sum::<usize>());
-        off.push(0);
-        for (v, next) in next.iter_mut().enumerate() {
-            probs.extend_from_slice(base.of_vertex(v));
-            let injected = std::mem::replace(next, probs.len());
-            probs.resize(probs.len() + injected, 0.0);
-            off.push(probs.len());
-        }
-        let slots = candidates
-            .iter()
-            .map(|cand| {
+        let candidates = &self.candidates;
+        {
+            let _s = chameleon_obs::span!("genobf.layout");
+            let base = &inputs.base;
+            let n = inputs.graph.num_nodes();
+            // `next[v]` counts v's injected edges, then becomes the flat
+            // position of v's next injected slot.
+            let next = &mut self.next;
+            next.clear();
+            next.resize(n, 0);
+            for cand in candidates.iter().filter(|c| c.existing.is_none()) {
+                next[cand.u as usize] += 1;
+                next[cand.v as usize] += 1;
+            }
+            let Incidence { off, probs } = &mut self.incidence;
+            off.clear();
+            probs.clear();
+            off.reserve(n + 1);
+            probs.reserve(base.probs.len() + next.iter().sum::<usize>());
+            off.push(0);
+            for (v, next) in next.iter_mut().enumerate() {
+                probs.extend_from_slice(base.of_vertex(v));
+                let injected = std::mem::replace(next, probs.len());
+                probs.resize(probs.len() + injected, 0.0);
+                off.push(probs.len());
+            }
+            self.cand_slots.clear();
+            self.cand_slots.extend(candidates.iter().map(|cand| {
                 let (u, v) = (cand.u as usize, cand.v as usize);
                 match cand.existing {
                     Some(e) => {
@@ -160,18 +181,41 @@ impl TrialPlan {
                         [next[u] - 1, next[v] - 1]
                     }
                 }
-            })
-            .collect();
-        let incidence = Incidence { off, probs };
-        Self {
-            budget: NoiseBudget::new(&candidates, &inputs.selection),
-            pmfs: DegreePmfs::layout(&incidence, inputs.knowledge.max_target()),
-            incidence,
-            slots,
-            candidates,
-            coin,
-            value,
-            sign_up,
+            }));
+            self.pmfs
+                .layout_into(&self.incidence, inputs.knowledge.max_target());
+            self.budget.reset(candidates, &inputs.selection);
+            noise_order(
+                self.budget.ratios(),
+                &mut self.buckets,
+                &mut self.order,
+                &mut self.position,
+            );
+        }
+        // The draws, in candidate order; each candidate's lane is written
+        // once, at its noise position.
+        let per_candidate = candidates
+            .iter()
+            .zip(self.budget.ratios())
+            .zip(&self.cand_slots);
+        let lanes = per_candidate.map(|((cand, &ratio), &slots)| {
+            let coin = rng.gen::<f64>();
+            let value = rng.gen::<f64>();
+            let up = inputs.strategy.draw_sign(rng);
+            NoiseLane {
+                ratio,
+                value,
+                base: cand.p,
+                dir: inputs.strategy.direction(cand.p, up),
+                slots,
+                white: coin < inputs.cfg.white_noise,
+            }
+        });
+        // Every lane is overwritten (`position` is a permutation), so only
+        // growth needs initializing.
+        self.lanes.resize(candidates.len(), NoiseLane::default());
+        for (lane, &j) in lanes.zip(&self.position) {
+            self.lanes[j as usize] = lane;
         }
     }
 
@@ -183,7 +227,8 @@ impl TrialPlan {
     /// The noise runs a stack block of candidates at a time: their σ(e),
     /// then their truncated-normal quantiles stage by stage
     /// ([`half_unit_quantiles`]), then the white-noise coin, which keeps
-    /// the uniform itself, and the perturbation rule.
+    /// the uniform itself, and the perturbation rule `p + d·r` with its
+    /// recorded factor, and last the scatter into the incidence.
     pub(crate) fn check_at_sigma(
         &mut self,
         sigma: f64,
@@ -194,26 +239,20 @@ impl TrialPlan {
         {
             let _s = chameleon_obs::span!("genobf.noise");
             let probs = &mut self.incidence.probs;
-            let mut sigma_e = [0.0; QUANTILE_BLOCK];
-            let mut quantile = [0.0; QUANTILE_BLOCK];
-            for start in (0..self.candidates.len()).step_by(QUANTILE_BLOCK) {
-                let end = (start + QUANTILE_BLOCK).min(self.candidates.len());
-                let sigma_e = &mut sigma_e[..end - start];
-                let quantile = &mut quantile[..end - start];
-                for (j, s) in sigma_e.iter_mut().enumerate() {
-                    *s = self.budget.sigma_e(start + j, sigma).max(1e-9);
+            let (mut sigma_e, mut u) = ([0.0; QUANTILE_BLOCK], [0.0; QUANTILE_BLOCK]);
+            let mut p_new = [0.0; QUANTILE_BLOCK];
+            for lanes in self.lanes.chunks(QUANTILE_BLOCK) {
+                let n = lanes.len();
+                let (sigma_e, u, p_new) = (&mut sigma_e[..n], &mut u[..n], &mut p_new[..n]);
+                for ((s, u), lane) in sigma_e.iter_mut().zip(u.iter_mut()).zip(lanes) {
+                    *s = sigma_e_of(lane.ratio, sigma);
+                    *u = lane.value;
                 }
-                half_unit_quantiles(sigma_e, &self.value[start..end], quantile);
-                for (i, &q) in (start..end).zip(quantile.iter()) {
-                    let r = if self.coin[i] < inputs.cfg.white_noise {
-                        self.value[i]
-                    } else {
-                        q
-                    };
-                    let p = inputs
-                        .strategy
-                        .apply_signed(self.candidates[i].p, r, self.sign_up[i]);
-                    let [a, b] = self.slots[i];
+                half_unit_quantiles(sigma_e, u, p_new);
+                for (&q, lane) in p_new.iter().zip(lanes) {
+                    let r = if lane.white { lane.value } else { q };
+                    let p = apply_direction(lane.base, lane.dir, r);
+                    let [a, b] = lane.slots;
                     probs[a] = p;
                     probs[b] = p;
                 }
@@ -232,10 +271,73 @@ impl TrialPlan {
     /// [`TrialPlan::check_at_sigma`].
     pub(crate) fn perturbation(&self) -> Perturbation {
         let probs = &self.incidence.probs;
+        let mut p_new = vec![0.0; self.candidates.len()];
+        for (&i, lane) in self.order.iter().zip(&self.lanes) {
+            p_new[i as usize] = probs[lane.slots[0]];
+        }
         Perturbation {
             candidates: self.candidates.clone(),
-            p_new: self.slots.iter().map(|&[a, _]| probs[a]).collect(),
+            p_new,
         }
+    }
+}
+
+/// What the noise reads of one candidate, packed so that a plan's lanes,
+/// in the noise order, are one array written once per candidate.
+#[derive(Debug, Clone, Copy, Default)]
+struct NoiseLane {
+    /// σ(e)/σ.
+    ratio: f64,
+    /// Magnitude uniform: the white-noise value itself, or the quantile
+    /// fed to the truncated normal's inverse CDF.
+    value: f64,
+    /// The candidate's input probability, and the rule's factor `d` in
+    /// `p̃ = p + d·r` (which carries the unguided sign).
+    base: f64,
+    dir: f64,
+    /// Positions in `incidence.probs`, one per endpoint.
+    slots: [usize; 2],
+    /// Whether the white-noise coin came up: the noise is then `value`.
+    white: bool,
+}
+
+/// The order in which a trial's noise runs its candidates: ascending by
+/// σ(e)/σ in buckets of a quarter octave (a counting sort on the ratio's
+/// exponent and two leading mantissa bits), in candidate order within a
+/// bucket. Fills `order` (noise position → candidate) and `position`
+/// (candidate → noise position).
+///
+/// Each candidate's noise is a pure function of its own σ(e) and tape, so
+/// the order changes no bit. It matters for speed: σ(e) spans a factor of
+/// about 50 within a trial, and [`half_unit_quantiles`] is fastest on
+/// blocks whose σ(e) all take the same `erf` branch, which runs of similar
+/// σ(e) do at every σ.
+fn noise_order(
+    ratio: &[f64],
+    buckets: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+    position: &mut Vec<u32>,
+) {
+    // Ratios are finite and ≥ 0, so their bits order as they do.
+    let key = |r: f64| (r.to_bits() >> 50) as usize;
+    let lo = ratio.iter().map(|&r| key(r)).min().unwrap_or(0);
+    let hi = ratio.iter().map(|&r| key(r)).max().unwrap_or(0);
+    buckets.clear();
+    buckets.resize(hi - lo + 2, 0);
+    for &r in ratio {
+        buckets[key(r) - lo + 1] += 1;
+    }
+    for b in 1..buckets.len() {
+        buckets[b] += buckets[b - 1];
+    }
+    // Both are permutations, so every entry is overwritten below.
+    order.resize(ratio.len(), 0);
+    position.resize(ratio.len(), 0);
+    for (i, &r) in ratio.iter().enumerate() {
+        let next = &mut buckets[key(r) - lo];
+        position[i] = *next;
+        order[*next as usize] = i as u32;
+        *next += 1;
     }
 }
 
@@ -281,6 +383,7 @@ impl Perturbation {
 mod tests {
     use super::*;
     use crate::anonymity::anonymity_check;
+    use crate::candidate::select_candidates;
     use crate::perturb::draw_noise;
     use chameleon_stats::SeedSequence;
     use chameleon_ugraph::generators;
@@ -356,8 +459,9 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-        /// A plan checked at any σ sequence (revisits included) and with
-        /// any pmf thread count matches the plain trial: the same draws
+        /// A plan re-recorded over another tape and checked at any σ
+        /// sequence (revisits included) and with any pmf thread count
+        /// matches the plain trial: the same draws
         /// leave both RNG streams at the same position, the materialized
         /// graph equals the inline-perturbed clone bit for bit, and the
         /// plan's report equals the direct check of that graph.
@@ -392,7 +496,10 @@ mod tests {
             let trial = inputs(&g, &cfg, strategy);
             let seq = SeedSequence::new(trial_seed);
             let mut rng_plan = seq.rng_indexed2("genobf-trial", 0, 0);
-            let mut plan = TrialPlan::record(&trial, &mut rng_plan);
+            // Re-record over another tape's buffers, as a trial slot does.
+            let mut plan = TrialPlan::record(&trial, &mut seq.rng_indexed2("genobf-trial", 1, 0));
+            let _ = plan.check_at_sigma(0.5, &trial, 1);
+            plan.record_into(&trial, &mut rng_plan);
             prop_assert!(!plan.candidates.is_empty());
             for sigma in sigmas.into_iter().map(|i| [0.02, 0.3, 1.0, 1.7][i]) {
                 let report = plan.check_at_sigma(sigma, &trial, threads);

@@ -42,18 +42,35 @@ impl PerturbStrategy {
         *self == PerturbStrategy::Unguided && rng.gen::<bool>()
     }
 
-    /// The rule with the unguided sign already drawn.
+    /// The rule with the unguided sign already drawn: `p + d·r` clamped to
+    /// `[0, 1]`, with `d` the [`PerturbStrategy::direction`].
     pub(crate) fn apply_signed(&self, p: f64, r: f64, up: bool) -> f64 {
-        debug_assert!((0.0..=1.0).contains(&p), "p out of range: {p}");
         debug_assert!((0.0..=1.0).contains(&r), "r out of range: {r}");
+        apply_direction(p, self.direction(p, up), r)
+    }
+
+    /// The factor `d` of `p̃ = p + d·r`: `1 − 2p` for the max-entropy rule,
+    /// ±1 by the drawn sign for the unguided one. It does not depend on
+    /// the noise, so a trial records it once.
+    pub(crate) fn direction(&self, p: f64, up: bool) -> f64 {
+        debug_assert!((0.0..=1.0).contains(&p), "p out of range: {p}");
         match self {
-            PerturbStrategy::MaxEntropy => (p + (1.0 - 2.0 * p) * r).clamp(0.0, 1.0),
+            PerturbStrategy::MaxEntropy => 1.0 - 2.0 * p,
             PerturbStrategy::Unguided => {
-                let sign = if up { 1.0 } else { -1.0 };
-                (p + sign * r).clamp(0.0, 1.0)
+                if up {
+                    1.0
+                } else {
+                    -1.0
+                }
             }
         }
     }
+}
+
+/// `p̃ = p + d·r`, clamped to `[0, 1]`: every rule, given its direction.
+#[inline]
+pub(crate) fn apply_direction(p: f64, d: f64, r: f64) -> f64 {
+    (p + d * r).clamp(0.0, 1.0)
 }
 
 /// Draws the noise magnitude for one edge (Algorithm 3 lines 19–21): with
@@ -73,38 +90,52 @@ pub(crate) fn draw_noise<R: Rng + ?Sized>(sigma_e: f64, white_noise: f64, rng: &
 
 /// Per-candidate noise budgets of one trial (§V-E): σ(e) ∝ Q^e with mean
 /// σ(e) = σ, where Q^e averages the endpoints' selection weights.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct NoiseBudget {
-    q_edge: Vec<f64>,
-    q_sum: f64,
-    q_mean: f64,
+    /// `Q^e / mean Q^e` per candidate, so that σ(e) = σ·ratio (all 1 when
+    /// every weight is 0).
+    ratio: Vec<f64>,
 }
 
 impl NoiseBudget {
+    #[cfg(test)]
     pub(crate) fn new(candidates: &[CandidateEdge], selection: &[f64]) -> Self {
-        let q_edge: Vec<f64> = candidates
+        let mut budget = Self::default();
+        budget.reset(candidates, selection);
+        budget
+    }
+
+    /// Re-derives the budget for `candidates`, reusing its storage.
+    pub(crate) fn reset(&mut self, candidates: &[CandidateEdge], selection: &[f64]) {
+        let q_edge = candidates
             .iter()
-            .map(|c| 0.5 * (selection[c.u as usize] + selection[c.v as usize]))
-            .collect();
-        let q_sum: f64 = q_edge.iter().sum();
+            .map(|c| 0.5 * (selection[c.u as usize] + selection[c.v as usize]));
+        self.ratio.clear();
+        self.ratio.extend(q_edge);
+        let q_sum: f64 = self.ratio.iter().sum();
         let q_mean = q_sum / candidates.len() as f64;
-        Self {
-            q_edge,
-            q_sum,
-            q_mean,
+        for r in &mut self.ratio {
+            *r = if q_sum > 0.0 { *r / q_mean } else { 1.0 };
         }
     }
 
-    /// σ_e of candidate `i` at noise level `sigma` (uniform when every
-    /// weight is 0).
-    pub(crate) fn sigma_e(&self, i: usize, sigma: f64) -> f64 {
-        let sigma_e = if self.q_sum > 0.0 {
-            sigma * self.q_edge[i] / self.q_mean
-        } else {
-            sigma
-        };
-        sigma_e.clamp(1e-9, 3.0)
+    /// σ_e/σ per candidate.
+    pub(crate) fn ratios(&self) -> &[f64] {
+        &self.ratio
     }
+
+    /// σ_e of candidate `i` at noise level `sigma`.
+    #[cfg(test)]
+    pub(crate) fn sigma_e(&self, i: usize, sigma: f64) -> f64 {
+        sigma_e_of(self.ratio[i], sigma)
+    }
+}
+
+/// σ_e at noise level `sigma` for the ratio σ_e/σ `ratio`, clamped to
+/// `[1e-9, 3]`.
+#[inline]
+pub(crate) fn sigma_e_of(ratio: f64, sigma: f64) -> f64 {
+    (sigma * ratio).clamp(1e-9, 3.0)
 }
 
 #[cfg(test)]

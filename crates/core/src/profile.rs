@@ -4,6 +4,8 @@
 //! [`crate::anonymity_check`].
 
 use crate::anonymity::{sweep_graph, AdversaryKnowledge};
+use chameleon_stats::detmath;
+use chameleon_stats::entropy::uniform_entropy_bits;
 use chameleon_ugraph::{NodeId, UncertainGraph};
 
 /// Per-vertex privacy diagnostics for one published graph.
@@ -45,9 +47,17 @@ impl PrivacyProfile {
         let mut sorted = self.entropy_bits.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let binding = sorted[allowed.min(n - 1)];
-        // Largest k with log2(k) <= binding, i.e. k = floor(2^binding).
-        let k = binding.exp2().floor();
-        (k as usize).max(1)
+        // Largest k whose threshold the binding entropy meets: start from
+        // floor(2^binding) and settle the last step with the check's own
+        // threshold, so the two never disagree at the boundary.
+        let mut k = (detmath::exp(binding * std::f64::consts::LN_2).floor() as usize).max(1);
+        while k > 1 && uniform_entropy_bits(k) > binding {
+            k -= 1;
+        }
+        while uniform_entropy_bits(k + 1) <= binding {
+            k += 1;
+        }
+        k
     }
 
     /// The `count` least-protected vertices, ascending by entropy.
@@ -99,7 +109,7 @@ mod tests {
         let profile = PrivacyProfile::compute(&g, &knowledge);
         for k in [2usize, 3, 5, 8] {
             let report = anonymity_check(&g, &knowledge, k);
-            let t = (k as f64).log2();
+            let t = uniform_entropy_bits(k);
             let obfuscated = profile.entropy_bits.iter().filter(|&&h| h >= t).count();
             assert_eq!(obfuscated, 7 - report.unobfuscated.len(), "k={k}");
         }

@@ -1,6 +1,7 @@
 //! Edge-probability models matching the marginal distributions of paper
 //! Figure 3(a).
 
+use chameleon_stats::detmath;
 use rand::Rng;
 
 /// A distribution over edge existence probabilities.
@@ -62,6 +63,10 @@ impl ProbModel {
     }
 
     /// Draws one probability.
+    // The host's libm on purpose: this generates the benchmark's and the
+    // pinned tests' input graphs, and routing it through detmath would change
+    // them (tests/generator_pin.rs pins its output; DESIGN.md §3).
+    #[allow(clippy::disallowed_methods)]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match self {
             ProbModel::Discrete { levels, weights } => {
@@ -98,8 +103,8 @@ impl ProbModel {
                 levels.iter().zip(weights).map(|(l, w)| l * w / total).sum()
             }
             ProbModel::TruncatedExponential { rate } => {
-                let z = 1.0 - (-rate).exp();
-                1.0 / rate - (-rate).exp() / z
+                let z = 1.0 - detmath::exp(-rate);
+                1.0 / rate - detmath::exp(-rate) / z
             }
             ProbModel::Uniform { lo, hi } => 0.5 * (lo + hi),
             ProbModel::Beta { alpha, beta } => alpha / (alpha + beta),

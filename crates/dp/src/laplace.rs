@@ -1,5 +1,6 @@
 //! Laplace mechanism primitives.
 
+use chameleon_stats::detmath;
 use rand::Rng;
 
 /// Samples Laplace(0, scale) by inverse transform.
@@ -15,7 +16,7 @@ pub(crate) fn sample_laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
     let u: f64 = rng.gen::<f64>() - 0.5;
     let sign = if u >= 0.0 { 1.0 } else { -1.0 };
     let magnitude = (1.0 - 2.0 * u.abs()).max(f64::MIN_POSITIVE);
-    -scale * sign * magnitude.ln()
+    -scale * sign * detmath::ln(magnitude)
 }
 
 #[cfg(test)]

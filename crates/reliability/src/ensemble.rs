@@ -43,12 +43,16 @@ pub struct WorldEnsemble {
     /// World-major flat label matrix: world `w`'s labels are
     /// `labels[w*num_nodes .. (w+1)*num_nodes]`.
     labels: Vec<u32>,
-    /// Arena of per-world component sizes, indexed by dense label within
-    /// the slice delimited by `size_offsets`.
-    component_sizes: Vec<u32>,
-    /// `size_offsets[w]..size_offsets[w+1]` is world `w`'s slice of
-    /// `component_sizes`; length `num_worlds + 1`.
-    size_offsets: Vec<usize>,
+    /// Per-world component sizes, indexed by dense label: one arena per
+    /// [`WORLD_CHUNK`] worlds, kept exactly as that analysis chunk filled
+    /// it (no merge copy).
+    component_sizes: Vec<Vec<u32>>,
+    /// Offsets into the size arenas: chunk `c` owns the `WORLD_CHUNK + 1`
+    /// entries from `c·(WORLD_CHUNK + 1)` on (its last chunk fewer), a 0
+    /// and then each of its worlds' end, so world `w` of chunk `c` spans
+    /// `size_offsets[w + c]..size_offsets[w + c + 1]` of
+    /// `component_sizes[c]`.
+    size_offsets: Vec<u32>,
     connected_pairs: Vec<u64>,
     num_nodes: usize,
     /// Registration of this ensemble's arena bytes against the
@@ -108,7 +112,8 @@ impl WorldEnsemble {
         let nn = graph.num_nodes();
         let (us, vs) = graph.endpoint_soa();
         // Each chunk labels its worlds straight into its own rows of the
-        // final arena; only the (far smaller) size lists are merged.
+        // final label arena, and its size list becomes that chunk's size
+        // arena as it stands.
         let mut labels = vec![0u32; n * nn];
         let analyzed = parallel::map_chunks_into(
             &mut labels,
@@ -130,6 +135,12 @@ impl WorldEnsemble {
                     uf.reset();
                     let present = worlds.world(w).union_into(&us, &vs, uf);
                     uf_ops += nn as u64 + present as u64;
+                    if i == 1 {
+                        // Worlds of one graph have similar component
+                        // counts: size the chunk's arena from the first
+                        // world's, with 1/8 slack, instead of doubling.
+                        sizes.reserve((sizes.len() + sizes.len() / 8) * (k - 1));
+                    }
                     let (ncomp, cc) =
                         uf.labels_and_sizes(&mut rows[i * nn..(i + 1) * nn], &mut sizes);
                     ncomps.push(ncomp);
@@ -143,21 +154,26 @@ impl WorldEnsemble {
                 (sizes, ncomps, pairs)
             },
         );
-        let mut component_sizes = Vec::new();
-        let mut size_offsets = Vec::with_capacity(n + 1);
-        size_offsets.push(0usize);
+        let mut component_sizes = Vec::with_capacity(analyzed.len());
+        let mut size_offsets = Vec::with_capacity(n + analyzed.len());
         let mut connected_pairs = Vec::with_capacity(n);
+        // The size arenas keep their reserve slack, so they count by
+        // capacity.
+        let mut size_capacity = 0;
         for (sizes, ncomps, pairs) in analyzed {
-            component_sizes.extend_from_slice(&sizes);
+            let mut end = 0;
+            size_offsets.push(0);
             for ncomp in ncomps {
-                let last = *size_offsets.last().expect("seeded with 0");
-                size_offsets.push(last + ncomp);
+                end += ncomp;
+                size_offsets.push(u32::try_from(end).expect("a chunk's size arena indexes in u32"));
             }
+            size_capacity += sizes.capacity();
+            component_sizes.push(sizes);
             connected_pairs.extend_from_slice(&pairs);
         }
         let arena_bytes = worlds.arena_bytes()
             + labels.len() * std::mem::size_of::<u32>()
-            + component_sizes.len() * std::mem::size_of::<u32>();
+            + size_capacity * std::mem::size_of::<u32>();
         chameleon_obs::counter!("ensemble.arena_bytes").add(arena_bytes as u64);
         // Infallible gauge registration: construction paths that cannot
         // return errors still report accurate peak tracked bytes. Fallible
@@ -293,7 +309,9 @@ impl WorldEnsemble {
     /// Component sizes of world `w`, indexed by the dense labels of
     /// [`WorldEnsemble::labels`].
     pub fn component_sizes(&self, w: usize) -> &[u32] {
-        &self.component_sizes[self.size_offsets[w]..self.size_offsets[w + 1]]
+        let c = w / WORLD_CHUNK;
+        let (start, end) = (self.size_offsets[w + c], self.size_offsets[w + c + 1]);
+        &self.component_sizes[c][start as usize..end as usize]
     }
 
     /// Connected-pair count `cc(G_w)` of world `w`.

@@ -607,12 +607,13 @@ mod tests {
         // The fingerprint helper reproduces the current one at the current
         // revision, so the stale variants below differ only in `rev`.
         let mut current = SearchCheckpoint::parse(&checkpoint).unwrap();
-        assert_eq!(fingerprint_at_revision(&spec, Some(3)), current.fingerprint);
+        assert_eq!(fingerprint_at_revision(&spec, Some(4)), current.fingerprint);
 
         // The same probes fingerprinted by an older search (no revision
-        // field: exact uniqueness KDE; revision 2: the series `erf`) were
-        // observed under different arithmetic: they must be dropped.
-        for rev in [None, Some(2)] {
+        // field: exact uniqueness KDE; revision 2: the series `erf`;
+        // revision 3: the host's libm and Acklam + Halley) were observed
+        // under different arithmetic: they must be dropped.
+        for rev in [None, Some(2), Some(3)] {
             current.fingerprint = fingerprint_at_revision(&spec, rev);
             let (rerun, _) = run(Some(current.to_json()));
             assert_eq!(rerun.resumed_probes, 0, "revision {rev:?}");

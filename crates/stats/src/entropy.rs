@@ -8,6 +8,8 @@
 //! internally (this is exactly what the anonymity check needs, since the
 //! per-vertex weights `Pr[deg(u) = ω]` do not sum to one over `u`).
 
+use crate::detmath;
+
 /// Shannon entropy in bits of the normalized distribution induced by
 /// non-negative weights. Returns 0 for an all-zero (or empty) input.
 pub fn shannon_entropy_bits(weights: &[f64]) -> f64 {
@@ -17,32 +19,123 @@ pub fn shannon_entropy_bits(weights: &[f64]) -> f64 {
 /// Shannon entropy in nats of the normalized distribution induced by
 /// non-negative weights. Returns 0 for an all-zero (or empty) input.
 ///
-/// The arithmetic is a left-to-right `+=` total, then per-weight
-/// `h -= p * p.ln()` in slice order; the anonymity check's reports are
-/// pinned to these exact bits.
+/// One pass accumulates `T = Σw` and `S = Σ w·ln w` left to right (a zero
+/// weight adds an exact `+0.0` to `S`), then [`entropy_nats_from_sums`]
+/// gives `ln T − S/T`. The anonymity check's sweep computes the same sums
+/// in the same order, so its reports are these exact bits.
 pub(crate) fn shannon_entropy_nats(weights: &[f64]) -> f64 {
     let mut total = 0.0;
+    let mut s = 0.0;
     for &w in weights {
         debug_assert!(w >= -1e-15, "negative weight {w}");
         total += w;
+        s += weighted_ln(w, detmath::ln(w));
     }
+    entropy_nats_from_sums(total, s)
+}
+
+/// The summand `w·ln w` of `S`, given `ln_w = ln w`: an exact `+0.0` for
+/// a weight that is not positive (whose `ln` is −∞ or NaN).
+#[inline]
+pub fn weighted_ln(w: f64, ln_w: f64) -> f64 {
+    if w > 0.0 {
+        w * ln_w
+    } else {
+        0.0
+    }
+}
+
+/// The entropy in nats, `ln T − S/T`, of weights whose total is
+/// `T = Σw` and whose `S = Σ w·ln w`: it equals `−Σ (w/T)·ln(w/T)`. A total
+/// of at most 0 gives 0, and so does a rounding error below 0 (a point
+/// mass).
+///
+/// Against the two-pass form `−Σ p·ln p` over `p = w/T`, the difference
+/// is a rounding error of the sums: with `n` weights it is at most
+/// `(n + 2)·ε·(|ln T| + |S|/T)` (ε = `f64::EPSILON`), so it grows with how
+/// small the weights are, not with the entropy (the
+/// `one_pass_entropy_error` test holds it to that bound).
+#[inline]
+pub fn entropy_nats_from_sums(total: f64, s: f64) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }
-    let mut h = 0.0;
-    for &w in weights {
-        if w > 0.0 {
-            let p = w / total;
-            h -= p * p.ln();
-        }
-    }
-    h
+    (detmath::ln(total) - s / total).max(0.0)
 }
 
+/// `log₂ k` as the entropy of `k` equal weights of 1 — the threshold of
+/// (k, ε)-obfuscation, computed by the same expression as
+/// [`shannon_entropy_bits`], so that a posterior uniform over exactly `k`
+/// certain candidates meets it exactly.
+pub fn uniform_entropy_bits(k: usize) -> f64 {
+    entropy_nats_from_sums(k as f64, 0.0) / std::f64::consts::LN_2
+}
+
+// The two-pass reference compares against the host's libm.
+#[allow(clippy::disallowed_methods)]
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The two-pass form this module used before: the total, then
+    /// `h −= p·ln p` per weight.
+    fn two_pass_nats(weights: &[f64]) -> f64 {
+        let total: f64 = weights.iter().sum();
+        if total <= 0.0 {
+            return 0.0;
+        }
+        let mut h = 0.0;
+        for &w in weights {
+            if w > 0.0 {
+                let p = w / total;
+                h -= p * p.ln();
+            }
+        }
+        h
+    }
+
+    /// A posterior uniform over exactly k certain candidates has entropy
+    /// exactly log₂k as the threshold computes it, for every k from 2 to
+    /// 1024 (such a vertex counts as obfuscated).
+    #[test]
+    fn uniform_posterior_meets_its_threshold_exactly() {
+        for k in 2..=1024 {
+            let h = shannon_entropy_bits(&vec![1.0; k]);
+            assert_eq!(h.to_bits(), uniform_entropy_bits(k).to_bits(), "k={k}");
+            assert!(
+                (h - (k as f64).log2()).abs() <= 4.0 * f64::EPSILON * h,
+                "k={k}"
+            );
+        }
+        assert_eq!(uniform_entropy_bits(1), 0.0);
+    }
+
+    /// A single positive weight, whatever its size, has entropy 0.
+    #[test]
+    fn point_masses_have_zero_entropy() {
+        for w in [1.0, 5.0, 0.3, 1e-300, 5e-324, 7.5e200] {
+            assert_eq!(shannon_entropy_nats(&[0.0, w, 0.0]), 0.0, "w={w}");
+        }
+    }
+
+    proptest! {
+        /// The one-pass form stays within its stated bound of the
+        /// two-pass form, on weights down to 1e-300.
+        #[test]
+        fn one_pass_entropy_error(
+            w in proptest::collection::vec((0.001f64..1.0, 0i32..300), 1..200),
+        ) {
+            let w: Vec<f64> = w.into_iter().map(|(m, e)| m * 10f64.powi(-e)).collect();
+            let total: f64 = w.iter().sum();
+            let s: f64 = w.iter().map(|&w| weighted_ln(w, w.ln())).sum();
+            let bound = (w.len() + 2) as f64
+                * f64::EPSILON
+                * (total.ln().abs() + s.abs() / total);
+            let (one, two) = (shannon_entropy_nats(&w), two_pass_nats(&w));
+            prop_assert!((one - two).abs() <= bound, "{} vs {} (bound {})", one, two, bound);
+        }
+    }
 
     #[test]
     fn uniform_distribution_maximizes() {

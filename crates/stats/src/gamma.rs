@@ -8,6 +8,10 @@ use rand::Rng;
 ///
 /// # Panics
 /// Panics if `shape` is not strictly positive and finite.
+// The host's libm on purpose: this generates the benchmark's and the
+// pinned tests' input graphs, and routing it through detmath would change
+// them (tests/generator_pin.rs pins its output; DESIGN.md §3).
+#[allow(clippy::disallowed_methods)]
 pub(crate) fn sample_gamma<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
     assert!(
         shape.is_finite() && shape > 0.0,

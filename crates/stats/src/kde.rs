@@ -26,6 +26,7 @@
 //! The result depends only on the multiset of values: equal values get
 //! bit-equal scores, and the vertex order does not change a bit.
 
+use crate::detmath;
 use std::sync::OnceLock;
 
 /// Grid cells per bandwidth θ: the grid spacing is δ = θ / 256. Chosen for
@@ -47,7 +48,7 @@ fn kernel_table() -> &'static [f64] {
         let c = f64::from(CELLS_PER_THETA);
         let inv2c2 = 1.0 / (2.0 * c * c);
         (0u32..)
-            .map(|d| (-f64::from(d) * f64::from(d) * inv2c2).exp())
+            .map(|d| detmath::exp(-f64::from(d) * f64::from(d) * inv2c2))
             .take_while(|&w| w > 0.0)
             .collect()
     })
@@ -185,7 +186,7 @@ impl GaussianKde {
             .iter()
             .map(|&x| {
                 let d = omega - x;
-                self.norm * (-d * d * inv2t2).exp()
+                self.norm * detmath::exp(-d * d * inv2t2)
             })
             .sum()
     }
@@ -247,7 +248,8 @@ mod tests {
     }
 
     /// Pareto-distributed values with tail index `alpha`: a bulk near 1
-    /// and hubs many bandwidths out.
+    /// and hubs many bandwidths out. (Test data only, so libm's `powf`.)
+    #[allow(clippy::disallowed_methods)]
     fn pareto(n: usize, alpha: f64, seed: u64) -> Vec<f64> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..n)

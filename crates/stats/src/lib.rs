@@ -5,6 +5,8 @@
 //! Syntactic Private Graph Models", ICDE 2018) repeatedly needs a small set
 //! of numeric primitives:
 //!
+//! * [`detmath`] — pure-Rust `exp` and `ln`, so that release bytes do not
+//!   depend on the host's libm.
 //! * [`trunc_normal`] — the truncated normal noise distribution `R(σ)` used
 //!   to draw edge-probability perturbations (paper §V-A).
 //! * [`poisson_binomial`] — the exact degree distribution of a vertex in an
@@ -34,6 +36,7 @@
 #![deny(unsafe_code)]
 
 pub mod alloc_guard;
+pub mod detmath;
 pub mod entropy;
 pub mod gamma;
 pub mod histogram;

@@ -235,7 +235,7 @@ mod tests {
             let d = PoissonBinomial::new(&probs);
             let h = d.entropy_nats();
             prop_assert!(h >= 0.0);
-            prop_assert!(h <= ((probs.len() + 1) as f64).ln() + 1e-9);
+            prop_assert!(h <= crate::detmath::ln((probs.len() + 1) as f64) + 1e-9);
         }
 
         /// The carried upward DP equals the textbook in-place downward

@@ -146,6 +146,10 @@ pub fn chung_lu<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> UncertainGraph
 ///
 /// # Panics
 /// Panics if `gamma <= 1`, `mean_degree <= 0`, or `n == 0`.
+// The host's libm on purpose: this generates the benchmark's and the
+// pinned tests' input graphs, and routing it through detmath would change
+// them (tests/generator_pin.rs pins its output; DESIGN.md §3).
+#[allow(clippy::disallowed_methods)]
 pub fn power_law_weights(n: usize, gamma: f64, mean_degree: f64, max_weight: f64) -> Vec<f64> {
     assert!(n > 0, "need at least one node");
     assert!(gamma > 1.0, "power-law exponent must exceed 1");

@@ -14,7 +14,11 @@
 //! the four release digests moved, while σ, ε̂, the call counts and the σ
 //! traces kept their bits. They were re-pinned a second time, with the same
 //! outcome, when the truncated-normal noise moved from a series `erf` to
-//! fdlibm's rational one (last-ulp changes to the perturbed probabilities).
+//! fdlibm's rational one (last-ulp changes to the perturbed probabilities),
+//! and a third time, again with the same outcome, when the release path
+//! moved off the host's libm (`chameleon_stats::detmath`), the noise
+//! quantile from Acklam + Halley to AS241, and the entropy check to the
+//! one-pass `ln T − S/T` form (`SEARCH_REVISION` 4).
 //! If a later change alters these values on purpose, re-pin them in the
 //! same commit, say why in CHANGES.md, and bump
 //! `chameleon_core::genobf_checkpoint::SEARCH_REVISION` so that journaled
@@ -95,7 +99,7 @@ fn dblp_like_releases_are_pinned() {
         eps_hat: 4575296933438234296,
         genobf_calls: 11,
         trace: 14950749445917711101,
-        release: 891227147826729781,
+        release: 9562043290958305272,
     };
     check("dblp plain", &g, Method::Rsme, false, &plain);
     let incremental = Golden {
@@ -103,7 +107,7 @@ fn dblp_like_releases_are_pinned() {
         eps_hat: 4575296933438234296,
         genobf_calls: 11,
         trace: 9228082986474359459,
-        release: 13409644970936684181,
+        release: 13387230570444671676,
     };
     check("dblp incremental", &g, Method::Rsme, true, &incremental);
 }
@@ -116,7 +120,7 @@ fn brightkite_like_releases_are_pinned() {
         eps_hat: 4575296933438234296,
         genobf_calls: 12,
         trace: 18080866809497384784,
-        release: 12799395245728731244,
+        release: 18235260142227672730,
     };
     check("brightkite plain", &g, Method::Rsme, false, &plain);
     let incremental = Golden {
@@ -124,7 +128,7 @@ fn brightkite_like_releases_are_pinned() {
         eps_hat: 4575296933438234296,
         genobf_calls: 12,
         trace: 718487531587677457,
-        release: 9391171669957736188,
+        release: 14966445178026413285,
     };
     check(
         "brightkite incremental",
@@ -143,7 +147,7 @@ fn rs_releases_are_pinned() {
         eps_hat: 4575296933438234296,
         genobf_calls: 15,
         trace: 17406946673308674687,
-        release: 7504422068804438678,
+        release: 17426359386573486510,
     };
     check("dblp RS plain", &g, Method::Rs, false, &plain);
     let incremental = Golden {
@@ -151,7 +155,7 @@ fn rs_releases_are_pinned() {
         eps_hat: 4575296933438234296,
         genobf_calls: 15,
         trace: 5287203607741084635,
-        release: 14455805608288297812,
+        release: 17512204721108854715,
     };
     check("dblp RS incremental", &g, Method::Rs, true, &incremental);
 
@@ -161,7 +165,7 @@ fn rs_releases_are_pinned() {
         eps_hat: 4575296933438234296,
         genobf_calls: 10,
         trace: 2878904184410179020,
-        release: 224521525566848939,
+        release: 17631804217318049954,
     };
     check("brightkite RS plain", &g, Method::Rs, false, &plain);
     let incremental = Golden {
@@ -169,7 +173,7 @@ fn rs_releases_are_pinned() {
         eps_hat: 4575296933438234296,
         genobf_calls: 10,
         trace: 5135149932742856906,
-        release: 4723112012845938852,
+        release: 8769295301040225191,
     };
     check(
         "brightkite RS incremental",
