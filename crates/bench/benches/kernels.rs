@@ -5,11 +5,12 @@
 use chameleon_core::anonymity::{anonymity_check, AdversaryKnowledge};
 use chameleon_core::relevance::{
     edge_reliability_relevance_alg2_threads, edge_reliability_relevance_naive,
-    edge_reliability_relevance_threads, vertex_reliability_relevance,
+    edge_reliability_relevance_streamed, edge_reliability_relevance_threads,
+    vertex_reliability_relevance,
 };
 use chameleon_core::uniqueness::uniqueness_scores;
 use chameleon_datasets::brightkite_like;
-use chameleon_reliability::{sample_distinct_pairs, WorldEnsemble};
+use chameleon_reliability::{sample_distinct_pairs, EnsembleStream, WorldEnsemble};
 use chameleon_stats::trunc_normal::half_unit_quantiles;
 use chameleon_stats::{PoissonBinomial, TruncatedNormal};
 use chameleon_ugraph::{UncertainGraph, WorldSampler};
@@ -56,11 +57,11 @@ fn bench_ensemble(c: &mut Criterion) {
     group.finish();
 }
 
-/// One 64-world strip — the `STRIP_ALIGN` unit of the strip-streamed
-/// path — at n = 10⁴, where the strip's label arena (2.5 MB) outgrows a
-/// core's L2 as it does at population scale (the `ensemble` group's n =
-/// 500 stays in L1): the per-world union–find analysis at 1 and 2
-/// threads, and the coupled ERR fold over the analyzed strip at 2
+/// One 64-world strip — the strip size of the `population` benchmark —
+/// at n = 10⁴, where the strip's label arena (2.5 MB) outgrows a core's
+/// L2 as it does at population scale (the `ensemble` group's n = 500
+/// stays in L1): the labeled strip ensemble `for_each_strip` builds, at
+/// 1 and 2 threads, and the coupled ERR fold over the strip's worlds at 2
 /// threads.
 fn bench_strip(c: &mut Criterion) {
     let g = graph(10_000);
@@ -81,6 +82,30 @@ fn bench_strip(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("err_coupled_fold", 2), |b| {
         b.iter(|| black_box(edge_reliability_relevance_threads(&g, &strip, 2)))
     });
+    group.finish();
+}
+
+/// The per-world kernel (`reliability::fold`) over the same 64 worlds,
+/// stored as one strip: pair hits straight from each world's union-find,
+/// and the connected-pair and coupled-ERR folds that label each world into
+/// per-worker scratch, at 1 and 2 threads.
+fn bench_world_fold(c: &mut Criterion) {
+    let g = graph(10_000);
+    let pairs = sample_distinct_pairs(g.num_nodes(), 64, &mut StdRng::seed_from_u64(9));
+    let mut group = c.benchmark_group("world_fold_64_worlds_n10k");
+    group.sample_size(10);
+    for threads in [1usize, 2] {
+        let stream = EnsembleStream::sample(&g, 64, 8, threads, 64).expect("no ceiling is set");
+        group.bench_function(BenchmarkId::new("pair_hits_64", threads), |b| {
+            b.iter(|| black_box(stream.reliability_many(&pairs)))
+        });
+        group.bench_function(BenchmarkId::new("connected_pairs", threads), |b| {
+            b.iter(|| black_box(stream.expected_connected_pairs()))
+        });
+        group.bench_function(BenchmarkId::new("err_coupled", threads), |b| {
+            b.iter(|| black_box(edge_reliability_relevance_streamed(&g, &stream, threads)))
+        });
+    }
     group.finish();
 }
 
@@ -182,6 +207,7 @@ criterion_group!(
     bench_world_sampling,
     bench_ensemble,
     bench_strip,
+    bench_world_fold,
     bench_err_estimators,
     bench_anonymity_check,
     bench_scores,

@@ -19,6 +19,11 @@
 //! `--allow-new` lets sites that are missing from the baseline pass (used
 //! when gating a branch that adds measurement sites against an older
 //! committed baseline).
+//!
+//! The `--out` report also records `cpu_steal_share`, the share of the
+//! host's CPU time the hypervisor stole during the run (from
+//! `/proc/stat`; `"n/a"` where it is absent), so a slow report on a
+//! shared host can be told from a slow change. It is never gated.
 
 use chameleon_bench::{Args, ExperimentConfig};
 use chameleon_core::AdversaryKnowledge;
@@ -164,6 +169,7 @@ fn main() {
         chameleon_obs::is_enabled(),
         "perf_smoke times via obs spans; rebuild with the default `obs` feature"
     );
+    let steal_start = cpu_steal_jiffies();
     let args = Args::from_env();
     let out: String = args.get("out", "perf-smoke.json".to_string());
     let baseline_path: String = args.get("baseline", "ci/perf_baseline.json".to_string());
@@ -662,6 +668,16 @@ fn main() {
         println!("(baseline written to {baseline_path})");
     }
 
+    // Hypervisor steal over the whole run: on a shared host it explains a
+    // slow run that no code change caused. Reported, never gated.
+    let steal_share = match (steal_start, cpu_steal_jiffies()) {
+        (Some((s0, t0)), Some((s1, t1))) if t1 > t0 => {
+            format!("{:.4}", (s1 - s0) as f64 / (t1 - t0) as f64)
+        }
+        _ => "\"n/a\"".to_string(),
+    };
+    println!("cpu steal share over the run: {steal_share}");
+
     // The `--out` report: measurements + the full metrics snapshot (spans of
     // this run, pipeline counters, chunk histograms) for the CI artifact.
     // `vs_baseline` is `normalized / committed-baseline` — < 1.0 means the
@@ -693,6 +709,7 @@ fn main() {
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"tolerance\": {tolerance},");
     let _ = writeln!(json, "  \"calibration_s\": {calibration_s:.6},");
+    let _ = writeln!(json, "  \"cpu_steal_share\": {steal_share},");
     for m in &sites {
         let vs = m
             .vs_baseline
@@ -776,6 +793,24 @@ fn main() {
         std::process::exit(1);
     }
     println!("perf_smoke passed");
+}
+
+/// Cumulative `(steal, total)` CPU time in clock ticks over all CPUs, from
+/// the aggregate line of `/proc/stat` (`user nice system idle iowait irq
+/// softirq steal …`; guest time is already inside `user`). `None` where
+/// the file or its steal column is absent.
+fn cpu_steal_jiffies() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let fields = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace();
+    let ticks: Vec<u64> = fields
+        .take(8)
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    Some((*ticks.get(7)?, ticks.iter().sum()))
 }
 
 /// Re-indents a JSON document for embedding as a nested object value.

@@ -11,9 +11,9 @@
 //!                     [--strip-worlds W] [--max-ensemble-bytes B]
 //!                     # --threads 0 (default) uses all cores; results are
 //!                     # bit-identical for every thread count.
-//!                     # --strip-worlds W analyzes the Monte-Carlo ensemble
-//!                     # out of core, W worlds at a time (rounded up to 64),
-//!                     # with bit-identical output; --max-ensemble-bytes B
+//!                     # --strip-worlds W samples the Monte-Carlo ensemble
+//!                     # in strips of W worlds (rounded up to 32), with
+//!                     # bit-identical output; --max-ensemble-bytes B
 //!                     # makes B a hard ceiling on tracked ensemble memory —
 //!                     # runs that would exceed it fail cleanly instead.
 //! chameleon attack    <graph.txt> [--original orig.txt] [--candidates C]

@@ -148,37 +148,57 @@ impl DegreePmfs {
 /// The adversary's background knowledge: one property value per vertex of
 /// the original graph (paper: "The popular assumption of auxiliary
 /// information is node degree").
+///
+/// The entropy sweep's per-check invariants are computed once here: the
+/// ascending distinct values ω (one posterior each) and each vertex's
+/// slot among them. Knowledge stays fixed for a whole σ search, so no
+/// check re-sorts or re-searches it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdversaryKnowledge {
     /// ω_v for every vertex of the original graph.
     targets: Vec<u32>,
+    /// The distinct values of `targets`, ascending.
+    omegas: Vec<u32>,
+    /// `omegas[slots[v]] == targets[v]` for every vertex.
+    slots: Vec<u32>,
 }
 
 impl AdversaryKnowledge {
     /// Degree knowledge for an uncertain original graph: ω_v =
     /// round(E[deg_G(v)]).
     pub fn expected_degrees(original: &UncertainGraph) -> Self {
-        Self {
-            targets: original
+        Self::from_values(
+            original
                 .expected_degrees()
                 .iter()
                 .map(|&d| d.round() as u32)
                 .collect(),
-        }
+        )
     }
 
     /// Degree knowledge for a deterministic original graph: ω_v = deg(v).
     pub fn structural_degrees(original: &UncertainGraph) -> Self {
-        Self {
-            targets: (0..original.num_nodes() as u32)
+        Self::from_values(
+            (0..original.num_nodes() as u32)
                 .map(|v| original.degree(v) as u32)
                 .collect(),
-        }
+        )
     }
 
     /// Explicit property values (for tests and custom adversaries).
     pub fn from_values(targets: Vec<u32>) -> Self {
-        Self { targets }
+        let mut omegas = targets.clone();
+        omegas.sort_unstable();
+        omegas.dedup();
+        let slots = targets
+            .iter()
+            .map(|t| omegas.binary_search(t).expect("every target is an ω") as u32)
+            .collect();
+        Self {
+            targets,
+            omegas,
+            slots,
+        }
     }
 
     /// ω_v for vertex `v`.
@@ -204,7 +224,7 @@ impl AdversaryKnowledge {
     /// The largest ω (0 when empty): an exact check reads no degree pmf
     /// entry above it.
     pub(crate) fn max_target(&self) -> usize {
-        self.targets.iter().copied().max().unwrap_or(0) as usize
+        self.omegas.last().copied().unwrap_or(0) as usize
     }
 }
 
@@ -362,9 +382,7 @@ fn sweep(
         n,
         "adversary knowledge must cover every vertex"
     );
-    let mut omegas = knowledge.targets().to_vec();
-    omegas.sort_unstable();
-    omegas.dedup();
+    let omegas = &knowledge.omegas[..];
     let tol = tolerance as usize;
     let mut totals = vec![0.0f64; omegas.len()];
     let mut sums = vec![0.0f64; omegas.len()];
@@ -400,7 +418,7 @@ fn sweep(
                 *s += weighted_ln(w, lns[omega as usize]);
             }
         } else {
-            gather_weights(&omegas, tol, pmf, &mut weights);
+            gather_weights(omegas, tol, pmf, &mut weights);
             lns.resize(weights.len(), 0.0);
             detmath::ln_into(&weights, &mut lns);
             for (((t, s), &w), &ln_w) in totals.iter_mut().zip(&mut sums).zip(&weights).zip(&lns) {
@@ -417,18 +435,15 @@ fn sweep(
         .collect();
     let threshold = uniform_entropy_bits(k);
     let unobfuscated: Vec<NodeId> = (0..n as u32)
-        .filter(|&v| {
-            let j = omegas
-                .binary_search(&knowledge.target(v))
-                .expect("every target is a swept ω");
-            entropy[j] < threshold
-        })
+        .zip(&knowledge.slots)
+        .filter(|&(_, &j)| entropy[j as usize] < threshold)
+        .map(|(v, _)| v)
         .collect();
     AnonymityReport {
         // An empty graph is trivially obfuscated.
         eps_hat: unobfuscated.len() as f64 / n.max(1) as f64,
         unobfuscated,
-        entropy_by_omega: omegas.into_iter().zip(entropy).collect(),
+        entropy_by_omega: omegas.iter().copied().zip(entropy).collect(),
         k,
     }
 }

@@ -90,7 +90,7 @@ pub fn simulate_degree_attack(
             posterior_on_target: Vec::new(),
         };
     }
-    let omega_max = knowledge.targets().iter().copied().max().unwrap_or(0) as usize;
+    let omega_max = knowledge.max_target();
     let pmfs: Vec<Vec<f64>> = (0..n as u32)
         .map(|v| pmf_truncated(&published.incident_probs(v), omega_max))
         .collect();

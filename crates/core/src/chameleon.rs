@@ -11,11 +11,10 @@ use crate::genobf_checkpoint::{
 use crate::genobf_plan::{Perturbation, TrialInputs, TrialPlan};
 use crate::method::Method;
 use crate::relevance::{
-    edge_reliability_relevance_streamed, edge_reliability_relevance_threads, min_max_normalize,
-    vertex_reliability_relevance,
+    edge_reliability_relevance_streamed, min_max_normalize, vertex_reliability_relevance,
 };
 use crate::uniqueness::uniqueness_scores_scaled;
-use chameleon_reliability::{EnsembleStream, WorldEnsemble};
+use chameleon_reliability::EnsembleStream;
 use chameleon_stats::alloc_guard;
 use chameleon_stats::{parallel, SeedSequence};
 use chameleon_ugraph::{NodeId, UncertainGraph};
@@ -457,36 +456,26 @@ impl Chameleon {
         let uniq = uniqueness_scores_scaled(graph, self.config.bandwidth_scale);
         let vrr = if method.reliability_oriented() {
             let ens_seed = seq.derive("relevance-ensemble");
-            let err = if self.config.strip_worlds > 0 {
-                // Out-of-core path (DESIGN.md §12): raw world strips,
-                // strip-folded ERR. Bit-identical to the dense branch —
-                // same CRN chunk streams, same fold order.
-                let stream = EnsembleStream::sample(
-                    graph,
-                    self.config.num_world_samples,
-                    ens_seed,
-                    threads,
-                    self.config.strip_worlds,
-                )
-                .map_err(|e| ChameleonError::ResourceLimit(e.to_string()))?;
-                edge_reliability_relevance_streamed(graph, &stream, threads)
-                    .map_err(|e| ChameleonError::ResourceLimit(e.to_string()))?
-            } else {
-                // Dense path under a ceiling: fail up front with advice
-                // instead of blowing through the budget mid-sample.
-                alloc_guard::check_ensemble_budget(WorldEnsemble::estimate_arena_bytes(
-                    graph,
-                    self.config.num_world_samples,
-                ))
-                .map_err(|e| ChameleonError::ResourceLimit(e.to_string()))?;
-                let ensemble = WorldEnsemble::sample_seeded(
-                    graph,
-                    self.config.num_world_samples,
-                    ens_seed,
-                    threads,
-                );
-                edge_reliability_relevance_threads(graph, &ensemble, threads)
+            // DESIGN.md §12: the worlds are stored raw — in strips of
+            // `strip_worlds`, or as one strip when it is 0 — and ERR folds
+            // them world by world with no label arena, to the same bits
+            // for every strip size.
+            let strip_worlds = match self.config.strip_worlds {
+                0 => usize::MAX,
+                strip => strip,
             };
+            let resource_limit =
+                |e: alloc_guard::BudgetExceeded| ChameleonError::ResourceLimit(e.to_string());
+            let stream = EnsembleStream::sample(
+                graph,
+                self.config.num_world_samples,
+                ens_seed,
+                threads,
+                strip_worlds,
+            )
+            .map_err(resource_limit)?;
+            let err = edge_reliability_relevance_streamed(graph, &stream, threads)
+                .map_err(resource_limit)?;
             vertex_reliability_relevance(graph, &err)
         } else {
             Vec::new()
@@ -648,6 +637,8 @@ fn prepare_selection(
 mod tests {
     use super::*;
     use crate::anonymity::{anonymity_check, AdversaryKnowledge};
+    use crate::relevance::edge_reliability_relevance_threads;
+    use chameleon_reliability::WorldEnsemble;
     use chameleon_ugraph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

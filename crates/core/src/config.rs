@@ -63,14 +63,14 @@ pub struct ChameleonConfig {
     /// fingerprint). Recorded probes are replayed without recomputation;
     /// the final output is bit-identical to an uninterrupted run.
     pub resume_from: Option<SearchCheckpoint>,
-    /// Out-of-core ensemble analysis (DESIGN.md §12): when non-zero, the
-    /// ERR/VRR ensemble is held as raw world strips and analyzed
-    /// `strip_worlds` worlds at a time (rounded up to the 64-world
-    /// alignment), so per-world labels and component sizes take O(strip)
-    /// memory instead of O(N); only the world bits are held for all N
-    /// worlds. Results are **bit-identical** to the in-RAM path for every
-    /// strip size, with or without `incremental`. `0` keeps the dense
-    /// in-RAM ensemble. The σ-probe anonymity checks use no sampled
+    /// Strip size of the ERR/VRR ensemble (DESIGN.md §12): when non-zero,
+    /// its worlds are sampled and stored as raw strips of `strip_worlds`
+    /// worlds (rounded up to the 32-world sampling chunk); `0` stores
+    /// them as one strip. Either way ERR folds the stored worlds one at a
+    /// time, so labels and component sizes take per-worker memory, not
+    /// O(N); only the world bits are held for all N worlds. Results are
+    /// **bit-identical** for every strip size, with or without
+    /// `incremental`. The σ-probe anonymity checks use no sampled
     /// worlds, so this setting does not touch them.
     pub strip_worlds: usize,
 }

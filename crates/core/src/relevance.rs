@@ -18,23 +18,23 @@
 //!
 //! The vertex-level aggregate is `VRR^u = Σ_{e ∋ u} p(e)·ERR^e` — the
 //! expected reliability impact of perturbing around `u`.
+//!
+//! Both estimators are exact integer folds: each world adds integer terms
+//! (`cc(G_w)` or `s_u·s_v`) and a world count to per-edge `u64`/`u32`
+//! accumulators through the per-world kernel of
+//! [`chameleon_reliability::fold`], and each mean is taken once at the end.
+//! Integer sums do not depend on which worker folded which world, so the
+//! ERR vector is bit-identical at every thread count, for every strip size
+//! and between the in-RAM and strip-streamed paths. Below 2⁵³ it also
+//! equals the ordered f64 folds (chunk partials in world order, folded in
+//! chunk order) these estimators used before, bit for bit; the `tests`
+//! module keeps that reference and proptests the equality.
 
+use chameleon_reliability::fold::{exact_mean, fold_ensemble, AnalyzedWorld, WorldFold};
 use chameleon_reliability::{EnsembleStream, WorldEnsemble};
 use chameleon_stats::alloc_guard::BudgetExceeded;
-use chameleon_stats::parallel;
 use chameleon_ugraph::UncertainGraph;
 use rand::Rng;
-use std::ops::Range;
-
-/// Worlds per accumulation chunk for the parallel ERR estimators. Partial
-/// sums are computed per chunk and folded in chunk order, so results are
-/// bit-identical at any thread count; changing this constant regroups the
-/// floating-point accumulation and may shift results by ulps.
-///
-/// `reliability::STRIP_ALIGN` is the lcm of this and the sampling chunk:
-/// strip-streamed folds then replay the same chunk partial sequence as
-/// the in-RAM estimators, keeping the streamed ERR vectors bit-identical.
-const ERR_WORLD_CHUNK: usize = 64;
 
 /// Estimates `ERR^e` for every edge via the paper-faithful reused-sampling
 /// estimator (paper Algorithm 2) over a pre-built ensemble, on up to
@@ -59,99 +59,114 @@ const ERR_WORLD_CHUNK: usize = 64;
 /// coupled [`edge_reliability_relevance_threads`] (same expectation, same
 /// cost, far lower variance) outside of Lemma 2/3 benchmarking.
 ///
-/// Worlds are accumulated in fixed chunks of worlds whose partial sums are
-/// folded in chunk order, so the result is bit-identical for every
-/// `threads` value.
+/// The sums are exact integers (module docs), so the result is
+/// bit-identical for every `threads` value.
 pub fn edge_reliability_relevance_alg2_threads(
     graph: &UncertainGraph,
     ensemble: &WorldEnsemble,
     threads: usize,
 ) -> Vec<f64> {
     let _span = chameleon_obs::span!("relevance.err_alg2");
-    let mut accum = ErrAlg2Accum::new(graph);
-    accum.fold(ensemble, threads);
-    accum.finish()
+    chameleon_obs::counter!("relevance.worlds_scanned").add(ensemble.len() as u64);
+    let fold = Alg2Err::new(graph);
+    fold.finish(fold_ensemble(graph, ensemble, threads, &fold))
 }
 
-/// Streaming accumulator behind [`edge_reliability_relevance_alg2_threads`]:
-/// folds worlds strip by strip, replaying the exact per-chunk partial
-/// sequence of the in-RAM estimator.
-///
-/// Bit-identity contract: strips must arrive in ascending world order and
-/// every strip boundary must fall on an [`ERR_WORLD_CHUNK`] multiple
-/// (`reliability::STRIP_ALIGN` guarantees this — a ragged *final* strip is
-/// fine). Then each chunk's partial sums cover exactly the same worlds as
-/// in the in-RAM pass, and the fold adds them in the same order, so
-/// [`ErrAlg2Accum::finish`] is bit-for-bit equal to
-/// [`edge_reliability_relevance_alg2_threads`].
-pub(crate) struct ErrAlg2Accum {
-    /// Per edge: summed `cc` and count of the worlds containing it.
-    with: Vec<EdgeTally>,
-    cc_total: f64,
-    worlds: usize,
+/// Per edge: an exact sum of per-world terms and the number of worlds
+/// that contributed one.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct EdgeSums {
+    sums: Vec<u64>,
+    counts: Vec<u32>,
 }
 
-impl ErrAlg2Accum {
-    /// Empty accumulator for `graph`'s edge set.
-    pub fn new(graph: &UncertainGraph) -> Self {
+impl EdgeSums {
+    fn zero(m: usize) -> Self {
         Self {
-            with: vec![EdgeTally::default(); graph.num_edges()],
-            cc_total: 0.0,
-            worlds: 0,
+            sums: vec![0; m],
+            counts: vec![0; m],
         }
     }
 
-    /// Folds one strip of worlds into the running conditional sums.
-    pub fn fold(&mut self, strip: &WorldEnsemble, threads: usize) {
-        chameleon_obs::counter!("relevance.worlds_scanned").add(strip.len() as u64);
-        for start in (0..strip.len()).step_by(ERR_WORLD_CHUNK) {
-            let mut chunk_total = 0.0f64;
-            for w in start..(start + ERR_WORLD_CHUNK).min(strip.len()) {
-                chunk_total += strip.connected_pairs(w) as f64;
-            }
-            self.cc_total += chunk_total;
+    const BYTES_PER_EDGE: usize = std::mem::size_of::<u64>() + std::mem::size_of::<u32>();
+
+    fn merge(&mut self, other: Self) {
+        for (s, o) in self.sums.iter_mut().zip(other.sums) {
+            *s += o;
         }
-        fold_edge_split(
-            &mut self.with,
-            strip,
-            threads,
-            |w, edges, partial, counts| {
-                let cc = strip.connected_pairs(w) as f64;
-                // Walk present edges word-by-word: iterate the set bits of
-                // each 64-edge block, in ascending edge order.
-                let words = &strip.world(w).words()[edges.start / 64..edges.end.div_ceil(64)];
-                for (i, &word) in words.iter().enumerate() {
-                    let base = i * 64;
-                    let mut x = word;
-                    while x != 0 {
-                        let e = base + x.trailing_zeros() as usize;
-                        x &= x - 1;
-                        partial[e] += cc;
-                        counts[e] += 1;
-                    }
+        for (c, o) in self.counts.iter_mut().zip(other.counts) {
+            *c += o;
+        }
+    }
+}
+
+/// Algorithm 2 as a per-world fold: per edge, the summed `cc` and count of
+/// the worlds containing it, plus the summed `cc` of all worlds.
+pub(crate) struct Alg2Err {
+    m: usize,
+}
+
+impl Alg2Err {
+    pub(crate) fn new(graph: &UncertainGraph) -> Self {
+        Self {
+            m: graph.num_edges(),
+        }
+    }
+
+    /// Per-edge conditional-mean gap, clamped at 0.
+    pub(crate) fn finish(&self, (with, cc_total, worlds): (EdgeSums, u64, u32)) -> Vec<f64> {
+        let strata = with.sums.iter().zip(&with.counts);
+        strata
+            .map(|(&sum, &n_e)| {
+                let n_not = worlds - n_e;
+                if n_e == 0 || n_not == 0 {
+                    return 0.0;
                 }
-            },
-        );
-        self.worlds += strip.len();
+                let mean_with = exact_mean(sum, n_e.into());
+                let mean_without = exact_mean(cc_total - sum, n_not.into());
+                // Connectivity is monotone in edge presence, so the true
+                // gap is ≥ 0; clamp away sampling noise.
+                (mean_with - mean_without).max(0.0)
+            })
+            .collect()
+    }
+}
+
+impl WorldFold for Alg2Err {
+    /// Per-edge sums over the worlds containing the edge, the summed `cc`
+    /// of all worlds, and the world count.
+    type Acc = (EdgeSums, u64, u32);
+    const LABELS: bool = true;
+
+    fn zero(&self) -> Self::Acc {
+        (EdgeSums::zero(self.m), 0, 0)
     }
 
-    /// Finishes the estimate: per-edge conditional-mean gap, clamped at 0.
-    pub fn finish(&self) -> Vec<f64> {
-        let mut err = Vec::with_capacity(self.with.len());
-        for with in &self.with {
-            let n_e = with.count;
-            let n_not = self.worlds as u32 - n_e;
-            if n_e == 0 || n_not == 0 {
-                err.push(0.0);
-                continue;
+    fn acc_bytes(&self) -> usize {
+        self.m * EdgeSums::BYTES_PER_EDGE
+    }
+
+    fn fold(&self, (with, cc_total, worlds): &mut Self::Acc, world: &mut AnalyzedWorld<'_>) {
+        let cc = world.connected_pairs();
+        *cc_total += cc;
+        *worlds += 1;
+        // Walk present edges word by word: the set bits of each 64-edge
+        // block, in ascending edge order.
+        for (i, &word) in world.world().words().iter().enumerate() {
+            let mut x = word;
+            while x != 0 {
+                let e = i * 64 + x.trailing_zeros() as usize;
+                x &= x - 1;
+                with.sums[e] += cc;
+                with.counts[e] += 1;
             }
-            let mean_with = with.sum / n_e as f64;
-            let mean_without = (self.cc_total - with.sum) / n_not as f64;
-            // Connectivity is monotone in edge presence, so the true gap is
-            // ≥ 0; clamp away sampling noise.
-            err.push((mean_with - mean_without).max(0.0));
         }
-        err
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, (with, cc_total, worlds): Self::Acc) {
+        acc.0.merge(with);
+        acc.1 += cc_total;
+        acc.2 += worlds;
     }
 }
 
@@ -180,168 +195,105 @@ impl ErrAlg2Accum {
 /// samples and return 0, matching the convention of
 /// [`edge_reliability_relevance_alg2_threads`] for deterministic edges.
 ///
-/// Per-edge sums and sample counts are accumulated per fixed chunk of
-/// worlds and the partials folded in chunk order, so the result is
-/// bit-identical for every `threads` value.
+/// The worlds are folded with the ensemble's cached labels and sizes, and
+/// the sums are exact integers (module docs), so the result is
+/// bit-identical for every `threads` value and equal to
+/// [`edge_reliability_relevance_streamed`] on the same worlds.
 pub fn edge_reliability_relevance_threads(
     graph: &UncertainGraph,
     ensemble: &WorldEnsemble,
     threads: usize,
 ) -> Vec<f64> {
     let _span = chameleon_obs::span!("relevance.err_coupled");
-    let mut accum = ErrCoupledAccum::new(graph);
-    accum.fold(ensemble, threads);
-    accum.finish()
+    chameleon_obs::counter!("relevance.worlds_scanned").add(ensemble.len() as u64);
+    let fold = CoupledErr::new(graph);
+    CoupledErr::finish(fold_ensemble(graph, ensemble, threads, &fold))
 }
 
-/// Streaming accumulator behind [`edge_reliability_relevance_threads`]:
-/// same strip-fold contract as [`ErrAlg2Accum`] (ascending, 64-aligned
-/// strips replay the in-RAM chunk partial sequence bit-for-bit).
-pub(crate) struct ErrCoupledAccum {
-    // SoA endpoints: the scan only touches endpoints, never probabilities,
-    // so cache lines carry twice the useful data of the `Edge` array.
-    us: Vec<u32>,
-    vs: Vec<u32>,
-    /// Per edge: summed `s_u·s_v` terms and count of the worlds lacking it.
-    absent: Vec<EdgeTally>,
+/// The coupled estimator as a per-world fold: per edge, the summed
+/// `s_u·s_v` terms and count of the worlds lacking it.
+pub(crate) struct CoupledErr {
+    m: usize,
 }
 
-impl ErrCoupledAccum {
-    /// Empty accumulator for `graph`'s edge set.
-    pub fn new(graph: &UncertainGraph) -> Self {
-        let (us, vs) = graph.endpoint_soa();
+impl CoupledErr {
+    pub(crate) fn new(graph: &UncertainGraph) -> Self {
         Self {
-            us,
-            vs,
-            absent: vec![EdgeTally::default(); graph.num_edges()],
+            m: graph.num_edges(),
         }
     }
 
-    /// Folds one strip of worlds into the running per-edge sums.
-    pub fn fold(&mut self, strip: &WorldEnsemble, threads: usize) {
-        let m = self.absent.len();
-        let (us, vs) = (&self.us[..], &self.vs[..]);
-        chameleon_obs::counter!("relevance.worlds_scanned").add(strip.len() as u64);
-        fold_edge_split(
-            &mut self.absent,
-            strip,
-            threads,
-            |w, edges, partial, counts| {
-                let (us, vs) = (&us[edges.clone()], &vs[edges.clone()]);
-                let labels = strip.labels(w);
-                let sizes = strip.component_sizes(w);
-                // Walk *absent* edges word-by-word: the set bits of `!word`,
-                // masked to the valid tail in the final 64-edge block, in
-                // ascending edge order.
-                let words = &strip.world(w).words()[edges.start / 64..edges.end.div_ceil(64)];
-                for (i, &word) in words.iter().enumerate() {
-                    let base = i * 64;
-                    let width = (m - edges.start - base).min(64);
-                    let mut x = !word;
-                    if width < 64 {
-                        x &= (1u64 << width) - 1;
-                    }
-                    while x != 0 {
-                        let e = base + x.trailing_zeros() as usize;
-                        x &= x - 1;
-                        counts[e] += 1;
-                        let (lu, lv) = (labels[us[e] as usize], labels[vs[e] as usize]);
-                        if lu != lv {
-                            partial[e] += sizes[lu as usize] as f64 * sizes[lv as usize] as f64;
-                        }
-                    }
-                }
-            },
-        );
-    }
-
-    /// Finishes the estimate: per-edge conditional mean (0 with no samples).
-    pub fn finish(&self) -> Vec<f64> {
-        self.absent
-            .iter()
-            .map(|t| {
-                if t.count == 0 {
-                    0.0
-                } else {
-                    t.sum / t.count as f64
-                }
-            })
-            .collect()
+    /// Per-edge conditional mean (0 with no samples).
+    pub(crate) fn finish(absent: EdgeSums) -> Vec<f64> {
+        let strata = absent.sums.iter().zip(&absent.counts);
+        strata.map(|(&s, &c)| exact_mean(s, c.into())).collect()
     }
 }
 
-/// One edge's running total in an ERR accumulator: a sum of per-world
-/// terms, folded chunk partial by chunk partial, and a world count.
-#[derive(Debug, Clone, Copy, Default)]
-struct EdgeTally {
-    sum: f64,
-    count: u32,
-}
+impl WorldFold for CoupledErr {
+    type Acc = EdgeSums;
+    const LABELS: bool = true;
 
-/// Folds `strip` into `tallies`, split over edges: the edges are cut into
-/// 64-aligned ranges, one per thread, and each range walks every
-/// [`ERR_WORLD_CHUNK`]-world chunk of the strip in chunk order.
-///
-/// `scan(w, edges, partial, counts)` adds world `w`'s terms and world
-/// counts for the edge range `edges` into the chunk's `partial` sums and
-/// `counts`; both are indexed from `edges.start`, and the world's words
-/// for the range start at word `edges.start / 64`. Every chunk partial
-/// starts at 0.0, sums its worlds in ascending order and is added
-/// to the running total in chunk order, so each edge sees exactly the
-/// additions of a serial world-major pass: the split changes which thread
-/// does an edge's arithmetic, never the arithmetic, and the result is
-/// bit-identical at every thread count.
-fn fold_edge_split<F>(tallies: &mut [EdgeTally], strip: &WorldEnsemble, threads: usize, scan: F)
-where
-    F: Fn(usize, Range<usize>, &mut [f64], &mut [u32]) + Sync,
-{
-    let m = tallies.len();
-    let threads = parallel::resolve_threads(threads);
-    let block = m.div_ceil(64).div_ceil(threads).max(1) * 64;
-    parallel::map_chunks_into(
-        tallies,
-        1,
-        m,
-        block,
-        threads,
-        || (Vec::<f64>::new(), Vec::<u32>::new()),
-        |(partial, counts), _, edges, tallies| {
-            for start in (0..strip.len()).step_by(ERR_WORLD_CHUNK) {
-                partial.clear();
-                partial.resize(edges.len(), 0.0);
-                counts.clear();
-                counts.resize(edges.len(), 0);
-                for w in start..(start + ERR_WORLD_CHUNK).min(strip.len()) {
-                    scan(w, edges.clone(), partial, counts);
-                }
-                for ((t, &p), &c) in tallies.iter_mut().zip(partial.iter()).zip(counts.iter()) {
-                    t.sum += p;
-                    t.count += c;
+    fn zero(&self) -> EdgeSums {
+        EdgeSums::zero(self.m)
+    }
+
+    fn acc_bytes(&self) -> usize {
+        self.m * EdgeSums::BYTES_PER_EDGE
+    }
+
+    fn fold(&self, absent: &mut EdgeSums, world: &mut AnalyzedWorld<'_>) {
+        // SoA endpoints: the scan only touches endpoints, never
+        // probabilities, so cache lines carry twice the useful data of the
+        // `Edge` array.
+        let (us, vs) = world.endpoints();
+        let (labels, sizes) = (world.labels(), world.component_sizes());
+        // Walk *absent* edges word by word: the set bits of `!word`,
+        // masked to the valid tail in the final 64-edge block, in
+        // ascending edge order.
+        for (i, &word) in world.world().words().iter().enumerate() {
+            let base = i * 64;
+            let width = (self.m - base).min(64);
+            let mut x = !word;
+            if width < 64 {
+                x &= (1u64 << width) - 1;
+            }
+            while x != 0 {
+                let e = base + x.trailing_zeros() as usize;
+                x &= x - 1;
+                absent.counts[e] += 1;
+                let (lu, lv) = (labels[us[e] as usize], labels[vs[e] as usize]);
+                if lu != lv {
+                    absent.sums[e] += u64::from(sizes[lu as usize]) * u64::from(sizes[lv as usize]);
                 }
             }
-        },
-    );
+        }
+    }
+
+    fn merge(&self, absent: &mut EdgeSums, other: EdgeSums) {
+        absent.merge(other);
+    }
 }
 
 /// Strip-streamed [`edge_reliability_relevance_threads`]: folds the
-/// world strips of an [`EnsembleStream`] one by one, never
-/// materializing more than one strip of labeled worlds, and returns the
-/// *bit-identical* ERR vector the in-RAM estimator would produce on the
-/// same `(n, seed)` ensemble.
+/// stored worlds of an [`EnsembleStream`] one at a time, never labeling
+/// more than one world per worker, and returns the *bit-identical* ERR
+/// vector the in-RAM estimator produces on the same `(n, seed)`
+/// ensemble.
 ///
 /// # Errors
 ///
-/// Fails if analyzing a strip would breach the configured ensemble byte
-/// ceiling (`alloc_guard::set_ensemble_limit`).
+/// Fails if not even one worker's scratch and accumulators fit under the
+/// configured ensemble byte ceiling (`alloc_guard::set_ensemble_limit`).
 pub fn edge_reliability_relevance_streamed(
     graph: &UncertainGraph,
     stream: &EnsembleStream<'_>,
     threads: usize,
 ) -> Result<Vec<f64>, BudgetExceeded> {
     let _span = chameleon_obs::span!("relevance.err_coupled_streamed");
-    let mut accum = ErrCoupledAccum::new(graph);
-    stream.for_each_strip(|_, strip| accum.fold(strip, threads))?;
-    Ok(accum.finish())
+    chameleon_obs::counter!("relevance.worlds_scanned").add(stream.len() as u64);
+    let absent = stream.fold_worlds(threads, &CoupledErr::new(graph))?;
+    Ok(CoupledErr::finish(absent))
 }
 
 /// Naive ERR estimator (paper's "baseline algorithm", Lemma 2): for each
@@ -573,9 +525,9 @@ mod tests {
     fn threaded_estimators_are_bitwise_thread_count_invariant() {
         let g = two_clusters();
         let mut rng = StdRng::seed_from_u64(20);
-        // A world count straddling several accumulation chunks, with a
-        // ragged tail.
-        let ens = WorldEnsemble::sample(&g, 3 * super::ERR_WORLD_CHUNK + 11, &mut rng);
+        // A world count straddling several 64-world chunks of the old
+        // ordered fold, with a ragged tail.
+        let ens = WorldEnsemble::sample(&g, 3 * 64 + 11, &mut rng);
         let coupled_1 = edge_reliability_relevance_threads(&g, &ens, 1);
         let alg2_1 = edge_reliability_relevance_alg2_threads(&g, &ens, 1);
         for threads in [2, 4, 8] {
@@ -588,11 +540,18 @@ mod tests {
         }
     }
 
+    /// Algorithm 2 over a stream: the fold the in-RAM estimator runs, over
+    /// the stored strips.
+    fn alg2_streamed(g: &UncertainGraph, stream: &EnsembleStream<'_>, threads: usize) -> Vec<f64> {
+        let fold = Alg2Err::new(g);
+        fold.finish(stream.fold_worlds(threads, &fold).unwrap())
+    }
+
     #[test]
     fn streamed_estimators_are_bit_identical_to_in_ram() {
         let g = two_clusters();
-        // Several strips plus a ragged tail, exercising carried partials.
-        let n = 3 * super::ERR_WORLD_CHUNK + 11;
+        // Several strips plus a ragged tail.
+        let n = 3 * 64 + 11;
         let ens = WorldEnsemble::sample_seeded(&g, n, 99, 1);
         let dense_coupled = edge_reliability_relevance_threads(&g, &ens, 1);
         let dense_alg2 = edge_reliability_relevance_alg2_threads(&g, &ens, 1);
@@ -600,11 +559,7 @@ mod tests {
             for threads in [1usize, 8] {
                 let stream = EnsembleStream::sample(&g, n, 99, threads, strip).unwrap();
                 let coupled = edge_reliability_relevance_streamed(&g, &stream, threads).unwrap();
-                let mut accum = ErrAlg2Accum::new(&g);
-                stream
-                    .for_each_strip(|_, strip| accum.fold(strip, threads))
-                    .unwrap();
-                let alg2 = accum.finish();
+                let alg2 = alg2_streamed(&g, &stream, threads);
                 for e in 0..g.num_edges() {
                     assert_eq!(
                         dense_coupled[e].to_bits(),
@@ -618,6 +573,166 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The ordered f64 folds the integer folds replaced, kept as the
+    /// reference they must match bit for bit below 2⁵³: each 64-world
+    /// chunk's partial sums its worlds in ascending order from 0.0, and
+    /// the partials are added to the running totals in chunk order. ECP
+    /// was one left-to-right sum over the worlds.
+    mod ordered_reference {
+        use super::*;
+
+        const CHUNK: usize = 64;
+
+        /// Per edge: the chunk-ordered f64 sum of `term(w, e)` over the
+        /// worlds where it is `Some`, and the count of those worlds.
+        fn chunked_fold(
+            ens: &WorldEnsemble,
+            m: usize,
+            term: impl Fn(usize, usize) -> Option<f64>,
+        ) -> (Vec<f64>, Vec<u32>) {
+            let (mut sums, mut counts) = (vec![0.0f64; m], vec![0u32; m]);
+            for start in (0..ens.len()).step_by(CHUNK) {
+                let mut partial = vec![0.0f64; m];
+                let mut part_counts = vec![0u32; m];
+                for w in start..(start + CHUNK).min(ens.len()) {
+                    for e in 0..m {
+                        if let Some(t) = term(w, e) {
+                            partial[e] += t;
+                            part_counts[e] += 1;
+                        }
+                    }
+                }
+                for e in 0..m {
+                    sums[e] += partial[e];
+                    counts[e] += part_counts[e];
+                }
+            }
+            (sums, counts)
+        }
+
+        pub(super) fn coupled(g: &UncertainGraph, ens: &WorldEnsemble) -> Vec<f64> {
+            let (sums, counts) = chunked_fold(ens, g.num_edges(), |w, e| {
+                if ens.world(w).contains(e as u32) {
+                    return None;
+                }
+                let edge = g.edges()[e];
+                let (labels, sizes) = (ens.labels(w), ens.component_sizes(w));
+                let (lu, lv) = (labels[edge.u as usize], labels[edge.v as usize]);
+                Some(if lu != lv {
+                    sizes[lu as usize] as f64 * sizes[lv as usize] as f64
+                } else {
+                    0.0
+                })
+            });
+            let strata = sums.iter().zip(&counts);
+            strata
+                .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
+                .collect()
+        }
+
+        pub(super) fn alg2(g: &UncertainGraph, ens: &WorldEnsemble) -> Vec<f64> {
+            let cc = |w: usize| ens.connected_pairs(w) as f64;
+            let (with, counts) = chunked_fold(ens, g.num_edges(), |w, e| {
+                ens.world(w).contains(e as u32).then(|| cc(w))
+            });
+            let mut cc_total = 0.0f64;
+            for start in (0..ens.len()).step_by(CHUNK) {
+                let mut partial = 0.0f64;
+                for w in start..(start + CHUNK).min(ens.len()) {
+                    partial += cc(w);
+                }
+                cc_total += partial;
+            }
+            let strata = with.iter().zip(&counts);
+            strata
+                .map(|(&sum, &n_e)| {
+                    let n_not = ens.len() as u32 - n_e;
+                    if n_e == 0 || n_not == 0 {
+                        return 0.0;
+                    }
+                    let gap = sum / n_e as f64 - (cc_total - sum) / n_not as f64;
+                    gap.max(0.0)
+                })
+                .collect()
+        }
+
+        pub(super) fn ecp(ens: &WorldEnsemble) -> f64 {
+            let all = ens.connected_pairs_all();
+            if all.is_empty() {
+                return 0.0;
+            }
+            all.iter().map(|&c| c as f64).sum::<f64>() / all.len() as f64
+        }
+    }
+
+    fn random_graph(nodes: usize, edges: usize, seed: u64) -> UncertainGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = UncertainGraph::with_nodes(nodes);
+        let max_edges = nodes * (nodes - 1) / 2;
+        while g.num_edges() < edges.min(max_edges) {
+            let (u, v) = (
+                rng.gen_range(0..nodes as u32),
+                rng.gen_range(0..nodes as u32),
+            );
+            if u == v || g.has_edge(u, v) {
+                continue;
+            }
+            let p = match rng.gen_range(0..5) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.gen::<f64>(),
+            };
+            g.add_edge(u, v, p).unwrap();
+        }
+        g
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        /// The integer folds equal the ordered f64 reference bit for bit,
+        /// in RAM and streamed, for ECP, coupled ERR and Algorithm 2: world
+        /// counts that are multiples of neither 32 nor 64, strips of 1 to
+        /// 200 worlds, 1 and 8 threads.
+        #[test]
+        fn integer_folds_match_the_ordered_f64_reference(
+            nodes in 2usize..40,
+            edges in 0usize..120,
+            seed in proptest::prelude::any::<u64>(),
+            chunks in 0usize..5,
+            tail in 1usize..32,
+            strip in 1usize..=200,
+            eight_threads in proptest::prelude::any::<bool>(),
+        ) {
+            let threads = if eight_threads { 8 } else { 1 };
+            let n = 32 * chunks + tail;
+            let g = random_graph(nodes, edges, seed);
+            let ens = WorldEnsemble::sample_seeded(&g, n, seed ^ 0x5eed, threads);
+            let coupled = bits(&ordered_reference::coupled(&g, &ens));
+            let alg2 = bits(&ordered_reference::alg2(&g, &ens));
+            let ecp = ordered_reference::ecp(&ens).to_bits();
+            proptest::prop_assert_eq!(
+                &bits(&edge_reliability_relevance_threads(&g, &ens, threads)),
+                &coupled
+            );
+            proptest::prop_assert_eq!(
+                &bits(&edge_reliability_relevance_alg2_threads(&g, &ens, threads)),
+                &alg2
+            );
+            proptest::prop_assert_eq!(ens.expected_connected_pairs().to_bits(), ecp);
+            let stream = EnsembleStream::sample(&g, n, seed ^ 0x5eed, threads, strip).unwrap();
+            proptest::prop_assert_eq!(
+                &bits(&edge_reliability_relevance_streamed(&g, &stream, threads).unwrap()),
+                &coupled
+            );
+            proptest::prop_assert_eq!(&bits(&alg2_streamed(&g, &stream, threads)), &alg2);
+            proptest::prop_assert_eq!(stream.expected_connected_pairs().unwrap().to_bits(), ecp);
         }
     }
 

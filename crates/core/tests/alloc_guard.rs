@@ -76,7 +76,9 @@ fn kernel_allocations_scale_with_chunks_not_worlds() {
         "ensemble build made {build_allocs} allocations for {n_worlds} worlds"
     );
 
-    // The ERR scan folds ERR_WORLD_CHUNK=64-world chunks: 8 chunks here.
+    // The ERR fold allocates per worker (its scratch and accumulator) and
+    // per call, never per world; the bound is the one the earlier
+    // 64-world-chunk fold was held to: 8 chunks' worth here.
     let err_chunks = n_worlds.div_ceil(64);
     let err_budget = 12 * err_chunks + 32;
     assert!(

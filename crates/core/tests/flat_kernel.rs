@@ -12,10 +12,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Worlds per accumulation chunk of the parallel ERR estimators (must
-/// mirror `ERR_WORLD_CHUNK` in `core::relevance`): partials are folded in
-/// chunk order, so the reference must regroup its sums identically to be
-/// bit-comparable.
+/// Worlds per accumulation chunk of the historical ERR folds, whose
+/// partials were folded in chunk order. The estimators now sum exact
+/// integers, which equal this chunked f64 regrouping bit for bit while
+/// the sums stay below 2⁵³ (DESIGN.md §12.1).
 const ERR_WORLD_CHUNK: usize = 64;
 
 fn chunk_ranges(n: usize) -> impl Iterator<Item = std::ops::Range<usize>> {

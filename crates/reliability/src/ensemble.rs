@@ -35,8 +35,9 @@ pub(crate) const PAIR_BLOCK: usize = 1024;
 /// Building the ensemble costs O(N·(|V| + |E|·log|V|)) in the worst case
 /// (Rem's union–find links by index) and near-linear time in practice;
 /// afterwards every two-terminal reliability query is O(N) label
-/// comparisons and the expected-connected-pairs statistic is O(1). The paper's ERR estimator
-/// (Algorithm 2) iterates over exactly this cache.
+/// comparisons and the expected-connected-pairs statistic is O(N). The
+/// ERR estimators of the core crate fold this cache, world by world,
+/// through the per-world kernel of [`crate::fold`].
 #[derive(Debug, Clone)]
 pub struct WorldEnsemble {
     worlds: WorldMatrix,
@@ -355,19 +356,7 @@ impl WorldEnsemble {
             return vec![0.0; pairs.len()];
         }
         let mut hits = vec![0u32; pairs.len()];
-        self.accumulate_pair_hits(pairs, &mut hits);
-        hits.into_iter().map(|h| h as f64 / n as f64).collect()
-    }
-
-    /// The kernel of [`WorldEnsemble::reliability_many`]: adds this
-    /// ensemble's per-pair hit counts into `hits`. Shared with the
-    /// strip-streamed accumulator (`stream::PairReliabilityAccum`), so
-    /// both paths count hits with literally the same loop — and since hit
-    /// counts are integers, any fold order gives identical totals.
-    pub(crate) fn accumulate_pair_hits(&self, pairs: &[(NodeId, NodeId)], hits: &mut [u32]) {
-        assert_eq!(pairs.len(), hits.len(), "pair/counter length mismatch");
-        for (block_idx, block) in pairs.chunks(PAIR_BLOCK).enumerate() {
-            let counters = &mut hits[block_idx * PAIR_BLOCK..];
+        for (block, counters) in pairs.chunks(PAIR_BLOCK).zip(hits.chunks_mut(PAIR_BLOCK)) {
             for l in self.labels.chunks_exact(self.num_nodes) {
                 for (c, &(u, v)) in counters.iter_mut().zip(block) {
                     if l[u as usize] == l[v as usize] {
@@ -376,17 +365,25 @@ impl WorldEnsemble {
                 }
             }
         }
+        hits.into_iter().map(|h| h as f64 / n as f64).collect()
     }
 
     /// Estimated expected number of connected pairs
     /// `E[cc(G)] = Σ_{u<v} R_{u,v}` — the aggregate the ERR estimator
-    /// differentiates (paper §V-D).
+    /// differentiates (paper §V-D). The counts are summed as exact
+    /// integers and divided once (`crate::fold` on why that equals any
+    /// ordered f64 sum below 2⁵³).
+    ///
+    /// # Panics
+    /// Panics if the sum overflows a `u64`, which cannot happen while
+    /// N·n(n−1)/2 fits one (DESIGN.md §12.1).
     pub fn expected_connected_pairs(&self) -> f64 {
-        if self.connected_pairs.is_empty() {
-            return 0.0;
-        }
-        self.connected_pairs.iter().map(|&c| c as f64).sum::<f64>()
-            / self.connected_pairs.len() as f64
+        let sum = self
+            .connected_pairs
+            .iter()
+            .try_fold(0u64, |s, &c| s.checked_add(c))
+            .expect("connected-pair sums stay below u64::MAX");
+        crate::fold::exact_mean(sum, self.connected_pairs.len() as u64)
     }
 }
 

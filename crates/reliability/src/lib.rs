@@ -16,9 +16,11 @@
 //! * [`metrics`] — the evaluation metrics of paper §VI: expected average
 //!   distance and diameter (exact per-world BFS), clustering coefficient,
 //!   and distances between sampled degree distributions.
-//! * [`stream`] — strip-streamed out-of-core ensemble analysis: raw world
-//!   strips plus one strip of labels at a time, bit-identical to
-//!   [`WorldEnsemble`] (DESIGN.md §12).
+//! * [`fold`] — the per-world kernel every ensemble statistic folds
+//!   through: exact integer accumulators per worker, merged by addition.
+//! * [`stream`] — strip-streamed out-of-core ensembles: raw world strips
+//!   folded world by world, bit-identical to [`WorldEnsemble`]
+//!   (DESIGN.md §12).
 
 //! # Example
 //!
@@ -43,6 +45,7 @@
 
 pub mod discrepancy;
 pub mod ensemble;
+pub mod fold;
 pub mod metrics;
 pub mod pairs;
 pub mod stream;

@@ -1,48 +1,45 @@
-//! Strip-streamed ensemble analysis (DESIGN.md §12).
+//! Strip-streamed ensembles (DESIGN.md §12).
 //!
-//! [`EnsembleStream`] bounds the *analysis* memory by the strip instead
-//! of the ensemble: worlds are sampled strip by strip and each strip's
-//! raw [`WorldMatrix`] is kept as sampled (the only per-world state that
-//! persists), then analyzed one fixed-size strip at a time through
-//! streaming accumulators. The labels, component sizes and connected-pair
-//! counts — several times the world bits at population scale — exist for
-//! one strip at a time. Every statistic the in-RAM [`WorldEnsemble`]
-//! exposes is reproduced **bit-identically**:
+//! [`EnsembleStream`] bounds the ensemble's memory by what persists per
+//! world: worlds are sampled strip by strip and each strip's raw
+//! [`WorldMatrix`] is kept as sampled. The statistics fold those stored
+//! worlds one at a time through the per-world kernel of [`crate::fold`]:
+//! each worker unions a world into its own union-find, labels it into
+//! per-worker scratch when the statistic needs labels, and adds its terms
+//! to integer accumulators. No label arena is built for a statistic.
+//! Every statistic the in-RAM [`WorldEnsemble`] exposes is reproduced
+//! **bit-identically**:
 //!
 //! * Sampling reuses the per-chunk CRN streams of
 //!   [`WorldEnsemble::sample_seeded`] (`(seed, "world-chunk", c)` with the
 //!   *global* chunk index `c`), so the stored world bits are the same
-//!   bits, in the same order.
-//! * Strip boundaries are aligned to [`STRIP_ALIGN`] worlds — the least
-//!   common multiple of the sampling/analysis chunk
-//!   ([`WORLD_CHUNK`](crate::WORLD_CHUNK)) and
-//!   the ERR estimators' world chunk (64) — so per-chunk fold sequences
-//!   inside a strip coincide with the global fold sequences of the in-RAM
-//!   path.
-//! * Integer statistics (reliability hit counts) are order-free;
-//!   sequential f64 folds (expected connected pairs, ERR partials) replay
-//!   identical additions because strips are visited in ascending world
-//!   order.
+//!   bits, in the same order. Strip boundaries are aligned to
+//!   [`WORLD_CHUNK`] worlds for that reason alone.
+//! * Every statistic is an exact integer sum (hit counts, connected
+//!   pairs, component-size products), converted to f64 once, so neither
+//!   the strip size nor the thread count nor which worker folded which
+//!   world can move a bit.
 //!
-//! Each stored strip registers its exact bytes against the
-//! `chameleon_stats::alloc_guard` ensemble gauge fallibly before it is
-//! sampled, and each strip's transient analysis arenas are prechecked
-//! against the configured ceiling, so `--max-ensemble-bytes` is a hard
+//! [`EnsembleStream::for_each_strip`] still hands out whole labeled strip
+//! ensembles for callers that want them. Each stored strip registers its
+//! exact bytes against the `chameleon_stats::alloc_guard` ensemble gauge
+//! fallibly before it is sampled, as do each fold's per-worker scratch and
+//! each labeled strip's arenas, so `--max-ensemble-bytes` is a hard
 //! contract rather than a hint.
 
-use crate::ensemble::WorldEnsemble;
+use crate::ensemble::{WorldEnsemble, WORLD_CHUNK};
+use crate::fold::{self, ConnectedPairs, PairHits, WorldFold};
 use chameleon_stats::alloc_guard::{self, BudgetExceeded, Tracked};
 use chameleon_ugraph::{NodeId, SamplePlan, UncertainGraph, WorldMatrix};
 
-/// Strip sizes are rounded up to a multiple of this many worlds: the
-/// least common multiple of [`WORLD_CHUNK`] (sampling/labeling) and the
-/// ERR estimators' 64-world chunk. Alignment makes every in-strip chunk
-/// boundary a global chunk boundary, which is what keeps per-chunk RNG
-/// streams and fold orders identical to the in-RAM path.
-pub(crate) const STRIP_ALIGN: usize = 64;
+/// Strip sizes are rounded up to a multiple of this many worlds, the
+/// sampling chunk [`WORLD_CHUNK`]: every strip then starts on a global
+/// chunk boundary, which keeps the per-chunk RNG streams identical to the
+/// in-RAM path.
+pub(crate) const STRIP_ALIGN: usize = WORLD_CHUNK;
 
 /// Rounds a requested strip size up to the [`STRIP_ALIGN`] contract
-/// (`strip = 1` therefore runs 64-world strips; the docs say so).
+/// (`strip = 1` therefore runs 32-world strips; the docs say so).
 /// Saturates at the largest aligned `usize`, so any request at least the
 /// world count runs as one strip.
 pub(crate) fn align_strip(strip_worlds: usize) -> usize {
@@ -172,93 +169,39 @@ impl<'g> EnsembleStream<'g> {
     }
 
     /// Strip-streamed [`WorldEnsemble::reliability_many`] (bit-identical:
-    /// the per-strip kernel is the same loop, and hit counts are
-    /// integers).
+    /// integer hit counts, read from each world's union-find without a
+    /// labeling pass).
     pub fn reliability_many(&self, pairs: &[(NodeId, NodeId)]) -> Result<Vec<f64>, BudgetExceeded> {
-        let mut acc = PairReliabilityAccum::new(pairs.to_vec());
-        self.for_each_strip(|_, strip| acc.fold(strip))?;
-        Ok(acc.finish())
+        let hits = self.fold_worlds(self.threads, &PairHits(pairs))?;
+        let n = self.num_worlds as u64;
+        Ok(hits.into_iter().map(|h| fold::exact_mean(h, n)).collect())
     }
 
     /// Strip-streamed [`WorldEnsemble::expected_connected_pairs`]
-    /// (bit-identical: the same left-to-right f64 sum over worlds in
-    /// ascending order).
+    /// (bit-identical: both are the exact integer sum of `cc(G_w)`,
+    /// divided once).
     pub fn expected_connected_pairs(&self) -> Result<f64, BudgetExceeded> {
-        let mut acc = ConnectedPairsAccum::new();
-        self.for_each_strip(|_, strip| acc.fold(strip))?;
-        Ok(acc.finish())
-    }
-}
-
-/// Streaming accumulator for [`WorldEnsemble::reliability_many`] /
-/// `two_terminal_reliability`: u32 hit counters folded strip by strip
-/// through the in-RAM kernel.
-#[derive(Debug, Clone)]
-pub(crate) struct PairReliabilityAccum {
-    pairs: Vec<(NodeId, NodeId)>,
-    hits: Vec<u32>,
-    worlds: usize,
-}
-
-impl PairReliabilityAccum {
-    /// An empty accumulator over `pairs`.
-    pub fn new(pairs: Vec<(NodeId, NodeId)>) -> Self {
-        let hits = vec![0u32; pairs.len()];
-        Self {
-            pairs,
-            hits,
-            worlds: 0,
-        }
+        let sum = self.fold_worlds(self.threads, &ConnectedPairs)?;
+        Ok(fold::exact_mean(sum, self.num_worlds as u64))
     }
 
-    /// Folds one strip's hit counts in (the same blocked kernel the
-    /// in-RAM path uses).
-    pub fn fold(&mut self, strip: &WorldEnsemble) {
-        strip.accumulate_pair_hits(&self.pairs, &mut self.hits);
-        self.worlds += strip.len();
-    }
-
-    /// Per-pair reliabilities (`0.0` for a zero-world stream, matching
-    /// the in-RAM degenerate case).
-    pub fn finish(self) -> Vec<f64> {
-        let n = self.worlds;
-        if n == 0 {
-            return vec![0.0; self.pairs.len()];
-        }
-        self.hits.into_iter().map(|h| h as f64 / n as f64).collect()
-    }
-}
-
-/// Streaming accumulator for
-/// [`WorldEnsemble::expected_connected_pairs`]: carries the sequential
-/// world-order f64 sum, so folding strips in ascending order replays the
-/// exact additions of the in-RAM `iter().sum::<f64>()`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ConnectedPairsAccum {
-    sum: f64,
-    worlds: usize,
-}
-
-impl ConnectedPairsAccum {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one strip's connected-pair counts in, in world order.
-    pub fn fold(&mut self, strip: &WorldEnsemble) {
-        for &c in strip.connected_pairs_all() {
-            self.sum += c as f64;
-        }
-        self.worlds += strip.len();
-    }
-
-    /// The expected connected pairs (`0.0` for a zero-world stream).
-    pub fn finish(self) -> f64 {
-        if self.worlds == 0 {
-            return 0.0;
-        }
-        self.sum / self.worlds as f64
+    /// Folds every stored world through `fold` on up to `threads` worker
+    /// threads (`0` = all hardware threads): the per-world kernel of
+    /// [`crate::fold`] over the strips as stored, with no strip ensemble
+    /// built. The result equals [`fold::fold_ensemble`] over the in-RAM
+    /// ensemble of the same worlds.
+    ///
+    /// # Errors
+    /// [`BudgetExceeded`] when not even one worker's scratch fits under
+    /// the ceiling (later workers that do not fit are not started).
+    pub fn fold_worlds<F: WorldFold>(
+        &self,
+        threads: usize,
+        fold: &F,
+    ) -> Result<F::Acc, BudgetExceeded> {
+        let matrices: Vec<&WorldMatrix> = self.strips.iter().map(|(m, _)| m).collect();
+        let worlds = fold::Worlds::Raw(&matrices);
+        fold::fold_worlds(self.graph, worlds, threads, fold, Tracked::try_register)
     }
 }
 
@@ -351,7 +294,7 @@ mod tests {
     fn strip_one_ragged_and_oversized_match_in_ram() {
         let g = random_graph(24, 60, 3);
         // n deliberately not a multiple of the aligned strip: the final
-        // strip is ragged. strip=1 (rounds to 64), a mid size, and
+        // strip is ragged. strip=1 (rounds to 32), a mid size, and
         // strip ≥ n (single strip) all match.
         let n = 2 * STRIP_ALIGN + 17;
         for strip in [1, STRIP_ALIGN, 100, n, 10 * n, usize::MAX] {

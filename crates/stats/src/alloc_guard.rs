@@ -8,7 +8,8 @@
 //!   production binaries never need it.
 //! * The **ensemble byte budget** — a process-global gauge that the
 //!   ensemble arenas (world matrices, label arenas, stored world
-//!   strips) register their bytes against via [`Tracked`] guards. A
+//!   strips, per-worker fold scratch) register their bytes against via
+//!   [`Tracked`] guards. A
 //!   configured limit ([`set_ensemble_limit`], wired to
 //!   `--max-ensemble-bytes`) turns the gauge into a ceiling: fallible
 //!   entry points call [`Tracked::try_register`] and surface [`BudgetExceeded`] with a
@@ -124,8 +125,8 @@ pub fn reset_ensemble_peak() {
 
 /// Would registering `bytes` more stay under the ceiling? `Ok` when no
 /// limit is set. This is advisory (racy against concurrent registrations);
-/// the scale sweep and the pipeline entry points use it for fail-fast
-/// errors *before* allocating, then the gauge records what truly happened.
+/// `EnsembleStream::for_each_strip` uses it for a fail-fast error *before*
+/// building a labeled strip, then the gauge records what truly happened.
 pub fn check_ensemble_budget(bytes: usize) -> Result<(), BudgetExceeded> {
     let limit = ensemble_limit();
     let in_use = ensemble_current_bytes();

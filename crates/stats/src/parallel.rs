@@ -10,7 +10,9 @@
 //! results are combined in chunk order. Any randomness is seeded per chunk
 //! (see `SeedSequence::rng_indexed`), and floating-point accumulation
 //! happens per chunk then folds in chunk order, so the result is
-//! bit-identical at 1 thread and at N threads.
+//! bit-identical at 1 thread and at N threads. The one exception,
+//! [`fold_chunks`], folds chunks into per-worker states for callers that
+//! combine them with an order-free operation (exact integer sums).
 //!
 //! The pool is a scoped `std::thread` fan-out with an atomic work counter:
 //! no dependencies, no unsafe code, no global state. Spawning a handful of
@@ -277,6 +279,75 @@ where
     })
 }
 
+/// Folds the fixed-size chunks of `0..num_items` into per-worker states:
+/// one worker per element of `states`, each claiming chunks off an atomic
+/// counter and calling `f(&mut its_state, chunk_index, item_range)`.
+///
+/// Unlike every other primitive here, *which* chunks land in which state
+/// depends on timing. A caller gets thread-count invariant output only by
+/// combining the states with an associative and commutative operation —
+/// the ensemble folds add exact integers (DESIGN.md §12.1). One state, or
+/// at most one chunk, runs on the calling thread with no thread machinery.
+/// Panics in `f` propagate to the caller after all workers stop.
+pub fn fold_chunks<S, F>(states: &mut [S], num_items: usize, chunk_size: usize, f: F)
+where
+    S: Send,
+    F: Fn(&mut S, usize, Range<usize>) + Sync,
+{
+    let n_chunks = chunk_count(num_items, chunk_size);
+    let obs = observer();
+    let scope_start = obs.map(|_| Instant::now());
+    let total_busy_ns = AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
+    let work = |state: &mut S, worker: usize| loop {
+        let c = next.fetch_add(1, Ordering::Relaxed);
+        if c >= n_chunks {
+            break;
+        }
+        let range = chunk_range(c, chunk_size, num_items);
+        match obs {
+            None => f(state, c, range),
+            Some(o) => {
+                let t = Instant::now();
+                f(state, c, range);
+                let busy = t.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                total_busy_ns.fetch_add(busy as usize, Ordering::Relaxed);
+                o.chunk_completed(worker, c, busy);
+            }
+        }
+    };
+    let workers = states.len().min(n_chunks);
+    if workers <= 1 {
+        match states.first_mut() {
+            Some(state) => work(state, 0),
+            None => assert_eq!(n_chunks, 0, "folding chunks needs at least one state"),
+        }
+    } else {
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (states.iter_mut().enumerate().take(workers))
+                .map(|(worker, state)| {
+                    let work = &work;
+                    scope.spawn(move || work(state, worker))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        for outcome in outcomes {
+            if let Err(payload) = outcome {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    }
+    if let (Some(o), Some(start)) = (obs, scope_start) {
+        o.scope_completed(
+            workers.max(1),
+            n_chunks,
+            total_busy_ns.load(Ordering::Relaxed) as u64,
+            start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+        );
+    }
+}
+
 /// Maps `f` over `0..num_items` item-by-item on up to `threads` threads,
 /// returning results in item order.
 ///
@@ -426,6 +497,38 @@ mod tests {
                 .collect();
             assert_eq!(out, expect);
         }
+    }
+
+    #[test]
+    fn fold_chunks_visits_every_item_once_in_some_state() {
+        for workers in [1, 2, 8] {
+            // Per-state item sums and chunk counts: integer totals are
+            // order-free, so any split of the chunks adds up the same.
+            let mut states = vec![(0u64, 0usize); workers];
+            fold_chunks(&mut states, 1000, 7, |(sum, chunks), _, r| {
+                *sum += r.map(|i| i as u64).sum::<u64>();
+                *chunks += 1;
+            });
+            assert_eq!(states.iter().map(|s| s.0).sum::<u64>(), 999 * 1000 / 2);
+            assert_eq!(
+                states.iter().map(|s| s.1).sum::<usize>(),
+                1000usize.div_ceil(7)
+            );
+        }
+        // No items: the states come back untouched, even with none at all.
+        let mut states = vec![5u8; 3];
+        fold_chunks(&mut states, 0, 4, |s, _, _| *s += 1);
+        assert_eq!(states, vec![5; 3]);
+        fold_chunks(&mut [] as &mut [u8], 0, 4, |s, _, _| *s += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk 3 fails")]
+    fn fold_chunks_propagates_a_worker_panic() {
+        let mut states = vec![(); 4];
+        fold_chunks(&mut states, 40, 4, |_, c, _| {
+            assert_ne!(c, 3, "chunk 3 fails")
+        });
     }
 
     #[test]

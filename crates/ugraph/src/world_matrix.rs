@@ -157,6 +157,9 @@ pub struct SamplePlan {
     /// `(edge_id, ⌈p·2⁵³⌉)` for edges with `0 < p < 1`, ascending by id:
     /// the edge is present iff `next_u64() >> 11` is below the threshold.
     uncertain: Vec<(u32, u64)>,
+    /// `(word, end)` for every row word holding an uncertain edge, in
+    /// ascending order: that word's edges are `uncertain[previous end..end]`.
+    word_spans: Vec<(u32, u32)>,
     num_edges: usize,
     words_per_world: usize,
 }
@@ -175,9 +178,17 @@ impl SamplePlan {
                 uncertain.push((i as u32, threshold(edge.p)));
             }
         }
+        let mut word_spans: Vec<(u32, u32)> = Vec::new();
+        for (end, &(e, _)) in uncertain.iter().enumerate() {
+            match word_spans.last_mut() {
+                Some((word, span_end)) if *word == e / 64 => *span_end = end as u32 + 1,
+                _ => word_spans.push((e / 64, end as u32 + 1)),
+            }
+        }
         Self {
             template,
             uncertain,
+            word_spans,
             num_edges,
             words_per_world,
         }
@@ -196,16 +207,22 @@ impl SamplePlan {
     /// Samples one world into `row`: copies the deterministic template,
     /// then decides `rng.gen::<f64>() < p` for each uncertain edge
     /// ascending — the exact call sequence and outcomes of
-    /// `WorldSampler::sample`, compared on the integer threshold.
+    /// `WorldSampler::sample`, compared on the integer threshold. Each
+    /// word's draws are ORed together in a register and stored once.
     ///
     /// # Panics
     /// Panics if `row.len() != words_per_world`.
     pub fn sample_into<R: Rng + ?Sized>(&self, row: &mut [u64], rng: &mut R) {
         assert_eq!(row.len(), self.words_per_world, "row width mismatch");
         row.copy_from_slice(&self.template);
-        for &(e, t) in &self.uncertain {
-            let present = u64::from((rng.next_u64() >> 11) < t);
-            row[e as usize / 64] |= present << (e % 64);
+        let mut start = 0;
+        for &(word, end) in &self.word_spans {
+            let mut bits = 0u64;
+            for &(e, t) in &self.uncertain[start..end as usize] {
+                bits |= u64::from((rng.next_u64() >> 11) < t) << (e % 64);
+            }
+            row[word as usize] |= bits;
+            start = end as usize;
         }
     }
 
