@@ -11,6 +11,8 @@ use chameleon_core::relevance::{
 use chameleon_core::uniqueness::uniqueness_scores;
 use chameleon_datasets::brightkite_like;
 use chameleon_reliability::{sample_distinct_pairs, EnsembleStream, WorldEnsemble};
+use chameleon_stats::detmath;
+use chameleon_stats::poisson_binomial::pmf_truncated;
 use chameleon_stats::trunc_normal::half_unit_quantiles;
 use chameleon_stats::{PoissonBinomial, TruncatedNormal};
 use chameleon_ugraph::{UncertainGraph, WorldSampler};
@@ -171,6 +173,18 @@ fn bench_stats_kernels(c: &mut Criterion) {
     let probs: Vec<f64> = (0..64).map(|i| 0.1 + 0.8 * (i as f64 / 64.0)).collect();
     group.bench_function("poisson_binomial_64", |b| {
         b.iter(|| black_box(PoissonBinomial::new(&probs)))
+    });
+    // The entropy sweep's `ln` over pmf weights: the degree pmfs of 64
+    // vertices of degree 1 to 64, tails included, as one slice.
+    let weights: Vec<f64> = (1..=probs.len())
+        .flat_map(|d| pmf_truncated(&probs[..d], d))
+        .collect();
+    let mut lns = vec![0.0; weights.len()];
+    group.bench_function("detmath_ln_into", |b| {
+        b.iter(|| {
+            detmath::ln_into(black_box(&weights), &mut lns);
+            lns.iter().sum::<f64>()
+        })
     });
     let tn = TruncatedNormal::half_unit(0.3);
     group.bench_function("trunc_normal_sample", |b| {

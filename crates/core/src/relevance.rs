@@ -262,10 +262,12 @@ impl WorldFold for CoupledErr {
                 let e = base + x.trailing_zeros() as usize;
                 x &= x - 1;
                 absent.counts[e] += 1;
+                // Branch-free: whether an absent edge crosses components
+                // is a coin flip on shattered worlds, so the term is
+                // weighted by the crossing bit instead of branched on.
                 let (lu, lv) = (labels[us[e] as usize], labels[vs[e] as usize]);
-                if lu != lv {
-                    absent.sums[e] += u64::from(sizes[lu as usize]) * u64::from(sizes[lv as usize]);
-                }
+                let product = u64::from(sizes[lu as usize]) * u64::from(sizes[lv as usize]);
+                absent.sums[e] += u64::from(lu != lv) * product;
             }
         }
     }
@@ -733,6 +735,44 @@ mod tests {
             );
             proptest::prop_assert_eq!(&bits(&alg2_streamed(&g, &stream, threads)), &alg2);
             proptest::prop_assert_eq!(stream.expected_connected_pairs().unwrap().to_bits(), ecp);
+        }
+    }
+
+    fn fnv1a(v: &[f64]) -> u64 {
+        v.iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// A golden pin of both ERR estimators' bits, in RAM and streamed, at
+    /// 1 and 2 threads. 257 worlds, so the world count of a p = 0 or
+    /// p = 1 edge reaches 257 and carries past 2⁸; 96-world strips, so
+    /// the last of three is ragged; 700 edges, so the last 64-edge word
+    /// is too.
+    #[test]
+    fn err_bits_are_pinned() {
+        const WORLDS: usize = 257;
+        const COUPLED: u64 = 7257663463726297461;
+        const ALG2: u64 = 11899611467184490670;
+        let g = random_graph(300, 700, 26);
+        let ens = WorldEnsemble::sample_seeded(&g, WORLDS, 2026, 1);
+        for threads in [1, 2] {
+            let coupled = edge_reliability_relevance_threads(&g, &ens, threads);
+            assert_eq!(fnv1a(&coupled), COUPLED, "coupled, {threads} threads");
+            let alg2 = edge_reliability_relevance_alg2_threads(&g, &ens, threads);
+            assert_eq!(fnv1a(&alg2), ALG2, "alg2, {threads} threads");
+            let stream = EnsembleStream::sample(&g, WORLDS, 2026, threads, 96).unwrap();
+            assert_eq!(stream.strip_worlds(), 96);
+            let coupled = edge_reliability_relevance_streamed(&g, &stream, threads).unwrap();
+            assert_eq!(
+                fnv1a(&coupled),
+                COUPLED,
+                "streamed coupled, {threads} threads"
+            );
+            let alg2 = alg2_streamed(&g, &stream, threads);
+            assert_eq!(fnv1a(&alg2), ALG2, "streamed alg2, {threads} threads");
         }
     }
 

@@ -24,6 +24,16 @@
 //! to nearest, so results stay identical across threads and strips; an
 //! ordered f64 fold would round at every step instead.
 //!
+//! **Accumulators.** Each statistic owns its per-worker accumulator:
+//! `PairHits` a `u64` hit count per pair, `ConnectedPairs` one `u64`,
+//! and the ERR folds of the core crate a `u64` sum and a `u32` world
+//! count per edge (12 bytes an edge). [`WorldFold::acc_bytes`] registers
+//! it against the ensemble gauge with the worker's scratch. A fold's
+//! per-element loop should not branch on data: the coupled ERR fold adds
+//! `[l_u ≠ l_v]·s_u·s_v` for every absent edge rather than testing the
+//! labels, since that test goes either way at random on shattered
+//! worlds.
+//!
 //! [`EnsembleStream::fold_worlds`]: crate::EnsembleStream::fold_worlds
 
 use crate::WorldEnsemble;

@@ -14,7 +14,8 @@ use chameleon_core::{
     ChameleonError, CheckpointHook, Method, SearchCheckpoint,
 };
 use chameleon_obs::json;
-use chameleon_reliability::{sample_distinct_pairs, WorldEnsemble};
+use chameleon_reliability::{sample_distinct_pairs, EnsembleStream};
+use chameleon_stats::alloc_guard::BudgetExceeded;
 use chameleon_stats::{parallel, SeedSequence};
 use chameleon_ugraph::builder::DedupPolicy;
 use chameleon_ugraph::{io, UncertainGraph};
@@ -357,8 +358,12 @@ impl JobSpec {
                 let threads = parallel::resolve_threads(*threads);
                 let seq = SeedSequence::new(*seed);
                 let pair_set = sample_distinct_pairs(g.num_nodes(), *pairs, &mut seq.rng("pairs"));
-                let ens = WorldEnsemble::sample_seeded(&g, *worlds, seq.derive("worlds"), threads);
-                let rel = ens.reliability_many(&pair_set);
+                // One strip holding every world: pair hits are counted
+                // from each world's union-find, so no label row is built.
+                let rel =
+                    EnsembleStream::sample(&g, *worlds, seq.derive("worlds"), threads, usize::MAX)
+                        .and_then(|stream| stream.reliability_many(&pair_set))
+                        .map_err(resource_limit)?;
                 let (mut lo, mut hi, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
                 for &r in &rel {
                     lo = lo.min(r);
@@ -384,6 +389,12 @@ impl JobSpec {
             }
         }
     }
+}
+
+/// An ensemble that would cross the process's byte ceiling fails the job
+/// with the message `obfuscate` gives for the same limit.
+fn resource_limit(e: BudgetExceeded) -> ExecError {
+    ExecError::Failed(ChameleonError::ResourceLimit(e.to_string()).to_string())
 }
 
 fn parse_graph(text: &str) -> Result<UncertainGraph, ExecError> {
@@ -492,6 +503,94 @@ mod tests {
         let b = spec.execute(&CancelToken::new()).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("\"avg_reliability\":"));
+    }
+
+    /// The reply the job gave when it built a labeled `WorldEnsemble`
+    /// and read pair hits from its label rows.
+    fn labeled_ensemble_reply(
+        graph: &str,
+        worlds: usize,
+        pairs: usize,
+        threads: usize,
+        seed: u64,
+    ) -> String {
+        let g = parse_graph(graph).unwrap();
+        let seq = SeedSequence::new(seed);
+        let pair_set = sample_distinct_pairs(g.num_nodes(), pairs, &mut seq.rng("pairs"));
+        let ens = chameleon_reliability::WorldEnsemble::sample_seeded(
+            &g,
+            worlds,
+            seq.derive("worlds"),
+            threads,
+        );
+        let rel = ens.reliability_many(&pair_set);
+        let (mut lo, mut hi, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+        for &r in &rel {
+            lo = lo.min(r);
+            hi = hi.max(r);
+            sum += r;
+        }
+        let avg = if rel.is_empty() {
+            0.0
+        } else {
+            sum / rel.len() as f64
+        };
+        format!(
+            "{{\"avg_reliability\":{},\"min_reliability\":{},\"max_reliability\":{},\
+             \"pairs\":{},\"worlds\":{worlds}}}",
+            json::number(avg),
+            json::number(if rel.is_empty() { 0.0 } else { lo }),
+            json::number(if rel.is_empty() { 0.0 } else { hi }),
+            rel.len(),
+        )
+    }
+
+    /// A 60-vertex graph with two edges a vertex, p from 0.05 to 1.
+    fn ring_graph() -> String {
+        let mut text = "nodes 60\n".to_string();
+        for i in 0..60u32 {
+            let p = f64::from(5 + (i * 37) % 96) / 100.0;
+            let _ = writeln!(text, "{i} {} {p}", (i * 7 + 3) % 60);
+            let _ = writeln!(text, "{i} {} {p}", (i * 13 + 5) % 60);
+        }
+        text
+    }
+
+    #[test]
+    fn reliability_reply_bytes_match_the_labeled_ensemble() {
+        for (graph, worlds, pairs, threads, seed) in [
+            (tiny_graph(), 100, 10, 1, 3),
+            (tiny_graph(), 1, 15, 2, 4),
+            (ring_graph(), 257, 200, 1, 9),
+            (ring_graph(), 257, 200, 2, 9),
+            (ring_graph(), 64, 0, 2, 5),
+        ] {
+            let spec = JobSpec::Reliability {
+                graph: graph.clone(),
+                worlds,
+                pairs,
+                threads,
+                seed,
+            };
+            assert_eq!(
+                spec.execute(&CancelToken::new()).unwrap(),
+                labeled_ensemble_reply(&graph, worlds, pairs, threads, seed),
+                "{worlds} worlds, {pairs} pairs, {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn ensemble_ceiling_fails_like_an_obfuscate_resource_limit() {
+        let e = BudgetExceeded {
+            requested: 10,
+            in_use: 5,
+            limit: 12,
+        };
+        assert_eq!(
+            resource_limit(e),
+            ExecError::Failed(format!("resource limit: {e}"))
+        );
     }
 
     #[test]

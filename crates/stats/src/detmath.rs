@@ -14,7 +14,9 @@
 //! below 1 ulp. Rust never contracts `a * b + c` into a fused
 //! multiply-add, and nothing here dispatches on CPU features, so every
 //! host computes the same bits; the `outputs_are_pinned` test holds that
-//! on any host. The slice forms give the scalar forms' bits.
+//! on any host. The slice forms give the scalar forms' bits; `ln_into`
+//! runs the general case branch-free over the whole slice first and
+//! recomputes the rare special lanes after.
 //!
 //! Against the host's libm (glibc 2.36, x86-64) the ignored `ulp_audit`
 //! test, over 10⁷ inputs per range the code uses, found at most 1 ulp:
@@ -120,16 +122,8 @@ fn with_exponent_added(y: f64, k: i32) -> f64 {
 /// `k·ln2` is added in two parts. `ln(±0)` is −∞, `ln` of a negative
 /// number or NaN is NaN, `ln(+∞)` is +∞, and `ln(1)` is exactly +0.
 pub fn ln(x: f64) -> f64 {
-    const LG1: f64 = f64::from_bits(0x3fe5_5555_5555_5593);
-    const LG2: f64 = f64::from_bits(0x3fd9_9999_9997_fa04);
-    const LG3: f64 = f64::from_bits(0x3fd2_4924_9422_9359);
-    const LG4: f64 = f64::from_bits(0x3fcc_71c5_1d8e_78af);
-    const LG5: f64 = f64::from_bits(0x3fc7_4664_96cb_03de);
-    const LG6: f64 = f64::from_bits(0x3fc3_9a09_d078_c69f);
-    const LG7: f64 = f64::from_bits(0x3fc2_f112_df3e_5244);
-
     let mut x = x;
-    let mut hx = (x.to_bits() >> 32) as i32;
+    let hx = (x.to_bits() >> 32) as i32;
     let lx = x.to_bits() as u32;
     let mut k = 0i32;
     if hx < 0x0010_0000 {
@@ -143,23 +137,14 @@ pub fn ln(x: f64) -> f64 {
         // Subnormal: scale up.
         k -= 54;
         x *= TWO54;
-        hx = (x.to_bits() >> 32) as i32;
     }
     if hx >= 0x7ff0_0000 {
         return x + x;
     }
-    k += (hx >> 20) - 1023;
-    let hx = hx & 0x000f_ffff;
-    let i = (hx + 0x95f64) & 0x0010_0000;
-    // Normalize x or x/2 into [√2/2, √2).
-    let x = f64::from_bits(
-        (u64::from((hx | (i ^ 0x3ff0_0000)) as u32) << 32) | (x.to_bits() & 0xffff_ffff),
-    );
-    k += i >> 20;
-    let f = x - 1.0;
-    let dk = f64::from(k);
-    if (0x000f_ffff & (2 + hx)) < 3 {
+    let (hx, k, f) = ln_reduce(x, k);
+    if ln_tiny_f(hx) {
         // |f| < 2⁻²⁰.
+        let dk = f64::from(k);
         if f == 0.0 {
             return if k == 0 {
                 0.0
@@ -174,23 +159,59 @@ pub fn ln(x: f64) -> f64 {
             dk * LN2_HI - ((r - dk * LN2_LO) - f)
         };
     }
+    ln_general(hx, k, f)
+}
+
+/// fdlibm's reduction of a positive normal `x` (with `k` already in the
+/// exponent) to `x = 2ᵏ·(1 + f)`, `√2/2 ≤ 1 + f < √2`: returns the high
+/// 20 mantissa bits of `x`, `k` and `f`.
+#[inline(always)]
+fn ln_reduce(x: f64, k: i32) -> (i32, i32, f64) {
+    let hx = (x.to_bits() >> 32) as i32;
+    let k = k + (hx >> 20) - 1023;
+    let hx = hx & 0x000f_ffff;
+    let i = (hx + 0x95f64) & 0x0010_0000;
+    // Normalize x or x/2 into [√2/2, √2).
+    let x = f64::from_bits(
+        (u64::from((hx | (i ^ 0x3ff0_0000)) as u32) << 32) | (x.to_bits() & 0xffff_ffff),
+    );
+    (hx, k + (i >> 20), x - 1.0)
+}
+
+/// Whether the mantissa bits `hx` of [`ln_reduce`] put |f| below 2⁻²⁰.
+#[inline(always)]
+fn ln_tiny_f(hx: i32) -> bool {
+    (0x000f_ffff & (2 + hx)) < 3
+}
+
+/// fdlibm's general case of `ln` (|f| ≥ 2⁻²⁰), without a branch: both of
+/// its forms are computed and one is selected. fdlibm's separate `k == 0`
+/// forms are these at `k = 0`, bit for bit: the zero `k·ln2` parts add
+/// ±0 to nonzero terms, and `0 − (a − b)` rounds like `b − a`.
+#[inline(always)]
+fn ln_general(hx: i32, k: i32, f: f64) -> f64 {
+    const LG1: f64 = f64::from_bits(0x3fe5_5555_5555_5593);
+    const LG2: f64 = f64::from_bits(0x3fd9_9999_9997_fa04);
+    const LG3: f64 = f64::from_bits(0x3fd2_4924_9422_9359);
+    const LG4: f64 = f64::from_bits(0x3fcc_71c5_1d8e_78af);
+    const LG5: f64 = f64::from_bits(0x3fc7_4664_96cb_03de);
+    const LG6: f64 = f64::from_bits(0x3fc3_9a09_d078_c69f);
+    const LG7: f64 = f64::from_bits(0x3fc2_f112_df3e_5244);
+
+    let dk = f64::from(k);
     let s = f / (2.0 + f);
     let z = s * s;
     let w = z * z;
     let t1 = w * (LG2 + w * (LG4 + w * LG6));
     let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
     let r = t2 + t1;
+    let hfsq = 0.5 * f * f;
+    let wide = dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f);
+    let narrow = dk * LN2_HI - ((s * (f - r) - dk * LN2_LO) - f);
     if ((hx - 0x6147a) | (0x6b851 - hx)) > 0 {
-        let hfsq = 0.5 * f * f;
-        if k == 0 {
-            f - (hfsq - s * (hfsq + r))
-        } else {
-            dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f)
-        }
-    } else if k == 0 {
-        f - s * (f - r)
+        wide
     } else {
-        dk * LN2_HI - ((s * (f - r) - dk * LN2_LO) - f)
+        narrow
     }
 }
 
@@ -205,15 +226,40 @@ pub fn exp_into(xs: &[f64], out: &mut [f64]) {
     }
 }
 
-/// `out[i] = ln(xs[i])`, bit for bit.
+/// `out[i] = ln(xs[i])`, bit for bit, in two passes.
+///
+/// Pass 1 runs [`ln`]'s general case on every lane without a branch, as
+/// if every input were positive and normal with |f| ≥ 2⁻²⁰. Pass 2, only
+/// when pass 1 saw one, recomputes each lane outside that case (±0,
+/// negatives, subnormals, ±∞, NaN, |f| < 2⁻²⁰: inputs at or within
+/// 2⁻²⁰ of a power of two) with scalar [`ln`]. Pmf weights are nearly
+/// all general lanes, so pass 2 is rare and short.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 pub fn ln_into(xs: &[f64], out: &mut [f64]) {
     assert_eq!(xs.len(), out.len(), "one output per input");
+    let mut special = false;
     for (o, &x) in out.iter_mut().zip(xs) {
-        *o = ln(x);
+        let (hx, k, f) = ln_reduce(x, 0);
+        *o = ln_general(hx, k, f);
+        special |= ln_special(x);
     }
+    if special {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            if ln_special(x) {
+                *o = ln(x);
+            }
+        }
+    }
+}
+
+/// Whether `ln(x)` leaves fdlibm's general case: `x` is not a positive
+/// normal finite double, or it lies within 2⁻²⁰ of a power of two.
+#[inline(always)]
+fn ln_special(x: f64) -> bool {
+    let hx = (x.to_bits() >> 32) as i32;
+    !(0x0010_0000..0x7ff0_0000).contains(&hx) | ln_tiny_f(hx & 0x000f_ffff)
 }
 
 // The tests compare against the host's libm, which the release path may
@@ -350,6 +396,107 @@ mod tests {
             ln_into(&xs, &mut out);
             let want: Vec<f64> = xs.iter().map(|&x| ln(x)).collect();
             prop_assert_eq!(bits(&out), bits(&want));
+        }
+    }
+
+    /// A double with the given high 20 mantissa bits and low word, in
+    /// the binade of 2^`e`.
+    fn with_mantissa(e: i32, hi20: u32, lo: u32) -> f64 {
+        let exp = u64::try_from(e + 1023).unwrap();
+        f64::from_bits(exp << 52 | u64::from(hi20) << 32 | u64::from(lo))
+    }
+
+    /// Inputs of every kind `ln_into` splits between its passes.
+    fn ln_lane_kinds() -> Vec<f64> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            -1.0,
+            -0.5,
+            -MIN_SUBNORMAL,
+            -f64::MAX,
+            MIN_SUBNORMAL,
+            2.0 * MIN_SUBNORMAL,
+            f64::from_bits(0x0000_0001_2345_6789),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            // Within 2⁻²⁰ of 1, where fdlibm's small-|f| form and the
+            // general form round differently: pass 2 must take these.
+            f64::from_bits(0x3fef_fffe_3c2e_8817),
+            f64::from_bits(0x3ff0_0000_e72a_3694),
+            f64::from_bits(0x3fef_fffe_8535_90c6),
+        ];
+        for e in [-1022, -300, -20, -1, 0, 1, 7, 52, 1023] {
+            // The power of two, its |f| < 2⁻²⁰ neighbours above (high
+            // mantissa bits 0) and below (0xffffe, 0xfffff), and the
+            // first general lanes past them.
+            for (hi20, lo) in [
+                (0, 0),
+                (0, 1),
+                (0, 0xffff_ffff),
+                (0xf_ffff, 0xffff_ffff),
+                (0xf_fffe, 0),
+                (1, 0),
+                (0xf_fffd, 0xffff_ffff),
+            ] {
+                xs.push(with_mantissa(e, hi20, lo));
+            }
+            // The i ≤ 0 band of high mantissa bits, its edges and the
+            // lanes either side of them.
+            for hi20 in [
+                0x6_1479, 0x6_147a, 0x6_147b, 0x6_6666, 0x6_b850, 0x6_b851, 0x6_b852,
+            ] {
+                xs.push(with_mantissa(e, hi20, 0x9abc_def0));
+            }
+        }
+        // The k == 0 band [√2/2, √2), across the i ≤ 0 band and the split
+        // of fdlibm's reduction at 1.
+        let mut x = std::f64::consts::FRAC_1_SQRT_2;
+        while x < std::f64::consts::SQRT_2 {
+            xs.push(x);
+            xs.push(f64::from_bits(x.to_bits() + 0x1234_5678));
+            x += 0.013;
+        }
+        // Pmf-like weights.
+        let mut rng = SeedSequence::new(26).rng("ln-lanes");
+        xs.extend((0..200).map(|_| rng.gen::<f64>() * 2f64.powi(-rng.gen_range(0..60i32))));
+        xs
+    }
+
+    /// `ln_into` gives scalar `ln`'s bits on slices of every length
+    /// around its lane count, each a window of the lane kinds that mixes
+    /// general lanes with those pass 2 recomputes, or holds general lanes
+    /// only.
+    #[test]
+    fn ln_into_matches_scalar_on_every_lane_kind() {
+        let kinds = ln_lane_kinds();
+        let general: Vec<f64> = kinds.iter().copied().filter(|&x| !ln_special(x)).collect();
+        assert!(general.len() > 65 && general.len() < kinds.len());
+        for pool in [&kinds, &general] {
+            for len in [0, 1, 2, 63, 64, 65] {
+                for start in 0..pool.len() {
+                    let xs: Vec<f64> = (0..len)
+                        .map(|j| pool[(start + 7 * j) % pool.len()])
+                        .collect();
+                    let mut out = vec![f64::NAN; len];
+                    ln_into(&xs, &mut out);
+                    for (&x, &got) in xs.iter().zip(&out) {
+                        assert_eq!(
+                            got.to_bits(),
+                            ln(x).to_bits(),
+                            "ln({x:e}) = ln({:#x})",
+                            x.to_bits()
+                        );
+                    }
+                }
+            }
         }
     }
 
