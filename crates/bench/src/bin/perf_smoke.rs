@@ -23,7 +23,10 @@
 //! The `--out` report also records `cpu_steal_share`, the share of the
 //! host's CPU time the hypervisor stole during the run (from
 //! `/proc/stat`; `"n/a"` where it is absent), so a slow report on a
-//! shared host can be told from a slow change. It is never gated.
+//! shared host can be told from a slow change, and `minor_faults`, the
+//! minor page faults this process took inside each `anonymize_e2e*` site
+//! (from `/proc/self/stat`; `"n/a"` where it is absent), so a return to
+//! faulting in fresh buffers on every job shows. Neither is gated.
 
 use chameleon_bench::{Args, ExperimentConfig};
 use chameleon_core::AdversaryKnowledge;
@@ -301,17 +304,32 @@ fn main() {
             .incremental(incremental)
             .build()
     };
+    let faults_start = minor_faults();
     let e2e_plain = time_reps(&SPAN_E2E, reps, || {
         let r = Chameleon::new(anonymize_cfg(false))
             .anonymize(&g, Method::Rsme, SEED)
             .expect("plain anonymize on the reference workload");
         std::hint::black_box(r.sigma);
     });
+    let faults_plain = minor_faults();
     let e2e_incremental = time_reps(&SPAN_E2E_INC, reps, || {
         let r = Chameleon::new(anonymize_cfg(true))
             .anonymize(&g, Method::Rsme, SEED)
             .expect("incremental anonymize on the reference workload");
         std::hint::black_box(r.sigma);
+    });
+    let faults_incremental = minor_faults();
+    let e2e_faults = [
+        ("anonymize_e2e", faults_start, faults_plain),
+        (
+            "anonymize_e2e_incremental",
+            faults_plain,
+            faults_incremental,
+        ),
+    ]
+    .map(|(site, before, after)| match (before, after) {
+        (Some(before), Some(after)) => (site, (after - before).to_string()),
+        _ => (site, "\"n/a\"".to_string()),
     });
     let incremental_speedup = e2e_plain / e2e_incremental;
     println!(
@@ -677,6 +695,9 @@ fn main() {
         _ => "\"n/a\"".to_string(),
     };
     println!("cpu steal share over the run: {steal_share}");
+    for (site, faults) in &e2e_faults {
+        println!("minor page faults in {site}: {faults}");
+    }
 
     // The `--out` report: measurements + the full metrics snapshot (spans of
     // this run, pipeline counters, chunk histograms) for the CI artifact.
@@ -710,6 +731,10 @@ fn main() {
     let _ = writeln!(json, "  \"tolerance\": {tolerance},");
     let _ = writeln!(json, "  \"calibration_s\": {calibration_s:.6},");
     let _ = writeln!(json, "  \"cpu_steal_share\": {steal_share},");
+    let faults: Vec<String> = (e2e_faults.iter())
+        .map(|(site, faults)| format!("\"{site}\": {faults}"))
+        .collect();
+    let _ = writeln!(json, "  \"minor_faults\": {{ {} }},", faults.join(", "));
     for m in &sites {
         let vs = m
             .vs_baseline
@@ -811,6 +836,16 @@ fn cpu_steal_jiffies() -> Option<(u64, u64)> {
         .map(|f| f.parse().ok())
         .collect::<Option<_>>()?;
     Some((*ticks.get(7)?, ticks.iter().sum()))
+}
+
+/// Minor page faults this process has taken so far: field 10 (`minflt`)
+/// of `/proc/self/stat`, counted after the parenthesized command name,
+/// which may itself hold spaces. `None` where the file is absent.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let after_comm = &stat[stat.rfind(')')? + 1..];
+    // Fields 3 onwards follow the name, so field 10 is the eighth.
+    after_comm.split_whitespace().nth(7)?.parse().ok()
 }
 
 /// Re-indents a JSON document for embedding as a nested object value.

@@ -91,6 +91,12 @@ impl DegreePmfs {
         self.vals.resize(off[off.len() - 1], 0.0);
     }
 
+    /// Adds this arena's buffers to `f`.
+    pub(crate) fn footprint(&self, f: &mut crate::genobf_plan::Footprint) {
+        f.add(&self.off);
+        f.add(&self.vals);
+    }
+
     /// Number of vertices covered.
     fn len(&self) -> usize {
         self.off.len() - 1

@@ -119,6 +119,11 @@ impl NoiseBudget {
         }
     }
 
+    /// Adds this budget's buffer to `f`.
+    pub(crate) fn footprint(&self, f: &mut crate::genobf_plan::Footprint) {
+        f.add(&self.ratio);
+    }
+
     /// σ_e/σ per candidate.
     pub(crate) fn ratios(&self) -> &[f64] {
         &self.ratio
