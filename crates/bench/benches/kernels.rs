@@ -216,6 +216,46 @@ fn bench_stats_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The graph's endpoint index at n = 10⁵ (BRIGHTKITE-like, 367,655
+/// edges): inserting every edge through `add_edge` into a graph of
+/// isolated nodes, looking every edge up from its other endpoint, and
+/// looking up as many absent pairs.
+fn bench_endpoint_index(c: &mut Criterion) {
+    let g = graph(100_000);
+    let n = g.num_nodes() as u32;
+    let edges: Vec<_> = g.edges().iter().map(|e| (e.v, e.u, e.p)).collect();
+    let absent: Vec<_> = (g.edges().iter())
+        .map(|e| (e.u, (e.v + 7) % n))
+        .filter(|&(u, v)| u != v && !g.has_edge(u, v))
+        .collect();
+    let mut group = c.benchmark_group("ugraph/endpoint_index");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("build", edges.len()), |b| {
+        b.iter(|| {
+            let mut built = UncertainGraph::with_nodes(g.num_nodes());
+            for &(u, v, p) in &edges {
+                built.add_edge(u, v, p).unwrap();
+            }
+            built
+        })
+    });
+    group.bench_function(BenchmarkId::new("hits", edges.len()), |b| {
+        b.iter(|| {
+            (edges.iter())
+                .filter(|&&(u, v, _)| g.find_edge(u, v).is_some())
+                .count()
+        })
+    });
+    group.bench_function(BenchmarkId::new("misses", absent.len()), |b| {
+        b.iter(|| {
+            (absent.iter())
+                .filter(|&&(u, v)| g.find_edge(u, v).is_none())
+                .count()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_world_sampling,
@@ -225,6 +265,7 @@ criterion_group!(
     bench_err_estimators,
     bench_anonymity_check,
     bench_scores,
-    bench_stats_kernels
+    bench_stats_kernels,
+    bench_endpoint_index
 );
 criterion_main!(kernels);

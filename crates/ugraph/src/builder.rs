@@ -4,7 +4,6 @@
 
 use crate::error::GraphError;
 use crate::graph::{NodeId, UncertainGraph};
-use std::collections::HashMap;
 
 /// Policy for resolving duplicate edge records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -23,12 +22,16 @@ pub enum DedupPolicy {
 }
 
 /// Accumulates edges then produces a validated [`UncertainGraph`].
+///
+/// Records go straight into the graph being built, whose endpoint index
+/// finds a duplicate with the same probe that would place a new edge;
+/// the adjacency lists are linked once, by [`GraphBuilder::build`], since
+/// the node count may still grow until then.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     num_nodes: usize,
     policy: DedupPolicy,
-    edges: HashMap<(NodeId, NodeId), f64>,
-    order: Vec<(NodeId, NodeId)>,
+    graph: UncertainGraph,
 }
 
 impl GraphBuilder {
@@ -38,8 +41,7 @@ impl GraphBuilder {
         Self {
             num_nodes: n,
             policy: DedupPolicy::default(),
-            edges: HashMap::new(),
-            order: Vec::new(),
+            graph: UncertainGraph::with_nodes(0),
         }
     }
 
@@ -57,9 +59,9 @@ impl GraphBuilder {
     /// Records an edge observation.
     ///
     /// # Errors
-    /// Fails on self-loops, invalid probabilities, or duplicates under
-    /// [`DedupPolicy::Reject`]. Node ids beyond the current count enlarge
-    /// the graph.
+    /// Fails on self-loops, invalid probabilities, duplicates under
+    /// [`DedupPolicy::Reject`], or a new edge beyond the `u32` edge id
+    /// space. Node ids beyond the current count enlarge the graph.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, p: f64) -> Result<(), GraphError> {
         if u == v {
             return Err(GraphError::SelfLoop(u));
@@ -76,47 +78,34 @@ impl GraphBuilder {
             });
         }
         self.ensure_nodes(u.max(v) as usize + 1);
-        let key = if u < v { (u, v) } else { (v, u) };
-        match self.edges.entry(key) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(p);
-                self.order.push(key);
-            }
-            std::collections::hash_map::Entry::Occupied(mut slot) => match self.policy {
-                DedupPolicy::KeepFirst => {}
-                DedupPolicy::KeepLast => {
-                    *slot.get_mut() = p;
-                }
-                DedupPolicy::KeepMax => {
-                    let cur = *slot.get();
-                    *slot.get_mut() = cur.max(p);
-                }
-                DedupPolicy::NoisyOr => {
-                    let cur = *slot.get();
-                    *slot.get_mut() = 1.0 - (1.0 - cur) * (1.0 - p);
-                }
-                DedupPolicy::Reject => {
-                    return Err(GraphError::DuplicateEdge(key.0, key.1));
-                }
-            },
+        let (u, v) = if u < v { (u, v) } else { (v, u) };
+        let (e, new) = self.graph.find_or_append_unlinked(u, v, p)?;
+        if new {
+            return Ok(());
         }
-        Ok(())
+        // A duplicate: fold `p` into the edge's probability, in record
+        // order.
+        let cur = self.graph.prob(e);
+        let p = match self.policy {
+            DedupPolicy::KeepFirst => return Ok(()),
+            DedupPolicy::KeepLast => p,
+            DedupPolicy::KeepMax => cur.max(p),
+            DedupPolicy::NoisyOr => 1.0 - (1.0 - cur) * (1.0 - p),
+            DedupPolicy::Reject => return Err(GraphError::DuplicateEdge(u, v)),
+        };
+        self.graph.set_prob(e, p)
     }
 
     /// Number of distinct edges recorded so far.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.graph.num_edges()
     }
 
     /// Finalizes into an [`UncertainGraph`]; edges appear in first-seen
     /// order, making builds reproducible.
     pub fn build(self) -> UncertainGraph {
-        let mut g = UncertainGraph::with_nodes(self.num_nodes);
-        for key in &self.order {
-            let p = self.edges[key];
-            g.add_edge(key.0, key.1, p)
-                .expect("builder enforces validity");
-        }
+        let mut g = self.graph;
+        g.link_adjacency(self.num_nodes);
         g
     }
 }
@@ -124,6 +113,8 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::hostile::*;
+    use crate::graph::probe_count;
 
     #[test]
     fn basic_build() {
@@ -216,6 +207,66 @@ mod tests {
         // One below the limit is fine structurally (id space still fits).
         assert!(b.add_edge(u32::MAX - 1, 0, 0.5).is_ok());
         assert_eq!(b.num_edges(), 1);
+    }
+
+    /// Every policy on keys that defeat an unkeyed multiplicative hash:
+    /// each edge's first record builds what `add_edge` builds, its
+    /// duplicate (the reversed record) folds in as the policy says or,
+    /// under `Reject`, is `add_edge`'s error, and probes stay short.
+    #[test]
+    fn hostile_keys_under_every_policy() {
+        let first = |i: usize| (i % 9) as f64 / 8.0;
+        let second = |i: usize| (i % 5) as f64 / 4.0;
+        for shape in hostile_shapes(16) {
+            let mut by_add = UncertainGraph::with_nodes(shape.nodes());
+            for (i, &(u, v)) in shape.present.iter().enumerate() {
+                by_add.add_edge(v, u, first(i)).unwrap();
+            }
+            for policy in [
+                DedupPolicy::KeepFirst,
+                DedupPolicy::KeepLast,
+                DedupPolicy::KeepMax,
+                DedupPolicy::NoisyOr,
+                DedupPolicy::Reject,
+            ] {
+                let mut b = GraphBuilder::new(0).dedup_policy(policy);
+                probe_count::take();
+                for (i, &(u, v)) in shape.present.iter().enumerate() {
+                    b.add_edge(v, u, first(i)).unwrap();
+                }
+                let (mean, longest) = INSERT_BOUND;
+                assert_probes(shape.name, shape.present.len(), mean, longest);
+                let records: Vec<_> = (shape.present.iter().enumerate())
+                    .map(|(i, &(u, v))| b.add_edge(u, v, second(i)))
+                    .collect();
+                let (mean, longest) = HIT_BOUND;
+                assert_probes(shape.name, shape.present.len(), mean, longest);
+                for (i, (&(u, v), record)) in shape.present.iter().zip(records).enumerate() {
+                    if policy == DedupPolicy::Reject {
+                        assert_eq!(record, by_add.add_edge(u, v, second(i)).map(|_| ()));
+                    } else {
+                        record.unwrap();
+                    }
+                }
+                let g = b.build();
+                assert_eq!(g.num_nodes(), by_add.num_nodes());
+                for (i, (a, b)) in g.edges().iter().zip(by_add.edges()).enumerate() {
+                    let (p, q) = (first(i), second(i));
+                    let want = match policy {
+                        DedupPolicy::KeepFirst | DedupPolicy::Reject => p,
+                        DedupPolicy::KeepLast => q,
+                        DedupPolicy::KeepMax => p.max(q),
+                        DedupPolicy::NoisyOr => 1.0 - (1.0 - p) * (1.0 - q),
+                    };
+                    assert_eq!((a.u, a.v), (b.u, b.v));
+                    assert_eq!(a.p.to_bits(), want.to_bits(), "{policy:?}");
+                }
+                assert_eq!(g.num_edges(), by_add.num_edges());
+                for v in 0..g.num_nodes() as NodeId {
+                    assert_eq!(g.neighbors(v), by_add.neighbors(v));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! The [`UncertainGraph`] structure.
 
 use crate::error::GraphError;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use index::{EndpointIndex, Probe};
+
+mod index;
+
+#[cfg(test)]
+pub(crate) use index::probe_count;
 
 /// Node identifier: a dense index in `0..num_nodes`.
 pub type NodeId = u32;
@@ -27,14 +31,15 @@ pub struct Edge {
 /// multi-edges (paper §III-A).
 ///
 /// Nodes are dense `u32` indices. Edges live in a flat array (their index is
-/// the [`EdgeId`]); adjacency lists store `(neighbor, edge_id)` pairs; a hash
-/// map over normalized endpoint pairs supports O(1) membership queries and
-/// rejects duplicate edges on insertion.
+/// the [`EdgeId`]); adjacency lists store `(neighbor, edge_id)` pairs; an
+/// open-addressing table of edge ids over normalized endpoint pairs, whose
+/// keys are read back from the edge array, supports O(1) membership queries
+/// and rejects duplicate edges on insertion.
 #[derive(Debug, Clone, Default)]
 pub struct UncertainGraph {
     edges: Vec<Edge>,
     adj: Vec<Vec<(NodeId, EdgeId)>>,
-    index: HashMap<(NodeId, NodeId), EdgeId>,
+    index: EndpointIndex,
 }
 
 impl UncertainGraph {
@@ -53,7 +58,7 @@ impl UncertainGraph {
         Self {
             edges: Vec::new(),
             adj: vec![Vec::new(); n],
-            index: HashMap::new(),
+            index: EndpointIndex::default(),
         }
     }
 
@@ -106,7 +111,11 @@ impl UncertainGraph {
 
     /// Looks up the edge between `u` and `v`.
     pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        self.index.get(&normalize(u, v)).copied()
+        let (u, v) = normalize(u, v);
+        match self.index.probe(&self.edges, u, v) {
+            Probe::Found(id) => Some(id),
+            Probe::Vacant { .. } => None,
+        }
     }
 
     /// True when `(u, v)` is an edge of the graph.
@@ -135,12 +144,36 @@ impl UncertainGraph {
         if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
             return Err(GraphError::InvalidProbability(p));
         }
-        let key = normalize(u, v);
-        // One hash per call: the entry both detects a duplicate and holds
-        // the slot the new id goes into.
-        let slot = match self.index.entry(key) {
-            Entry::Occupied(_) => return Err(GraphError::DuplicateEdge(key.0, key.1)),
-            Entry::Vacant(slot) => slot,
+        let (a, b) = normalize(u, v);
+        match self.find_or_append_unlinked(a, b, p)? {
+            (id, true) => {
+                self.adj[u as usize].push((v, id));
+                self.adj[v as usize].push((u, id));
+                Ok(id)
+            }
+            (_, false) => Err(GraphError::DuplicateEdge(a, b)),
+        }
+    }
+
+    /// The edge `(u, v)`, `u < v`, if the graph has it; otherwise a new
+    /// edge `(u, v, p)` appended to the edge array and the index, but not
+    /// to the adjacency lists, which [`UncertainGraph::link_adjacency`]
+    /// builds. One probe both finds a duplicate and names the slot a new
+    /// id goes into. Returns the id and whether it is new.
+    ///
+    /// # Errors
+    /// Fails when the edge is new and the edge array already holds
+    /// `u32::MAX` edges.
+    pub(crate) fn find_or_append_unlinked(
+        &mut self,
+        u: NodeId,
+        v: NodeId,
+        p: f64,
+    ) -> Result<(EdgeId, bool), GraphError> {
+        debug_assert!(u < v, "pair ({u}, {v}) is not normalized");
+        let vacant = match self.index.probe(&self.edges, u, v) {
+            Probe::Found(id) => return Ok((id, false)),
+            Probe::Vacant { slot, tag } => (slot, tag),
         };
         // Edge ids are dense u32 indices; past this point `len as EdgeId`
         // would wrap and corrupt the adjacency/index invariants.
@@ -151,22 +184,47 @@ impl UncertainGraph {
             });
         }
         let id = self.edges.len() as EdgeId;
-        slot.insert(id);
-        self.edges.push(Edge {
-            u: key.0,
-            v: key.1,
-            p,
-        });
-        self.adj[u as usize].push((v, id));
-        self.adj[v as usize].push((u, id));
-        Ok(id)
+        self.index.insert(&self.edges, u, v, id, vacant);
+        self.edges.push(Edge { u, v, p });
+        Ok((id, true))
+    }
+
+    /// Replaces the adjacency with `n` lists, each sized exactly, that
+    /// link every edge in id order, as `add_edge` would have linked them.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is not below `n`.
+    pub(crate) fn link_adjacency(&mut self, n: usize) {
+        let mut degree = vec![0usize; n];
+        for e in &self.edges {
+            degree[e.u as usize] += 1;
+            degree[e.v as usize] += 1;
+        }
+        self.adj = degree.into_iter().map(Vec::with_capacity).collect();
+        for (id, e) in self.edges.iter().enumerate() {
+            self.adj[e.u as usize].push((e.v, id as EdgeId));
+            self.adj[e.v as usize].push((e.u, id as EdgeId));
+        }
+    }
+
+    /// Bytes this graph holds on the heap: the edge array and the
+    /// adjacency lists by capacity, and the endpoint index.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.edges.capacity() * size_of::<Edge>()
+            + self.adj.capacity() * size_of::<Vec<(NodeId, EdgeId)>>()
+            + (self.adj.iter())
+                .map(|list| list.capacity() * size_of::<(NodeId, EdgeId)>())
+                .sum::<usize>()
+            + self.index.heap_bytes()
     }
 
     /// This graph with the `appended` edges `(u, v, p)` added after its
     /// own: a copy whose every adjacency list, edge array and endpoint
     /// index is sized for the result at once, followed by one
     /// [`UncertainGraph::add_edge`] per pair in order. It equals a clone
-    /// plus those `add_edge` calls field for field, without regrowing a
+    /// plus those `add_edge` calls (the same edges, adjacency and
+    /// lookups; the index's slot layout may differ), without regrowing a
     /// buffer.
     ///
     /// # Errors
@@ -189,9 +247,7 @@ impl UncertainGraph {
         let total = self.edges.len() + appended.len();
         let mut edges = Vec::with_capacity(total);
         edges.extend_from_slice(&self.edges);
-        // A clone copies the table as it is, without re-hashing its keys.
-        let mut index = self.index.clone();
-        index.reserve(appended.len());
+        let index = self.index.clone_with_room(&self.edges, appended.len());
         let adj = (self.adj.iter().zip(extra))
             .map(|(own, extra)| {
                 let mut list = Vec::with_capacity(own.len() + extra);
@@ -291,8 +347,91 @@ fn normalize(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
     }
 }
 
+/// Key sets that defeat an unkeyed multiplicative hash, and bounds on how
+/// long the endpoint index's probes may run on them, shared by the graph,
+/// builder and io tests.
+#[cfg(test)]
+pub(crate) mod hostile {
+    use super::{probe_count, NodeId};
+
+    /// Key sets that defeat an unkeyed multiplicative hash, at scale `k`:
+    /// each as its normalized pairs and as pairs of the same shape that it
+    /// lacks.
+    pub(crate) fn hostile_shapes(k: u32) -> Vec<HostileShape> {
+        let pairs = |f: &dyn Fn(u32) -> (NodeId, NodeId), len: u32| (0..len).map(f).collect();
+        let multiples = |lo: u32, hi: u32| {
+            (lo..hi)
+                .flat_map(|a| (a + 1..hi).map(move |b| (a << 16, b << 16)))
+                .collect()
+        };
+        vec![
+            HostileShape {
+                name: "every endpoint a multiple of 2^16",
+                present: multiples(0, k),
+                absent: multiples(k, 2 * k),
+            },
+            HostileShape {
+                name: "complete bipartite block",
+                present: pairs(&|i| (i / k, k + i % k), k * k),
+                absent: pairs(&|i| (i / k, k + k + i % k), k * k),
+            },
+            HostileShape {
+                name: "star",
+                present: pairs(&|i| (0, i + 1), k * k),
+                absent: pairs(&|i| (i + 1, i + 2), k * k),
+            },
+            HostileShape {
+                name: "path",
+                present: pairs(&|i| (i, i + 1), k * k),
+                absent: pairs(&|i| (i, i + 2), k * k),
+            },
+        ]
+    }
+
+    /// One hostile key set.
+    pub(crate) struct HostileShape {
+        pub(crate) name: &'static str,
+        pub(crate) present: Vec<(NodeId, NodeId)>,
+        pub(crate) absent: Vec<(NodeId, NodeId)>,
+    }
+
+    impl HostileShape {
+        /// Nodes a graph needs to hold the shape's present pairs.
+        pub(crate) fn nodes(&self) -> usize {
+            self.present
+                .iter()
+                .map(|&(_, v)| v as usize + 1)
+                .max()
+                .unwrap_or(0)
+        }
+    }
+
+    /// Bounds on the probes of `take()`'s last window: at most `mean`
+    /// slots a probe on average and `longest` in one.
+    pub(crate) fn assert_probes(what: &str, ops: usize, mean: f64, longest: u64) {
+        let (probes, slots, max) = probe_count::take();
+        assert_eq!(probes, ops as u64, "{what}: probes counted");
+        let avg = slots as f64 / probes.max(1) as f64;
+        assert!(avg <= mean, "{what}: {avg:.2} slots a probe");
+        assert!(max <= longest, "{what}: a probe visited {max} slots");
+    }
+
+    /// Mean and longest probe bounds for inserts, hits and misses. With a
+    /// well-spread hash, linear probing at load α visits ½(1 + 1/(1−α))
+    /// slots a hit and ½(1 + 1/(1−α)²) a miss, which an insert is: at most
+    /// 4.5 and 32.5 at 7/8, and about 7.6 a miss averaged over a table's
+    /// growth from 7/16 to 7/8. The longest runs are long at 7/8: 65,536
+    /// random keys inserted into a table that ends at 2^17 slots met runs
+    /// of 400 to 600 slots. Keys piled into a few probe runs average
+    /// thousands.
+    pub(crate) const INSERT_BOUND: (f64, u64) = (12.0, 2048);
+    pub(crate) const HIT_BOUND: (f64, u64) = (6.0, 256);
+    pub(crate) const MISS_BOUND: (f64, u64) = (40.0, 2048);
+}
+
 #[cfg(test)]
 mod tests {
+    use super::hostile::*;
     use super::*;
     use proptest::prelude::*;
 
@@ -448,10 +587,30 @@ mod tests {
         (by_add, g.with_edges_appended(appended))
     }
 
+    /// Equal edges and adjacency, and indexes that answer alike: their
+    /// slot layouts may differ (a table grown by `add_edge` against one
+    /// sized once), so the indexes are compared by lookups. Every edge is
+    /// found from both endpoint orders, sampled non-edges are absent, and
+    /// both index every edge.
     fn assert_same_fields(a: &UncertainGraph, b: &UncertainGraph) {
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.adj, b.adj);
-        assert_eq!(a.index, b.index);
+        assert_eq!(a.index.len(), a.edges.len());
+        assert_eq!(b.index.len(), b.edges.len());
+        for (id, e) in a.edges.iter().enumerate() {
+            for g in [a, b] {
+                assert_eq!(g.find_edge(e.u, e.v), Some(id as EdgeId));
+                assert_eq!(g.find_edge(e.v, e.u), Some(id as EdgeId));
+            }
+        }
+        let n = a.num_nodes() as NodeId;
+        for u in 0..n.min(64) {
+            for v in (u + 1..n).step_by(7) {
+                let absent = a.find_edge(u, v).is_none();
+                assert_eq!(absent, !a.adj[u as usize].iter().any(|&(w, _)| w == v));
+                assert_eq!(absent, b.find_edge(u, v).is_none());
+            }
+        }
     }
 
     #[test]
@@ -514,6 +673,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn hostile_keys_probe_briefly() {
+        for shape in hostile_shapes(256) {
+            // No adjacency: the multiples of 2^16 reach node 2^24.
+            let mut g = UncertainGraph::with_nodes(0);
+            probe_count::take();
+            for &(u, v) in &shape.present {
+                assert!(g.find_or_append_unlinked(u, v, 0.5).unwrap().1);
+            }
+            let (mean, longest) = INSERT_BOUND;
+            assert_probes(shape.name, shape.present.len(), mean, longest);
+            for (id, &(u, v)) in shape.present.iter().enumerate() {
+                assert_eq!(g.find_edge(v, u), Some(id as EdgeId), "{}", shape.name);
+            }
+            let (mean, longest) = HIT_BOUND;
+            assert_probes(shape.name, shape.present.len(), mean, longest);
+            for &(u, v) in &shape.absent {
+                assert_eq!(g.find_edge(u, v), None, "{}", shape.name);
+            }
+            let (mean, longest) = MISS_BOUND;
+            assert_probes(shape.name, shape.absent.len(), mean, longest);
+        }
+    }
+
+    #[test]
+    fn hostile_keys_append_like_add_edge() {
+        // The multiples of 2^16 would need 4·10^6 adjacency lists a graph
+        // here; the builder and io tests build them at a smaller scale.
+        for shape in hostile_shapes(64).into_iter().skip(1) {
+            let g = UncertainGraph::with_nodes(shape.nodes());
+            let all: Vec<_> = (shape.present.iter()).map(|&(u, v)| (v, u, 0.5)).collect();
+            let (by_add, by_append) = append_both_ways(&g, &all);
+            assert_same_fields(&by_add.unwrap(), &by_append.unwrap());
+            let (head, tail) = all.split_at(all.len() / 3);
+            let (g, _) = append_both_ways(&g, head);
+            let (by_add, by_append) = append_both_ways(&g.unwrap(), tail);
+            let by_add = by_add.unwrap();
+            assert_same_fields(&by_add, &by_append.unwrap());
+            // Every duplicate is rejected, from either endpoint order.
+            for &(u, v, _) in all.iter().step_by(97) {
+                let mut g = by_add.clone();
+                let (a, b) = normalize(u, v);
+                assert_eq!(g.add_edge(u, v, 0.5), Err(GraphError::DuplicateEdge(a, b)));
+                assert_eq!(g.add_edge(v, u, 0.5), Err(GraphError::DuplicateEdge(a, b)));
+            }
+        }
+    }
+
+    #[test]
+    fn index_holds_at_most_12_bytes_an_edge_at_every_size() {
+        let mut g = UncertainGraph::with_nodes(0);
+        let (mut bytes, mut growths) = (0, 0);
+        for i in 0..(1 << 17) {
+            g.find_or_append_unlinked(i, i + 1, 0.5).unwrap();
+            // Checked at every size; the bound is closest right after a
+            // growth, when 7/16 of the slots are used.
+            growths += usize::from(g.index.heap_bytes() != bytes);
+            bytes = g.index.heap_bytes();
+            assert!(bytes <= 12 * g.num_edges(), "{bytes} B for {} edges", i + 1);
+        }
+        assert_eq!(growths, 18, "2, 4, …, 2^18 slots");
+        assert_eq!(g.heap_bytes(), g.edges.capacity() * 16 + bytes);
     }
 
     proptest! {

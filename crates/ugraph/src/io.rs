@@ -225,6 +225,8 @@ pub fn read_file<P: AsRef<Path>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::hostile::*;
+    use crate::graph::probe_count;
     use proptest::prelude::*;
 
     fn sample_graph() -> UncertainGraph {
@@ -466,6 +468,83 @@ mod tests {
         let g2 = read_binary(bytes.as_slice(), DedupPolicy::Reject).unwrap();
         assert_eq!(g2.num_nodes(), 20);
         assert_eq!(bytes, to_binary_bytes(&g2));
+    }
+
+    /// Keys that defeat an unkeyed multiplicative hash, through both
+    /// readers: a file of each shape lists every edge, then every edge
+    /// again reversed, and reads back under each policy as the builder
+    /// folds the same records, or fails at the first duplicate under
+    /// `Reject`, with short probes.
+    #[test]
+    fn hostile_keys_read_back_under_every_policy() {
+        for shape in hostile_shapes(16) {
+            let m = shape.present.len();
+            let records: Vec<_> = (shape.present.iter().enumerate())
+                .map(|(i, &(u, v))| (v, u, (i % 9) as f64 / 8.0))
+                .chain(
+                    (shape.present.iter().enumerate())
+                        .map(|(i, &(u, v))| (u, v, (i % 5) as f64 / 4.0)),
+                )
+                .collect();
+            let mut text = format!("nodes {}\n", shape.nodes());
+            let mut binary = BINARY_MAGIC.to_vec();
+            binary.push(BINARY_VERSION);
+            varint::write_u64(&mut binary, shape.nodes() as u64).unwrap();
+            varint::write_u64(&mut binary, records.len() as u64).unwrap();
+            for &(u, v, p) in &records {
+                text += &format!("{u} {v} {p}\n");
+                varint::write_u64(&mut binary, u64::from(u)).unwrap();
+                varint::write_u64(&mut binary, u64::from(v)).unwrap();
+                binary.extend_from_slice(&p.to_le_bytes());
+            }
+            for policy in [
+                DedupPolicy::KeepFirst,
+                DedupPolicy::KeepLast,
+                DedupPolicy::KeepMax,
+                DedupPolicy::NoisyOr,
+                DedupPolicy::Reject,
+            ] {
+                let mut builder = GraphBuilder::new(0).dedup_policy(policy);
+                builder.ensure_nodes(shape.nodes());
+                let built = (records.iter())
+                    .try_for_each(|&(u, v, p)| builder.add_edge(u, v, p))
+                    .map(|()| builder.build());
+                probe_count::take();
+                let from_text = read_text(text.as_bytes(), policy);
+                let from_binary = read_binary(binary.as_slice(), policy);
+                let reads = if policy == DedupPolicy::Reject {
+                    m + 1
+                } else {
+                    2 * m
+                };
+                let (mean, longest) = INSERT_BOUND;
+                assert_probes(shape.name, 2 * reads, mean, longest);
+                match built {
+                    Ok(built) => {
+                        for g in [from_text.unwrap(), from_binary.unwrap()] {
+                            assert_eq!(g.num_nodes(), built.num_nodes());
+                            assert_eq!(g.edges(), built.edges(), "{policy:?}");
+                        }
+                    }
+                    Err(err) => {
+                        assert_eq!(
+                            err,
+                            GraphError::DuplicateEdge(shape.present[0].0, shape.present[0].1)
+                        );
+                        assert!(matches!(
+                            from_text,
+                            Err(GraphError::Parse { line, message })
+                                if line == m + 2 && message == err.to_string()
+                        ));
+                        assert!(matches!(
+                            from_binary,
+                            Err(GraphError::Parse { message, .. })
+                                if message == format!("edge record {m}: {err}")
+                        ));
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

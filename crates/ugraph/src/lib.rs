@@ -9,7 +9,8 @@
 //! This crate provides:
 //!
 //! * [`UncertainGraph`] — the core structure: edge array + adjacency +
-//!   (u, v) → edge index map, with probability mutation (the anonymization
+//!   a keyed open-addressing (u, v) → edge id table that reads its keys
+//!   back from the edge array, with probability mutation (the anonymization
 //!   algorithms perturb probabilities in place) and edge insertion (they may
 //!   also inject previously-absent edges).
 //! * [`World`] / [`WorldView`] — a sampled possible world as an edge bitset,
